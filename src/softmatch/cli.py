@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, bounds, probes
+from . import __version__, bounds, errors, probes
 from .dynamics import TransformerLayerSpec, deq_solve, invert_residual, run_particles
 from .equiv import run_equivalence
 from .errors import ConfigError
@@ -36,6 +36,11 @@ from .probes import ProbeConfig, probe_component, probe_contraction
 from .transport import w1
 
 log = logging.getLogger("softmatch")
+
+# every exception type of errors.py reports bad input or a bad request
+_INPUT_ERRORS = tuple(
+    e for e in vars(errors).values() if isinstance(e, type) and issubclass(e, Exception)
+)
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +489,10 @@ def main(argv=None) -> int:
         return 2
     except FileNotFoundError as e:
         print(f"missing input: {e}", file=sys.stderr)
+        return 2
+    except _INPUT_ERRORS as e:
+        message = " ".join(str(e).split())
+        print(f"input error: {type(e).__name__}: {message}", file=sys.stderr)
         return 2
 
     envelope = {

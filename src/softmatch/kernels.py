@@ -7,6 +7,16 @@ The pipeline view of one attention evaluation at query q against measure mu:
     push the support through the lookup map   (key -> value correspondence)
     project to the Dirac at the barycenter    (value averaging)
 
+`_attend` runs this map for a whole batch of queries at once, and every
+attention function here calls it. Per call it builds one similarity
+matrix, one lookup of the support and one canonical order of (support,
+weights). The softmatch normalizer and the value sum are accumulated
+sequentially in that one order, vectorised across queries, and the
+weights are normalized once. Products over support points (similarities,
+lookups, W_O, the FFN) accumulate their shared index in order, so an
+output row depends only on its query and on mu: jointly permuting the
+input permutes the output bit for bit.
+
 `reference_attention` computes the familiar matrix formula directly with
 max-shifted exponentials and is kept independent of the pipeline code so
 the two can be compared as an equivalence test.
@@ -22,7 +32,8 @@ from .errors import DimMismatch, InvalidInput, KeyValueMismatch
 from .measures import (
     EmpiricalMeasure,
     PointCloud,
-    barycenter,
+    _ordered_matmul,
+    _ordered_sum,
     canonical_order,
     empirical,
 )
@@ -93,7 +104,7 @@ class LinearLookup(Lookup):
         return self.w_v.shape[0]
 
     def apply_points(self, pts):
-        return np.asarray(pts, dtype=np.float64) @ self.w_v.T
+        return _ordered_matmul(np.asarray(pts, dtype=np.float64), self.w_v.T)
 
     def lip(self):
         return induced_l1_norm(self.w_v)
@@ -238,7 +249,7 @@ class FfnConfig:
         h = np.asarray(pts, dtype=np.float64)
         act = _ACTIVATIONS[self.activation]
         for i, (w, b) in enumerate(self.layers):
-            h = h @ w.T + b
+            h = _ordered_matmul(h, w.T) + b
             if i < len(self.layers) - 1:
                 h = act(h)
         return h
@@ -256,11 +267,34 @@ class FfnConfig:
 # Softmatch
 # ---------------------------------------------------------------------------
 
-def _ordered_scalar_sum(values: np.ndarray, order: np.ndarray) -> float:
-    acc = 0.0
-    for i in order:
-        acc += values[i]
-    return acc
+def _softmatch_rows(
+    potential: Potential, queries: np.ndarray, nu: EmpiricalMeasure
+) -> tuple[np.ndarray, np.ndarray]:
+    """Softmatch weights of nu for every query row, shape (Q, N), and the
+    canonical order of nu's positive-weight points they were summed in.
+
+    Exponentials are shifted by each row's max similarity over the
+    positive-weight points and taken only there, so nothing overflows and
+    a point of weight zero keeps weight zero.
+    """
+    queries = np.asarray(queries, dtype=np.float64)
+    if not np.all(np.isfinite(queries)):
+        raise InvalidInput("query must be finite")
+    if queries.shape[1:] != (nu.dim,):
+        raise DimMismatch(f"query shape {queries.shape[1:]} vs measure dim {nu.dim}")
+    logits = potential.similarity_matrix(queries, nu.support.points)
+    if not np.all(np.isfinite(logits)):
+        raise InvalidInput("similarity produced non-finite values")
+    order = canonical_order(nu.support.points, nu.weights)
+    order = order[nu.weights[order] > 0]
+    num = logits[:, order]
+    num -= num.max(axis=1, keepdims=True)
+    np.exp(num, out=num)
+    num *= nu.weights[order]
+    num /= _ordered_sum(num.T)[:, None]
+    weights = np.zeros_like(logits)
+    weights[:, order] = num
+    return weights, order
 
 
 def softmatch_weights(
@@ -268,32 +302,22 @@ def softmatch_weights(
 ) -> np.ndarray:
     """Boltzmann-Gibbs weights nu_i G(q, k_i) / sum_j nu_j G(q, k_j).
 
-    Exponentials are shifted by the max similarity over the support (taken
-    over points of positive weight), so the computation never overflows.
-    The normalizer is accumulated in canonical support order, which keeps
-    the weights exactly invariant under joint permutations of nu.
+    Exponentials are shifted by the max similarity over the points of
+    positive weight and taken only at those points, so the computation
+    never overflows. The normalizer is accumulated in canonical support
+    order, which keeps the weights exactly invariant under joint
+    permutations of nu.
     """
     q = np.asarray(q, dtype=np.float64).reshape(-1)
-    if not np.all(np.isfinite(q)):
-        raise InvalidInput("query must be finite")
-    if q.shape != (nu.dim,):
-        raise DimMismatch(f"query shape {q.shape} vs measure dim {nu.dim}")
-    logits = potential.similarity_matrix(q[None, :], nu.support.points)[0]
-    if not np.all(np.isfinite(logits)):
-        raise InvalidInput("similarity produced non-finite values")
-    positive = nu.weights > 0
-    shift = float(logits[positive].max())
-    num = nu.weights * np.exp(logits - shift)
-    order = canonical_order(nu.support.points, nu.weights)
-    den = _ordered_scalar_sum(num, order)
-    return num / den
+    return _softmatch_rows(potential, q[None, :], nu)[0][0]
 
 
 def softmatch_measure(
     potential: Potential, q: np.ndarray, nu: EmpiricalMeasure
 ) -> EmpiricalMeasure:
     """The softmatch output: same support as nu, reweighted by G(q, .)."""
-    return EmpiricalMeasure(nu.support, softmatch_weights(potential, q, nu))
+    # normalized once by softmatch_weights: no second renormalization pass
+    return EmpiricalMeasure._trusted(nu.support, softmatch_weights(potential, q, nu))
 
 
 def apply_lookup(lookup: Lookup, mu: EmpiricalMeasure) -> EmpiricalMeasure:
@@ -312,12 +336,26 @@ def apply_lookup(lookup: Lookup, mu: EmpiricalMeasure) -> EmpiricalMeasure:
 # Attention kernels
 # ---------------------------------------------------------------------------
 
+def _attend(
+    cfg: AttentionConfig, queries: np.ndarray, mu: EmpiricalMeasure
+) -> np.ndarray:
+    """barycenter(lookup(softmatch(mu, q))) for every query row q; shape
+    (Q, d_out). The value sum runs in the order the weights were
+    normalized in."""
+    weights, order = _softmatch_rows(cfg.potential, queries, mu)
+    values = apply_lookup(cfg.lookup, mu).support.points
+    out = np.zeros((weights.shape[0], values.shape[1]))
+    for i in order:
+        out += weights[:, i, None] * values[i]
+    return out
+
+
 def attention_kernel(
     cfg: AttentionConfig, q: np.ndarray, mu: EmpiricalMeasure
 ) -> np.ndarray:
     """Location of the output Dirac: barycenter(lookup(softmatch(mu, q)))."""
-    reweighted = softmatch_measure(cfg.potential, q, mu)
-    return barycenter(apply_lookup(cfg.lookup, reweighted))
+    q = np.asarray(q, dtype=np.float64).reshape(-1)
+    return _attend(cfg, q[None, :], mu)[0]
 
 
 def attention_pushforward(
@@ -326,37 +364,30 @@ def attention_pushforward(
     """The full output measure of self-attention: every support point of mu
     is mapped through the attention kernel (interacting with mu itself),
     keeping its weight."""
-    outs = np.stack([attention_kernel(cfg, x, mu) for x in mu.support.points])
+    outs = _attend(cfg, mu.support.points, mu)
     return EmpiricalMeasure._trusted(PointCloud(outs), mu.weights)
 
 
 def self_attention(cfg: AttentionConfig, cloud: PointCloud) -> PointCloud:
     """Apply the attention kernel with mu = m(X) to every point of X."""
-    mu = empirical(cloud)
-    outs = np.stack([attention_kernel(cfg, x, mu) for x in cloud.points])
-    return PointCloud(outs)
+    return attention_pushforward(cfg, empirical(cloud)).support
 
 
 def multi_head(cfg: MultiHeadConfig, cloud: PointCloud) -> PointCloud:
-    """Multi-head attention through the mixture-of-kernels algebra.
+    """Multi-head attention sum_h Attention_h(X) W_O_h, the concat-matmul
+    identity.
 
-    Per point, each head's output y_h is pushed through delta_{y_h W_O_h H},
-    the H Diracs are mixed with weights 1/H, and the mixture is projected to
-    its barycenter, reproducing sum_h y_h W_O_h (the concat-matmul identity).
+    Every head attends over the whole cloud in one batched call against
+    mu = m(X), and the head outputs are summed in configured head order.
+    W_O products accumulate in index order, like every product over
+    points, so the result is exactly permutation equivariant.
     """
     mu = empirical(cloud)
-    h_count = cfg.n_heads
-    rows = []
-    for x in cloud.points:
-        locs = np.stack(
-            [
-                (attention_kernel(h.attention, x, mu) @ h.w_o) * h_count
-                for h in cfg.heads
-            ]
-        )
-        mixture = EmpiricalMeasure(PointCloud(locs), np.full(h_count, 1.0 / h_count))
-        rows.append(barycenter(mixture))
-    return PointCloud(np.stack(rows))
+    per_head = [
+        _ordered_matmul(_attend(h.attention, cloud.points, mu), h.w_o)
+        for h in cfg.heads
+    ]
+    return PointCloud(_ordered_sum(np.stack(per_head)))
 
 
 def transformer_layer(
@@ -373,22 +404,17 @@ def transformer_layer(
 # Reference (matrix form) oracles, independent of the measure pipeline
 # ---------------------------------------------------------------------------
 
-def _as_similarity(a) -> Callable[[np.ndarray, np.ndarray], float]:
-    if isinstance(a, Potential):
-        return a.similarity
-    return a
-
-
-def reference_attention(a, q, keys: PointCloud, values: PointCloud) -> np.ndarray:
+def reference_attention(
+    a: Potential, q, keys: PointCloud, values: PointCloud
+) -> np.ndarray:
     """The textbook formula sum_i softmax(a(q, k_.))_i v_i.
 
     Direct exponentials with a max shift; no measure machinery.
     """
     if keys.n != values.n:
         raise KeyValueMismatch(f"{keys.n} keys vs {values.n} values")
-    sim = _as_similarity(a)
     q = np.asarray(q, dtype=np.float64).reshape(-1)
-    logits = np.array([sim(q, k) for k in keys.points])
+    logits = np.array([a.similarity(q, k) for k in keys.points])
     e = np.exp(logits - logits.max())
     p = e / e.sum()
     return p @ values.points

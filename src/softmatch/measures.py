@@ -69,12 +69,6 @@ class PointCloud:
     def permuted(self, order) -> "PointCloud":
         return PointCloud(self.points[np.asarray(order, dtype=int)])
 
-    def translated(self, c) -> "PointCloud":
-        c = np.asarray(c, dtype=np.float64)
-        if c.shape != (self.dim,):
-            raise DimMismatch(f"translation has shape {c.shape}, dim is {self.dim}")
-        return PointCloud(self.points + c)
-
 
 def canonical_order(points: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
     """Index order sorting rows lexicographically, weights as a final tiebreak.
@@ -95,6 +89,19 @@ def _ordered_sum(rows: np.ndarray) -> np.ndarray:
     for i in range(1, rows.shape[0]):
         acc += rows[i]
     return acc
+
+
+def _ordered_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b with the shared index accumulated in index order.
+
+    Every output row then depends on its own input row alone, bit for bit;
+    BLAS may round a row differently depending on where it sits, which
+    would break exact permutation invariance.
+    """
+    out = a[:, 0, None] * b[0]
+    for c in range(1, a.shape[1]):
+        out += a[:, c, None] * b[c]
+    return out
 
 
 @dataclass(frozen=True)

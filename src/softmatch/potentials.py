@@ -27,7 +27,7 @@ from .errors import (
     PotentialOverflow,
     UnboundedDomainUnsupported,
 )
-from .measures import DomainBox
+from .measures import DomainBox, _ordered_matmul
 
 MAX_EXP_ARG = 709.0
 
@@ -84,7 +84,7 @@ class DotProduct(Potential):
         return float(self.scale * np.dot(x, y))
 
     def similarity_matrix(self, queries, keys):
-        return self.scale * (queries @ keys.T)
+        return self.scale * _ordered_matmul(queries, keys.T)
 
     def similarity_pairs(self, xs, ys):
         return self.scale * np.sum(xs * ys, axis=1)
@@ -122,7 +122,9 @@ class ScaledDotProduct(Potential):
         return float(self.scale * np.dot(self.w_q @ x, self.w_k @ y))
 
     def similarity_matrix(self, queries, keys):
-        return self.scale * ((queries @ self.w_q.T) @ (keys @ self.w_k.T).T)
+        q = _ordered_matmul(queries, self.w_q.T)
+        k = _ordered_matmul(keys, self.w_k.T)
+        return self.scale * _ordered_matmul(q, k.T)
 
     def similarity_pairs(self, xs, ys):
         return self.scale * np.sum((xs @ self.w_q.T) * (ys @ self.w_k.T), axis=1)
@@ -145,8 +147,12 @@ class Gaussian(Potential):
         return float(-np.dot(d, d))
 
     def similarity_matrix(self, queries, keys):
-        diff = queries[:, None, :] - keys[None, :, :]
-        return -np.sum(diff * diff, axis=2)
+        # one coordinate at a time, so no (n_queries, n_keys, dim) temporary
+        sq = np.zeros((queries.shape[0], keys.shape[0]))
+        for c in range(queries.shape[1]):
+            diff = np.subtract.outer(queries[:, c], keys[:, c])
+            sq += diff * diff
+        return -sq
 
     def similarity_pairs(self, xs, ys):
         d = xs - ys

@@ -200,6 +200,23 @@ class TestLemmasCommand:
         assert set(env["report"]) == {"ratio_lemma", "product_lemma", "local_lip_lemma"}
 
 
+class TestExitCodes:
+    @pytest.mark.parametrize("case", ("dim_mismatch", "nan_csv", "zero_trials"))
+    def test_library_errors_are_usage_errors(self, workdir, capsys, case):
+        (workdir / "one_d.csv").write_text("1.0\n2.0\n")
+        (workdir / "nan.csv").write_text("1.0,2.0\nnan,0.0\n")
+        argv = {
+            "dim_mismatch": ("w1", str(workdir / "a.csv"), str(workdir / "one_d.csv")),
+            "nan_csv": ("w1", str(workdir / "nan.csv"), str(workdir / "b.csv")),
+            "zero_trials": ("probe", "--theorem", "bounded", "--trials", "0"),
+        }[case]
+        code, env, err = run(capsys, *argv)
+        assert code == 2
+        assert env is None
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("input error: ")
+
+
 class TestEnvelope:
     def test_replay_fields_present(self, workdir, capsys):
         code, env, _ = run(capsys, "equiv", "--trials", "5", "--seed", "42")

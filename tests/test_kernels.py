@@ -1,5 +1,6 @@
 """Kernel pipeline vs the matrix-form oracles, plus structural invariants."""
 
+import functools
 import math
 
 import numpy as np
@@ -7,6 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from softmatch.equiv import (
+    LOOKUP_KINDS,
+    POTENTIAL_KINDS,
+    random_attention_config,
+    random_ffn,
+)
 from softmatch.errors import DimMismatch, InvalidInput, KeyValueMismatch
 from softmatch.kernels import (
     AttentionConfig,
@@ -92,6 +99,31 @@ class TestSoftmatch:
         w = softmatch_weights(DotProduct(1.0, 1), [1.0], nu)
         assert np.all(np.isfinite(w))
         assert w[0] == pytest.approx(1.0)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 5),
+        st.integers(1, 5),
+        st.integers(1, 3),
+    )
+    def test_zero_weight_points_never_overflow(self, seed, n_pos, n_zero, d):
+        # zero-weight points sit next to the query, far above the max
+        # similarity over the positive-weight points; exp() of their
+        # shifted similarity would overflow
+        rng = np.random.default_rng(seed)
+        pts = np.concatenate(
+            [40.0 + rng.normal(size=(n_pos, d)), rng.normal(size=(n_zero, d))]
+        )
+        w = np.concatenate([rng.random(n_pos) + 0.1, np.zeros(n_zero)])
+        perm = rng.permutation(n_pos + n_zero)
+        mu = EmpiricalMeasure(PointCloud(pts[perm]), (w / w.sum())[perm])
+        got = softmatch_weights(Gaussian(d), np.zeros(d), mu)
+        assert np.all(np.isfinite(got))
+        assert np.all(got[mu.weights == 0] == 0.0)
+        assert abs(got.sum() - 1.0) <= 1e-12
+        out = attention_pushforward(AttentionConfig(Gaussian(d), IdentityLookup(d)), mu)
+        assert np.all(out.support.points > 30.0)
 
     def test_nan_query_rejected(self):
         nu = empirical([[0.0]])
@@ -198,14 +230,46 @@ class TestSelfAttention:
         out = self_attention(cfg, PointCloud([[2.0]]))
         np.testing.assert_array_equal(out.points, [[6.0]])
 
-    def test_permutation_equivariance_bitwise(self):
-        rng = np.random.default_rng(4)
-        cloud = PointCloud(rng.normal(size=(7, 3)))
-        cfg = AttentionConfig(Gaussian(3), IdentityLookup(3))
-        perm = rng.permutation(7)
-        out = self_attention(cfg, cloud)
-        out_perm = self_attention(cfg, cloud.permuted(perm))
-        np.testing.assert_array_equal(out.points[perm], out_perm.points)
+    @pytest.mark.parametrize(
+        "fn", ("self_attention", "multi_head", "transformer_layer", "attention_pushforward")
+    )
+    @pytest.mark.parametrize("d", (1, 2, 4, 8))
+    @pytest.mark.parametrize("lookup_kind", LOOKUP_KINDS)
+    @pytest.mark.parametrize("potential_kind", POTENTIAL_KINDS)
+    def test_permutation_equivariance_bitwise(self, potential_kind, lookup_kind, d, fn):
+        rng = np.random.default_rng(2)
+        n = int(rng.integers(2, 33))
+        pts = rng.normal(size=(n, d))
+        perm = rng.permutation(n)
+        pts[-1] = pts[0]  # one duplicated point
+        cloud = PointCloud(pts)
+
+        def attention():
+            return random_attention_config(rng, d, potential_kind, lookup_kind)
+
+        def heads():
+            cfgs = [attention() for _ in range(2)]
+            return MultiHeadConfig(
+                [Head(c, rng.normal(scale=0.5, size=(c.out_dim, d))) for c in cfgs]
+            )
+
+        if fn == "attention_pushforward":
+            w = rng.random(n) + 0.1
+            mu = EmpiricalMeasure(cloud, w / w.sum())
+            cfg = attention()
+            out = attention_pushforward(cfg, mu)
+            out_perm = attention_pushforward(cfg, mu.permuted(perm))
+            np.testing.assert_array_equal(out.weights[perm], out_perm.weights)
+            got, want = out.support.points, out_perm.support.points
+        else:
+            if fn == "self_attention":
+                layer = functools.partial(self_attention, attention())
+            elif fn == "multi_head":
+                layer = functools.partial(multi_head, heads())
+            else:
+                layer = functools.partial(transformer_layer, heads(), random_ffn(rng, d))
+            got, want = layer(cloud).points, layer(cloud.permuted(perm)).points
+        np.testing.assert_array_equal(got[perm], want)
 
     def test_output_measure_permutation_invariant(self):
         rng = np.random.default_rng(5)
