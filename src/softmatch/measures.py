@@ -24,7 +24,10 @@ WEIGHT_SUM_TOL = 1e-12
 
 
 def _as_points_array(points) -> np.ndarray:
-    pts = np.asarray(points, dtype=np.float64)
+    try:
+        pts = np.asarray(points, dtype=np.float64)
+    except (TypeError, ValueError) as e:
+        raise InvalidInput(f"points must be a rectangular array of numbers: {e}") from None
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
     if pts.ndim != 2:
@@ -322,10 +325,13 @@ def save_point_cloud_csv(path, cloud: PointCloud) -> None:
 def load_point_cloud_csv(path) -> PointCloud:
     rows = []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        for line, row in enumerate(csv.reader(fh), 1):
             if not row:
                 continue
-            rows.append([float(v) for v in row])
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError:
+                raise InvalidInput(f"{path}, line {line}: non-numeric field in {row!r}") from None
     if not rows:
         raise EmptySupport(f"no points in {path}")
     return PointCloud(rows)
@@ -336,7 +342,12 @@ def save_measure_json(path, mu: EmpiricalMeasure) -> None:
 
 
 def load_measure_json(path) -> EmpiricalMeasure:
-    d = json.loads(Path(path).read_text())
+    try:
+        d = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as e:
+        raise InvalidInput(f"{path}: malformed JSON: {e}") from None
+    if not isinstance(d, dict) or "points" not in d:
+        raise InvalidInput(f"{path}: expected a JSON object with a 'points' list")
     pts = _as_points_array(d["points"])
     if "dim" in d and int(d["dim"]) != pts.shape[1]:
         raise DimMismatch(

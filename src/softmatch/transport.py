@@ -1,23 +1,32 @@
 """Exact 1-Wasserstein distance between empirical measures, l1 ground metric.
 
-The general path solves the transportation LP by successive-shortest-path
-min-cost flow over exact integers: every float is a dyadic rational, so
-costs and weights are scaled by powers of two with no rounding at all, the
-integer program is solved exactly, and the optimum is converted back with
-one correctly rounded division. The only approximation anywhere is a
-mass-balance adjustment of a few integer grains when the two weight vectors
-do not sum to bitwise identical totals; its worst-case effect is charged to
-the reported dual gap.
+Every solve is one exact transportation network simplex. Every float is a
+dyadic rational, so costs and weights are scaled by powers of two with no
+rounding at all; flows and node potentials are exact Python integers on a
+spanning-tree basis, and the optimum is converted back with one correctly
+rounded division. numpy prices all N*M arcs at once from correctly rounded
+float copies of the potentials; an arc enters only once its reduced cost
+is confirmed negative in exact integers, and arcs within the float error
+bound of zero are settled exactly. The solve stops when no arc is exactly
+negative, so the primal, the dual and complementary slackness hold by
+construction: every plan carries the dual potentials of its optimal basis,
+rounded toward -inf so that they stay exactly feasible. The only
+approximation anywhere is a mass-balance adjustment of a few integer
+grains when the two weight vectors do not sum to bitwise identical totals;
+its worst-case effect is charged to the reported dual gap.
 
-Fast path: for uniform equal-size measures the LP reduces to an assignment
-problem, handed to scipy's Hungarian solver. Oracles: factorial enumeration
-over permutations, and LCM replication for uniform unequal sizes.
+Starting bases: the matrix-minimum allocation for weighted measures; for
+uniform equal-size measures the LP is an assignment problem, and scipy's
+Hungarian matching warm-starts the simplex, which supplies exact duals and
+repairs the matching where float rounding left it suboptimal. Oracles:
+factorial enumeration over permutations, and LCM replication for uniform
+unequal sizes.
 
 Desk-scale limits: the dense LP path accepts N, M <= 512.
 """
 from __future__ import annotations
 
-import heapq
+import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,6 +46,8 @@ from .measures import EmpiricalMeasure, PointCloud, empirical
 MAX_LP_SUPPORT = 512
 MARGINAL_TOL = 1e-9
 
+log = logging.getLogger("softmatch")
+
 
 def cost_matrix_l1(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """c_ij = ||x_i - y_j||_1."""
@@ -54,18 +65,28 @@ def cost_matrix_l1(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 # Exact dyadic integerization (floats are p / 2^k, no rounding involved)
 # ---------------------------------------------------------------------------
 
-def _dyadic_ints(values: np.ndarray) -> tuple[list[int], int]:
+def _dyadic_shift(values: np.ndarray) -> int:
+    """The least shift >= 0 making every values[i] * 2**shift an integer:
+    a finite float is an integer times 2**(exp - 53), exp from frexp."""
+    flat = np.asarray(values, dtype=np.float64).reshape(-1)
+    if not flat.size:
+        return 0
+    return max(0, 53 - int(np.frexp(flat)[1].min()))
+
+
+def _dyadic_ints(values: np.ndarray, shift: int | None = None) -> tuple[list[int], int]:
     """Represent floats exactly as integers over one power-of-two denominator.
 
-    Returns (ints, shift) with values[i] == ints[i] / 2**shift exactly.
+    Returns (ints, shift) with values[i] == ints[i] / 2**shift exactly;
+    `shift` defaults to the least one that works and may be given larger.
     """
     flat = np.asarray(values, dtype=np.float64).reshape(-1)
     mant, exp = np.frexp(flat)
     # mant * 2^53 is integral for every finite float
     m_int = (mant * (1 << 53)).astype(np.int64)
     e_int = exp.astype(np.int64) - 53
-    shift = int(-(e_int.min())) if flat.size else 0
-    shift = max(shift, 0)
+    if shift is None:
+        shift = _dyadic_shift(flat)
     ms = m_int.tolist()
     es = e_int.tolist()
     return [m << (e + shift) for m, e in zip(ms, es)], shift
@@ -101,7 +122,8 @@ class TransportPlan:
     Invariants checked on construction: marginals match the measure weights
     and the stored cost matches sum_ij gamma_ij c_ij, both within 1e-9.
     Kantorovich dual potentials are available through dual_potentials();
-    they satisfy u_i + v_j <= c_ij with equality on the support of gamma.
+    they satisfy u_i + v_j <= c_ij exactly, with equality (to an ulp) on
+    the support of gamma when the plan is optimal.
     """
 
     gamma: np.ndarray
@@ -130,18 +152,20 @@ class TransportPlan:
             )
 
     def dual_potentials(self) -> tuple[np.ndarray, np.ndarray]:
-        """(u, v) with u_i + v_j <= c_ij, tight where gamma_ij > 0.
+        """Optimal Kantorovich potentials (u, v): u_i + v_j <= c_ij.
 
-        Plans produced by the flow solver carry exact duals; otherwise the
-        potentials are recovered from the plan by exact Bellman-Ford over
-        the residual graph (dyadic integer costs, so no rounding).
+        Plans from the solvers carry the duals of their optimal basis,
+        tight to an ulp wherever gamma_ij > 0. For a plan built by a caller
+        they come from solving the LP of the two measures exactly, so they
+        are feasible whatever the plan; a suboptimal plan shows up as
+        certificate()["max_support_slack"] > 0.
         """
-        if self._duals is not None:
-            return self._duals
-        u, v = _duals_from_plan(
-            self.source.support.points, self.target.support.points, self.gamma
-        )
-        object.__setattr__(self, "_duals", (u, v))
+        if self._duals is None:
+            c = cost_matrix_l1(self.source.support.points, self.target.support.points)
+            supply, demand, _, _ = _integer_masses(self.source.weights, self.target.weights)
+            shift = _dyadic_shift(c)
+            basis = _solve_masses(c, supply, demand, shift, "duals")
+            object.__setattr__(self, "_duals", _float_duals(basis, shift))
         return self._duals
 
     def certificate(self) -> dict:
@@ -184,139 +208,313 @@ class W1Result:
 
 
 # ---------------------------------------------------------------------------
-# Successive shortest paths on exact integers
+# Exact transportation network simplex
 # ---------------------------------------------------------------------------
 
-def _min_cost_flow(cost: list, supply: list, demand: list):
-    """Exact min-cost transportation flow.
+@dataclass(frozen=True)
+class _Basis:
+    """An optimal basis: the spanning-tree arcs (i, j, flow), exact integer
+    potentials u, v (costs scaled by 2**shift) with c_ij - u_i - v_j >= 0
+    on every arc and = 0 on every basic arc, and the exact objective
+    sum flow * c."""
 
-    cost[i][j] are nonnegative ints, supply/demand are balanced ints.
-    Returns (flow, pi) with flow an int matrix and pi integer potentials
-    such that reduced costs are nonnegative everywhere and zero on arcs
-    carrying flow (the usual optimality certificate).
+    arcs: list
+    u: list
+    v: list
+    total: int
+
+
+def _matrix_minimum_basis(c: np.ndarray, supply: list, demand: list) -> list:
+    """Matrix-minimum allocation with every node but the root sink m - 1
+    carrying eps extra supply (eps less demand at a sink).
+
+    Amounts are (grains, eps) pairs compared lexicographically. The
+    perturbed problem is nondegenerate, so each allocation closes exactly
+    one row or column until the last closes both: n + m - 1 arcs with
+    positive perturbed flow, i.e. a spanning tree in which every zero-flow
+    arc points from its source up to its sink (strongly feasible).
     """
-    n, m = len(supply), len(demand)
-    size = n + m
-    max_c = max((max(row) for row in cost), default=0)
-    inf = max_c * (size + 2) + 1
-
-    pi = [0] * size
-    for j in range(m):
-        pi[n + j] = min(cost[i][j] for i in range(n))
-    flow = [[0] * m for _ in range(n)]
-    rem_s = list(supply)
-    rem_d = list(demand)
-    remaining = sum(rem_s)
-    guard = n * m + 4 * size + 16
-
-    while remaining > 0:
-        guard -= 1
-        if guard < 0:
-            raise RuntimeError("min-cost flow exceeded its iteration guard")
-        dist = [inf] * size
-        parent = [-1] * size
-        heap = []
-        for i in range(n):
-            if rem_s[i] > 0:
-                dist[i] = 0
-                heap.append((0, i))
-        heapq.heapify(heap)
-        settled = [False] * size
-        sink = -1
-        while heap:
-            d, node = heapq.heappop(heap)
-            if settled[node] or d > dist[node]:
+    n, m = c.shape
+    rem_s = [(a, 1) for a in supply]
+    rem_d = [(b, -1) for b in demand]
+    rem_d[-1] = (demand[-1], n + m - 1)
+    row_open = np.ones(n, dtype=bool)
+    col_open = np.ones(m, dtype=bool)
+    order = np.argsort(c, axis=None, kind="stable")
+    arcs = []
+    need = n + m - 1
+    chunk = 2 * need
+    for lo in range(0, order.size, chunk):
+        # drop cells already closed off in bulk; the rest are re-checked
+        # one by one since each allocation closes a line
+        cells = order[lo : lo + chunk]
+        cells = cells[row_open[cells // m] & col_open[cells % m]]
+        for k in cells.tolist():
+            i, j = divmod(k, m)
+            if not (row_open[i] and col_open[j]):
                 continue
-            settled[node] = True
-            if node >= n and rem_d[node - n] > 0:
-                sink = node
-                break
-            if node < n:
-                row = cost[node]
-                base = d + pi[node]
-                for j in range(m):
-                    w = n + j
-                    if settled[w]:
-                        continue
-                    nd = base + row[j] - pi[w]
-                    if nd < dist[w]:
-                        dist[w] = nd
-                        parent[w] = node
-                        heapq.heappush(heap, (nd, w))
+            s, d = rem_s[i], rem_d[j]
+            if s <= d:
+                row_open[i] = False
+                rem_d[j] = (d[0] - s[0], d[1] - s[1])
+                arcs.append((i, j, s[0]))
             else:
-                j = node - n
-                base = d + pi[node]
-                for i in range(n):
-                    if settled[i] or flow[i][j] <= 0:
-                        continue
-                    nd = base - cost[i][j] - pi[i]
-                    if nd < dist[i]:
-                        dist[i] = nd
-                        parent[i] = node
-                        heapq.heappush(heap, (nd, i))
-        if sink < 0:
-            raise RuntimeError("min-cost flow: no augmenting path (unbalanced?)")
-        d_sink = dist[sink]
-        for v in range(size):
-            pi[v] += dist[v] if dist[v] < d_sink else d_sink
-
-        # walk back to the originating source, collecting the bottleneck
-        amount = rem_d[sink - n]
-        node = sink
-        while parent[node] != -1:
-            prev = parent[node]
-            if prev >= n:  # back arc node->prev means flow[node][prev-n]
-                amount = min(amount, flow[node][prev - n])
-            node = prev
-        amount = min(amount, rem_s[node])
-
-        node = sink
-        while parent[node] != -1:
-            prev = parent[node]
-            if prev < n:  # forward arc prev->node
-                flow[prev][node - n] += amount
-            else:  # back arc prev(sink)->node(source): reduce flow[node][prev-n]
-                flow[node][prev - n] -= amount
-            node = prev
-        rem_s[node] -= amount
-        rem_d[sink - n] -= amount
-        remaining -= amount
-
-    return flow, pi
+                col_open[j] = False
+                rem_s[i] = (s[0] - d[0], s[1] - d[1])
+                arcs.append((i, j, d[0]))
+            if len(arcs) == need:
+                return arcs
+    raise RuntimeError("matrix-minimum start did not span the nodes")
 
 
-def _duals_from_plan(x: np.ndarray, y: np.ndarray, gamma: np.ndarray):
-    """Recover dual potentials from any optimal plan by exact Bellman-Ford
-    over the residual graph of the plan (integer costs, no rounding)."""
-    c_float = cost_matrix_l1(x, y)
-    n, m = c_float.shape
-    c_ints, shift = _dyadic_ints(c_float)
-    cost = [c_ints[i * m : (i + 1) * m] for i in range(n)]
-    support = [(i, j) for i in range(n) for j in range(m) if gamma[i, j] > 0]
+def _network_simplex(c: np.ndarray, arcs: list, shift: int, path: str) -> _Basis:
+    """Exact network simplex for the transportation problem on cost c.
 
-    inf = (max(max(row) for row in cost) + 1) * (n + m + 2)
-    dist = [0] * n + [inf] * m
-    for _ in range(n + m):
-        changed = False
-        for i in range(n):
-            di = dist[i]
-            row = cost[i]
-            for j in range(m):
-                nd = di + row[j]
-                if nd < dist[n + j]:
-                    dist[n + j] = nd
-                    changed = True
-        for i, j in support:
-            nd = dist[n + j] - cost[i][j]
-            if nd < dist[i]:
-                dist[i] = nd
-                changed = True
-        if not changed:
-            break
+    `arcs` is a strongly feasible spanning-tree basis (i, j, flow) rooted
+    at sink m - 1: every zero-flow arc has its source as the child. Flows
+    and potentials are exact Python integers; costs enter as
+    c_ij * 2**shift. Pricing runs in numpy on correctly rounded float
+    copies of the potentials, against a rigorous bound `err` on the
+    rounding error of the float reduced cost r~:
+
+    - r~ < -err: certainly negative;
+    - |r~| <= err: a possible tie, settled exactly through the candidate
+      list once no certainly negative arc is left. When 2 err is below
+      2**-shift, the grain of the exact values, every such arc is exactly
+      0 and none needs a check;
+    - r~ > err: certainly nonnegative.
+
+    Candidates are taken most negative first and each is re-priced in
+    exact integers before it enters, so no arc enters on a stale or
+    rounded value. The leaving arc is the last blocking arc met when
+    walking the cycle from its apex along the entering arc (strongly
+    feasible rule: the tree stays strongly feasible, so degenerate pivots
+    cannot cycle). When no arc is exactly negative the flow is optimal
+    and the tree potentials are an exact dual certificate.
+    """
+    n, m = c.shape
+    size = n + m
+    root = size - 1
     scale = 1 << shift
-    u = np.array([-float(Fraction(dist[i], scale)) for i in range(n)])
-    v = np.array([float(Fraction(dist[n + j], scale)) for j in range(m)])
-    return u, v
+    grain = math.ldexp(1.0, -shift)
+    cflat = np.ascontiguousarray(c).reshape(-1)
+    c_max = float(cflat.max(initial=0.0))
+
+    parent = [-1] * size
+    flow = [0] * size  # flow on the arc between a node and its parent
+    children = [[] for _ in range(size)]
+    pot = [0] * size  # u_i at node i, v_j at node n + j
+    basic = np.zeros(n * m, dtype=bool)
+    # exact scaled costs are mant << sh, kept per arc in numpy
+    mant, sh = np.frexp(cflat)
+    mant = (mant * (1 << 53)).astype(np.int64)
+    sh += shift - 53
+
+    def exact_costs(ks):
+        return [a << e for a, e in zip(mant[ks].tolist(), sh[ks].tolist())]
+
+    adj = [[] for _ in range(size)]
+    ks = [i * m + j for i, j, _ in arcs]
+    for (i, j, f), ck in zip(arcs, exact_costs(ks)):
+        adj[i].append((n + j, f, ck))
+        adj[n + j].append((i, f, ck))
+    basic[ks] = True
+    stack = [root]
+    while stack:
+        x = stack.pop()
+        for y, f, ck in adj[x]:
+            if y != parent[x]:
+                parent[y] = x
+                flow[y] = f
+                children[x].append(y)
+                pot[y] = ck - pot[x]
+                stack.append(y)
+    potf = np.array([p / scale for p in pot])
+    red = np.empty((n, m))
+    flat_red = red.reshape(-1)
+    block = max(8, size // 2)
+    guard = 4 * n * m + 64
+    pivots = degenerate = tie_checks = 0
+
+    def pivot(i, j, r):
+        nonlocal degenerate
+        a, b = i, n + j
+        # climb from both ends in turn until one meets the other's trail
+        # at the apex; the paths list the child ends of the cycle's arcs
+        path_a, path_b = [a], [b]
+        at_a, at_b = {a: 0}, {b: 0}
+        x, y = a, b
+        while True:
+            if x != root:
+                x = parent[x]
+                if x in at_b:
+                    del path_b[at_b[x]:]
+                    break
+                at_a[x] = len(path_a)
+                path_a.append(x)
+            if y != root:
+                y = parent[y]
+                if y in at_a:
+                    del path_a[at_a[y]:]
+                    break
+                at_b[y] = len(path_b)
+                path_b.append(y)
+        # walking up from b, flow drops on arcs whose child is a sink;
+        # walking up from a, on arcs whose child is a source. Ties go to
+        # b's side nearest the apex, then to a's side nearest a.
+        delta = math.inf
+        leave = -1
+        for t, v in enumerate(path_b):
+            if v >= n and flow[v] <= delta:
+                delta, leave = flow[v], t
+        on_b = leave >= 0
+        for t, v in enumerate(path_a):
+            if v < n and flow[v] < delta:
+                delta, leave, on_b = flow[v], t, False
+        if delta:
+            for v in path_a:
+                flow[v] += -delta if v < n else delta
+            for v in path_b:
+                flow[v] += -delta if v >= n else delta
+        else:
+            degenerate += 1
+        if on_b:
+            e_in, e_out, cut = b, a, path_b[: leave + 1]
+        else:
+            e_in, e_out, cut = a, b, path_a[: leave + 1]
+        q = cut[-1]
+        p = parent[q]
+        basic[(q * m + p - n) if q < n else (p * m + q - n)] = False
+        basic[i * m + j] = True
+        # hang the cut-off subtree from e_out, re-rooted at e_in
+        new_par, carry = e_out, delta
+        for x in cut:
+            children[parent[x]].remove(x)
+            children[new_par].append(x)
+            parent[x], new_par = new_par, x
+            flow[x], carry = carry, flow[x]
+        # shift its potentials (sources by s, sinks by -s) so the entering
+        # arc becomes tight
+        s = r if e_in < n else -r
+        moved = []
+        stack = [e_in]
+        while stack:
+            x = stack.pop()
+            moved.append(x)
+            pot[x] += s if x < n else -s
+            stack += children[x]
+        potf[moved] = [pot[x] / scale for x in moved]
+
+    while True:
+        np.subtract(c, potf[:n, None], out=red)
+        red -= potf[None, n:]
+        # |r~ - r| <= 2^-53 (2|c| + 3|u~| + 2|v~|) to first order (rounded
+        # potentials, two rounded subtractions); 2^-50 (max c + 2 max|pot~|)
+        # covers it with room, 2^-1070 covers subnormal potentials
+        err = math.ldexp(c_max + 2.0 * float(np.abs(potf).max()), -50)
+        err += math.ldexp(1.0, -1070)
+        cand = np.flatnonzero(flat_red < -err)
+        ties = cand.size == 0
+        if ties:
+            if 2.0 * err < grain:
+                break
+            cand = np.flatnonzero(flat_red <= err)
+            cand = cand[~basic[cand]]
+            if cand.size == 0:
+                break
+        order = np.argsort(flat_red[cand], kind="stable")
+        cand = cand[order if ties else order[:block]]
+        entered = 0
+        for k, ck in zip(cand.tolist(), exact_costs(cand)):
+            i, j = divmod(k, m)
+            r = ck - pot[i] - pot[n + j]
+            if r < 0:
+                pivot(i, j, r)
+                entered += 1
+        if ties:
+            tie_checks += cand.size
+        pivots += entered
+        if not entered:
+            if ties:
+                break
+            raise RuntimeError("network simplex: float pricing bound violated")
+        if pivots > guard:
+            raise RuntimeError("network simplex exceeded its iteration guard")
+
+    log.debug(
+        "w1 %s: n=%d m=%d pivots=%d degenerate=%d tie_checks=%d",
+        path, n, m, pivots, degenerate, tie_checks,
+    )
+    arcs = [
+        (x, parent[x] - n, flow[x]) if x < n else (parent[x], x - n, flow[x])
+        for x in range(root)
+    ]
+    costs = exact_costs([i * m + j for i, j, _ in arcs])
+    total = sum(f * ck for (_, _, f), ck in zip(arcs, costs))
+    return _Basis(arcs, pot[:n], pot[n:], total)
+
+
+def _matching_basis(cols: list) -> list:
+    """Unit masses matched i -> cols[i], plus a zero-flow arc from every
+    other source up to the root sink n - 1: a strongly feasible basis."""
+    root = len(cols) - 1
+    return [(i, j, 1) for i, j in enumerate(cols)] + [
+        (i, root, 0) for i, j in enumerate(cols) if j != root
+    ]
+
+
+def _solve_masses(c: np.ndarray, supply: list, demand: list, shift: int, path: str) -> _Basis:
+    """Optimal basis from the matrix-minimum start for integer masses.
+
+    Zero-mass nodes would leave zero-flow leaves that no rooting makes
+    strongly feasible, so they sit out of the simplex; each then gets the
+    largest potential keeping all of its arcs dual feasible.
+    """
+    n, m = c.shape
+    rows = [i for i in range(n) if supply[i]]
+    cols = [j for j in range(m) if demand[j]]
+    if len(rows) == n and len(cols) == m:
+        return _network_simplex(c, _matrix_minimum_basis(c, supply, demand), shift, path)
+    sub = c[np.ix_(rows, cols)]
+    basis = _network_simplex(
+        sub,
+        _matrix_minimum_basis(sub, [supply[i] for i in rows], [demand[j] for j in cols]),
+        shift,
+        path,
+    )
+    u = [None] * n
+    v = [None] * m
+    for i, x in zip(rows, basis.u):
+        u[i] = x
+    for j, x in zip(cols, basis.v):
+        v[j] = x
+    for j in range(m):
+        if v[j] is None:
+            col = _dyadic_ints(c[rows, j], shift)[0]
+            v[j] = min(ck - u[i] for i, ck in zip(rows, col))
+    for i in range(n):
+        if u[i] is None:
+            v_row = _dyadic_ints(c[i], shift)[0]
+            u[i] = min(ck - vj for ck, vj in zip(v_row, v))
+    arcs = [(rows[i], cols[j], f) for i, j, f in basis.arcs]
+    return _Basis(arcs, u, v, basis.total)
+
+
+def _float_duals(basis: _Basis, shift: int) -> tuple[np.ndarray, np.ndarray]:
+    """The exact potentials over 2**shift, each rounded toward -inf: then
+    u_i + v_j <= c_ij still holds exactly for the floats, and they stay
+    within an ulp of tight on the support."""
+    scale = 1 << shift
+
+    def floor(x: int) -> float:
+        f = x / scale
+        p, q = f.as_integer_ratio()
+        return math.nextafter(f, -math.inf) if p * scale > x * q else f
+
+    return (
+        np.array([floor(x) for x in basis.u]),
+        np.array([floor(x) for x in basis.v]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +538,11 @@ def w1(mu: EmpiricalMeasure, nu: EmpiricalMeasure, method: str = "auto") -> W1Re
     """Exact W1 between empirical measures with l1 ground costs.
 
     method:
-      "flow"       the integer min-cost-flow LP path (always applicable);
-      "assignment" the Hungarian fast path (uniform, equal sizes only);
-      "auto"       dispatch to the fast path when it applies.
+      "flow"       the exact network simplex from the matrix-minimum
+                   start (always applicable);
+      "assignment" the simplex warm-started from a Hungarian matching
+                   (uniform, equal sizes only);
+      "auto"       dispatch to the assignment path when it applies.
     """
     _check_pair(mu, nu)
     if method not in ("auto", "flow", "assignment"):
@@ -352,28 +552,23 @@ def w1(mu: EmpiricalMeasure, nu: EmpiricalMeasure, method: str = "auto") -> W1Re
     if method == "assignment":
         raise SizeMismatch("assignment path needs uniform equal-size measures")
 
-    c_float = cost_matrix_l1(mu.support.points, nu.support.points)
-    n, m = c_float.shape
-    c_ints, c_shift = _dyadic_ints(c_float)
-    cost = [c_ints[i * m : (i + 1) * m] for i in range(n)]
+    c = cost_matrix_l1(mu.support.points, nu.support.points)
     supply, demand, w_shift, slop = _integer_masses(mu.weights, nu.weights)
+    c_shift = _dyadic_shift(c)
+    basis = _solve_masses(c, supply, demand, c_shift, "flow")
+    mass_den = 1 << w_shift
+    gap = float(Fraction(slop, mass_den)) * float(c.max(initial=0.0))
+    return _result(mu, nu, c, basis, c_shift, mass_den, gap)
 
-    flow, pi = _min_cost_flow(cost, supply, demand)
 
-    total = sum(
-        f * c for row_f, row_c in zip(flow, cost) for f, c in zip(row_f, row_c)
-    )
-    denom = 1 << (c_shift + w_shift)
-    value = float(Fraction(total, denom))
-    mass_scale = 1 << w_shift
-    gamma = np.array(
-        [[f / mass_scale for f in row] for row in flow], dtype=np.float64
-    )
-    c_scale = 1 << c_shift
-    u = np.array([-float(Fraction(pi[i], c_scale)) for i in range(n)])
-    v = np.array([float(Fraction(pi[n + j], c_scale)) for j in range(m)])
-    plan = TransportPlan(gamma, mu, nu, value, _duals=(u, v))
-    gap = float(Fraction(slop, mass_scale)) * float(c_float.max(initial=0.0))
+def _result(mu, nu, c, basis: _Basis, c_shift: int, mass_den: int, gap: float) -> W1Result:
+    """Value, plan and duals of an optimal basis whose masses are
+    weights * mass_den; the value is the exact optimum rounded once."""
+    value = float(Fraction(basis.total, mass_den << c_shift))
+    gamma = np.zeros(c.shape)
+    for i, j, f in basis.arcs:
+        gamma[i, j] = f / mass_den
+    plan = TransportPlan(gamma, mu, nu, value, _duals=_float_duals(basis, c_shift))
     return W1Result(value=value, plan=plan, dual_gap=gap)
 
 
@@ -393,8 +588,12 @@ def w1_equal_size_assignment(x: PointCloud, y: PointCloud) -> W1Result:
     """W1 of the two uniform empirical measures via optimal assignment.
 
     For equal sizes and uniform weights the transportation LP optimum is
-    attained at a permutation. The matched costs are averaged in exact
-    rational arithmetic so the value is exactly symmetric in the two inputs.
+    attained at a permutation. scipy's Hungarian matching (float
+    arithmetic) warm-starts the exact network simplex with unit masses,
+    which certifies it, or improves it where rounding left it suboptimal,
+    and supplies exact duals. The value is the exact optimum rounded once,
+    so it is exactly symmetric in the two inputs; the masses are exact, so
+    the dual gap is 0.
     """
     if not isinstance(x, PointCloud):
         x = PointCloud(x)
@@ -405,16 +604,11 @@ def w1_equal_size_assignment(x: PointCloud, y: PointCloud) -> W1Result:
     if x.dim != y.dim:
         raise DimMismatch(f"dims {x.dim} and {y.dim} differ")
     c = cost_matrix_l1(x.points, y.points)
-    rows, cols = linear_sum_assignment(c)
     n = x.n
-    value = _exact_mean(c[rows, cols], n)
-    gamma = np.zeros((n, n))
-    gamma[rows, cols] = 1.0 / n
-    mu, nu = empirical(x), empirical(y)
-    plan = TransportPlan(gamma, mu, nu, value)
-    cert = plan.certificate()
-    gap = max(0.0, cert["primal_objective"] - cert["dual_objective"])
-    return W1Result(value=value, plan=plan, dual_gap=gap)
+    _, cols = linear_sum_assignment(c)
+    shift = _dyadic_shift(c)
+    basis = _network_simplex(c, _matching_basis(cols.tolist()), shift, "assignment")
+    return _result(empirical(x), empirical(y), c, basis, shift, n, 0.0)
 
 
 def w1_oracle_permutations(x: PointCloud, y: PointCloud) -> float:

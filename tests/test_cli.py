@@ -201,15 +201,32 @@ class TestLemmasCommand:
 
 
 class TestExitCodes:
-    @pytest.mark.parametrize("case", ("dim_mismatch", "nan_csv", "zero_trials"))
+    # malformed files: a CSV field that is no number, CSV rows of differing
+    # lengths, a JSON measure cut off after its points, a JSON object
+    # without points
+    BAD_FILES = {
+        "non_numeric_csv": ("bad.csv", "1.0,abc\n"),
+        "ragged_csv": ("bad.csv", "1.0,2.0\n3.0\n"),
+        "truncated_json": ("bad.json", '{"dim": 2, "points": [[1.0, 2.0]]'),
+        "json_without_points": ("bad.json", '{"dim": 2, "weights": [1.0]}'),
+    }
+
+    @pytest.mark.parametrize(
+        "case", ("dim_mismatch", "nan_csv", "zero_trials", *BAD_FILES)
+    )
     def test_library_errors_are_usage_errors(self, workdir, capsys, case):
         (workdir / "one_d.csv").write_text("1.0\n2.0\n")
         (workdir / "nan.csv").write_text("1.0,2.0\nnan,0.0\n")
-        argv = {
-            "dim_mismatch": ("w1", str(workdir / "a.csv"), str(workdir / "one_d.csv")),
-            "nan_csv": ("w1", str(workdir / "nan.csv"), str(workdir / "b.csv")),
-            "zero_trials": ("probe", "--theorem", "bounded", "--trials", "0"),
-        }[case]
+        if case in self.BAD_FILES:
+            name, text = self.BAD_FILES[case]
+            (workdir / name).write_text(text)
+            argv = ("w1", str(workdir / name), str(workdir / "b.csv"))
+        else:
+            argv = {
+                "dim_mismatch": ("w1", str(workdir / "a.csv"), str(workdir / "one_d.csv")),
+                "nan_csv": ("w1", str(workdir / "nan.csv"), str(workdir / "b.csv")),
+                "zero_trials": ("probe", "--theorem", "bounded", "--trials", "0"),
+            }[case]
         code, env, err = run(capsys, *argv)
         assert code == 2
         assert env is None

@@ -1,8 +1,12 @@
 """Exact W1: solver examples, oracle agreement, certificates, metric axioms."""
 
+import logging
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from flow_oracle import _min_cost_flow
+from scipy.optimize import linear_sum_assignment, linprog
 
 from softmatch.errors import (
     DimMismatch,
@@ -13,6 +17,12 @@ from softmatch.errors import (
 )
 from softmatch.measures import EmpiricalMeasure, PointCloud, empirical
 from softmatch.transport import (
+    TransportPlan,
+    _dyadic_ints,
+    _integer_masses,
+    _matching_basis,
+    _network_simplex,
+    _solve_masses,
     cost_matrix_l1,
     product_measure,
     w1,
@@ -307,3 +317,269 @@ class TestProduct:
             product_measure(
                 random_measure(rng, 9, 1), random_measure(rng, 9, 1)
             )
+
+
+# ---------------------------------------------------------------------------
+# The network simplex against exact oracles
+# ---------------------------------------------------------------------------
+
+def exact_lp(mu, nu, unit):
+    """The integer LP a solve works on: (c, cost rows, shift, a, b, den).
+
+    unit=True is the assignment path's LP (unit masses, mass denominator
+    n); otherwise the masses are the weights over a power of two."""
+    c = cost_matrix_l1(mu.support.points, nu.support.points)
+    n, m = c.shape
+    ints, shift = _dyadic_ints(c)
+    cost = [ints[i * m : (i + 1) * m] for i in range(n)]
+    if unit:
+        return c, cost, shift, [1] * n, [1] * m, n
+    a, b, w_shift, _ = _integer_masses(mu.weights, nu.weights)
+    return c, cost, shift, a, b, 1 << w_shift
+
+
+def oracle_total(cost, a, b):
+    flow, _ = _min_cost_flow(cost, a, b)
+    return sum(f * c for rf, rc in zip(flow, cost) for f, c in zip(rf, rc))
+
+
+def assert_exact_basis(basis, cost, a, b, total):
+    """Primal, dual and complementary slackness in exact integers."""
+    rows, cols = [0] * len(a), [0] * len(b)
+    for i, j, f in basis.arcs:
+        assert f >= 0
+        rows[i] += f
+        cols[j] += f
+        assert cost[i][j] == basis.u[i] + basis.v[j]
+    assert rows == a and cols == b
+    for i, row in enumerate(cost):
+        for j, cij in enumerate(row):
+            assert cij - basis.u[i] - basis.v[j] >= 0
+    assert basis.total == total
+    assert total == sum(map(int.__mul__, a, basis.u)) + sum(map(int.__mul__, b, basis.v))
+
+
+def assert_strongly_feasible(basis, n, m):
+    """The arcs span all n + m nodes as a tree, and rooted at sink m - 1
+    every zero-flow arc has its source as the child: the invariant that
+    keeps degenerate pivots from cycling."""
+    assert len(basis.arcs) == n + m - 1
+    adj = {}
+    for i, j, f in basis.arcs:
+        adj.setdefault(i, []).append((n + j, f))
+        adj.setdefault(n + j, []).append((i, f))
+    parent, stack = {n + m - 1: None}, [n + m - 1]
+    while stack:
+        x = stack.pop()
+        for y, f in adj.get(x, ()):
+            if y not in parent:
+                parent[y] = x
+                stack.append(y)
+                assert f > 0 or y < n
+    assert len(parent) == n + m
+
+
+def assert_float_duals_exactly_feasible(res, c):
+    """u_i + v_j <= c_ij for the reported float duals, without rounding
+    slack: all three are read as exact integers over one power of two."""
+    u, v = res.plan.dual_potentials()
+    n, m = c.shape
+    ints, _ = _dyadic_ints(np.concatenate([c.reshape(-1), u, v]))
+    ui, vi = ints[n * m : n * m + n], ints[n * m + n :]
+    for i in range(n):
+        for j in range(m):
+            assert ints[i * m + j] - ui[i] - vi[j] >= 0
+
+
+def _weights(rng, n, zeros=False):
+    w = rng.random(n) + 0.02
+    if zeros:
+        w[rng.random(n) < 0.3] = 0.0
+        w[int(rng.integers(n))] += 0.5
+    return w / w.sum()
+
+
+def _parity_instance(kind, rng):
+    d = int(rng.choice([1, 2, 4]))
+    n, m = (int(k) for k in rng.integers(1, 17, size=2))
+    if kind == "weighted":
+        zeros = bool(rng.integers(2))
+        return (
+            EmpiricalMeasure(PointCloud(rng.uniform(-2, 2, (n, d))), _weights(rng, n, zeros)),
+            EmpiricalMeasure(PointCloud(rng.uniform(-2, 2, (m, d))), _weights(rng, m, zeros)),
+        )
+    if kind == "grid":
+        # grid-aligned points: l1 costs tie exactly, many optimal plans
+        if rng.integers(2):
+            m = n
+        return (
+            empirical(rng.integers(-4, 5, (n, d)) / 4.0),
+            empirical(rng.integers(-4, 5, (m, d)) / 4.0),
+        )
+    if kind == "product":
+        # degenerate products: repeated coordinates, dyadic weights
+        def factor(k):
+            w = rng.integers(1, 4, k).astype(float)
+            return EmpiricalMeasure(PointCloud(rng.integers(-2, 3, (k, 1)) / 2.0), w / w.sum())
+
+        a, b = (int(k) for k in rng.integers(1, 5, size=2))
+        return product_measure(factor(a), factor(b)), product_measure(factor(b), factor(a))
+    if kind == "near":
+        # near-identical clouds: half the points moved by ~1e-3
+        x = rng.uniform(-1, 1, (n, d))
+        y = x + rng.normal(0, 1e-3, x.shape) * (rng.random((n, 1)) < 0.5)
+        if rng.integers(2):
+            return empirical(x), empirical(y)
+        w = _weights(rng, n)
+        return EmpiricalMeasure(PointCloud(x), w), EmpiricalMeasure(PointCloud(y), w)
+    # d = 1: nested intervals, exact real ties broken by rounding
+    if rng.integers(2):
+        m = n
+    return empirical(rng.uniform(-1, 1, (n, 1))), empirical(rng.uniform(-1, 1, (m, 1)))
+
+
+class TestEngineParity:
+    """The network simplex against the successive-shortest-path solver it
+    replaced: 2,100 seeded instances, values bit for bit, and the primal,
+    dual and complementary slackness checked in exact integers."""
+
+    @pytest.mark.parametrize("kind", ("weighted", "grid", "product", "near", "d1"))
+    def test_values_bitwise_and_certificates_exact(self, kind):
+        rng = np.random.default_rng(["weighted", "grid", "product", "near", "d1"].index(kind))
+        for _ in range(420):
+            mu, nu = _parity_instance(kind, rng)
+            unit = mu.n == nu.n and bool(
+                np.all(mu.weights == mu.weights[0]) and np.all(nu.weights == nu.weights[0])
+            )
+            res = w1(mu, nu)
+            c, cost, shift, a, b, den = exact_lp(mu, nu, unit)
+            total = oracle_total(cost, a, b)
+            assert res.value == float(Fraction(total, den << shift))
+            assert_float_duals_exactly_feasible(res, c)
+            if unit:
+                # the assignment path's start: many zero-flow tree arcs
+                _, cols = linear_sum_assignment(c)
+                basis = _network_simplex(c, _matching_basis(cols.tolist()), shift, "assignment")
+                assert_exact_basis(basis, cost, a, b, total)
+                assert_strongly_feasible(basis, mu.n, nu.n)
+            # the flow path on the weights' masses
+            c, cost, shift, a, b, den = exact_lp(mu, nu, False)
+            total = oracle_total(cost, a, b)
+            basis = _solve_masses(c, a, b, shift, "flow")
+            assert_exact_basis(basis, cost, a, b, total)
+            if min(a) and min(b):
+                # zero-mass points sit out of the simplex
+                assert_strongly_feasible(basis, mu.n, nu.n)
+            assert w1(mu, nu, method="flow").value == float(Fraction(total, den << shift))
+
+    def test_repairs_a_suboptimal_hungarian_matching(self):
+        # three steps of a contractive attention layer on a 1-d cloud; on
+        # the last pair scipy's float Hungarian matching is exactly
+        # suboptimal (by about 4e-18), and its value would be 1 ulp high
+        from softmatch.dynamics import run_particles
+        from softmatch.kernels import AttentionConfig, LinearLookup
+        from softmatch.potentials import Gaussian
+
+        layer = AttentionConfig(Gaussian(1), LinearLookup(0.5 * np.eye(1)))
+        x0 = PointCloud(np.random.default_rng(0).uniform(-1, 1, (64, 1)))
+        states = run_particles(layer, x0, steps=3).states
+        mu, nu = empirical(states[2]), empirical(states[3])
+        c, cost, shift, a, b, den = exact_lp(mu, nu, True)
+        total = oracle_total(cost, a, b)
+        rows, cols = linear_sum_assignment(c)
+        assert sum(cost[i][j] for i, j in zip(rows, cols)) > total
+        res = w1_equal_size_assignment(mu.support, nu.support)
+        assert res.value == float(Fraction(total, den << shift))
+        assert np.count_nonzero(res.plan.gamma) == mu.n
+
+
+class TestNetworkxOracle:
+    def test_integer_optimum_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(19)
+        for t in range(100):
+            n, m = (int(k) for k in rng.integers(1, 25, size=2))
+            d = int(rng.choice([1, 2, 4]))
+            if t % 2:
+                pts_a = rng.integers(-4, 5, (n, d)) / 4.0
+                pts_b = rng.integers(-4, 5, (m, d)) / 4.0
+            else:
+                pts_a, pts_b = rng.uniform(-2, 2, (n, d)), rng.uniform(-2, 2, (m, d))
+            mu = EmpiricalMeasure(PointCloud(pts_a), _weights(rng, n, zeros=t % 3 == 0))
+            nu = EmpiricalMeasure(PointCloud(pts_b), _weights(rng, m))
+            c, cost, shift, a, b, _ = exact_lp(mu, nu, False)
+            g = nx.DiGraph()
+            for i in range(n):
+                g.add_node(("s", i), demand=-a[i])
+            for j in range(m):
+                g.add_node(("t", j), demand=b[j])
+            for i in range(n):
+                for j in range(m):
+                    g.add_edge(("s", i), ("t", j), weight=cost[i][j])
+            want, _ = nx.network_simplex(g)
+            assert _solve_masses(c, a, b, shift, "flow").total == want
+
+
+class TestEngineCertificates:
+    def test_assignment_duals_exactly_feasible(self):
+        rng = np.random.default_rng(20)
+        for _ in range(30):
+            n = int(rng.integers(1, 40))
+            x = PointCloud(rng.normal(size=(n, 3)))
+            y = PointCloud(rng.normal(size=(n, 3)))
+            res = w1_equal_size_assignment(x, y)
+            assert_float_duals_exactly_feasible(res, cost_matrix_l1(x.points, y.points))
+            assert res.plan.certificate()["max_feasibility_violation"] <= 0.0
+            assert res.dual_gap == 0.0
+
+    def test_caller_plan_duals_come_from_the_engine(self):
+        rng = np.random.default_rng(21)
+        mu = random_measure(rng, 7, 2)
+        nu = random_measure(rng, 5, 2)
+        solved = w1(mu, nu, method="flow")
+        plan = TransportPlan(solved.plan.gamma, mu, nu, solved.value)
+        assert plan._duals is None
+        u, v = plan.dual_potentials()
+        want_u, want_v = solved.plan.dual_potentials()
+        assert np.array_equal(u, want_u) and np.array_equal(v, want_v)
+        cert = plan.certificate()
+        assert cert["max_feasibility_violation"] <= 0.0
+        assert cert["max_support_slack"] <= 1e-12
+        assert cert["dual_objective"] == pytest.approx(solved.value, abs=1e-12)
+
+    def test_suboptimal_caller_plan_shows_as_support_slack(self):
+        # crossing costs 1 where matching in place costs 0: the two
+        # crossing arcs carry a total slack of 2 under any optimal duals
+        mu = empirical([[0.0], [1.0]])
+        nu = empirical([[0.0], [1.0]])
+        plan = TransportPlan(np.array([[0.0, 0.5], [0.5, 0.0]]), mu, nu, 1.0)
+        cert = plan.certificate()
+        assert cert["max_feasibility_violation"] <= 0.0
+        assert cert["max_support_slack"] >= 1.0
+        assert cert["dual_objective"] == 0.0 < cert["primal_objective"]
+
+    def test_zero_mass_points_get_feasible_duals(self):
+        mu = EmpiricalMeasure(PointCloud([[0.0], [5.0], [1.0]]), [0.5, 0.0, 0.5])
+        nu = EmpiricalMeasure(PointCloud([[0.0], [-3.0], [2.0]]), [0.5, 0.0, 0.5])
+        res = w1(mu, nu)
+        assert res.value == 0.5
+        assert_float_duals_exactly_feasible(res, cost_matrix_l1(mu.support.points, nu.support.points))
+        assert res.plan.certificate()["max_support_slack"] == 0.0
+
+
+class TestSolveEvents:
+    def test_one_debug_event_per_solve(self, caplog):
+        rng = np.random.default_rng(22)
+        weighted = random_measure(rng, 6, 2), random_measure(rng, 4, 2)
+        uniform = random_measure(rng, 5, 2, uniform=True), random_measure(rng, 5, 2, uniform=True)
+        with caplog.at_level(logging.DEBUG, logger="softmatch"):
+            w1(*weighted)
+            w1(*uniform)
+            TransportPlan(np.full((1, 1), 1.0), empirical([[0.0]]), empirical([[1.0]]), 1.0).dual_potentials()
+        events = [r for r in caplog.records if r.name == "softmatch"]
+        assert [r.args[:3] for r in events] == [("flow", 6, 4), ("assignment", 5, 5), ("duals", 1, 1)]
+        for r in events:
+            assert r.levelno == logging.DEBUG
+            assert r.msg.count("%") == len(r.args)
+            pivots, degenerate, ties = r.args[3:]
+            assert 0 <= degenerate <= pivots and ties >= 0
