@@ -299,22 +299,93 @@ def probe_component(
 # Lemma checks
 # ---------------------------------------------------------------------------
 
-def _golden_max(f, lo: float, hi: float, iters: int = 90) -> float:
+# rows of the ratio-lemma check (one per n) processed together
+_RATIO_BUCKET = 64
+
+
+def _ratio_reduction(ns: np.ndarray, grid: int) -> np.ndarray:
+    """max_x g_n(x), g_n(x) = n x e^{-x^2} / (1 + n e^{-x^2}), for every n:
+    a grid argmax, then 90 golden-section steps between its neighbours,
+    vectorised across n (each n keeps its own branch at every step)."""
+    x_hi = np.array([math.sqrt(math.log(max(n, 2)) + 2.0) + 1.0 for n in ns.tolist()])
+    lo = np.empty(len(ns))
+    hi = np.empty(len(ns))
+    for s in range(0, len(ns), _RATIO_BUCKET):
+        rows = slice(s, s + _RATIO_BUCKET)
+        n = ns[rows, None]
+        xs = np.linspace(0.0, x_hi[rows], grid, axis=1)
+        e = np.exp(-xs * xs)
+        j = np.argmax(n * xs * e / (1.0 + n * e), axis=1)
+        k = np.arange(len(j))
+        lo[rows] = xs[k, np.maximum(j - 1, 0)]
+        hi[rows] = xs[k, np.minimum(j + 1, grid - 1)]
+
+    nf = ns.astype(np.float64)
+
+    def g(x):
+        ex = np.exp(-x * x)
+        return nf * x * ex / (1.0 + nf * ex)
+
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - phi * (b - a)
     d = a + phi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = f(d)
-    return max(f((a + b) / 2.0), fc, fd)
+    fc, fd = g(c), g(d)
+    for _ in range(90):
+        left = fc >= fd  # keep [a, d], else keep [c, b]
+        a = np.where(left, a, c)
+        b = np.where(left, d, b)
+        x = np.where(left, b - phi * (b - a), a + phi * (b - a))
+        fx = g(x)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+    return np.maximum(np.maximum(g((a + b) / 2.0), fc), fd)
+
+
+def _ratio_ascent(n_max: int, restarts: int, seed: int, ascent_iters: int) -> np.ndarray:
+    """Best f_n(z) = sum z_i e^{-z_i^2} / (1 + sum e^{-z_i^2}) found by
+    projected gradient ascent from uniform starts, for every n <= n_max.
+
+    Row n - 1 holds z for n; a restart's starts are one (n_max, n_max)
+    uniform draw in row order, with the entries past column n - 1 masked
+    to 0. Buckets of rows lo..hi-1 run on the (hi - lo, hi) slice, so the
+    masked upper triangle beyond column hi - 1 is never computed. Masked
+    entries have e = 0, hence zero gradient, and stay at z = 0.
+    """
+    rng = stream(seed, 0)
+    ascent = np.zeros(n_max)
+    step = 0.25
+    for _ in range(restarts):
+        for lo in range(0, n_max, _RATIO_BUCKET):
+            hi = min(lo + _RATIO_BUCKET, n_max)
+            mask = np.arange(hi)[None, :] <= np.arange(lo, hi)[:, None]
+            z = rng.uniform(0.0, 2.5, size=(hi - lo, n_max))[:, :hi] * mask
+            e, t, u = np.empty_like(z), np.empty_like(z), np.empty_like(z)
+            s0, s1, den = np.empty(hi - lo), np.empty(hi - lo), np.empty(hi - lo)
+            for _ in range(ascent_iters):
+                np.multiply(z, z, out=e)
+                np.negative(e, out=e)
+                np.exp(e, out=e)
+                e *= mask
+                e.sum(axis=1, out=s0)
+                np.multiply(z, e, out=t).sum(axis=1, out=s1)
+                np.add(s0, 1.0, out=den)
+                np.divide(s1, den, out=s1)  # f
+                # grad = e (1 - 2 z z + 2 z f) / (1 + s0)
+                np.multiply(z, 2.0, out=u)
+                np.multiply(u, z, out=t)
+                np.subtract(1.0, t, out=t)
+                u *= s1[:, None]
+                t += u
+                t *= e
+                t /= den[:, None]
+                t *= step
+                z += t
+                np.maximum(z, 0.0, out=z)
+            e = np.exp(-z * z) * mask
+            vals = (z * e).sum(axis=1) / (1.0 + e.sum(axis=1))
+            np.maximum(ascent[lo:hi], vals, out=ascent[lo:hi])
+    return ascent
 
 
 def check_ratio_lemma(
@@ -334,43 +405,8 @@ def check_ratio_lemma(
         raise InvalidInput("n_max must be >= 1")
 
     ns = np.arange(1, n_max + 1)
-    reduction = np.empty(n_max)
-    for i, n in enumerate(ns):
-        x_hi = math.sqrt(math.log(max(n, 2)) + 2.0) + 1.0
-        xs = np.linspace(0.0, x_hi, grid)
-        e = np.exp(-xs * xs)
-        vals = n * xs * e / (1.0 + n * e)
-        j = int(np.argmax(vals))
-        lo = xs[max(j - 1, 0)]
-        hi = xs[min(j + 1, grid - 1)]
-
-        def g(x, n=n):
-            ex = math.exp(-x * x)
-            return n * x * ex / (1.0 + n * ex)
-
-        reduction[i] = _golden_max(g, lo, hi)
-
-    # batched projected gradient ascent on f(z) for every n at once; rows of
-    # the matrix hold z for one n, padded with inactive entries
-    rng = stream(seed, 0)
-    ascent = np.zeros(n_max)
-    mask = np.arange(n_max)[None, :] < ns[:, None]
-    for r in range(restarts):
-        z = rng.uniform(0.0, 2.5, size=(n_max, n_max))
-        z *= mask
-        step = 0.25
-        for _ in range(ascent_iters):
-            e = np.exp(-z * z) * mask
-            s0 = e.sum(axis=1)
-            s1 = (z * e).sum(axis=1)
-            f = s1 / (1.0 + s0)
-            grad = e * (1.0 - 2.0 * z * z + 2.0 * z * f[:, None]) / (1.0 + s0)[:, None]
-            z = np.maximum(z + step * grad, 0.0)
-            z *= mask
-        e = np.exp(-z * z) * mask
-        vals = (z * e).sum(axis=1) / (1.0 + e.sum(axis=1))
-        ascent = np.maximum(ascent, vals)
-
+    reduction = _ratio_reduction(ns, grid)
+    ascent = _ratio_ascent(n_max, restarts, seed, ascent_iters)
     bound = np.array([ratio_lemma_bound(int(n)) for n in ns])
     return {
         "n_max": n_max,

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -121,6 +121,8 @@ class TransportPlan:
 
     Invariants checked on construction: marginals match the measure weights
     and the stored cost matches sum_ij gamma_ij c_ij, both within 1e-9.
+    `cost_matrix` lets a solver hand over the c it has already built for
+    that check; it is not stored, and without it c is built here.
     Kantorovich dual potentials are available through dual_potentials();
     they satisfy u_i + v_j <= c_ij exactly, with equality (to an ulp) on
     the support of gamma when the plan is optimal.
@@ -131,8 +133,9 @@ class TransportPlan:
     target: EmpiricalMeasure
     cost: float
     _duals: tuple | None = None
+    cost_matrix: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, cost_matrix):
         g = np.asarray(self.gamma, dtype=np.float64)
         if g.shape != (self.source.n, self.target.n):
             raise InvalidInput(f"plan shape {g.shape} does not match measures")
@@ -144,7 +147,9 @@ class TransportPlan:
             raise InvalidInput(
                 f"marginal mismatch {max(row_err, col_err):.3e} exceeds 1e-9"
             )
-        c = cost_matrix_l1(self.source.support.points, self.target.support.points)
+        c = cost_matrix
+        if c is None:
+            c = cost_matrix_l1(self.source.support.points, self.target.support.points)
         recomputed = float(np.sum(g * c))
         if abs(recomputed - self.cost) > MARGINAL_TOL * (1.0 + abs(self.cost)):
             raise InvalidInput(
@@ -548,7 +553,7 @@ def w1(mu: EmpiricalMeasure, nu: EmpiricalMeasure, method: str = "auto") -> W1Re
     if method not in ("auto", "flow", "assignment"):
         raise InvalidInput(f"unknown method {method!r}")
     if method != "flow" and mu.n == nu.n and _is_uniform(mu) and _is_uniform(nu):
-        return w1_equal_size_assignment(mu.support, nu.support)
+        return _w1_assignment(mu, nu)
     if method == "assignment":
         raise SizeMismatch("assignment path needs uniform equal-size measures")
 
@@ -568,7 +573,9 @@ def _result(mu, nu, c, basis: _Basis, c_shift: int, mass_den: int, gap: float) -
     gamma = np.zeros(c.shape)
     for i, j, f in basis.arcs:
         gamma[i, j] = f / mass_den
-    plan = TransportPlan(gamma, mu, nu, value, _duals=_float_duals(basis, c_shift))
+    plan = TransportPlan(
+        gamma, mu, nu, value, _duals=_float_duals(basis, c_shift), cost_matrix=c
+    )
     return W1Result(value=value, plan=plan, dual_gap=gap)
 
 
@@ -603,12 +610,17 @@ def w1_equal_size_assignment(x: PointCloud, y: PointCloud) -> W1Result:
         raise SizeMismatch(f"equal-size path got sizes {x.n} and {y.n}")
     if x.dim != y.dim:
         raise DimMismatch(f"dims {x.dim} and {y.dim} differ")
-    c = cost_matrix_l1(x.points, y.points)
-    n = x.n
+    return _w1_assignment(empirical(x), empirical(y))
+
+
+def _w1_assignment(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> W1Result:
+    """The assignment path on two uniform measures of one size and dim;
+    the plan refers to mu and nu themselves."""
+    c = cost_matrix_l1(mu.support.points, nu.support.points)
     _, cols = linear_sum_assignment(c)
     shift = _dyadic_shift(c)
     basis = _network_simplex(c, _matching_basis(cols.tolist()), shift, "assignment")
-    return _result(empirical(x), empirical(y), c, basis, shift, n, 0.0)
+    return _result(mu, nu, c, basis, shift, mu.n, 0.0)
 
 
 def w1_oracle_permutations(x: PointCloud, y: PointCloud) -> float:

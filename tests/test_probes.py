@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from ratio_oracle import oracle_report, ratio_vectors
 
 from softmatch.bounds import ratio_lemma_bound, tau_pi
 from softmatch.errors import InvalidInput
@@ -10,6 +11,8 @@ from softmatch.measures import DomainBox
 from softmatch.potentials import DotProduct, Gaussian
 from softmatch.probes import (
     ProbeConfig,
+    _ratio_ascent,
+    _ratio_reduction,
     check_local_lip_lemma,
     check_product_lemma,
     check_ratio_lemma,
@@ -153,6 +156,33 @@ class TestRatioLemma:
         # the 1-d reduction approaches the bound as n grows
         rep = check_ratio_lemma(200, seed=0)
         assert rep["max_violation_reduction"] > -0.25
+
+
+class TestRatioLemmaParity:
+    """The bucketed ascent and the vectorised reduction against the padded
+    per-n computation they replace (tests/ratio_oracle.py). Sizes straddle
+    the 64-row buckets and numpy's 128-element pairwise-summation blocks."""
+
+    @pytest.mark.parametrize("n_max", [1, 2, 30, 63, 64, 65, 129, 300])
+    @pytest.mark.parametrize("seed", [0, 707])
+    @pytest.mark.parametrize("restarts,ascent_iters", [(1, 20), (2, 40)])
+    def test_matches_oracle(self, n_max, seed, restarts, ascent_iters):
+        ns, reduction, ascent = ratio_vectors(n_max, 600, restarts, seed, ascent_iters)
+        ref = oracle_report(ns, reduction, ascent)
+        rep = check_ratio_lemma(n_max, restarts=restarts, seed=seed, ascent_iters=ascent_iters)
+        assert rep.keys() == ref.keys()
+        for key in ("n_max", "all_within_bound", "ascent_consistent", "worst_n_reduction"):
+            assert rep[key] == ref[key], key
+        for key in ("max_violation_reduction", "max_violation_ascent", "max_ascent_excess"):
+            assert abs(rep[key] - ref[key]) <= 1e-12, key
+        assert np.max(np.abs(_ratio_reduction(ns, 600) - reduction)) <= 1e-14
+        assert np.max(np.abs(_ratio_ascent(n_max, restarts, seed, ascent_iters) - ascent)) <= 1e-14
+
+    def test_small_tables_are_bitwise(self):
+        # below 128 columns the row sums split the same way as the padded
+        # ones, so the ascent repeats the oracle bit for bit
+        ns, _, ascent = ratio_vectors(100, 600, 2, 3, 30)
+        assert np.array_equal(_ratio_ascent(100, 2, 3, 30), ascent)
 
 
 class TestProductLemma:

@@ -8,6 +8,7 @@ import pytest
 from flow_oracle import _min_cost_flow
 from scipy.optimize import linear_sum_assignment, linprog
 
+from softmatch import transport
 from softmatch.errors import (
     DimMismatch,
     InvalidInput,
@@ -565,6 +566,65 @@ class TestEngineCertificates:
         assert res.value == 0.5
         assert_float_duals_exactly_feasible(res, cost_matrix_l1(mu.support.points, nu.support.points))
         assert res.plan.certificate()["max_support_slack"] == 0.0
+
+
+class TestSolverHandOff:
+    """What a `w1` call hands on instead of rebuilding: its cost matrix to
+    the plan's cost check, and the caller's measures to the plan."""
+
+    @staticmethod
+    def count_cost_matrices(monkeypatch):
+        calls = []
+        build = transport.cost_matrix_l1
+
+        def counted(x, y):
+            calls.append((len(x), len(y)))
+            return build(x, y)
+
+        monkeypatch.setattr(transport, "cost_matrix_l1", counted)
+        return calls
+
+    def test_w1_builds_the_cost_matrix_once(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        weighted = random_measure(rng, 6, 2), random_measure(rng, 4, 2)
+        uniform = random_measure(rng, 5, 2, uniform=True), random_measure(rng, 5, 2, uniform=True)
+        calls = self.count_cost_matrices(monkeypatch)
+        for mu, nu in (weighted, uniform):
+            for method in ("auto", "flow"):
+                calls.clear()
+                w1(mu, nu, method=method)
+                assert calls == [(mu.n, nu.n)]
+        calls.clear()
+        w1_equal_size_assignment(uniform[0].support, uniform[1].support)
+        assert calls == [(5, 5)]
+
+    def test_caller_plan_checks_its_cost_against_its_own_matrix(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        mu, nu = random_measure(rng, 4, 3), random_measure(rng, 3, 3)
+        solved = w1(mu, nu)
+        calls = self.count_cost_matrices(monkeypatch)
+        TransportPlan(solved.plan.gamma, mu, nu, solved.value)
+        assert calls == [(4, 3)]
+        with pytest.raises(InvalidInput):
+            TransportPlan(solved.plan.gamma, mu, nu, solved.value + 0.25)
+        assert "cost_matrix" not in vars(solved.plan)
+
+    @pytest.mark.parametrize("kind", ("grid", "near", "d1"))
+    def test_uniform_w1_keeps_the_callers_measures(self, kind):
+        # the unit instances of the engine-parity corpus
+        rng = np.random.default_rng(["weighted", "grid", "product", "near", "d1"].index(kind))
+        seen = 0
+        for _ in range(420):
+            mu, nu = _parity_instance(kind, rng)
+            if not (mu.n == nu.n and transport._is_uniform(mu) and transport._is_uniform(nu)):
+                continue
+            seen += 1
+            res = w1(mu, nu)
+            assert res.plan.source is mu and res.plan.target is nu
+            want = w1_equal_size_assignment(mu.support, nu.support)
+            assert res.value == want.value
+            assert np.array_equal(res.plan.gamma, want.plan.gamma)
+        assert seen >= 100
 
 
 class TestSolveEvents:
