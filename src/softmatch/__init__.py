@@ -49,7 +49,6 @@ from .transport import (
     TransportPlan,
     W1Result,
     w1,
-    w1_equal_size_assignment,
     w1_oracle_lcm,
     w1_oracle_permutations,
     w1_product,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePotential, InvalidInput, RequiresCompactDomain
+from .errors import DegeneratePotential, DimMismatch, InvalidInput, RequiresCompactDomain
 from .kernels import AttentionConfig, Lookup
 from .measures import DomainBox
 from .potentials import (
@@ -180,7 +180,10 @@ def bound_cross_attention(
 ) -> float:
     """Per-query cross-attention constant: the l2 distance between
     Attention(q, X, X) and Attention(q, Y, Y) is at most this times
-    W1(m(X), m(Y))."""
+    W1(m(X), m(Y)); q must have shape (cfg.dim,)."""
+    q = np.asarray(q, dtype=np.float64)
+    if q.shape != (cfg.dim,):
+        raise DimMismatch(f"query of shape {q.shape} for a potential of dim {cfg.dim}")
     stats = _stats_for(cfg, box, stats)
     if not box.is_bounded:
         raise RequiresCompactDomain("cross-attention bound needs a bounded E")

@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 
@@ -194,7 +195,7 @@ def _config_hash(obj) -> str:
 def cmd_equiv(args, config):
     report = run_equivalence(
         trials=args.trials,
-        d_choices=tuple(int(x) for x in args.dims.split(",")),
+        d_choices=args.dims,
         n_max=args.n_max,
         seed=args.seed,
         sabotage=args.sabotage,
@@ -205,7 +206,7 @@ def cmd_equiv(args, config):
 def cmd_w1(args, config):
     mu = load_measure_any(args.source)
     nu = load_measure_any(args.target)
-    res = w1(mu, nu, method=args.method)
+    res = w1(mu, nu)
     return res.to_dict(include_plan=args.plan), True
 
 
@@ -249,7 +250,7 @@ def cmd_bound(args, config):
     if theorem == "cross-attention":
         if args.q is None:
             raise ConfigError("cross-attention bound needs --q")
-        q = np.array([float(v) for v in args.q.split(",")])
+        q = np.array(args.q)
         val = bounds.bound_cross_attention(cfg, box, q)
         return {"theorem": "CrossAttention", "value": val, "q": q.tolist()}, True
     raise ConfigError(f"unknown theorem {theorem!r}")
@@ -346,30 +347,45 @@ def cmd_invert(args, config):
 def cmd_lemmas(args, config):
     report = {}
     ok = True
-    ran = False
     if args.ratio or not (args.product or args.local_lip):
-        ran = True
         r = probes.check_ratio_lemma(args.nmax, seed=args.seed)
         report["ratio_lemma"] = r
         ok = ok and r["all_within_bound"] and r["ascent_consistent"]
     if args.product or not (args.ratio or args.local_lip):
-        ran = True
         r = probes.check_product_lemma(args.trials, seed=args.seed)
         report["product_lemma"] = r
         ok = ok and r["subadditive"]
     if args.local_lip or not (args.ratio or args.product):
-        ran = True
         r = probes.check_local_lip_lemma(seed=args.seed)
         report["local_lip_lemma"] = r
         ok = ok and r["all_consistent"]
-    if not ran:
-        raise ConfigError("nothing to check")
     return report, ok
 
 
 # ---------------------------------------------------------------------------
 # Parser and entry point
 # ---------------------------------------------------------------------------
+
+def _int_list(text: str) -> tuple:
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of integers: {text!r}"
+        ) from None
+
+
+def _float_list(text: str) -> tuple:
+    try:
+        values = tuple(float(v) for v in text.split(","))
+        if all(math.isfinite(v) for v in values):
+            return values
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"not a comma-separated list of finite numbers: {text!r}"
+    )
+
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -388,7 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("equiv", help="kernel-vs-matrix equivalence suite")
     common(sp)
     sp.add_argument("--trials", type=int, default=100)
-    sp.add_argument("--dims", default="1,2,4,8")
+    sp.add_argument("--dims", type=_int_list, default="1,2,4,8",
+                    help="comma-separated dimensions")
     sp.add_argument("--n-max", type=int, default=16)
     sp.add_argument("--sabotage", action="store_true",
                     help="perturb one weight; the suite must fail")
@@ -398,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("source")
     sp.add_argument("target")
-    sp.add_argument("--method", choices=("auto", "flow", "assignment"), default="auto")
     sp.add_argument("--plan", action="store_true", help="include the coupling matrix")
     sp.set_defaults(fn=cmd_w1)
 
@@ -416,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=8)
     sp.add_argument("--m", type=int, default=8)
     sp.add_argument("--box-radius", type=float)
-    sp.add_argument("--q", help="comma-separated query vector")
+    sp.add_argument("--q", type=_float_list, help="comma-separated query vector")
     sp.add_argument("--tight-c", action="store_true",
                     help="attach the numerically maximized gradient constant")
     sp.set_defaults(fn=cmd_bound)

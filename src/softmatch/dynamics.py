@@ -1,9 +1,11 @@
 """Particle dynamics of stacked attention layers, deep-equilibrium fixed
-points with input injection, and inversion of residual attention blocks.
+points H = f(H + X), and inversion of residual attention blocks.
 
 Iterating self-attention runs a deterministic interacting particle system:
 layer h moves every particle through the attention kernel driven by the
-current joint configuration. The convergence norm everywhere is the sup
+current joint configuration, and each step is measured by the exact W1
+between the empirical measures of consecutive states (so clouds are held
+to the LP path's 512 points). The convergence norm everywhere is the sup
 over particles of the per-particle l1 norm, matching the W1-on-Diracs view
 of a cloud.
 
@@ -27,9 +29,9 @@ from .kernels import (
     self_attention,
     transformer_layer,
 )
-from .measures import PointCloud
+from .measures import PointCloud, empirical
 from .streams import stream
-from .transport import w1_equal_size_assignment
+from .transport import w1
 
 
 @dataclass(frozen=True)
@@ -83,7 +85,8 @@ def run_particles(layers, x0: PointCloud, steps: int | None = None) -> Trajector
     """Iterate a layer (or a list of per-step layers) from x0.
 
     A single layer is weight-tied and applied `steps` times; a list runs
-    once per entry. steps = 0 returns the trajectory [x0].
+    once per entry. steps = 0 returns the trajectory [x0]. Each step's W1
+    is exact, so a cloud of more than 512 points raises SupportTooLarge.
     """
     if isinstance(layers, (AttentionConfig, MultiHeadConfig, TransformerLayerSpec)):
         if steps is None:
@@ -101,7 +104,7 @@ def run_particles(layers, x0: PointCloud, steps: int | None = None) -> Trajector
     per_step = []
     for layer in seq:
         nxt = apply_layer(layer, states[-1])
-        per_step.append(w1_equal_size_assignment(states[-1], nxt).value)
+        per_step.append(w1(empirical(states[-1]), empirical(nxt)).value)
         states.append(nxt)
     return Trajectory(tuple(states), tuple(per_step), tuple(seq))
 
@@ -128,40 +131,25 @@ class DeqResult:
         }
 
 
-def _resolve_injection(injection, x: PointCloud) -> np.ndarray:
-    """The injected term s(X), precomputed once."""
-    if injection == "add_input":
-        return x.points
-    if isinstance(injection, tuple) and len(injection) == 3 and injection[0] == "affine":
-        _, a, b = injection
-        a = np.asarray(a, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64).reshape(-1)
-        return x.points @ a.T + b
-    if callable(injection):
-        return np.asarray(injection(x.points), dtype=np.float64)
-    raise InvalidInput(f"unknown injection {injection!r}")
-
-
 def deq_solve(
     layer: Layer,
     x: PointCloud,
     h0: PointCloud,
-    injection="add_input",
     tol: float = 1e-10,
     max_iter: int = 500,
 ) -> DeqResult:
-    """Picard iteration for H = layer(H + s(X)).
+    """Picard iteration for H = layer(H + X).
 
     Runs until the sup-l1 step falls below tol or max_iter is exhausted;
     non-convergence is reported in the result, never raised. The
-    contraction estimate is the largest observed step ratio.
+    contraction estimate is the largest observed step ratio. To inject a
+    transformed input s(X), pass s(X) as x.
     """
     if tol <= 0:
         raise InvalidInput("tol must be positive")
-    injected = _resolve_injection(injection, x)
-    if injected.shape != h0.points.shape:
+    if x.points.shape != h0.points.shape:
         raise DimMismatch(
-            f"injection shape {injected.shape} vs state shape {h0.points.shape}"
+            f"input shape {x.points.shape} vs state shape {h0.points.shape}"
         )
     h = h0
     prev_step = None
@@ -169,7 +157,7 @@ def deq_solve(
     step = float("inf")
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        arg = h.points + injected
+        arg = h.points + x.points
         if not np.all(np.isfinite(arg)) or np.abs(arg).max() > 1e100:
             # diverged past any useful range: report, do not raise
             step = float("inf")
@@ -220,15 +208,16 @@ def sampled_set_lipschitz(
     reference: PointCloud,
     trials: int = 16,
     seed: int = 0,
-    scale: float = 0.5,
 ) -> float:
     """Sampled Lipschitz estimate of the set-to-set map in sup-l1 norm.
 
     A lower estimate only; the inversion gate warns rather than blocks on
     it because it certifies nothing. Pairs mix three perturbation shapes:
     independent clouds, a common translation of every particle (the worst
-    direction for averaging maps), and a single-particle move.
+    direction for averaging maps), and a single-particle move, each drawn
+    with standard deviation 0.5.
     """
+    scale = 0.5
     best = 0.0
     shape = reference.points.shape
     for t in range(trials):

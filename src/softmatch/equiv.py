@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidInput
 from .kernels import (
     AttentionConfig,
     FfnConfig,
@@ -112,6 +113,10 @@ def run_equivalence(
     sabotage: bool = False,
 ) -> dict:
     """Run the suite; the report carries the worst instance for replay."""
+    if not d_choices or min(d_choices) < 1:
+        raise InvalidInput(f"d_choices must be dimensions >= 1, got {d_choices!r}")
+    if n_max < 1:
+        raise InvalidInput(f"n_max must be >= 1, got {n_max!r}")
     worst = {"deviation": -1.0}
     max_dev = 0.0
     for t in range(trials):

@@ -39,7 +39,7 @@ class KeyValueMismatch(ValueError):
 
 
 class SizeMismatch(ValueError):
-    """Equal-size assignment path called on clouds of different sizes."""
+    """The permutation oracle was given clouds of different sizes."""
 
 
 class OracleTooLarge(ValueError):

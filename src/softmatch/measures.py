@@ -66,9 +66,6 @@ class PointCloud:
     def __len__(self) -> int:
         return self.n
 
-    def point(self, i: int) -> np.ndarray:
-        return self.points[i]
-
     def permuted(self, order) -> "PointCloud":
         return PointCloud(self.points[np.asarray(order, dtype=int)])
 
@@ -256,10 +253,10 @@ class DomainBox:
         return DomainBox(np.full(dim, -r), np.full(dim, r))
 
     @staticmethod
-    def bounding(points: np.ndarray, pad: float = 0.0) -> "DomainBox":
-        """The l-infinity bounding box of the data, optionally padded."""
+    def bounding(points: np.ndarray) -> "DomainBox":
+        """The l-infinity bounding box of the data."""
         pts = _as_points_array(points)
-        return DomainBox(pts.min(axis=0) - pad, pts.max(axis=0) + pad)
+        return DomainBox(pts.min(axis=0), pts.max(axis=0))
 
     @property
     def is_bounded(self) -> bool:

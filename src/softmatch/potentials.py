@@ -9,7 +9,8 @@ using ||u||_2 <= ||u||_1 and the conversion is recorded in the field's
 provenance.
 
 Analytic values are produced whenever the similarity is bilinear on a box
-(corner extrema) or Gaussian (closed forms). Everything else is sampled;
+(corner extrema, or per-entry interval bounds past 2^8 corners) or
+Gaussian (closed forms). Only custom potentials are sampled;
 sampled sups are lower bounds and sampled infs are upper bounds, and the
 provenance says so.
 """
@@ -38,6 +39,10 @@ GAUSSIAN_LIP = math.sqrt(2.0 / math.e)
 
 # analytic corner enumeration is limited to 2^d <= this many corners
 _MAX_CORNERS = 256
+
+# finite-difference step of sampled seminorms, relative to the box's
+# shortest side
+_FD_STEP = 1e-4
 
 
 class Potential:
@@ -86,9 +91,6 @@ class DotProduct(Potential):
     def similarity_matrix(self, queries, keys):
         return self.scale * _ordered_matmul(queries, keys.T)
 
-    def similarity_pairs(self, xs, ys):
-        return self.scale * np.sum(xs * ys, axis=1)
-
     @property
     def bilinear_matrix(self) -> np.ndarray:
         return self.scale * np.eye(self.dim)
@@ -126,9 +128,6 @@ class ScaledDotProduct(Potential):
         k = _ordered_matmul(keys, self.w_k.T)
         return self.scale * _ordered_matmul(q, k.T)
 
-    def similarity_pairs(self, xs, ys):
-        return self.scale * np.sum((xs @ self.w_q.T) * (ys @ self.w_k.T), axis=1)
-
     @property
     def bilinear_matrix(self) -> np.ndarray:
         return self.scale * (self.w_q.T @ self.w_k)
@@ -153,10 +152,6 @@ class Gaussian(Potential):
             diff = np.subtract.outer(queries[:, c], keys[:, c])
             sq += diff * diff
         return -sq
-
-    def similarity_pairs(self, xs, ys):
-        d = xs - ys
-        return -np.sum(d * d, axis=1)
 
 
 @dataclass(frozen=True)
@@ -232,7 +227,6 @@ class SamplingConfig:
 
     n_pairs: int = 100_000
     seed: int = 0
-    fd_step: float = 1e-4
 
 
 @dataclass(frozen=True)
@@ -266,12 +260,15 @@ class RegularityStats:
         }
 
 
-def _bilinear_extrema(m: np.ndarray, box: DomainBox) -> tuple[float, float]:
-    """Exact min and max of x^T M y over box x box.
+def _bilinear_extrema(m: np.ndarray, box: DomainBox) -> tuple[float, float, bool]:
+    """Min and max of x^T M y over box x box, and whether they are exact.
 
     For fixed x the form is linear in y and vice versa, so both extrema are
     attained at corner pairs. Diagonal M separates per coordinate (O(d));
-    otherwise all corner pairs are enumerated (requires 2^d <= _MAX_CORNERS).
+    otherwise all corner pairs are enumerated when 2^d <= _MAX_CORNERS.
+    Beyond that each term M_ij x_i y_j is bounded on its own over
+    [lo_i, hi_i] x [lo_j, hi_j]: the sums of the termwise extrema enclose
+    the true ones (conservative, not exact).
     """
     lo, hi = box.lower, box.upper
     d = lo.shape[0]
@@ -281,14 +278,13 @@ def _bilinear_extrema(m: np.ndarray, box: DomainBox) -> tuple[float, float]:
         cand = np.stack(
             [diag * lo * lo, diag * lo * hi, diag * hi * lo, diag * hi * hi]
         )
-        return float(cand.min(axis=0).sum()), float(cand.max(axis=0).sum())
+        return float(cand.min(axis=0).sum()), float(cand.max(axis=0).sum()), True
     if 2 ** d > _MAX_CORNERS:
-        raise UnboundedDomainUnsupported(
-            f"corner enumeration infeasible for d={d}; supply a SamplingConfig"
-        )
+        cand = np.stack([m * np.outer(a, b) for a in (lo, hi) for b in (lo, hi)])
+        return float(cand.min(axis=0).sum()), float(cand.max(axis=0).sum()), False
     corners = box.corners()
     vals = corners @ m @ corners.T
-    return float(vals.min()), float(vals.max())
+    return float(vals.min()), float(vals.max()), True
 
 
 def _max_linf_image(m: np.ndarray, box: DomainBox) -> float:
@@ -335,7 +331,7 @@ def _sampled_stats(
     # local coordinate finite differences refine the seminorm estimates;
     # steps stay inside the box by flipping direction at the upper face
     m = min(n, 4096)
-    h = sampling.fd_step * float(span.min() if span.min() > 0 else 1.0)
+    h = _FD_STEP * float(span.min() if span.min() > 0 else 1.0)
     lip_l = 0.0
     lip_r = 0.0
     for axis in range(d):
@@ -396,9 +392,10 @@ def regularity_stats(
 
     Gaussian: all fields analytic, bounded or not (eps(G) is 0 on the
     unbounded domain). Dot-product kinds: bounded box required; extrema
-    from corner enumeration, seminorms as conservative analytic upper
-    bounds of the form sup||grad a||_inf * sup G. Custom potentials are
-    sampled (flagged).
+    from corner enumeration (conservative per-entry interval bounds past
+    2^8 corners), seminorms as conservative analytic upper bounds of the
+    form sup||grad a||_inf * sup G. Custom potentials are sampled
+    (flagged) with `sampling`.
     """
     if isinstance(potential, Gaussian):
         analytic = Provenance("analytic")
@@ -433,12 +430,7 @@ def regularity_stats(
                 f"box dim {box.dim} does not match potential dim {potential.dim}"
             )
         m = potential.bilinear_matrix
-        try:
-            a_min, a_max = _bilinear_extrema(m, box)
-        except UnboundedDomainUnsupported:
-            if sampling is None:
-                sampling = SamplingConfig()
-            return _sampled_stats(potential, box, sampling)
+        a_min, a_max, exact = _bilinear_extrema(m, box)
         if a_max > MAX_EXP_ARG:
             raise PotentialOverflow(a_max, None, None)
         eps = math.exp(a_min)
@@ -448,7 +440,11 @@ def regularity_stats(
         lip_l = grad_x * sup
         lip_r = grad_y * sup
         lip_j = max(grad_x, grad_y) * sup
-        analytic = Provenance("analytic", note="corner extrema of the bilinear form")
+        analytic = Provenance(
+            "analytic",
+            note="corner extrema of the bilinear form" if exact else
+            "conservative: sum of per-entry interval extrema of the bilinear form",
+        )
         upper = Provenance(
             "analytic", note="upper bound: sup||grad a||_inf * sup G, factorized"
         )

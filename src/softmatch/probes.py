@@ -27,7 +27,7 @@ from .kernels import (
     softmatch_measure,
 )
 from .measures import DomainBox, EmpiricalMeasure, PointCloud, barycenter, empirical
-from .potentials import Potential, RegularityStats, regularity_stats
+from .potentials import Potential, regularity_stats
 from .streams import stream
 from .transport import w1, w1_product
 from . import bounds as bounds_mod
@@ -218,10 +218,9 @@ def probe_component(
     probe: ProbeConfig,
     potential: Potential | None = None,
     lookup: Lookup | None = None,
-    stats: RegularityStats | None = None,
-    bound: float | None = None,
 ) -> ProbeResult:
-    """Sampled contraction ratios of one pipeline component.
+    """Sampled contraction ratios of one pipeline component, against the
+    component's closed-form bound.
 
     softmatch_in_x:        x -> Psi_{G(x, .)}(mu), ratio over query moves;
     softmatch_in_measure:  mu -> Psi_{G(x, .)}(mu), ratio over measure moves;
@@ -231,25 +230,23 @@ def probe_component(
     if kind not in COMPONENT_KINDS:
         raise InvalidInput(f"unknown component kind {kind!r}")
 
-    if bound is None:
-        if kind == "projection":
-            bound = bounds_mod.tau_pi(probe.d)
-        elif kind == "lookup":
-            if lookup is None:
-                raise InvalidInput("lookup probe needs a lookup")
-            bound = bounds_mod.tau_lookup(lookup)
+    if kind == "projection":
+        bound = bounds_mod.tau_pi(probe.d)
+    elif kind == "lookup":
+        if lookup is None:
+            raise InvalidInput("lookup probe needs a lookup")
+        bound = bounds_mod.tau_lookup(lookup)
+    else:
+        if potential is None:
+            raise InvalidInput(f"{kind} probe needs a potential")
+        if not probe.domain.is_bounded:
+            raise InvalidInput(f"{kind} probe needs a bounded domain")
+        stats = regularity_stats(potential, probe.domain)
+        diam = probe.domain.diameter_l1()
+        if kind == "softmatch_in_x":
+            bound = 2.0 * stats.lip_left * diam / stats.eps_g
         else:
-            if potential is None:
-                raise InvalidInput(f"{kind} probe needs a potential")
-            if not probe.domain.is_bounded:
-                raise InvalidInput(f"{kind} probe needs a bounded domain")
-            if stats is None:
-                stats = regularity_stats(potential, probe.domain)
-            diam = probe.domain.diameter_l1()
-            if kind == "softmatch_in_x":
-                bound = 2.0 * stats.lip_left * diam / stats.eps_g
-            else:
-                bound = 2.0 * stats.lip_right * diam / stats.eps_g
+            bound = 2.0 * stats.lip_right * diam / stats.eps_g
 
     ratios, instances = [], []
     skipped = 0
@@ -426,6 +423,8 @@ def check_product_lemma(
 ) -> dict:
     """Random small instances of W1 tensor subadditivity:
     W1(mu1 x mu2, nu1 x nu2) <= W1(mu1, nu1) + W1(mu2, nu2)."""
+    if trials < 1:
+        raise InvalidInput("trials must be >= 1")
     lo, hi = size_range
     excess = []
     slack = []

@@ -15,14 +15,16 @@ approximation anywhere is a mass-balance adjustment of a few integer
 grains when the two weight vectors do not sum to bitwise identical totals;
 its worst-case effect is charged to the reported dual gap.
 
-Starting bases: the matrix-minimum allocation for weighted measures; for
-uniform equal-size measures the LP is an assignment problem, and scipy's
-Hungarian matching warm-starts the simplex, which supplies exact duals and
-repairs the matching where float rounding left it suboptimal. Oracles:
-factorial enumeration over permutations, and LCM replication for uniform
-unequal sizes.
+`w1` is the one entry point, and it picks the starting basis from its
+input: for uniform equal-size measures the LP is an assignment problem,
+and scipy's Hungarian matching warm-starts the simplex, which supplies
+exact duals and repairs the matching where float rounding left it
+suboptimal; every other pair starts from the matrix-minimum allocation.
+Oracles: factorial enumeration over permutations, and LCM replication for
+uniform unequal sizes.
 
-Desk-scale limits: the dense LP path accepts N, M <= 512.
+Desk-scale limits: the dense LP path accepts N, M <= 512; product
+measures hold at most 64 support points.
 """
 from __future__ import annotations
 
@@ -41,9 +43,10 @@ from .errors import (
     SizeMismatch,
     SupportTooLarge,
 )
-from .measures import EmpiricalMeasure, PointCloud, empirical
+from .measures import EmpiricalMeasure, PointCloud
 
 MAX_LP_SUPPORT = 512
+MAX_PRODUCT_SUPPORT = 64
 MARGINAL_TOL = 1e-9
 
 log = logging.getLogger("softmatch")
@@ -539,23 +542,16 @@ def _check_pair(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> None:
         )
 
 
-def w1(mu: EmpiricalMeasure, nu: EmpiricalMeasure, method: str = "auto") -> W1Result:
+def w1(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> W1Result:
     """Exact W1 between empirical measures with l1 ground costs.
 
-    method:
-      "flow"       the exact network simplex from the matrix-minimum
-                   start (always applicable);
-      "assignment" the simplex warm-started from a Hungarian matching
-                   (uniform, equal sizes only);
-      "auto"       dispatch to the assignment path when it applies.
+    Uniform measures of one size take the assignment path: the simplex
+    warm-started from a Hungarian matching, with unit masses and a zero
+    dual gap. Every other pair starts from the matrix-minimum allocation.
     """
     _check_pair(mu, nu)
-    if method not in ("auto", "flow", "assignment"):
-        raise InvalidInput(f"unknown method {method!r}")
-    if method != "flow" and mu.n == nu.n and _is_uniform(mu) and _is_uniform(nu):
+    if mu.n == nu.n and _is_uniform(mu) and _is_uniform(nu):
         return _w1_assignment(mu, nu)
-    if method == "assignment":
-        raise SizeMismatch("assignment path needs uniform equal-size measures")
 
     c = cost_matrix_l1(mu.support.points, nu.support.points)
     supply, demand, w_shift, slop = _integer_masses(mu.weights, nu.weights)
@@ -591,8 +587,8 @@ def _exact_mean(values: np.ndarray, n: int) -> float:
     return float(Fraction(sum(ints), n << shift))
 
 
-def w1_equal_size_assignment(x: PointCloud, y: PointCloud) -> W1Result:
-    """W1 of the two uniform empirical measures via optimal assignment.
+def _w1_assignment(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> W1Result:
+    """W1 of two uniform measures of one size and dim via optimal assignment.
 
     For equal sizes and uniform weights the transportation LP optimum is
     attained at a permutation. scipy's Hungarian matching (float
@@ -600,22 +596,8 @@ def w1_equal_size_assignment(x: PointCloud, y: PointCloud) -> W1Result:
     which certifies it, or improves it where rounding left it suboptimal,
     and supplies exact duals. The value is the exact optimum rounded once,
     so it is exactly symmetric in the two inputs; the masses are exact, so
-    the dual gap is 0.
+    the dual gap is 0. The plan refers to mu and nu themselves.
     """
-    if not isinstance(x, PointCloud):
-        x = PointCloud(x)
-    if not isinstance(y, PointCloud):
-        y = PointCloud(y)
-    if x.n != y.n:
-        raise SizeMismatch(f"equal-size path got sizes {x.n} and {y.n}")
-    if x.dim != y.dim:
-        raise DimMismatch(f"dims {x.dim} and {y.dim} differ")
-    return _w1_assignment(empirical(x), empirical(y))
-
-
-def _w1_assignment(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> W1Result:
-    """The assignment path on two uniform measures of one size and dim;
-    the plan refers to mu and nu themselves."""
     c = cost_matrix_l1(mu.support.points, nu.support.points)
     _, cols = linear_sum_assignment(c)
     shift = _dyadic_shift(c)
@@ -660,13 +642,13 @@ def w1_oracle_lcm(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     return _exact_mean(c[rows, cols], lcm)
 
 
-def product_measure(
-    mu1: EmpiricalMeasure, mu2: EmpiricalMeasure, max_support: int = 64
-) -> EmpiricalMeasure:
+def product_measure(mu1: EmpiricalMeasure, mu2: EmpiricalMeasure) -> EmpiricalMeasure:
     """mu1 (x) mu2 on R^{d1 + d2}; support size is the product of sizes."""
     n = mu1.n * mu2.n
-    if n > max_support:
-        raise SupportTooLarge(f"product support {n} exceeds the limit {max_support}")
+    if n > MAX_PRODUCT_SUPPORT:
+        raise SupportTooLarge(
+            f"product support {n} exceeds the limit {MAX_PRODUCT_SUPPORT}"
+        )
     pts = np.concatenate(
         [
             np.repeat(mu1.support.points, mu2.n, axis=0),

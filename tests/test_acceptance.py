@@ -36,12 +36,8 @@ from softmatch.measures import DomainBox, PointCloud, empirical
 from softmatch.potentials import DotProduct, Gaussian
 from softmatch.probes import ProbeConfig, probe_component, probe_contraction
 from softmatch.streams import stream
-from softmatch.transport import (
-    w1,
-    w1_equal_size_assignment,
-    w1_oracle_lcm,
-    w1_oracle_permutations,
-)
+from softmatch.transport import w1, w1_oracle_lcm, w1_oracle_permutations
+from test_transport import matrix_minimum_w1
 
 
 def verdict(num, name, ok, detail=""):
@@ -91,8 +87,9 @@ def test_criterion_03_w1_exactness():
         x = PointCloud(rng.uniform(-3, 3, (n, d)))
         y = PointCloud(rng.uniform(-3, 3, (n, d)))
         brute = w1_oracle_permutations(x, y)
-        flow = w1(empirical(x), empirical(y), method="flow").value
-        fast = w1_equal_size_assignment(x, y).value
+        mu, nu = empirical(x), empirical(y)
+        flow = matrix_minimum_w1(mu, nu)
+        fast = w1(mu, nu).value
         worst_equal = max(worst_equal, abs(flow - brute), abs(fast - brute))
 
     lcm_pairs = [
@@ -109,7 +106,7 @@ def test_criterion_03_w1_exactness():
         nu = empirical(PointCloud(rng.uniform(-3, 3, (m, d))))
         worst_lcm = max(
             worst_lcm,
-            abs(w1(mu, nu, method="flow").value - w1_oracle_lcm(mu, nu)),
+            abs(w1(mu, nu).value - w1_oracle_lcm(mu, nu)),
         )
     elapsed = time.perf_counter() - t0
     ok = worst_equal <= 1e-12 and worst_lcm <= 1e-9 and elapsed < 30.0

@@ -212,11 +212,16 @@ class TestExitCodes:
     }
 
     @pytest.mark.parametrize(
-        "case", ("dim_mismatch", "nan_csv", "zero_trials", *BAD_FILES)
+        "case",
+        (
+            "dim_mismatch", "nan_csv", "zero_trials", "q_wrong_dim", "dims_zero",
+            "n_max_zero", "product_trials_zero", *BAD_FILES,
+        ),
     )
     def test_library_errors_are_usage_errors(self, workdir, capsys, case):
         (workdir / "one_d.csv").write_text("1.0\n2.0\n")
         (workdir / "nan.csv").write_text("1.0,2.0\nnan,0.0\n")
+        (workdir / "gauss.json").write_text('{"potential": {"kind": "gaussian", "dim": 2}}')
         if case in self.BAD_FILES:
             name, text = self.BAD_FILES[case]
             (workdir / name).write_text(text)
@@ -226,12 +231,41 @@ class TestExitCodes:
                 "dim_mismatch": ("w1", str(workdir / "a.csv"), str(workdir / "one_d.csv")),
                 "nan_csv": ("w1", str(workdir / "nan.csv"), str(workdir / "b.csv")),
                 "zero_trials": ("probe", "--theorem", "bounded", "--trials", "0"),
+                "q_wrong_dim": (
+                    "bound", "--theorem", "cross-attention", "--config",
+                    str(workdir / "gauss.json"), "--box-radius", "1", "--d", "2",
+                    "--q", "1,2,3",
+                ),
+                "dims_zero": ("equiv", "--dims", "0"),
+                "n_max_zero": ("equiv", "--n-max", "0"),
+                "product_trials_zero": ("lemmas", "--product", "--trials", "0"),
             }[case]
         code, env, err = run(capsys, *argv)
         assert code == 2
         assert env is None
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("input error: ")
+
+
+    # flag values argparse cannot parse, and a flag that no longer exists
+    UNPARSABLE_FLAGS = {
+        "method_flag_gone": ("w1", "a.csv", "b.csv", "--method", "flow"),
+        "q_not_numeric": (
+            "bound", "--theorem", "cross-attention", "--config", "cfg.json",
+            "--box-radius", "1", "--d", "2", "--q", "abc",
+        ),
+        "dims_not_integers": ("equiv", "--dims", "1,x"),
+    }
+
+    @pytest.mark.parametrize("case", UNPARSABLE_FLAGS)
+    def test_unparsable_flags_are_usage_errors(self, workdir, capsys, monkeypatch, case):
+        monkeypatch.chdir(workdir)
+        with pytest.raises(SystemExit) as exit_info:
+            main(list(self.UNPARSABLE_FLAGS[case]))
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2
+        assert captured.out == ""
+        assert ": error: " in captured.err.strip().splitlines()[-1]
 
 
 class TestEnvelope:

@@ -15,7 +15,7 @@ from softmatch.dynamics import (
     run_particles,
     sampled_set_lipschitz,
 )
-from softmatch.errors import InvalidInput
+from softmatch.errors import InvalidInput, SupportTooLarge
 from softmatch.kernels import (
     AttentionConfig,
     FfnConfig,
@@ -97,6 +97,12 @@ class TestRunParticles:
                 PointCloud([[0.0]]),
             )
 
+    def test_cloud_past_the_lp_limit_is_rejected(self):
+        # every step is measured by exact W1, which holds supports to 512
+        x0 = PointCloud(np.linspace(-1.0, 1.0, 513)[:, None])
+        with pytest.raises(SupportTooLarge):
+            run_particles(contractive_config(1), x0, steps=1)
+
 
 class TestDeq:
     def test_zero_map_fixed_point_in_one_step(self):
@@ -154,19 +160,6 @@ class TestDeq:
         assert isinstance(res, DeqResult)
         assert not res.converged
         assert res.iterations == 20
-
-    def test_affine_injection(self):
-        rng = np.random.default_rng(9)
-        d = 2
-        cfg = contractive_config(d)
-        x = PointCloud(rng.uniform(-0.5, 0.5, (4, d)))
-        h0 = PointCloud(np.zeros((4, d)))
-        a = 0.5 * np.eye(d)
-        res = deq_solve(cfg, x, h0, injection=("affine", a, np.zeros(d)), tol=1e-12)
-        manual = deq_solve(
-            cfg, PointCloud(x.points @ a.T), h0, injection="add_input", tol=1e-12
-        )
-        assert cloud_distance(res.h_star, manual.h_star) <= 1e-12
 
 
 class TestInvertResidual:

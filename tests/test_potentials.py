@@ -142,6 +142,23 @@ class TestDotProductStats:
         with pytest.raises(UnboundedDomainUnsupported):
             regularity_stats(DotProduct(1.0, 2), DomainBox.unbounded(2))
 
+    def test_interval_extrema_enclose_corner_extrema_past_256_corners(self):
+        # d = 9, a non-diagonal form: 512 corners, past the enumeration
+        # limit, so the extrema are per-entry interval bounds; they must
+        # enclose the true ones, which the corners attain
+        rng = np.random.default_rng(9)
+        d = 9
+        p = ScaledDotProduct(rng.normal(size=(d, d)), rng.normal(size=(d, d)), scale=0.5)
+        box = DomainBox.cube(1.0, d)
+        stats = regularity_stats(p, box)
+        corners = box.corners()
+        vals = corners @ p.bilinear_matrix @ corners.T
+        assert stats.eps_g <= math.exp(vals.min())
+        assert stats.sup_g >= math.exp(vals.max())
+        for name in ("eps_g", "sup_g"):
+            prov = stats.provenance[name]
+            assert prov.kind == "analytic" and prov.note.startswith("conservative")
+
     def test_symmetric_when_projections_match(self):
         rng = np.random.default_rng(8)
         w = rng.normal(size=(2, 2))

@@ -13,13 +13,13 @@ from softmatch.errors import (
     DimMismatch,
     InvalidInput,
     OracleTooLarge,
-    SizeMismatch,
     SupportTooLarge,
 )
 from softmatch.measures import EmpiricalMeasure, PointCloud, empirical
 from softmatch.transport import (
     TransportPlan,
     _dyadic_ints,
+    _dyadic_shift,
     _integer_masses,
     _matching_basis,
     _network_simplex,
@@ -27,7 +27,6 @@ from softmatch.transport import (
     cost_matrix_l1,
     product_measure,
     w1,
-    w1_equal_size_assignment,
     w1_oracle_lcm,
     w1_oracle_permutations,
     w1_product,
@@ -65,6 +64,17 @@ def linprog_w1(mu, nu):
     return float(res.fun)
 
 
+def matrix_minimum_w1(mu, nu):
+    """W1 from the matrix-minimum start on the weights' masses, whatever
+    the input: the start `w1` takes for every pair but uniform equal-size
+    ones, and the only way to reach it on those."""
+    c = cost_matrix_l1(mu.support.points, nu.support.points)
+    a, b, w_shift, _ = _integer_masses(mu.weights, nu.weights)
+    shift = _dyadic_shift(c)
+    basis = _solve_masses(c, a, b, shift, "flow")
+    return float(Fraction(basis.total, (1 << w_shift) << shift))
+
+
 class TestW1Examples:
     def test_dirac_pair_is_l1_distance(self):
         res = w1(empirical([[1.0, 2.0]]), empirical([[3.0, 5.0]]))
@@ -77,20 +87,18 @@ class TestW1Examples:
     def test_split_mass(self):
         mu = empirical([[0.0]])
         nu = EmpiricalMeasure(PointCloud([[-1.0], [1.0]]), [0.5, 0.5])
-        res = w1(mu, nu, method="flow")
+        res = w1(mu, nu)
         assert res.value == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(res.plan.gamma, [[0.5, 0.5]], atol=1e-12)
 
     def test_same_measure_is_zero(self):
         rng = np.random.default_rng(0)
         mu = random_measure(rng, 6, 3)
-        assert w1(mu, mu, method="flow").value == 0.0
+        assert w1(mu, mu).value == 0.0
 
     def test_errors(self):
         with pytest.raises(DimMismatch):
             w1(empirical([[0.0]]), empirical([[0.0, 1.0]]))
-        with pytest.raises(SizeMismatch):
-            w1(empirical([[0.0]]), empirical([[0.0], [1.0]]), method="assignment")
         big = empirical(np.zeros((513, 1)) + np.arange(513)[:, None])
         with pytest.raises(SupportTooLarge):
             w1(big, big)
@@ -102,12 +110,12 @@ class TestAssignmentPath:
         pts = rng.normal(size=(6, 2))
         x = PointCloud(pts)
         y = PointCloud(pts[rng.permutation(6)])
-        assert w1_equal_size_assignment(x, y).value == 0.0
+        assert w1(empirical(x), empirical(y)).value == 0.0
 
     def test_two_point_example(self):
         x = PointCloud([[0.0], [10.0]])
         y = PointCloud([[1.0], [9.0]])
-        assert w1_equal_size_assignment(x, y).value == pytest.approx(1.0, abs=1e-15)
+        assert w1(empirical(x), empirical(y)).value == pytest.approx(1.0, abs=1e-15)
 
     def test_matches_factorial_oracle_exactly(self):
         rng = np.random.default_rng(2)
@@ -116,7 +124,7 @@ class TestAssignmentPath:
             d = int(rng.integers(1, 4))
             x = PointCloud(rng.uniform(-3, 3, (n, d)))
             y = PointCloud(rng.uniform(-3, 3, (n, d)))
-            got = w1_equal_size_assignment(x, y).value
+            got = w1(empirical(x), empirical(y)).value
             want = w1_oracle_permutations(x, y)
             assert got == pytest.approx(want, abs=1e-12)
 
@@ -125,14 +133,8 @@ class TestAssignmentPath:
         for _ in range(20):
             x = PointCloud(rng.normal(size=(5, 2)))
             y = PointCloud(rng.normal(size=(5, 2)))
-            assert (
-                w1_equal_size_assignment(x, y).value
-                == w1_equal_size_assignment(y, x).value
-            )
-
-    def test_size_mismatch(self):
-        with pytest.raises(SizeMismatch):
-            w1_equal_size_assignment(PointCloud([[0.0]]), PointCloud([[0.0], [1.0]]))
+            mu, nu = empirical(x), empirical(y)
+            assert w1(mu, nu).value == w1(nu, mu).value
 
 
 class TestFlowAgainstOracles:
@@ -143,8 +145,8 @@ class TestFlowAgainstOracles:
             d = int(rng.integers(1, 4))
             mu = random_measure(rng, n, d, uniform=True)
             nu = random_measure(rng, n, d, uniform=True)
-            a = w1(mu, nu, method="flow").value
-            b = w1_equal_size_assignment(mu.support, nu.support).value
+            a = matrix_minimum_w1(mu, nu)
+            b = w1(mu, nu).value
             assert a == pytest.approx(b, abs=1e-9)
 
     def test_flow_equals_linprog_weighted(self):
@@ -152,7 +154,7 @@ class TestFlowAgainstOracles:
         for _ in range(40):
             mu = random_measure(rng, int(rng.integers(1, 8)), 2)
             nu = random_measure(rng, int(rng.integers(1, 8)), 2)
-            got = w1(mu, nu, method="flow").value
+            got = w1(mu, nu).value
             assert got == pytest.approx(linprog_w1(mu, nu), abs=1e-9)
 
     def test_lcm_oracle(self):
@@ -164,7 +166,7 @@ class TestFlowAgainstOracles:
         for _ in range(40):
             mu = random_measure(rng, 2, 2, uniform=True)
             nu = random_measure(rng, 3, 2, uniform=True)
-            assert w1(mu, nu, method="flow").value == pytest.approx(
+            assert w1(mu, nu).value == pytest.approx(
                 w1_oracle_lcm(mu, nu), abs=1e-9
             )
 
@@ -172,9 +174,7 @@ class TestFlowAgainstOracles:
         rng = np.random.default_rng(7)
         mu = random_measure(rng, 4, 2, uniform=True)
         nu = random_measure(rng, 4, 2, uniform=True)
-        assert w1_oracle_lcm(mu, nu) == pytest.approx(
-            w1_equal_size_assignment(mu.support, nu.support).value, abs=1e-12
-        )
+        assert w1_oracle_lcm(mu, nu) == pytest.approx(w1(mu, nu).value, abs=1e-12)
 
     def test_lcm_limit(self):
         rng = np.random.default_rng(8)
@@ -201,7 +201,7 @@ class TestCertificates:
         for _ in range(25):
             mu = random_measure(rng, int(rng.integers(1, 7)), 2)
             nu = random_measure(rng, int(rng.integers(1, 7)), 2)
-            res = w1(mu, nu, method="flow")
+            res = w1(mu, nu)
             cert = res.plan.certificate()
             assert cert["max_feasibility_violation"] <= 1e-9
             assert cert["max_support_slack"] <= 1e-9
@@ -212,7 +212,7 @@ class TestCertificates:
         rng = np.random.default_rng(10)
         x = PointCloud(rng.normal(size=(6, 2)))
         y = PointCloud(rng.normal(size=(6, 2)))
-        res = w1_equal_size_assignment(x, y)
+        res = w1(empirical(x), empirical(y))
         u, v = res.plan.dual_potentials()
         c = cost_matrix_l1(x.points, y.points)
         assert float((u[:, None] + v[None, :] - c).max()) <= 1e-9
@@ -225,7 +225,7 @@ class TestCertificates:
         rng = np.random.default_rng(11)
         mu = random_measure(rng, 5, 2)
         nu = random_measure(rng, 7, 2)
-        plan = w1(mu, nu, method="flow").plan
+        plan = w1(mu, nu).plan
         np.testing.assert_allclose(plan.gamma.sum(axis=1), mu.weights, atol=1e-9)
         np.testing.assert_allclose(plan.gamma.sum(axis=0), nu.weights, atol=1e-9)
         c = cost_matrix_l1(mu.support.points, nu.support.points)
@@ -238,7 +238,7 @@ class TestMetricAxioms:
         for _ in range(20):
             mu = random_measure(rng, int(rng.integers(1, 7)), 2)
             nu = random_measure(rng, int(rng.integers(1, 7)), 2)
-            assert w1(mu, nu, method="flow").value == w1(nu, mu, method="flow").value
+            assert w1(mu, nu).value == w1(nu, mu).value
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(13)
@@ -471,7 +471,6 @@ class TestEngineParity:
             if min(a) and min(b):
                 # zero-mass points sit out of the simplex
                 assert_strongly_feasible(basis, mu.n, nu.n)
-            assert w1(mu, nu, method="flow").value == float(Fraction(total, den << shift))
 
     def test_repairs_a_suboptimal_hungarian_matching(self):
         # three steps of a contractive attention layer on a 1-d cloud; on
@@ -489,7 +488,7 @@ class TestEngineParity:
         total = oracle_total(cost, a, b)
         rows, cols = linear_sum_assignment(c)
         assert sum(cost[i][j] for i, j in zip(rows, cols)) > total
-        res = w1_equal_size_assignment(mu.support, nu.support)
+        res = w1(mu, nu)
         assert res.value == float(Fraction(total, den << shift))
         assert np.count_nonzero(res.plan.gamma) == mu.n
 
@@ -528,7 +527,7 @@ class TestEngineCertificates:
             n = int(rng.integers(1, 40))
             x = PointCloud(rng.normal(size=(n, 3)))
             y = PointCloud(rng.normal(size=(n, 3)))
-            res = w1_equal_size_assignment(x, y)
+            res = w1(empirical(x), empirical(y))
             assert_float_duals_exactly_feasible(res, cost_matrix_l1(x.points, y.points))
             assert res.plan.certificate()["max_feasibility_violation"] <= 0.0
             assert res.dual_gap == 0.0
@@ -537,7 +536,7 @@ class TestEngineCertificates:
         rng = np.random.default_rng(21)
         mu = random_measure(rng, 7, 2)
         nu = random_measure(rng, 5, 2)
-        solved = w1(mu, nu, method="flow")
+        solved = w1(mu, nu)
         plan = TransportPlan(solved.plan.gamma, mu, nu, solved.value)
         assert plan._duals is None
         u, v = plan.dual_potentials()
@@ -590,13 +589,9 @@ class TestSolverHandOff:
         uniform = random_measure(rng, 5, 2, uniform=True), random_measure(rng, 5, 2, uniform=True)
         calls = self.count_cost_matrices(monkeypatch)
         for mu, nu in (weighted, uniform):
-            for method in ("auto", "flow"):
-                calls.clear()
-                w1(mu, nu, method=method)
-                assert calls == [(mu.n, nu.n)]
-        calls.clear()
-        w1_equal_size_assignment(uniform[0].support, uniform[1].support)
-        assert calls == [(5, 5)]
+            calls.clear()
+            w1(mu, nu)
+            assert calls == [(mu.n, nu.n)]
 
     def test_caller_plan_checks_its_cost_against_its_own_matrix(self, monkeypatch):
         rng = np.random.default_rng(24)
@@ -611,7 +606,9 @@ class TestSolverHandOff:
 
     @pytest.mark.parametrize("kind", ("grid", "near", "d1"))
     def test_uniform_w1_keeps_the_callers_measures(self, kind):
-        # the unit instances of the engine-parity corpus
+        # the unit instances of the engine-parity corpus; rebuilding the
+        # measures from their supports, as run_particles does, changes
+        # neither the value nor the plan
         rng = np.random.default_rng(["weighted", "grid", "product", "near", "d1"].index(kind))
         seen = 0
         for _ in range(420):
@@ -621,7 +618,7 @@ class TestSolverHandOff:
             seen += 1
             res = w1(mu, nu)
             assert res.plan.source is mu and res.plan.target is nu
-            want = w1_equal_size_assignment(mu.support, nu.support)
+            want = w1(empirical(mu.support), empirical(nu.support))
             assert res.value == want.value
             assert np.array_equal(res.plan.gamma, want.plan.gamma)
         assert seen >= 100
@@ -629,15 +626,21 @@ class TestSolverHandOff:
 
 class TestSolveEvents:
     def test_one_debug_event_per_solve(self, caplog):
+        # w1 picks the start from its input: the Hungarian one only for
+        # uniform measures of one size
         rng = np.random.default_rng(22)
         weighted = random_measure(rng, 6, 2), random_measure(rng, 4, 2)
         uniform = random_measure(rng, 5, 2, uniform=True), random_measure(rng, 5, 2, uniform=True)
+        unequal = random_measure(rng, 5, 2, uniform=True), random_measure(rng, 3, 2, uniform=True)
         with caplog.at_level(logging.DEBUG, logger="softmatch"):
             w1(*weighted)
             w1(*uniform)
+            w1(*unequal)
             TransportPlan(np.full((1, 1), 1.0), empirical([[0.0]]), empirical([[1.0]]), 1.0).dual_potentials()
         events = [r for r in caplog.records if r.name == "softmatch"]
-        assert [r.args[:3] for r in events] == [("flow", 6, 4), ("assignment", 5, 5), ("duals", 1, 1)]
+        assert [r.args[:3] for r in events] == [
+            ("flow", 6, 4), ("assignment", 5, 5), ("flow", 5, 3), ("duals", 1, 1)
+        ]
         for r in events:
             assert r.levelno == logging.DEBUG
             assert r.msg.count("%") == len(r.args)
