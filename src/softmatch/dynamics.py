@@ -147,6 +147,8 @@ def deq_solve(
     """
     if tol <= 0:
         raise InvalidInput("tol must be positive")
+    if max_iter < 1:
+        raise InvalidInput(f"max_iter must be >= 1, got {max_iter!r}")
     if x.points.shape != h0.points.shape:
         raise DimMismatch(
             f"input shape {x.points.shape} vs state shape {h0.points.shape}"
@@ -254,6 +256,8 @@ def invert_residual(
     """
     if tol <= 0:
         raise InvalidInput("tol must be positive")
+    if max_iter < 1:
+        raise InvalidInput(f"max_iter must be >= 1, got {max_iter!r}")
     lip = None
     if lip_check:
         lip = sampled_set_lipschitz(layer, y, seed=seed)

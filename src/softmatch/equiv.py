@@ -117,6 +117,8 @@ def run_equivalence(
         raise InvalidInput(f"d_choices must be dimensions >= 1, got {d_choices!r}")
     if n_max < 1:
         raise InvalidInput(f"n_max must be >= 1, got {n_max!r}")
+    if trials < 1:
+        raise InvalidInput(f"trials must be >= 1, got {trials!r}")
     worst = {"deviation": -1.0}
     max_dev = 0.0
     for t in range(trials):

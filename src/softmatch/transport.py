@@ -1,30 +1,42 @@
 """Exact 1-Wasserstein distance between empirical measures, l1 ground metric.
 
-Every solve is one exact transportation network simplex. Every float is a
-dyadic rational, so costs and weights are scaled by powers of two with no
-rounding at all; flows and node potentials are exact Python integers on a
-spanning-tree basis, and the optimum is converted back with one correctly
-rounded division. numpy prices all N*M arcs at once from correctly rounded
-float copies of the potentials; an arc enters only once its reduced cost
-is confirmed negative in exact integers, and arcs within the float error
-bound of zero are settled exactly. The solve stops when no arc is exactly
-negative, so the primal, the dual and complementary slackness hold by
-construction: every plan carries the dual potentials of its optimal basis,
-rounded toward -inf so that they stay exactly feasible. The only
-approximation anywhere is a mass-balance adjustment of a few integer
+Every float is a dyadic rational, so weights and costs are scaled by powers
+of two to exact integers with no rounding; the optimum is exact over those
+integers and converted back with one correctly rounded division. The only
+approximation in the masses is a mass-balance adjustment of a few integer
 grains when the two weight vectors do not sum to bitwise identical totals;
 its worst-case effect is charged to the reported dual gap.
 
-`w1` is the one entry point, and it picks the starting basis from its
-input: for uniform equal-size measures the LP is an assignment problem,
-and scipy's Hungarian matching warm-starts the simplex, which supplies
-exact duals and repairs the matching where float rounding left it
-suboptimal; every other pair starts from the matrix-minimum allocation.
-Oracles: factorial enumeration over permutations, and LCM replication for
-uniform unequal sizes.
+On the line (d = 1) the monotone coupling of the sorted supports is
+optimal for |x - y| costs, and W1 = int |F - G| for the cumulative masses
+F and G. `_line_basis` merges the sorted supports once, in exact integers:
+the value is W1 with the exact costs |x - y|, and the dual potentials come
+from the same walk, exactly feasible with strong duality by construction.
 
-Desk-scale limits: the dense LP path accepts N, M <= 512; product
-measures hold at most 64 support points.
+For d >= 2 every solve is one exact transportation network simplex on the
+float l1 cost matrix: "exact" means the exact optimum of the LP over those
+float costs, each c_ij = fl(sum_k |x_ik - y_jk|) read exactly as a dyadic
+integer. Flows and node potentials are exact Python integers on a
+spanning-tree basis. numpy prices all N*M arcs at once from correctly
+rounded float copies of the potentials; an arc enters only once its
+reduced cost is confirmed negative in exact integers, and arcs within the
+float error bound of zero are settled exactly. The solve stops when no arc
+is exactly negative, so the primal, the dual and complementary slackness
+hold by construction. Every plan carries the dual potentials of its
+optimal basis, rounded toward -inf so that they stay exactly feasible for
+the float cost matrix.
+
+`w1` is the one entry point, and it picks the path from its input: d = 1
+takes the sorted-supports path; otherwise uniform equal-size measures
+start the simplex from scipy's Hungarian matching, which the simplex
+certifies and repairs where float rounding left it suboptimal, and every
+other pair starts from the matrix-minimum allocation. Oracles: factorial
+enumeration over permutations, and LCM replication for uniform unequal
+sizes.
+
+Desk-scale limits: every path accepts N, M <= 512, d = 1 included: the
+plan is a dense N x M array, and its check builds the N x M cost matrix.
+Product measures hold at most 64 support points.
 """
 from __future__ import annotations
 
@@ -43,7 +55,7 @@ from .errors import (
     SizeMismatch,
     SupportTooLarge,
 )
-from .measures import EmpiricalMeasure, PointCloud
+from .measures import EmpiricalMeasure, PointCloud, canonical_order
 
 MAX_LP_SUPPORT = 512
 MAX_PRODUCT_SUPPORT = 64
@@ -95,23 +107,25 @@ def _dyadic_ints(values: np.ndarray, shift: int | None = None) -> tuple[list[int
     return [m << (e + shift) for m, e in zip(ms, es)], shift
 
 
-def _integer_masses(wa: np.ndarray, wb: np.ndarray):
+def _integer_masses(mu: EmpiricalMeasure, nu: EmpiricalMeasure):
     """Exact integer supplies/demands over a common denominator, balanced.
 
     The two float weight vectors rarely sum to bitwise identical totals;
     the deficit (a few grains at most) is added to the largest entry of the
     lighter side and returned so callers can charge it to the dual gap.
+    Among equally large entries it goes to the first support point in
+    canonical order, so the masses follow any permutation of the support.
     """
-    ints, shift = _dyadic_ints(np.concatenate([wa, wb]))
-    a = ints[: len(wa)]
-    b = ints[len(wa):]
+    ints, shift = _dyadic_ints(np.concatenate([mu.weights, nu.weights]))
+    a = ints[: mu.n]
+    b = ints[mu.n:]
     ta, tb = sum(a), sum(b)
-    slop = abs(ta - tb)
-    if ta < tb:
-        a[max(range(len(a)), key=a.__getitem__)] += tb - ta
-    elif tb < ta:
-        b[max(range(len(b)), key=b.__getitem__)] += ta - tb
-    return a, b, shift, slop
+    if ta != tb:
+        side, masses = (mu, a) if ta < tb else (nu, b)
+        top = max(masses)
+        k = next(k for k in canonical_order(side.support.points).tolist() if masses[k] == top)
+        masses[k] += abs(ta - tb)
+    return a, b, shift, abs(ta - tb)
 
 
 # ---------------------------------------------------------------------------
@@ -164,16 +178,19 @@ class TransportPlan:
 
         Plans from the solvers carry the duals of their optimal basis,
         tight to an ulp wherever gamma_ij > 0. For a plan built by a caller
-        they come from solving the LP of the two measures exactly, so they
-        are feasible whatever the plan; a suboptimal plan shows up as
+        they come from solving the LP of the two measures exactly (on the
+        sorted-supports path at d = 1), so they are feasible whatever the
+        plan; a suboptimal plan shows up as
         certificate()["max_support_slack"] > 0.
         """
         if self._duals is None:
             c = cost_matrix_l1(self.source.support.points, self.target.support.points)
-            supply, demand, _, _ = _integer_masses(self.source.weights, self.target.weights)
-            shift = _dyadic_shift(c)
-            basis = _solve_masses(c, supply, demand, shift, "duals")
-            object.__setattr__(self, "_duals", _float_duals(basis, shift))
+            supply, demand, _, _ = _integer_masses(self.source, self.target)
+            if self.source.dim == 1:
+                duals = _line_duals(_line_basis(self.source, self.target, supply, demand), c)
+            else:
+                duals = _float_duals(_solve_masses(c, supply, demand, _dyadic_shift(c), "duals"))
+            object.__setattr__(self, "_duals", duals)
         return self._duals
 
     def certificate(self) -> dict:
@@ -221,15 +238,17 @@ class W1Result:
 
 @dataclass(frozen=True)
 class _Basis:
-    """An optimal basis: the spanning-tree arcs (i, j, flow), exact integer
+    """An optimal basis: the basic arcs (i, j, flow), exact integer
     potentials u, v (costs scaled by 2**shift) with c_ij - u_i - v_j >= 0
     on every arc and = 0 on every basic arc, and the exact objective
-    sum flow * c."""
+    sum flow * c. The simplex's arcs span a tree; the line path keeps only
+    the arcs that carry flow."""
 
     arcs: list
     u: list
     v: list
     total: int
+    shift: int
 
 
 def _matrix_minimum_basis(c: np.ndarray, supply: list, demand: list) -> list:
@@ -459,7 +478,7 @@ def _network_simplex(c: np.ndarray, arcs: list, shift: int, path: str) -> _Basis
     ]
     costs = exact_costs([i * m + j for i, j, _ in arcs])
     total = sum(f * ck for (_, _, f), ck in zip(arcs, costs))
-    return _Basis(arcs, pot[:n], pot[n:], total)
+    return _Basis(arcs, pot[:n], pot[n:], total, shift)
 
 
 def _matching_basis(cols: list) -> list:
@@ -505,14 +524,14 @@ def _solve_masses(c: np.ndarray, supply: list, demand: list, shift: int, path: s
             v_row = _dyadic_ints(c[i], shift)[0]
             u[i] = min(ck - vj for ck, vj in zip(v_row, v))
     arcs = [(rows[i], cols[j], f) for i, j, f in basis.arcs]
-    return _Basis(arcs, u, v, basis.total)
+    return _Basis(arcs, u, v, basis.total, shift)
 
 
-def _float_duals(basis: _Basis, shift: int) -> tuple[np.ndarray, np.ndarray]:
+def _float_duals(basis: _Basis) -> tuple[np.ndarray, np.ndarray]:
     """The exact potentials over 2**shift, each rounded toward -inf: then
     u_i + v_j <= c_ij still holds exactly for the floats, and they stay
     within an ulp of tight on the support."""
-    scale = 1 << shift
+    scale = 1 << basis.shift
 
     def floor(x: int) -> float:
         f = x / scale
@@ -523,6 +542,92 @@ def _float_duals(basis: _Basis, shift: int) -> tuple[np.ndarray, np.ndarray]:
         np.array([floor(x) for x in basis.u]),
         np.array([floor(x) for x in basis.v]),
     )
+
+
+# ---------------------------------------------------------------------------
+# Exact W1 on the line
+# ---------------------------------------------------------------------------
+
+def _line_basis(mu: EmpiricalMeasure, nu: EmpiricalMeasure, supply: list, demand: list) -> _Basis:
+    """Optimal basis for the exact costs |x - y| on R, by merging the
+    sorted supports.
+
+    Coordinates are read exactly as integers over 2**shift. The
+    north-west-corner coupling of the stably sorted supports is monotone,
+    hence optimal, and has at most n + m - 1 arcs with positive flow. The
+    duals come from one walk over the merged supports: u_i = phi(x_i) and
+    v_j = -phi(y_j), where phi(t) = -int sign(F - G) for the cumulative
+    masses F and G. phi is 1-Lipschitz, so u_i + v_j <= |x_i - y_j|, with
+    equality on every arc (F - G keeps one sign between the ends of an arc
+    that moves mass), and summing by parts gives
+    sum a u + sum b v = int |F - G| = total.
+    """
+    n, m = mu.n, nu.n
+    coords = np.concatenate([mu.support.points[:, 0], nu.support.points[:, 0]])
+    pos, shift = _dyadic_ints(coords)
+    order = np.argsort(coords, kind="stable").tolist()
+    phi = [0] * (n + m)
+    level = excess = 0
+    at = pos[order[0]]
+    for k in order:
+        level -= ((excess > 0) - (excess < 0)) * (pos[k] - at)
+        at = pos[k]
+        phi[k] = level
+        excess += supply[k] if k < n else -demand[k - n]
+    xs = [k for k in order if k < n]
+    ys = [k - n for k in order if k >= n]
+    arcs = []
+    total = i = j = 0
+    left, right = supply[xs[0]], demand[ys[0]]
+    while True:
+        f = min(left, right)
+        if f:
+            arcs.append((xs[i], ys[j], f))
+            total += f * abs(pos[xs[i]] - pos[n + ys[j]])
+            left -= f
+            right -= f
+        if not left:
+            i += 1
+            if i == n:
+                break
+            left = supply[xs[i]]
+        if not right:
+            j += 1
+            if j == m:
+                break
+            right = demand[ys[j]]
+    log.debug(
+        "w1 %s: n=%d m=%d pivots=%d degenerate=%d tie_checks=%d", "line", n, m, 0, 0, 0
+    )
+    return _Basis(arcs, phi[:n], [-p for p in phi[n:]], total, shift)
+
+
+def _two_sum_error(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """(a + b) - s exactly, for s = fl(a + b) (Knuth's TwoSum)."""
+    bb = s - a
+    return (a - (s - bb)) + (b - bb)
+
+
+def _line_duals(basis: _Basis, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The float duals of a line basis, exactly feasible for the float
+    cost matrix c.
+
+    The basis is feasible for the exact costs |x_i - y_j|, and c_ij can
+    round below them. Wherever u_i + v_j > c_ij in exact arithmetic (the
+    rounding error of each float sum is recovered exactly), v_j drops to
+    the largest float at most min_i (c_ij - u_i): an ulp of c at most.
+    """
+    u, v = _float_duals(basis)
+    s = u[:, None] + v[None, :]
+    over = (s > c) | ((s == c) & (_two_sum_error(u[:, None], v[None, :], s) > 0))
+    cols = np.flatnonzero(over.any(axis=0))
+    if cols.size:
+        sub = c[:, cols]
+        room = sub - u[:, None]
+        low = _two_sum_error(sub, -u[:, None], room) < 0
+        room[low] = np.nextafter(room[low], -np.inf)
+        v[cols] = np.minimum(v[cols], room.min(axis=0))
+    return u, v
 
 
 # ---------------------------------------------------------------------------
@@ -545,33 +650,41 @@ def _check_pair(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> None:
 def w1(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> W1Result:
     """Exact W1 between empirical measures with l1 ground costs.
 
-    Uniform measures of one size take the assignment path: the simplex
-    warm-started from a Hungarian matching, with unit masses and a zero
-    dual gap. Every other pair starts from the matrix-minimum allocation.
+    At d = 1 every pair takes the sorted-supports path, and the value is
+    W1 with the exact costs |x - y|, rounded once. At d >= 2 it is the
+    exact optimum of the LP over the float l1 cost matrix, rounded once:
+    uniform measures of one size take the assignment path, the simplex
+    warm-started from a Hungarian matching, and every other pair starts
+    from the matrix-minimum allocation. Uniform measures of one size get
+    unit masses and a zero dual gap on either path.
     """
     _check_pair(mu, nu)
-    if mu.n == nu.n and _is_uniform(mu) and _is_uniform(nu):
-        return _w1_assignment(mu, nu)
-
     c = cost_matrix_l1(mu.support.points, nu.support.points)
-    supply, demand, w_shift, slop = _integer_masses(mu.weights, nu.weights)
-    c_shift = _dyadic_shift(c)
-    basis = _solve_masses(c, supply, demand, c_shift, "flow")
-    mass_den = 1 << w_shift
-    gap = float(Fraction(slop, mass_den)) * float(c.max(initial=0.0))
-    return _result(mu, nu, c, basis, c_shift, mass_den, gap)
+    if mu.n == nu.n and _is_uniform(mu) and _is_uniform(nu):
+        if mu.dim > 1:
+            return _w1_assignment(mu, nu, c)
+        supply = demand = [1] * mu.n
+        mass_den, gap = mu.n, 0.0
+    else:
+        supply, demand, w_shift, slop = _integer_masses(mu, nu)
+        mass_den = 1 << w_shift
+        gap = float(Fraction(slop, mass_den)) * float(c.max(initial=0.0))
+    if mu.dim == 1:
+        basis = _line_basis(mu, nu, supply, demand)
+    else:
+        basis = _solve_masses(c, supply, demand, _dyadic_shift(c), "flow")
+    return _result(mu, nu, c, basis, mass_den, gap)
 
 
-def _result(mu, nu, c, basis: _Basis, c_shift: int, mass_den: int, gap: float) -> W1Result:
+def _result(mu, nu, c, basis: _Basis, mass_den: int, gap: float) -> W1Result:
     """Value, plan and duals of an optimal basis whose masses are
     weights * mass_den; the value is the exact optimum rounded once."""
-    value = float(Fraction(basis.total, mass_den << c_shift))
+    value = float(Fraction(basis.total, mass_den << basis.shift))
     gamma = np.zeros(c.shape)
     for i, j, f in basis.arcs:
         gamma[i, j] = f / mass_den
-    plan = TransportPlan(
-        gamma, mu, nu, value, _duals=_float_duals(basis, c_shift), cost_matrix=c
-    )
+    duals = _line_duals(basis, c) if mu.dim == 1 else _float_duals(basis)
+    plan = TransportPlan(gamma, mu, nu, value, _duals=duals, cost_matrix=c)
     return W1Result(value=value, plan=plan, dual_gap=gap)
 
 
@@ -587,7 +700,7 @@ def _exact_mean(values: np.ndarray, n: int) -> float:
     return float(Fraction(sum(ints), n << shift))
 
 
-def _w1_assignment(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> W1Result:
+def _w1_assignment(mu: EmpiricalMeasure, nu: EmpiricalMeasure, c: np.ndarray) -> W1Result:
     """W1 of two uniform measures of one size and dim via optimal assignment.
 
     For equal sizes and uniform weights the transportation LP optimum is
@@ -598,11 +711,9 @@ def _w1_assignment(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> W1Result:
     so it is exactly symmetric in the two inputs; the masses are exact, so
     the dual gap is 0. The plan refers to mu and nu themselves.
     """
-    c = cost_matrix_l1(mu.support.points, nu.support.points)
     _, cols = linear_sum_assignment(c)
-    shift = _dyadic_shift(c)
-    basis = _network_simplex(c, _matching_basis(cols.tolist()), shift, "assignment")
-    return _result(mu, nu, c, basis, shift, mu.n, 0.0)
+    basis = _network_simplex(c, _matching_basis(cols.tolist()), _dyadic_shift(c), "assignment")
+    return _result(mu, nu, c, basis, mu.n, 0.0)
 
 
 def w1_oracle_permutations(x: PointCloud, y: PointCloud) -> float:

@@ -215,7 +215,8 @@ class TestExitCodes:
         "case",
         (
             "dim_mismatch", "nan_csv", "zero_trials", "q_wrong_dim", "dims_zero",
-            "n_max_zero", "product_trials_zero", *BAD_FILES,
+            "n_max_zero", "product_trials_zero", "equiv_trials_zero", "deq_max_iter_zero",
+            "invert_max_iter_zero", *BAD_FILES,
         ),
     )
     def test_library_errors_are_usage_errors(self, workdir, capsys, case):
@@ -239,6 +240,15 @@ class TestExitCodes:
                 "dims_zero": ("equiv", "--dims", "0"),
                 "n_max_zero": ("equiv", "--n-max", "0"),
                 "product_trials_zero": ("lemmas", "--product", "--trials", "0"),
+                "equiv_trials_zero": ("equiv", "--trials", "0"),
+                "deq_max_iter_zero": (
+                    "deq", str(workdir / "x.csv"), "--config", str(workdir / "gauss.json"),
+                    "--max-iter", "0",
+                ),
+                "invert_max_iter_zero": (
+                    "invert", str(workdir / "x.csv"), "--config", str(workdir / "gauss.json"),
+                    "--max-iter", "0",
+                ),
             }[case]
         code, env, err = run(capsys, *argv)
         assert code == 2

@@ -6,6 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from flow_oracle import _min_cost_flow
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment, linprog
 
 from softmatch import transport
@@ -20,7 +22,9 @@ from softmatch.transport import (
     TransportPlan,
     _dyadic_ints,
     _dyadic_shift,
+    _float_duals,
     _integer_masses,
+    _line_basis,
     _matching_basis,
     _network_simplex,
     _solve_masses,
@@ -69,7 +73,7 @@ def matrix_minimum_w1(mu, nu):
     the input: the start `w1` takes for every pair but uniform equal-size
     ones, and the only way to reach it on those."""
     c = cost_matrix_l1(mu.support.points, nu.support.points)
-    a, b, w_shift, _ = _integer_masses(mu.weights, nu.weights)
+    a, b, w_shift, _ = _integer_masses(mu, nu)
     shift = _dyadic_shift(c)
     basis = _solve_masses(c, a, b, shift, "flow")
     return float(Fraction(basis.total, (1 << w_shift) << shift))
@@ -233,6 +237,18 @@ class TestCertificates:
 
 
 class TestMetricAxioms:
+    @pytest.mark.parametrize("d", (1, 2))
+    def test_uniform_unequal_sizes_permutation_invariant(self, d):
+        # the weights 1/n and 1/m sum to different floats, and the grains
+        # that balance them must go to the same point whatever the order
+        rng = np.random.default_rng(26)
+        for _ in range(60):
+            n, m = (int(k) for k in rng.integers(2, 13, size=2))
+            x, y = rng.uniform(-2, 2, (n, d)), rng.uniform(-2, 2, (m, d))
+            want = w1(empirical(x), empirical(y)).value
+            assert w1(empirical(x[rng.permutation(n)]), empirical(y)).value == want
+            assert w1(empirical(x), empirical(y[rng.permutation(m)])).value == want
+
     def test_symmetry_exact_flow(self):
         rng = np.random.default_rng(12)
         for _ in range(20):
@@ -335,7 +351,7 @@ def exact_lp(mu, nu, unit):
     cost = [ints[i * m : (i + 1) * m] for i in range(n)]
     if unit:
         return c, cost, shift, [1] * n, [1] * m, n
-    a, b, w_shift, _ = _integer_masses(mu.weights, nu.weights)
+    a, b, w_shift, _ = _integer_masses(mu, nu)
     return c, cost, shift, a, b, 1 << w_shift
 
 
@@ -475,7 +491,9 @@ class TestEngineParity:
     def test_repairs_a_suboptimal_hungarian_matching(self):
         # three steps of a contractive attention layer on a 1-d cloud; on
         # the last pair scipy's float Hungarian matching is exactly
-        # suboptimal (by about 4e-18), and its value would be 1 ulp high
+        # suboptimal (by about 4e-18) for the rounded costs, and its value
+        # would be 1 ulp high. w1 takes the line path at d = 1, so the
+        # simplex is started from that matching directly
         from softmatch.dynamics import run_particles
         from softmatch.kernels import AttentionConfig, LinearLookup
         from softmatch.potentials import Gaussian
@@ -488,9 +506,129 @@ class TestEngineParity:
         total = oracle_total(cost, a, b)
         rows, cols = linear_sum_assignment(c)
         assert sum(cost[i][j] for i, j in zip(rows, cols)) > total
+        basis = _network_simplex(c, _matching_basis(cols.tolist()), shift, "assignment")
+        assert float(Fraction(basis.total, den << shift)) == float(Fraction(total, den << shift))
+        assert sum(f > 0 for _, _, f in basis.arcs) == mu.n
+        assert w1(mu, nu).value == float(line_oracle(mu, nu))
+
+
+# ---------------------------------------------------------------------------
+# The line path against exact rational oracles
+# ---------------------------------------------------------------------------
+
+def solver_masses(mu, nu):
+    """The integer masses a w1 solve reads, and their denominator: unit
+    masses for uniform measures of one size, the weights' otherwise."""
+    if mu.n == nu.n and transport._is_uniform(mu) and transport._is_uniform(nu):
+        return [1] * mu.n, [1] * nu.n, mu.n
+    a, b, w_shift, _ = _integer_masses(mu, nu)
+    return a, b, 1 << w_shift
+
+
+def line_oracle(mu, nu):
+    """int |F - G| in exact rationals over those masses: the W1 of the
+    two measures on the line with the exact costs |x - y|."""
+    a, b, den = solver_masses(mu, nu)
+    events = sorted(
+        [(Fraction(x), Fraction(k, den)) for x, k in zip(mu.support.points[:, 0].tolist(), a)]
+        + [(Fraction(y), -Fraction(k, den)) for y, k in zip(nu.support.points[:, 0].tolist(), b)],
+        key=lambda e: e[0],
+    )
+    total = excess = Fraction(0)
+    at = events[0][0]
+    for t, w in events:
+        total += abs(excess) * (t - at)
+        excess += w
+        at = t
+    return total
+
+
+# positions on a grid (exact ties), anywhere in [-4, 4] (subnormals and
+# signed zeros included) and across 72 binades, where |x - y| rounds
+_positions = st.one_of(
+    st.integers(-8, 8).map(lambda k: k / 4.0),
+    st.floats(-4.0, 4.0),
+    st.builds(
+        lambda sign, e, k: sign * k * 2.0**e,
+        st.sampled_from((-1.0, 1.0)), st.integers(-70, 2), st.sampled_from((1.0, 3.0)),
+    ),
+)
+
+
+@st.composite
+def line_inputs(draw):
+    """Points and weights (None for uniform) of two measures on the line,
+    drawn from one pool of positions, so points repeat within and across
+    the supports; weights are small integers, zeros included."""
+    pool = draw(st.lists(_positions, min_size=1, max_size=8))
+    n = draw(st.integers(1, 10))
+    m = n if draw(st.booleans()) else draw(st.integers(1, 10))
+
+    def side(k):
+        pts = np.array(draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k)))[:, None]
+        if draw(st.booleans()):
+            return pts, None
+        w = np.array(draw(st.lists(st.integers(0, 4), min_size=k, max_size=k)), dtype=float)
+        w[0] += not w.any()
+        return pts, w / w.sum()
+
+    return side(n), side(m)
+
+
+def line_measure(pts, w, perm=slice(None)):
+    """The measure on pts[perm] with weights w[perm]: jointly permuted
+    constructions from one weight vector."""
+    if w is None:
+        return empirical(pts[perm])
+    return EmpiricalMeasure(PointCloud(pts[perm]), w[perm])
+
+
+class TestLinePath:
+    """d = 1 merges the sorted supports: the value is the exact W1 with
+    |x - y| costs, and the basis is checked in exact integers."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(line_inputs(), st.data())
+    def test_value_duals_and_basis_exact(self, inputs, data):
+        (xs, wx), (ys, wy) = inputs
+        mu, nu = line_measure(xs, wx), line_measure(ys, wy)
         res = w1(mu, nu)
-        assert res.value == float(Fraction(total, den << shift))
-        assert np.count_nonzero(res.plan.gamma) == mu.n
+        want = line_oracle(mu, nu)
+        assert res.value == float(want)
+        c = cost_matrix_l1(mu.support.points, nu.support.points)
+        assert_float_duals_exactly_feasible(res, c)
+        assert np.count_nonzero(res.plan.gamma) <= mu.n + nu.n - 1
+
+        a, b, den = solver_masses(mu, nu)
+        basis = _line_basis(mu, nu, a, b)
+        scale = 1 << basis.shift
+        cost = []
+        for x in mu.support.points[:, 0].tolist():
+            row = [abs(Fraction(x) - Fraction(y)) * scale for y in nu.support.points[:, 0].tolist()]
+            assert all(q.denominator == 1 for q in row)
+            cost.append([int(q) for q in row])
+        total = want * den * scale
+        assert total.denominator == 1
+        assert_exact_basis(basis, cost, a, b, int(total))
+
+        assert w1(nu, mu).value == res.value
+        p = data.draw(st.permutations(range(mu.n)))
+        q = data.draw(st.permutations(range(nu.n)))
+        assert w1(line_measure(xs, wx, p), nu).value == res.value
+        assert w1(mu, line_measure(ys, wy, q)).value == res.value
+
+    def test_float_duals_fit_costs_rounded_below_the_exact_ones(self):
+        # |x - y| needs more than 53 bits here, and fl rounds it down below
+        # what the exact duals of the line basis add up to
+        mu = empirical([[-3 * 2.0**-55], [-3 * 2.0**-20]])
+        nu = empirical([[1.0], [2.0**-5]])
+        c = cost_matrix_l1(mu.support.points, nu.support.points)
+        u, v = _float_duals(_line_basis(mu, nu, [1, 1], [1, 1]))
+        assert (np.array([[Fraction(x) + Fraction(y) for y in v] for x in u]) > c).any()
+        res = w1(mu, nu)
+        assert_float_duals_exactly_feasible(res, c)
+        assert res.value == float(line_oracle(mu, nu))
+        assert res.plan.certificate()["max_support_slack"] <= 2.0**-52
 
 
 class TestNetworkxOracle:
@@ -625,24 +763,46 @@ class TestSolverHandOff:
 
 
 class TestSolveEvents:
+    @staticmethod
+    def events(caplog):
+        return [r for r in caplog.records if r.name == "softmatch"]
+
     def test_one_debug_event_per_solve(self, caplog):
-        # w1 picks the start from its input: the Hungarian one only for
-        # uniform measures of one size
+        # w1 picks the path from its input: the line one for every d = 1
+        # pair, otherwise the Hungarian start only for uniform measures of
+        # one size
         rng = np.random.default_rng(22)
         weighted = random_measure(rng, 6, 2), random_measure(rng, 4, 2)
         uniform = random_measure(rng, 5, 2, uniform=True), random_measure(rng, 5, 2, uniform=True)
         unequal = random_measure(rng, 5, 2, uniform=True), random_measure(rng, 3, 2, uniform=True)
+        weighted_1d = random_measure(rng, 6, 1), random_measure(rng, 4, 1)
+        uniform_1d = random_measure(rng, 5, 1, uniform=True), random_measure(rng, 5, 1, uniform=True)
         with caplog.at_level(logging.DEBUG, logger="softmatch"):
             w1(*weighted)
             w1(*uniform)
             w1(*unequal)
+            w1(*weighted_1d)
+            w1(*uniform_1d)
             TransportPlan(np.full((1, 1), 1.0), empirical([[0.0]]), empirical([[1.0]]), 1.0).dual_potentials()
-        events = [r for r in caplog.records if r.name == "softmatch"]
+            TransportPlan(
+                np.full((1, 1), 1.0), empirical([[0.0, 0.0]]), empirical([[1.0, 0.5]]), 1.5
+            ).dual_potentials()
+        events = self.events(caplog)
         assert [r.args[:3] for r in events] == [
-            ("flow", 6, 4), ("assignment", 5, 5), ("flow", 5, 3), ("duals", 1, 1)
+            ("flow", 6, 4), ("assignment", 5, 5), ("flow", 5, 3), ("line", 6, 4),
+            ("line", 5, 5), ("line", 1, 1), ("duals", 1, 1),
         ]
         for r in events:
             assert r.levelno == logging.DEBUG
             assert r.msg.count("%") == len(r.args)
             pivots, degenerate, ties = r.args[3:]
             assert 0 <= degenerate <= pivots and ties >= 0
+
+    def test_d1_never_reaches_the_simplex(self, caplog):
+        # a 512-point weighted pair is the largest the simplex took seconds
+        # on; one line event and nothing else
+        rng = np.random.default_rng(27)
+        mu, nu = random_measure(rng, 512, 1), random_measure(rng, 512, 1)
+        with caplog.at_level(logging.DEBUG, logger="softmatch"):
+            w1(mu, nu)
+        assert [r.args[:3] for r in self.events(caplog)] == [("line", 512, 512)]
