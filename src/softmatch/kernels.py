@@ -316,8 +316,7 @@ def softmatch_measure(
     potential: Potential, q: np.ndarray, nu: EmpiricalMeasure
 ) -> EmpiricalMeasure:
     """The softmatch output: same support as nu, reweighted by G(q, .)."""
-    # normalized once by softmatch_weights: no second renormalization pass
-    return EmpiricalMeasure._trusted(nu.support, softmatch_weights(potential, q, nu))
+    return EmpiricalMeasure(nu.support, softmatch_weights(potential, q, nu))
 
 
 def apply_lookup(lookup: Lookup, mu: EmpiricalMeasure) -> EmpiricalMeasure:
@@ -326,10 +325,7 @@ def apply_lookup(lookup: Lookup, mu: EmpiricalMeasure) -> EmpiricalMeasure:
         raise DimMismatch(
             f"lookup input dim {lookup.in_dim} vs measure dim {mu.dim}"
         )
-    # weights pass through bitwise (no renormalization pass)
-    return EmpiricalMeasure._trusted(
-        PointCloud(lookup.apply_points(mu.support.points)), mu.weights
-    )
+    return EmpiricalMeasure(PointCloud(lookup.apply_points(mu.support.points)), mu.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +361,7 @@ def attention_pushforward(
     is mapped through the attention kernel (interacting with mu itself),
     keeping its weight."""
     outs = _attend(cfg, mu.support.points, mu)
-    return EmpiricalMeasure._trusted(PointCloud(outs), mu.weights)
+    return EmpiricalMeasure(PointCloud(outs), mu.weights)
 
 
 def self_attention(cfg: AttentionConfig, cloud: PointCloud) -> PointCloud:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -108,10 +109,11 @@ def _ordered_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class EmpiricalMeasure:
     """A finitely supported probability measure sum_i w_i * delta_{x_i}.
 
-    Weights are nonnegative and must sum to 1 within 1e-12; benign float
-    drift inside that tolerance is renormalized away on construction,
-    anything larger is an error. Support points may repeat and are never
-    merged, so m(X) with duplicated tokens round-trips.
+    Weights are nonnegative, must sum to 1 within 1e-12 (the exact sum,
+    so the check does not depend on their order) and are kept exactly as
+    given: rebuilding a measure from its own weights changes nothing. W1
+    normalizes the masses it reads exactly. Support points may repeat and
+    are never merged, so m(X) with duplicated tokens round-trips.
     """
 
     support: PointCloud
@@ -120,38 +122,22 @@ class EmpiricalMeasure:
     def __init__(self, support: PointCloud, weights):
         if not isinstance(support, PointCloud):
             support = PointCloud(support)
-        w = np.asarray(weights, dtype=np.float64).copy()
+        w = np.array(weights, dtype=np.float64)
         if w.shape != (support.n,):
             raise InvalidInput(
                 f"weights shape {w.shape} does not match support size {support.n}"
             )
-        if not np.all(np.isfinite(w)):
+        ws = w.tolist()
+        if not all(map(math.isfinite, ws)):
             raise InvalidInput("weights must be finite")
-        if np.any(w < 0):
+        if min(ws) < 0:
             raise InvalidInput("weights must be nonnegative")
-        # the normalizer is summed in canonical order so that jointly
-        # permuted constructions renormalize to bitwise identical weights
-        order = canonical_order(support.points, w)
-        total = 0.0
-        for i in order:
-            total += w[i]
+        total = math.fsum(ws)
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise InvalidInput(f"weights sum to {total!r}, expected 1 within 1e-12")
-        if total != 1.0:
-            w /= total
         w.setflags(write=False)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "weights", w)
-
-    @classmethod
-    def _trusted(cls, support: PointCloud, weights: np.ndarray) -> "EmpiricalMeasure":
-        """Internal: adopt weights verbatim (already validated elsewhere)."""
-        obj = object.__new__(cls)
-        w = np.asarray(weights, dtype=np.float64).copy()
-        w.setflags(write=False)
-        object.__setattr__(obj, "support", support)
-        object.__setattr__(obj, "weights", w)
-        return obj
 
     @property
     def n(self) -> int:
@@ -163,10 +149,7 @@ class EmpiricalMeasure:
 
     def permuted(self, order) -> "EmpiricalMeasure":
         order = np.asarray(order, dtype=int)
-        # weights stay bitwise identical: no renormalization pass
-        return EmpiricalMeasure._trusted(
-            self.support.permuted(order), self.weights[order]
-        )
+        return EmpiricalMeasure(self.support.permuted(order), self.weights[order])
 
     def to_dict(self) -> dict:
         return {

@@ -1,11 +1,12 @@
 """Exact 1-Wasserstein distance between empirical measures, l1 ground metric.
 
-Every float is a dyadic rational, so weights and costs are scaled by powers
-of two to exact integers with no rounding; the optimum is exact over those
-integers and converted back with one correctly rounded division. The only
-approximation in the masses is a mass-balance adjustment of a few integer
-grains when the two weight vectors do not sum to bitwise identical totals;
-its worst-case effect is charged to the reported dual gap.
+Every float is a dyadic rational, so costs are scaled by a power of two to
+exact integers with no rounding; the optimum is exact over those integers
+and converted back with one correctly rounded division. A measure keeps the
+weights it is given, which sum to 1 only within 1e-12, so the masses are
+the weights normalized exactly: w_i / sum(w) as integers over one common
+denominator. Both sides then carry the same total mass, and the primal and
+dual optima agree exactly: the dual gap is 0.
 
 On the line (d = 1) the monotone coupling of the sorted supports is
 optimal for |x - y| costs, and W1 = int |F - G| for the cumulative masses
@@ -55,7 +56,7 @@ from .errors import (
     SizeMismatch,
     SupportTooLarge,
 )
-from .measures import EmpiricalMeasure, PointCloud, canonical_order
+from .measures import EmpiricalMeasure, PointCloud
 
 MAX_LP_SUPPORT = 512
 MAX_PRODUCT_SUPPORT = 64
@@ -107,25 +108,23 @@ def _dyadic_ints(values: np.ndarray, shift: int | None = None) -> tuple[list[int
     return [m << (e + shift) for m, e in zip(ms, es)], shift
 
 
-def _integer_masses(mu: EmpiricalMeasure, nu: EmpiricalMeasure):
-    """Exact integer supplies/demands over a common denominator, balanced.
+def _integer_masses(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> tuple[list, list, int]:
+    """Exact integer supplies and demands with equal totals: (supply,
+    demand, den) with supply[i] / den == mu.weights[i] / sum(mu.weights)
+    exactly, and likewise for nu.
 
-    The two float weight vectors rarely sum to bitwise identical totals;
-    the deficit (a few grains at most) is added to the largest entry of the
-    lighter side and returned so callers can charge it to the dual gap.
-    Among equally large entries it goes to the first support point in
-    canonical order, so the masses follow any permutation of the support.
+    Each side's dyadic integers, divided by their gcd, are scaled by the
+    other side's total over the gcd of the two totals, so both sum to
+    den = lcm of the totals; uniform weights keep small integer masses.
     """
-    ints, shift = _dyadic_ints(np.concatenate([mu.weights, nu.weights]))
+    ints, _ = _dyadic_ints(np.concatenate([mu.weights, nu.weights]))
     a = ints[: mu.n]
     b = ints[mu.n:]
-    ta, tb = sum(a), sum(b)
-    if ta != tb:
-        side, masses = (mu, a) if ta < tb else (nu, b)
-        top = max(masses)
-        k = next(k for k in canonical_order(side.support.points).tolist() if masses[k] == top)
-        masses[k] += abs(ta - tb)
-    return a, b, shift, abs(ta - tb)
+    ga, gb = math.gcd(*a), math.gcd(*b)
+    ta, tb = sum(a) // ga, sum(b) // gb
+    g = math.gcd(ta, tb)
+    sa, sb = tb // g, ta // g
+    return [x // ga * sa for x in a], [y // gb * sb for y in b], ta * sa
 
 
 # ---------------------------------------------------------------------------
@@ -178,18 +177,12 @@ class TransportPlan:
 
         Plans from the solvers carry the duals of their optimal basis,
         tight to an ulp wherever gamma_ij > 0. For a plan built by a caller
-        they come from solving the LP of the two measures exactly (on the
-        sorted-supports path at d = 1), so they are feasible whatever the
-        plan; a suboptimal plan shows up as
+        they are those of w1(source, target), so they are feasible whatever
+        the plan; a suboptimal plan shows up as
         certificate()["max_support_slack"] > 0.
         """
         if self._duals is None:
-            c = cost_matrix_l1(self.source.support.points, self.target.support.points)
-            supply, demand, _, _ = _integer_masses(self.source, self.target)
-            if self.source.dim == 1:
-                duals = _line_duals(_line_basis(self.source, self.target, supply, demand), c)
-            else:
-                duals = _float_duals(_solve_masses(c, supply, demand, _dyadic_shift(c), "duals"))
+            duals = w1(self.source, self.target).plan.dual_potentials()
             object.__setattr__(self, "_duals", duals)
         return self._duals
 
@@ -211,7 +204,8 @@ class TransportPlan:
 
 @dataclass(frozen=True)
 class W1Result:
-    """Optimal value, an optimal plan, and a certified duality gap."""
+    """Optimal value, an optimal plan, and its duality gap: the masses
+    are normalized exactly, so the gap is 0.0 on every path."""
 
     value: float
     plan: TransportPlan
@@ -255,7 +249,7 @@ def _matrix_minimum_basis(c: np.ndarray, supply: list, demand: list) -> list:
     """Matrix-minimum allocation with every node but the root sink m - 1
     carrying eps extra supply (eps less demand at a sink).
 
-    Amounts are (grains, eps) pairs compared lexicographically. The
+    Amounts are (mass, eps) pairs compared lexicographically. The
     perturbed problem is nondegenerate, so each allocation closes exactly
     one row or column until the last closes both: n + m - 1 arcs with
     positive perturbed flow, i.e. a spanning tree in which every zero-flow
@@ -650,42 +644,37 @@ def _check_pair(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> None:
 def w1(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> W1Result:
     """Exact W1 between empirical measures with l1 ground costs.
 
-    At d = 1 every pair takes the sorted-supports path, and the value is
-    W1 with the exact costs |x - y|, rounded once. At d >= 2 it is the
+    The masses are the weights normalized exactly, each side by its own
+    sum. At d = 1 every pair takes the sorted-supports path, and the value
+    is W1 with the exact costs |x - y|, rounded once. At d >= 2 it is the
     exact optimum of the LP over the float l1 cost matrix, rounded once:
     uniform measures of one size take the assignment path, the simplex
     warm-started from a Hungarian matching, and every other pair starts
-    from the matrix-minimum allocation. Uniform measures of one size get
-    unit masses and a zero dual gap on either path.
+    from the matrix-minimum allocation. The dual gap is 0.0 on every path.
     """
     _check_pair(mu, nu)
     c = cost_matrix_l1(mu.support.points, nu.support.points)
-    if mu.n == nu.n and _is_uniform(mu) and _is_uniform(nu):
-        if mu.dim > 1:
-            return _w1_assignment(mu, nu, c)
-        supply = demand = [1] * mu.n
-        mass_den, gap = mu.n, 0.0
-    else:
-        supply, demand, w_shift, slop = _integer_masses(mu, nu)
-        mass_den = 1 << w_shift
-        gap = float(Fraction(slop, mass_den)) * float(c.max(initial=0.0))
+    if mu.dim > 1 and mu.n == nu.n and _is_uniform(mu) and _is_uniform(nu):
+        return _w1_assignment(mu, nu, c)
+    supply, demand, den = _integer_masses(mu, nu)
     if mu.dim == 1:
         basis = _line_basis(mu, nu, supply, demand)
     else:
         basis = _solve_masses(c, supply, demand, _dyadic_shift(c), "flow")
-    return _result(mu, nu, c, basis, mass_den, gap)
+    return _result(mu, nu, c, basis, den)
 
 
-def _result(mu, nu, c, basis: _Basis, mass_den: int, gap: float) -> W1Result:
-    """Value, plan and duals of an optimal basis whose masses are
-    weights * mass_den; the value is the exact optimum rounded once."""
-    value = float(Fraction(basis.total, mass_den << basis.shift))
+def _result(mu, nu, c, basis: _Basis, den: int) -> W1Result:
+    """Value, plan and duals of an optimal basis whose masses are the
+    normalized weights times den; the value is the exact optimum rounded
+    once, and the dual gap is 0."""
+    value = float(Fraction(basis.total, den << basis.shift))
     gamma = np.zeros(c.shape)
     for i, j, f in basis.arcs:
-        gamma[i, j] = f / mass_den
+        gamma[i, j] = f / den
     duals = _line_duals(basis, c) if mu.dim == 1 else _float_duals(basis)
     plan = TransportPlan(gamma, mu, nu, value, _duals=duals, cost_matrix=c)
-    return W1Result(value=value, plan=plan, dual_gap=gap)
+    return W1Result(value=value, plan=plan, dual_gap=0.0)
 
 
 def _exact_mean(values: np.ndarray, n: int) -> float:
@@ -713,7 +702,7 @@ def _w1_assignment(mu: EmpiricalMeasure, nu: EmpiricalMeasure, c: np.ndarray) ->
     """
     _, cols = linear_sum_assignment(c)
     basis = _network_simplex(c, _matching_basis(cols.tolist()), _dyadic_shift(c), "assignment")
-    return _result(mu, nu, c, basis, mu.n, 0.0)
+    return _result(mu, nu, c, basis, mu.n)
 
 
 def w1_oracle_permutations(x: PointCloud, y: PointCloud) -> float:

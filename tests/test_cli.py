@@ -256,6 +256,21 @@ class TestExitCodes:
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("input error: ")
 
+    @pytest.mark.parametrize("d", (1, 2))
+    def test_w1_on_weights_with_unequal_float_totals_passes(self, workdir, capsys, d):
+        # 0.7 + 0.3 and 0.4 + 0.3 + 0.3 are different sums of floats; W1
+        # normalizes each side exactly, so the gap is 0 however far apart
+        # the points lie
+        zero, far = [0.0] * d, [1e8] + [0.0] * (d - 1)
+        (workdir / "p.json").write_text(
+            json.dumps({"dim": d, "points": [zero, far], "weights": [0.7, 0.3]})
+        )
+        (workdir / "q.json").write_text(
+            json.dumps({"dim": d, "points": [zero, zero, far], "weights": [0.4, 0.3, 0.3]})
+        )
+        code, env, _ = run(capsys, "w1", str(workdir / "p.json"), str(workdir / "q.json"))
+        assert code == 0
+        assert env["report"]["dual_gap"] == 0.0
 
     # flag values argparse cannot parse, and a flag that no longer exists
     UNPARSABLE_FLAGS = {

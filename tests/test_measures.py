@@ -71,12 +71,19 @@ class TestEmpirical:
         with pytest.raises(InvalidInput):
             EmpiricalMeasure(cloud, [0.5])  # wrong length
 
-    def test_benign_drift_renormalized(self):
-        cloud = PointCloud([[0.0], [1.0]])
+    def test_weights_kept_bitwise(self):
+        # benign drift inside the tolerance is kept, not renormalized
         w = np.array([0.5, 0.5 + 4e-13])
-        mu = EmpiricalMeasure(cloud, w)
-        assert abs(mu.weights.sum() - 1.0) < 1e-15
-        np.testing.assert_allclose(mu.weights, [0.5, 0.5], atol=1e-12)
+        assert EmpiricalMeasure(PointCloud([[0.0], [1.0]]), w).weights.tobytes() == w.tobytes()
+        # a measure rebuilt from its own weights, or permuted, is the
+        # measure built from the same weights
+        pts = np.arange(6.0)[:, None]
+        w = np.array([0, 0, 1, 2, 2, 2]) / 7
+        mu = EmpiricalMeasure(PointCloud(pts), w)
+        assert EmpiricalMeasure(mu.support, mu.weights).weights.tobytes() == mu.weights.tobytes()
+        perm = np.array([3, 5, 0, 4, 1, 2])
+        rebuilt = EmpiricalMeasure(PointCloud(pts[perm]), w[perm])
+        assert mu.permuted(perm).weights.tobytes() == rebuilt.weights.tobytes()
 
 
 class TestBarycenter:

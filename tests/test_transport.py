@@ -1,6 +1,7 @@
 """Exact W1: solver examples, oracle agreement, certificates, metric axioms."""
 
 import logging
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -73,10 +74,10 @@ def matrix_minimum_w1(mu, nu):
     the input: the start `w1` takes for every pair but uniform equal-size
     ones, and the only way to reach it on those."""
     c = cost_matrix_l1(mu.support.points, nu.support.points)
-    a, b, w_shift, _ = _integer_masses(mu, nu)
+    a, b, den = _integer_masses(mu, nu)
     shift = _dyadic_shift(c)
     basis = _solve_masses(c, a, b, shift, "flow")
-    return float(Fraction(basis.total, (1 << w_shift) << shift))
+    return float(Fraction(basis.total, den << shift))
 
 
 class TestW1Examples:
@@ -239,8 +240,8 @@ class TestCertificates:
 class TestMetricAxioms:
     @pytest.mark.parametrize("d", (1, 2))
     def test_uniform_unequal_sizes_permutation_invariant(self, d):
-        # the weights 1/n and 1/m sum to different floats, and the grains
-        # that balance them must go to the same point whatever the order
+        # the weights 1/n and 1/m sum to 1 only within rounding; each side
+        # is normalized by its exact sum, which no order changes
         rng = np.random.default_rng(26)
         for _ in range(60):
             n, m = (int(k) for k in rng.integers(2, 13, size=2))
@@ -344,15 +345,18 @@ def exact_lp(mu, nu, unit):
     """The integer LP a solve works on: (c, cost rows, shift, a, b, den).
 
     unit=True is the assignment path's LP (unit masses, mass denominator
-    n); otherwise the masses are the weights over a power of two."""
+    n); otherwise the masses are the solver's, checked to be the weights
+    normalized exactly, w_i / sum(w) in rationals."""
     c = cost_matrix_l1(mu.support.points, nu.support.points)
     n, m = c.shape
     ints, shift = _dyadic_ints(c)
     cost = [ints[i * m : (i + 1) * m] for i in range(n)]
     if unit:
         return c, cost, shift, [1] * n, [1] * m, n
-    a, b, w_shift, _ = _integer_masses(mu, nu)
-    return c, cost, shift, a, b, 1 << w_shift
+    a, b, den = _integer_masses(mu, nu)
+    assert [Fraction(k, den) for k in a] == normalized(mu)
+    assert [Fraction(k, den) for k in b] == normalized(nu)
+    return c, cost, shift, a, b, den
 
 
 def oracle_total(cost, a, b):
@@ -516,13 +520,20 @@ class TestEngineParity:
 # The line path against exact rational oracles
 # ---------------------------------------------------------------------------
 
+def normalized(mu):
+    """The probability masses of mu, Fraction(w_i) / sum Fraction(w)."""
+    q = [Fraction(x) for x in mu.weights.tolist()]
+    total = sum(q)
+    return [x / total for x in q]
+
+
 def solver_masses(mu, nu):
-    """The integer masses a w1 solve reads, and their denominator: unit
-    masses for uniform measures of one size, the weights' otherwise."""
-    if mu.n == nu.n and transport._is_uniform(mu) and transport._is_uniform(nu):
-        return [1] * mu.n, [1] * nu.n, mu.n
-    a, b, w_shift, _ = _integer_masses(mu, nu)
-    return a, b, 1 << w_shift
+    """The normalized masses of both measures as integers over their least
+    common denominator, and that denominator: exact rationals alone, not
+    the solver's own masses."""
+    p, q = normalized(mu), normalized(nu)
+    den = math.lcm(*(x.denominator for x in p + q))
+    return [int(x * den) for x in p], [int(x * den) for x in q], den
 
 
 def line_oracle(mu, nu):
@@ -631,6 +642,45 @@ class TestLinePath:
         assert res.plan.certificate()["max_support_slack"] <= 2.0**-52
 
 
+def unequal_totals_pair(d):
+    """0.7 d_0 + 0.3 d_1e8 against 0.4 d_0 + 0.3 d_0 + 0.3 d_1e8 on R^d:
+    the float weights of the two sides sum to different totals."""
+    zero, far = [0.0] * d, [1e8] + [0.0] * (d - 1)
+    return (
+        EmpiricalMeasure(PointCloud([zero, far]), [0.7, 0.3]),
+        EmpiricalMeasure(PointCloud([zero, zero, far]), [0.4, 0.3, 0.3]),
+    )
+
+
+class TestExactNormalization:
+    """W1 reads each side's weights divided by their exact sum, so the two
+    sides carry equal mass and the dual gap is 0 wherever the points lie."""
+
+    @pytest.mark.parametrize("d", (1, 2))
+    def test_unequal_weight_totals_give_zero_gap(self, d):
+        mu, nu = unequal_totals_pair(d)
+        assert sum(map(Fraction, mu.weights.tolist())) != sum(map(Fraction, nu.weights.tolist()))
+        for a, b in ((mu, nu), (nu, mu)):
+            res = w1(a, b)
+            assert res.dual_gap == 0.0
+            # every point lies on the first axis, so l1 costs are |x - y|
+            assert res.value == float(line_oracle(a, b))
+
+    def test_wide_weighted_pairs_give_zero_gap(self):
+        rng = np.random.default_rng(28)
+        for _ in range(20):
+            d = int(rng.choice([1, 2]))
+            mu = EmpiricalMeasure(PointCloud(rng.uniform(-1e8, 1e8, (8, d))), _weights(rng, 8))
+            nu = EmpiricalMeasure(PointCloud(rng.uniform(-1e8, 1e8, (8, d))), _weights(rng, 8))
+            res = w1(mu, nu)
+            assert res.dual_gap == 0.0
+            if d == 1:
+                assert res.value == float(line_oracle(mu, nu))
+            else:
+                _, cost, shift, a, b, den = exact_lp(mu, nu, False)
+                assert res.value == float(Fraction(oracle_total(cost, a, b), den << shift))
+
+
 class TestNetworkxOracle:
     def test_integer_optimum_matches_networkx(self):
         nx = pytest.importorskip("networkx")
@@ -695,6 +745,12 @@ class TestEngineCertificates:
         assert cert["max_feasibility_violation"] <= 0.0
         assert cert["max_support_slack"] >= 1.0
         assert cert["dual_objective"] == 0.0 < cert["primal_objective"]
+
+    def test_caller_plan_duals_share_w1s_size_limit(self):
+        mu = empirical(np.arange(513.0)[:, None])
+        plan = TransportPlan(np.eye(513) / 513, mu, mu, 0.0)
+        with pytest.raises(SupportTooLarge):
+            plan.dual_potentials()
 
     def test_zero_mass_points_get_feasible_duals(self):
         mu = EmpiricalMeasure(PointCloud([[0.0], [5.0], [1.0]]), [0.5, 0.0, 0.5])
@@ -770,7 +826,7 @@ class TestSolveEvents:
     def test_one_debug_event_per_solve(self, caplog):
         # w1 picks the path from its input: the line one for every d = 1
         # pair, otherwise the Hungarian start only for uniform measures of
-        # one size
+        # one size; a caller-built plan takes its duals from w1
         rng = np.random.default_rng(22)
         weighted = random_measure(rng, 6, 2), random_measure(rng, 4, 2)
         uniform = random_measure(rng, 5, 2, uniform=True), random_measure(rng, 5, 2, uniform=True)
@@ -790,7 +846,7 @@ class TestSolveEvents:
         events = self.events(caplog)
         assert [r.args[:3] for r in events] == [
             ("flow", 6, 4), ("assignment", 5, 5), ("flow", 5, 3), ("line", 6, 4),
-            ("line", 5, 5), ("line", 1, 1), ("duals", 1, 1),
+            ("line", 5, 5), ("line", 1, 1), ("assignment", 1, 1),
         ]
         for r in events:
             assert r.levelno == logging.DEBUG
