@@ -20,18 +20,21 @@ float costs, each c_ij = fl(sum_k |x_ik - y_jk|) read exactly as a dyadic
 integer. Flows and node potentials are exact Python integers on a
 spanning-tree basis. numpy prices all N*M arcs at once from correctly
 rounded float copies of the potentials; an arc enters only once its
-reduced cost is confirmed negative in exact integers, and arcs within the
-float error bound of zero are settled exactly. The solve stops when no arc
-is exactly negative, so the primal, the dual and complementary slackness
-hold by construction. Every plan carries the dual potentials of its
+reduced cost is confirmed negative in exact integers. Arcs within the
+float error bound of zero are settled exactly; when there are many, a
+double-double pricing under a rigorous per-arc bound settles most of
+them first, and only the rest are checked in integers. The solve stops
+when no arc is exactly negative, so the primal, the dual and
+complementary slackness hold by construction. Every plan carries the dual potentials of its
 optimal basis, rounded toward -inf so that they stay exactly feasible for
 the float cost matrix.
 
 `w1` is the one entry point, and it picks the path from its input: d = 1
 takes the sorted-supports path; otherwise uniform equal-size measures
-start the simplex from scipy's Hungarian matching, which the simplex
-certifies and repairs where float rounding left it suboptimal, and every
-other pair starts from the matrix-minimum allocation. Oracles: factorial
+start the simplex from scipy's Hungarian matching, hung along its
+shortest-path tree so that an optimal matching is certified with no
+pivot, and repaired where float rounding left it suboptimal; every other
+pair starts from the matrix-minimum allocation. Oracles: factorial
 enumeration over permutations, and LCM replication for uniform unequal
 sizes.
 
@@ -288,6 +291,52 @@ def _matrix_minimum_basis(c: np.ndarray, supply: list, demand: list) -> list:
     raise RuntimeError("matrix-minimum start did not span the nodes")
 
 
+def _split(pot: list, shift: int) -> tuple[np.ndarray, list]:
+    """(hi, rem): hi[k] = pot[k] / 2**shift correctly rounded, and the
+    exact integer rest rem[k] = pot[k] - hi[k] * 2**shift.
+
+    hi[k] * 2**shift is always an integer (hi is coarser than 2**-shift
+    wherever it is inexact), read from one frexp as mant << (exp + shift).
+    """
+    scale = 1 << shift
+    hi = np.array([p / scale for p in pot])
+    mant, exp = np.frexp(hi)
+    ms = (mant * (1 << 53)).astype(np.int64).tolist()
+    ks = (exp.astype(np.int64) + (shift - 53)).tolist()
+    rem = [p - (a << k if k >= 0 else a >> -k) for p, a, k in zip(pot, ms, ks)]
+    return hi, rem
+
+
+def _two_sum_error(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """(a + b) - s exactly, for s = fl(a + b) (Knuth's TwoSum)."""
+    bb = s - a
+    return (a - (s - bb)) + (b - bb)
+
+
+def _tie_signs(c, uh, ul, vh, vl, grain: float) -> tuple[np.ndarray, np.ndarray]:
+    """(zero, positive): the arcs whose reduced cost r = c - u - v is
+    exactly 0, and those where it is exactly positive, refined in
+    double-double; the others need exact integers.
+
+    Each potential is split as in `_split`: u = uh + ul, with ul its rest
+    rounded to a float (exact unless u needs more than 106 bits). TwoSum
+    gives c - uh - vh = s2 + e1 + e2 exactly, and
+    r~ = s2 + ((e1 + e2) - (ul + vl)) errs from r by at most
+    err2 = 2^-50 (|e1| + |e2| + 2 |ul| + 2 |vl| + |r~|) + 2^-1070 (four
+    roundings and the split, with room; the constant covers underflow).
+    r is a multiple of grain = 2**-shift, so it is 0 where |r~| <= err2
+    and 2 err2 < grain, and positive where r~ > err2.
+    """
+    s1 = c - uh
+    e1 = _two_sum_error(c, -uh, s1)
+    s2 = s1 - vh
+    e2 = _two_sum_error(s1, -vh, s2)
+    r = s2 + ((e1 + e2) - (ul + vl))
+    err2 = np.abs(e1) + np.abs(e2) + 2.0 * (np.abs(ul) + np.abs(vl)) + np.abs(r)
+    err2 = np.ldexp(err2, -50) + math.ldexp(1.0, -1070)
+    return (np.abs(r) <= err2) & (2.0 * err2 < grain), r > err2
+
+
 def _network_simplex(c: np.ndarray, arcs: list, shift: int, path: str) -> _Basis:
     """Exact network simplex for the transportation problem on cost c.
 
@@ -299,10 +348,13 @@ def _network_simplex(c: np.ndarray, arcs: list, shift: int, path: str) -> _Basis
     rounding error of the float reduced cost r~:
 
     - r~ < -err: certainly negative;
-    - |r~| <= err: a possible tie, settled exactly through the candidate
-      list once no certainly negative arc is left. When 2 err is below
-      2**-shift, the grain of the exact values, every such arc is exactly
-      0 and none needs a check;
+    - |r~| <= err: a possible tie, looked at once no certainly negative arc
+      is left. When 2 err is below 2**-shift, the grain of the exact
+      values, every such arc is exactly 0. Otherwise, when the ties
+      outnumber 2 (n + m) + 128, `_tie_signs` prices them again in
+      double-double from the exact potentials, which settles most of them
+      as exactly 0 or exactly positive; the rest go through the candidate
+      list in exact integers;
     - r~ > err: certainly nonnegative.
 
     Candidates are taken most negative first and each is re-priced in
@@ -441,6 +493,15 @@ def _network_simplex(c: np.ndarray, arcs: list, shift: int, path: str) -> _Basis
                 break
             cand = np.flatnonzero(flat_red <= err)
             cand = cand[~basic[cand]]
+            if cand.size > 2 * size + 128:
+                # double-double settles most ties, at about the cost of
+                # exactly checking 2 (n + m) + 128 of them
+                hi, rem = _split(pot, shift)
+                lo = np.array([x / scale for x in rem])
+                i, j = np.divmod(cand, m)
+                j += n
+                zero, positive = _tie_signs(cflat[cand], hi[i], lo[i], hi[j], lo[j], grain)
+                cand = cand[~(zero | positive)]
             if cand.size == 0:
                 break
         order = np.argsort(flat_red[cand], kind="stable")
@@ -475,12 +536,57 @@ def _network_simplex(c: np.ndarray, arcs: list, shift: int, path: str) -> _Basis
     return _Basis(arcs, pot[:n], pot[n:], total, shift)
 
 
-def _matching_basis(cols: list) -> list:
-    """Unit masses matched i -> cols[i], plus a zero-flow arc from every
-    other source up to the root sink n - 1: a strongly feasible basis."""
-    root = len(cols) - 1
+def _assignment_basis(c: np.ndarray, cols: list) -> list:
+    """Unit masses matched i -> cols[i] on a strongly feasible basis rooted
+    at sink n - 1: the matching's shortest-path tree.
+
+    Row r0 is matched to the root. Every other row k hangs by a zero-flow
+    arc under the sink cols[p] of the pair p minimising
+    d_p + c[k, cols[p]] - c[p, cols[p]], with d_r0 = 0, so the tree
+    potentials are u_k = u_r0 + d_k: for an optimal matching they are dual
+    feasible, and the simplex only certifies it. The distances come from
+    an active-set Bellman-Ford in float, each round relaxing from the rows
+    that improved in the round before. One relaxation errs by at most
+    2^-52 (2 max c + max |d|) to first order, and an improvement counts
+    only past 2n times that, so rounding alone never closes a cycle of
+    predecessors. A row whose chain of predecessors does not reach r0 (a
+    negative cycle: the matching is suboptimal) hangs from the root sink
+    instead, and the simplex repairs the matching.
+    """
+    n = len(cols)
+    root = n - 1
+    r0 = cols.index(root)
+    a = c[:, cols]  # a[k, p] = c[k, cols[p]]
+    base = a.diagonal()
+    unit = n * math.ldexp(1.0, -51)
+    c_max = float(a.max(initial=0.0))
+    # the first round relaxes from r0 alone: every row under the root
+    d = a[:, r0] - base[r0]
+    d[r0] = 0.0
+    pred = np.full(n, r0)
+    rows = np.arange(n)
+    active = rows[rows != r0]
+    span = float(np.abs(d).max())
+    for _ in range(n - 1):
+        via = a[:, active] + (d[active] - base[active])
+        arg = via.argmin(axis=1)
+        best = via[rows, arg]
+        better = best < d - unit * (2.0 * c_max + span)
+        better[r0] = False
+        improved = np.flatnonzero(better)
+        if not improved.size:
+            break
+        pred[improved] = active[arg[improved]]
+        d[improved] = best[improved]
+        span = max(span, float(np.abs(d[improved]).max()))
+        active = improved
+    # pointer doubling: r0 is a fixed point, a cycle never reaches it
+    hop = pred.copy()
+    for _ in range(n.bit_length()):
+        hop = hop[hop]
+    sink = np.where(hop == r0, np.asarray(cols)[pred], root).tolist()
     return [(i, j, 1) for i, j in enumerate(cols)] + [
-        (i, root, 0) for i, j in enumerate(cols) if j != root
+        (k, sink[k], 0) for k in range(n) if k != r0
     ]
 
 
@@ -525,17 +631,11 @@ def _float_duals(basis: _Basis) -> tuple[np.ndarray, np.ndarray]:
     """The exact potentials over 2**shift, each rounded toward -inf: then
     u_i + v_j <= c_ij still holds exactly for the floats, and they stay
     within an ulp of tight on the support."""
-    scale = 1 << basis.shift
-
-    def floor(x: int) -> float:
-        f = x / scale
-        p, q = f.as_integer_ratio()
-        return math.nextafter(f, -math.inf) if p * scale > x * q else f
-
-    return (
-        np.array([floor(x) for x in basis.u]),
-        np.array([floor(x) for x in basis.v]),
-    )
+    n = len(basis.u)
+    hi, rem = _split(basis.u + basis.v, basis.shift)
+    down = np.array([r < 0 for r in rem], dtype=bool)
+    hi[down] = np.nextafter(hi[down], -np.inf)
+    return hi[:n], hi[n:]
 
 
 # ---------------------------------------------------------------------------
@@ -594,12 +694,6 @@ def _line_basis(mu: EmpiricalMeasure, nu: EmpiricalMeasure, supply: list, demand
         "w1 %s: n=%d m=%d pivots=%d degenerate=%d tie_checks=%d", "line", n, m, 0, 0, 0
     )
     return _Basis(arcs, phi[:n], [-p for p in phi[n:]], total, shift)
-
-
-def _two_sum_error(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """(a + b) - s exactly, for s = fl(a + b) (Knuth's TwoSum)."""
-    bb = s - a
-    return (a - (s - bb)) + (b - bb)
 
 
 def _line_duals(basis: _Basis, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -694,14 +788,17 @@ def _w1_assignment(mu: EmpiricalMeasure, nu: EmpiricalMeasure, c: np.ndarray) ->
 
     For equal sizes and uniform weights the transportation LP optimum is
     attained at a permutation. scipy's Hungarian matching (float
-    arithmetic) warm-starts the exact network simplex with unit masses,
-    which certifies it, or improves it where rounding left it suboptimal,
-    and supplies exact duals. The value is the exact optimum rounded once,
-    so it is exactly symmetric in the two inputs; the masses are exact, so
-    the dual gap is 0. The plan refers to mu and nu themselves.
+    arithmetic), hung along its shortest-path tree (`_assignment_basis`),
+    warm-starts the exact network simplex with unit masses. When the
+    matching is exactly optimal the tree potentials are already dual
+    feasible and the simplex certifies it without a pivot; otherwise it
+    improves the matching. Either way it supplies exact duals. The value
+    is the exact optimum rounded once, so it is exactly symmetric in the
+    two inputs; the masses are exact, so the dual gap is 0. The plan
+    refers to mu and nu themselves.
     """
     _, cols = linear_sum_assignment(c)
-    basis = _network_simplex(c, _matching_basis(cols.tolist()), _dyadic_shift(c), "assignment")
+    basis = _network_simplex(c, _assignment_basis(c, cols.tolist()), _dyadic_shift(c), "assignment")
     return _result(mu, nu, c, basis, mu.n)
 
 

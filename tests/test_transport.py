@@ -25,10 +25,12 @@ from softmatch.transport import (
     _dyadic_shift,
     _float_duals,
     _integer_masses,
+    _assignment_basis,
     _line_basis,
-    _matching_basis,
     _network_simplex,
     _solve_masses,
+    _split,
+    _tie_signs,
     cost_matrix_l1,
     product_measure,
     w1,
@@ -380,13 +382,13 @@ def assert_exact_basis(basis, cost, a, b, total):
     assert total == sum(map(int.__mul__, a, basis.u)) + sum(map(int.__mul__, b, basis.v))
 
 
-def assert_strongly_feasible(basis, n, m):
+def assert_strongly_feasible(arcs, n, m):
     """The arcs span all n + m nodes as a tree, and rooted at sink m - 1
     every zero-flow arc has its source as the child: the invariant that
     keeps degenerate pivots from cycling."""
-    assert len(basis.arcs) == n + m - 1
+    assert len(arcs) == n + m - 1
     adj = {}
-    for i, j, f in basis.arcs:
+    for i, j, f in arcs:
         adj.setdefault(i, []).append((n + j, f))
         adj.setdefault(n + j, []).append((i, f))
     parent, stack = {n + m - 1: None}, [n + m - 1]
@@ -480,9 +482,9 @@ class TestEngineParity:
             if unit:
                 # the assignment path's start: many zero-flow tree arcs
                 _, cols = linear_sum_assignment(c)
-                basis = _network_simplex(c, _matching_basis(cols.tolist()), shift, "assignment")
+                basis = _network_simplex(c, _assignment_basis(c, cols.tolist()), shift, "assignment")
                 assert_exact_basis(basis, cost, a, b, total)
-                assert_strongly_feasible(basis, mu.n, nu.n)
+                assert_strongly_feasible(basis.arcs, mu.n, nu.n)
             # the flow path on the weights' masses
             c, cost, shift, a, b, den = exact_lp(mu, nu, False)
             total = oracle_total(cost, a, b)
@@ -490,14 +492,14 @@ class TestEngineParity:
             assert_exact_basis(basis, cost, a, b, total)
             if min(a) and min(b):
                 # zero-mass points sit out of the simplex
-                assert_strongly_feasible(basis, mu.n, nu.n)
+                assert_strongly_feasible(basis.arcs, mu.n, nu.n)
 
     def test_repairs_a_suboptimal_hungarian_matching(self):
         # three steps of a contractive attention layer on a 1-d cloud; on
         # the last pair scipy's float Hungarian matching is exactly
         # suboptimal (by about 4e-18) for the rounded costs, and its value
         # would be 1 ulp high. w1 takes the line path at d = 1, so the
-        # simplex is started from that matching directly
+        # simplex is started from that matching's tree directly
         from softmatch.dynamics import run_particles
         from softmatch.kernels import AttentionConfig, LinearLookup
         from softmatch.potentials import Gaussian
@@ -510,10 +512,172 @@ class TestEngineParity:
         total = oracle_total(cost, a, b)
         rows, cols = linear_sum_assignment(c)
         assert sum(cost[i][j] for i, j in zip(rows, cols)) > total
-        basis = _network_simplex(c, _matching_basis(cols.tolist()), shift, "assignment")
+        basis = _network_simplex(c, _assignment_basis(c, cols.tolist()), shift, "assignment")
         assert float(Fraction(basis.total, den << shift)) == float(Fraction(total, den << shift))
         assert sum(f > 0 for _, _, f in basis.arcs) == mu.n
         assert w1(mu, nu).value == float(line_oracle(mu, nu))
+
+
+def _start_instance(kind, rng, n, d):
+    """Point sets of one size: generic, near-identical (1e-9 jitter),
+    quarter-grid ties, or clouds contracted to 1e-3 around 0.5."""
+    if kind == "generic":
+        return rng.uniform(-1, 1, (n, d)), rng.uniform(-1, 1, (n, d))
+    if kind == "near":
+        x = rng.uniform(-1, 1, (n, d))
+        return x, x + rng.uniform(-1e-9, 1e-9, x.shape)
+    if kind == "grid":
+        return rng.integers(-4, 5, (n, d)) / 4.0, rng.integers(-4, 5, (n, d)) / 4.0
+    return 0.5 + rng.uniform(-1e-3, 1e-3, (n, d)), 0.5 + rng.uniform(-1e-3, 1e-3, (n, d))
+
+
+START_KINDS = ("generic", "near", "grid", "contracted")
+START_SIZES = (1, 2, 3, 5, 8, 13, 24, 48, 96)
+
+
+class TestAssignmentStart:
+    """The shortest-path-tree start: a strongly feasible spanning tree
+    rooted at sink n - 1 from any matching, and the simplex from it reaches
+    the successive-shortest-path optimum exactly."""
+
+    @pytest.mark.parametrize("kind", START_KINDS)
+    def test_tree_and_exact_optimum(self, kind):
+        rng = np.random.default_rng(40 + START_KINDS.index(kind))
+        for d in (2, 3, 4):
+            for n in START_SIZES:
+                x, y = _start_instance(kind, rng, n, d)
+                mu, nu = empirical(x), empirical(y)
+                c, cost, shift, a, b, den = exact_lp(mu, nu, True)
+                total = oracle_total(cost, a, b)
+                # the Hungarian matching, and a random one that is
+                # suboptimal whenever the optimum is not degenerate
+                for cols in (linear_sum_assignment(c)[1].tolist(), rng.permutation(n).tolist()):
+                    arcs = _assignment_basis(c, cols)
+                    assert sorted((i, j) for i, j, f in arcs if f) == list(enumerate(cols))
+                    assert all(f in (0, 1) for _, _, f in arcs)
+                    assert_strongly_feasible(arcs, n, n)
+                    basis = _network_simplex(c, arcs, shift, "assignment")
+                    assert_exact_basis(basis, cost, a, b, total)
+                    assert_strongly_feasible(basis.arcs, n, n)
+
+    def test_negative_cycles_hang_from_the_root(self):
+        # matching i -> i with every row cheaper under the next row's sink:
+        # the predecessors close a negative cycle, so those rows hang from
+        # the root sink and the simplex repairs the matching
+        n = 6
+        c = np.full((n, n), 4.0)
+        np.fill_diagonal(c, 2.0)
+        c[np.arange(n), (np.arange(n) + 1) % n] = 1.0
+        arcs = _assignment_basis(c, list(range(n)))
+        assert_strongly_feasible(arcs, n, n)
+        assert [j for i, j, f in arcs if not f] == [n - 1] * (n - 1)
+        ints, shift = _dyadic_ints(c)
+        cost = [ints[i * n : (i + 1) * n] for i in range(n)]
+        basis = _network_simplex(c, arcs, shift, "assignment")
+        assert_exact_basis(basis, cost, [1] * n, [1] * n, oracle_total(cost, [1] * n, [1] * n))
+
+    @pytest.mark.parametrize("n, d, seed", ((128, 2, 0), (256, 4, 1)))
+    def test_generic_assignments_certify_without_pivots(self, caplog, n, d, seed):
+        # the Hungarian matching is optimal, and hung along its
+        # shortest-path tree its potentials are dual feasible: the simplex
+        # certifies it with no pivot. Hung from the root sink instead, these
+        # two took 257 and 658 pivots, all degenerate
+        rng = np.random.default_rng(seed)
+        mu = empirical(rng.uniform(-1, 1, (n, d)))
+        nu = empirical(rng.uniform(-1, 1, (n, d)))
+        with caplog.at_level(logging.DEBUG, logger="softmatch"):
+            w1(mu, nu)
+        events = [r.args for r in caplog.records if r.name == "softmatch"]
+        assert [e[:4] for e in events] == [("assignment", n, n, 0)]
+
+
+def _exact_signs(c, u, v, shift):
+    """sign(c_ij - u_i - v_j) over all arcs, in exact integers."""
+    n, m = c.shape
+    ints, _ = _dyadic_ints(c, shift)
+    r = [ints[i * m + j] - u[i] - v[j] for i in range(n) for j in range(m)]
+    return np.sign(np.array([(x > 0) - (x < 0) for x in r]))
+
+
+def _tie_classes(c, u, v, shift):
+    """_tie_signs on every arc, from the split potentials."""
+    n, m = c.shape
+    hi, rem = _split(list(u) + list(v), shift)
+    lo = np.array([x / (1 << shift) for x in rem])
+    i, j = np.divmod(np.arange(n * m), m)
+    return _tie_signs(c.reshape(-1), hi[i], lo[i], hi[n + j], lo[n + j], math.ldexp(1.0, -shift))
+
+
+class TestTieSigns:
+    """Double-double tie pricing: every arc it calls zero or positive is
+    exactly zero or positive, checked in exact integers."""
+
+    @pytest.mark.parametrize("kind", START_KINDS)
+    def test_classes_are_exact(self, kind):
+        rng = np.random.default_rng(50 + START_KINDS.index(kind))
+        settled = 0
+        for d in (2, 3, 4):
+            for n in START_SIZES:
+                x, y = _start_instance(kind, rng, n, d)
+                for weighted in (False, True):
+                    if weighted:
+                        mu = EmpiricalMeasure(PointCloud(x), _weights(rng, n))
+                        nu = EmpiricalMeasure(PointCloud(y), _weights(rng, n))
+                    else:
+                        mu, nu = empirical(x), empirical(y)
+                    c, cost, shift, a, b, den = exact_lp(mu, nu, not weighted)
+                    basis = _solve_masses(c, a, b, shift, "flow")
+                    # the optimal potentials, and the same moved by a few
+                    # grains, which makes exactly negative arcs
+                    u = list(basis.u)
+                    bumped = [p + int(k) for p, k in zip(u, rng.integers(-2, 3, n))]
+                    for uu in (u, bumped):
+                        exact = _exact_signs(c, uu, basis.v, shift)
+                        zero, positive = _tie_classes(c, uu, basis.v, shift)
+                        assert np.all(exact[zero] == 0)
+                        assert np.all(exact[positive] > 0)
+                        settled += int(zero.sum() + positive.sum())
+        assert settled > 0
+
+    def test_wide_binades_defer_to_exact_checks(self):
+        # costs of 1e-300 next to costs near 1 need a shift past 1000 bits:
+        # potentials near 1 plus or minus 1e-300 split with rounded rests,
+        # err2 then exceeds the grain, and the exact zeros on those arcs
+        # are left to the integer check
+        x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [1 / 3, 0.1]])
+        y = np.array([[1e-300, 0.0], [1.0, 3e-300], [0.25, 1.0], [0.5, 0.5 + 2.0**-30], [0.3, 1 / 7]])
+        c, cost, shift, a, b, den = exact_lp(empirical(x), empirical(y), True)
+        assert shift > 1000
+        basis = _solve_masses(c, a, b, shift, "flow")
+        exact = _exact_signs(c, basis.u, basis.v, shift)
+        zero, positive = _tie_classes(c, basis.u, basis.v, shift)
+        assert np.all(exact[zero] == 0) and np.all(exact[positive] > 0)
+        tiny = c.reshape(-1) < 1e-200
+        assert tiny.sum() == 2 and np.all(exact[tiny] == 0)
+        assert not (zero | positive)[tiny].any()
+
+    def test_wide_binades_classes_are_exact(self):
+        # coordinates near 1 or down to 1e-307: the split rests round, and
+        # the exact reduced costs, moved by a few grains, differ from the
+        # double-double ones by far more than a grain
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            n = int(rng.integers(2, 9))
+
+            def coords():
+                z = rng.uniform(0, 1, (n, 2))
+                tiny = rng.random((n, 2)) < 0.6
+                z[tiny] *= 10.0 ** -rng.integers(280, 308, tiny.sum())
+                return z
+
+            c, cost, shift, a, b, den = exact_lp(empirical(coords()), empirical(coords()), True)
+            basis = _solve_masses(c, a, b, shift, "flow")
+            for bump in (0, 2, 2):
+                u = [p + int(k) for p, k in zip(basis.u, rng.integers(-bump, bump + 1, n))]
+                exact = _exact_signs(c, u, basis.v, shift)
+                zero, positive = _tie_classes(c, u, basis.v, shift)
+                assert np.all(exact[zero] == 0)
+                assert np.all(exact[positive] > 0)
 
 
 # ---------------------------------------------------------------------------
