@@ -313,12 +313,13 @@ def _two_sum_error(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
     return (a - (s - bb)) + (b - bb)
 
 
-def _tie_signs(c, uh, ul, vh, vl, grain: float) -> tuple[np.ndarray, np.ndarray]:
-    """(zero, positive): the arcs whose reduced cost r = c - u - v is
-    exactly 0, and those where it is exactly positive, refined in
+def _tie_signs(c, src, dst, pot: list, shift: int) -> tuple[np.ndarray, np.ndarray]:
+    """(zero, positive): which arcs src[k] -> dst[k] of float cost c[k]
+    have an exactly zero, and which an exactly positive, reduced cost
+    r = c - pot[src] - pot[dst] (potentials over 2**shift), found in
     double-double; the others need exact integers.
 
-    Each potential is split as in `_split`: u = uh + ul, with ul its rest
+    Each potential is split by `_split` into u = uh + ul, with ul its rest
     rounded to a float (exact unless u needs more than 106 bits). TwoSum
     gives c - uh - vh = s2 + e1 + e2 exactly, and
     r~ = s2 + ((e1 + e2) - (ul + vl)) errs from r by at most
@@ -327,6 +328,10 @@ def _tie_signs(c, uh, ul, vh, vl, grain: float) -> tuple[np.ndarray, np.ndarray]
     r is a multiple of grain = 2**-shift, so it is 0 where |r~| <= err2
     and 2 err2 < grain, and positive where r~ > err2.
     """
+    hi, rem = _split(pot, shift)
+    scale = 1 << shift
+    lo = np.array([x / scale for x in rem])
+    uh, ul, vh, vl = hi[src], lo[src], hi[dst], lo[dst]
     s1 = c - uh
     e1 = _two_sum_error(c, -uh, s1)
     s2 = s1 - vh
@@ -334,7 +339,7 @@ def _tie_signs(c, uh, ul, vh, vl, grain: float) -> tuple[np.ndarray, np.ndarray]
     r = s2 + ((e1 + e2) - (ul + vl))
     err2 = np.abs(e1) + np.abs(e2) + 2.0 * (np.abs(ul) + np.abs(vl)) + np.abs(r)
     err2 = np.ldexp(err2, -50) + math.ldexp(1.0, -1070)
-    return (np.abs(r) <= err2) & (2.0 * err2 < grain), r > err2
+    return (np.abs(r) <= err2) & (2.0 * err2 < math.ldexp(1.0, -shift)), r > err2
 
 
 def _network_simplex(c: np.ndarray, arcs: list, shift: int, path: str) -> _Basis:
@@ -496,11 +501,8 @@ def _network_simplex(c: np.ndarray, arcs: list, shift: int, path: str) -> _Basis
             if cand.size > 2 * size + 128:
                 # double-double settles most ties, at about the cost of
                 # exactly checking 2 (n + m) + 128 of them
-                hi, rem = _split(pot, shift)
-                lo = np.array([x / scale for x in rem])
                 i, j = np.divmod(cand, m)
-                j += n
-                zero, positive = _tie_signs(cflat[cand], hi[i], lo[i], hi[j], lo[j], grain)
+                zero, positive = _tie_signs(cflat[cand], i, j + n, pot, shift)
                 cand = cand[~(zero | positive)]
             if cand.size == 0:
                 break

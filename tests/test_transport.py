@@ -29,7 +29,6 @@ from softmatch.transport import (
     _line_basis,
     _network_simplex,
     _solve_masses,
-    _split,
     _tie_signs,
     cost_matrix_l1,
     product_measure,
@@ -600,12 +599,10 @@ def _exact_signs(c, u, v, shift):
 
 
 def _tie_classes(c, u, v, shift):
-    """_tie_signs on every arc, from the split potentials."""
+    """_tie_signs on every arc."""
     n, m = c.shape
-    hi, rem = _split(list(u) + list(v), shift)
-    lo = np.array([x / (1 << shift) for x in rem])
     i, j = np.divmod(np.arange(n * m), m)
-    return _tie_signs(c.reshape(-1), hi[i], lo[i], hi[n + j], lo[n + j], math.ldexp(1.0, -shift))
+    return _tie_signs(c.reshape(-1), i, j + n, list(u) + list(v), shift)
 
 
 class TestTieSigns:
