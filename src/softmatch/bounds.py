@@ -16,7 +16,7 @@ be re-evaluated from its own ingredients, exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,13 +52,20 @@ class Ingredient:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """A theorem constant, its ingredients, and the assumptions behind it."""
+    """A theorem constant, its ingredients, and the assumptions behind it.
+
+    Status "ok" promises a true upper bound, so it is refused when an
+    assumption failed ("inapplicable") or when an ingredient was sampled
+    ("estimated": a sampled sup or inf only estimates the true one).
+    Diagnostics are reported values that the constant does not use.
+    """
 
     theorem: str
     value: float
     ingredients: dict
     assumptions_checked: tuple
     status: str = "ok"
+    diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.theorem not in THEOREMS:
@@ -67,15 +74,24 @@ class BoundReport:
             raise InvalidInput("bound value must be nonnegative")
         if any(not ok for _, ok in self.assumptions_checked) and self.status != "inapplicable":
             raise InvalidInput("failed assumptions force status 'inapplicable'")
+        if self.status == "ok" and _sampled(self.ingredients):
+            raise InvalidInput("a sampled ingredient forces status 'estimated'")
 
     def to_dict(self) -> dict:
-        return {
+        d = {
             "theorem": self.theorem,
             "value": self.value,
             "status": self.status,
             "ingredients": {k: v.to_dict() for k, v in self.ingredients.items()},
             "assumptions_checked": [list(a) for a in self.assumptions_checked],
         }
+        if self.diagnostics:
+            d["diagnostics"] = {k: v.to_dict() for k, v in self.diagnostics.items()}
+        return d
+
+
+def _sampled(ingredients: dict) -> bool:
+    return any(i.provenance.kind == "sampled" for i in ingredients.values())
 
 
 _ANALYTIC = Provenance("analytic")
@@ -134,7 +150,12 @@ def bound_bounded_contraction(
         ("eps(G) > 0", stats.eps_g > 0),
         ("seminorms finite", math.isfinite(stats.lip_left) and math.isfinite(stats.lip_right)),
     )
-    status = "ok" if all(ok for _, ok in assumptions) else "inapplicable"
+    if not all(ok for _, ok in assumptions):
+        status = "inapplicable"
+    elif _sampled(ingredients):
+        status = "estimated"
+    else:
+        status = "ok"
     return BoundReport("BoundedContraction", value, ingredients, assumptions, status)
 
 
@@ -251,7 +272,7 @@ def bound_unbounded_gaussian(
 
     with tau(Pi) = d and sup G = 1. The sqrt(d) + 2 term is the stated
     loose gradient constant; a numerically maximized alternative can be
-    attached as a clearly labeled extra ingredient (never in the value).
+    attached as a diagnostic (never in the value).
     """
     d = int(d)
     n, m = int(n), int(m)
@@ -276,8 +297,9 @@ def bound_unbounded_gaussian(
             Provenance("analytic", note="verbatim loose constant sqrt(d) + 2"),
         ),
     }
+    diagnostics = {}
     if include_tight_c:
-        ingredients["gradient_constant_numeric"] = Ingredient(
+        diagnostics["gradient_constant_numeric"] = Ingredient(
             tight_gradient_constant(d),
             Provenance(
                 "sampled",
@@ -285,7 +307,9 @@ def bound_unbounded_gaussian(
             ),
         )
     assumptions = (("potential is the Gaussian kind", True), ("N, M >= 1", True))
-    return BoundReport("UnboundedGaussian", value, ingredients, assumptions)
+    return BoundReport(
+        "UnboundedGaussian", value, ingredients, assumptions, diagnostics=diagnostics
+    )
 
 
 def bound_unbounded_equal_n(lookup: Lookup, d: int, n: int) -> BoundReport:

@@ -10,12 +10,17 @@ The pipeline view of one attention evaluation at query q against measure mu:
 `_attend` runs this map for a whole batch of queries at once, and every
 attention function here calls it. Per call it builds one similarity
 matrix, one lookup of the support and one canonical order of (support,
-weights). The softmatch normalizer and the value sum are accumulated
-sequentially in that one order, vectorised across queries, and the
-weights are normalized once. Products over support points (similarities,
-lookups, W_O, the FFN) accumulate their shared index in order, so an
-output row depends only on its query and on mu: jointly permuting the
-input permutes the output bit for bit.
+weights). The weights are stored keys-major, one row per positive-weight
+point in canonical order and one column per query, so the softmatch
+normalizer and the value sum are each one `measures._ordered_sum` along
+axis 0: numpy adds the rows one after another, vectorised across queries,
+which is the canonical left-to-right order. The weights are normalized
+once. Products over support points (similarities, lookups, W_O, the FFN)
+accumulate their shared index in order, so an output row depends only on
+its query and on mu: jointly permuting the input permutes the output bit
+for bit. One query alone gets the same bits as in a batch, although its
+(n', 1) weights make axis 0 the fast axis, which numpy would sum
+pairwise: `_ordered_sum` accumulates that shape instead.
 
 `reference_attention` computes the familiar matrix formula directly with
 max-shifted exponentials and is kept independent of the pipeline code so
@@ -270,12 +275,15 @@ class FfnConfig:
 def _softmatch_rows(
     potential: Potential, queries: np.ndarray, nu: EmpiricalMeasure
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Softmatch weights of nu for every query row, shape (Q, N), and the
-    canonical order of nu's positive-weight points they were summed in.
+    """Softmatch weights of nu for every query row, stored keys-major, and
+    the canonical order of nu's positive-weight points.
 
-    Exponentials are shifted by each row's max similarity over the
-    positive-weight points and taken only there, so nothing overflows and
-    a point of weight zero keeps weight zero.
+    The weights are a C-contiguous array of shape (n', Q): row j belongs to
+    the point order[j] and column k to query k. Every sum over points is
+    then one `_ordered_sum` along axis 0, in canonical order. Exponentials
+    are shifted by each query's max similarity over the positive-weight
+    points and taken only there, so nothing overflows; points of weight
+    zero have no row.
     """
     queries = np.asarray(queries, dtype=np.float64)
     if not np.all(np.isfinite(queries)):
@@ -287,13 +295,11 @@ def _softmatch_rows(
         raise InvalidInput("similarity produced non-finite values")
     order = canonical_order(nu.support.points, nu.weights)
     order = order[nu.weights[order] > 0]
-    num = logits[:, order]
-    num -= num.max(axis=1, keepdims=True)
-    np.exp(num, out=num)
-    num *= nu.weights[order]
-    num /= _ordered_sum(num.T)[:, None]
-    weights = np.zeros_like(logits)
-    weights[:, order] = num
+    weights = logits.T[order]
+    weights -= weights.max(axis=0)
+    np.exp(weights, out=weights)
+    weights *= nu.weights[order, None]
+    weights /= _ordered_sum(weights)
     return weights, order
 
 
@@ -309,7 +315,10 @@ def softmatch_weights(
     permutations of nu.
     """
     q = np.asarray(q, dtype=np.float64).reshape(-1)
-    return _softmatch_rows(potential, q[None, :], nu)[0][0]
+    weights, order = _softmatch_rows(potential, q[None, :], nu)
+    out = np.zeros(nu.n)
+    out[order] = weights[:, 0]
+    return out
 
 
 def softmatch_measure(
@@ -336,13 +345,21 @@ def _attend(
     cfg: AttentionConfig, queries: np.ndarray, mu: EmpiricalMeasure
 ) -> np.ndarray:
     """barycenter(lookup(softmatch(mu, q))) for every query row q; shape
-    (Q, d_out). The value sum runs in the order the weights were
-    normalized in."""
+    (Q, d_out).
+
+    Output coordinate c is the keys-major product weights * values[:, c]
+    summed along axis 0, in the order the weights were normalized in; one
+    product buffer serves every coordinate. Each sum is added to a zero
+    output, so a sum of only -0.0 terms gives +0.0, the bits of an
+    accumulation started from zero.
+    """
     weights, order = _softmatch_rows(cfg.potential, queries, mu)
-    values = apply_lookup(cfg.lookup, mu).support.points
-    out = np.zeros((weights.shape[0], values.shape[1]))
-    for i in order:
-        out += weights[:, i, None] * values[i]
+    values = apply_lookup(cfg.lookup, mu).support.points[order]
+    out = np.zeros((weights.shape[1], values.shape[1]))
+    term = np.empty_like(weights)
+    for c in range(values.shape[1]):
+        np.multiply(weights, values[:, c, None], out=term)
+        out[:, c] += _ordered_sum(term)
     return out
 
 

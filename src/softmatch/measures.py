@@ -85,11 +85,21 @@ def canonical_order(points: np.ndarray, weights: np.ndarray | None = None) -> np
 
 
 def _ordered_sum(rows: np.ndarray) -> np.ndarray:
-    # strict left-to-right accumulation; rows are already canonically ordered
-    acc = rows[0].copy()
-    for i in range(1, rows.shape[0]):
-        acc += rows[i]
-    return acc
+    """rows[0] + rows[1] + ... along axis 0, strictly left to right.
+
+    The rows are already canonically ordered. numpy reduces a non-fast
+    axis of a C-contiguous array row by row, each step vectorised along
+    the trailing axes, which is exactly this order; other layouts are
+    copied to C order first, since numpy sums a fast axis pairwise. When
+    the trailing size is 1 the reduced axis is the fast one even in C
+    order, so that case is accumulated instead, which is sequential by
+    definition. The initial -0.0 leaves the first row as it is, signed
+    zeros included.
+    """
+    rows = np.ascontiguousarray(rows)
+    if rows[0].size == 1:
+        return np.add.accumulate(rows, axis=0)[-1]
+    return np.add.reduce(rows, axis=0, initial=-0.0)
 
 
 def _ordered_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -146,12 +146,17 @@ class Gaussian(Potential):
         return float(-np.dot(d, d))
 
     def similarity_matrix(self, queries, keys):
-        # one coordinate at a time, so no (n_queries, n_keys, dim) temporary
-        sq = np.zeros((queries.shape[0], keys.shape[0]))
-        for c in range(queries.shape[1]):
-            diff = np.subtract.outer(queries[:, c], keys[:, c])
-            sq += diff * diff
-        return -sq
+        # one coordinate at a time into two preallocated buffers, so no
+        # (n_queries, n_keys, dim) temporary and no allocation per coordinate
+        sq = np.subtract.outer(queries[:, 0], keys[:, 0])
+        sq *= sq
+        diff = np.empty_like(sq)
+        for c in range(1, queries.shape[1]):
+            np.subtract.outer(queries[:, c], keys[:, c], out=diff)
+            diff *= diff
+            sq += diff
+        np.negative(sq, out=sq)
+        return sq
 
 
 @dataclass(frozen=True)

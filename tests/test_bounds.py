@@ -36,6 +36,7 @@ from softmatch.kernels import (
 from softmatch.measures import DomainBox, empirical
 from softmatch.potentials import (
     GAUSSIAN_LIP,
+    CustomPotential,
     DotProduct,
     Gaussian,
     Provenance,
@@ -304,6 +305,42 @@ class TestReportStructure:
                 (("E compact", False),),
                 status="ok",
             )
+
+    def test_sampled_ingredient_refuses_ok(self):
+        with pytest.raises(InvalidInput):
+            BoundReport(
+                "BoundedContraction",
+                1.0,
+                {"eps_g": Ingredient(0.5, Provenance("sampled", 10, 0))},
+                (("E compact", True),),
+                status="ok",
+            )
+
+    def test_gaussian_as_custom_potential_is_estimated(self):
+        # the same function as Gaussian(2): its sampled eps(G) lies above
+        # the true inf e^-8, so the value undercuts the certified bound
+        box = DomainBox.cube(1.0, 2)
+        custom = CustomPotential(fn=lambda x, y: -float(np.dot(x - y, x - y)), dim=2)
+        certified = bound_bounded_contraction(
+            AttentionConfig(Gaussian(2), IdentityLookup(2)), box
+        )
+        cfg = AttentionConfig(custom, IdentityLookup(2))
+        stats = regularity_stats(custom, box)
+        sampled = bound_bounded_contraction(cfg, box, stats=stats)
+        assert certified.status == "ok"
+        assert sampled.status == "estimated"
+        assert sampled.value < certified.value
+        assert sampled.ingredients["eps_g"].provenance.kind == "sampled"
+        assert bound_component_taus(cfg, box, stats=stats).status == "estimated"
+
+    def test_numeric_gradient_constant_is_a_diagnostic(self):
+        rep = bound_unbounded_gaussian(IdentityLookup(2), 2, 3, 4, include_tight_c=True)
+        assert rep.status == "ok"
+        assert "gradient_constant_numeric" not in rep.ingredients
+        diag = rep.to_dict()["diagnostics"]["gradient_constant_numeric"]
+        assert diag["provenance"]["kind"] == "sampled"
+        assert reevaluate(rep) == rep.value
+        assert "diagnostics" not in bound_unbounded_gaussian(IdentityLookup(2), 2, 3, 4).to_dict()
 
     def test_to_dict_provenance(self):
         box = DomainBox.cube(1.0, 2)

@@ -3,6 +3,7 @@
 import functools
 import math
 
+import kernel_oracle
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from softmatch.kernels import (
     IdentityLookup,
     LinearLookup,
     MultiHeadConfig,
+    _softmatch_rows,
     apply_lookup,
     attention_kernel,
     attention_pushforward,
@@ -420,3 +422,91 @@ class TestTransformerLayer:
             FfnConfig([(np.ones((3, 2)), np.zeros(3))])  # not square overall
         with pytest.raises(InvalidInput):
             FfnConfig([(np.eye(2), np.zeros(2))], activation="gelu")
+
+
+def weighted_cloud(rng, n, d):
+    """n points with a duplicate (the last repeats the first) and, for
+    n > 1, about a quarter of the weights zero."""
+    pts = rng.normal(size=(n, d))
+    pts[-1] = pts[0]
+    w = rng.random(n) + 0.1
+    zero = rng.random(n) < 0.25
+    zero[int(rng.integers(n))] = False
+    w[zero] = 0.0
+    return EmpiricalMeasure(PointCloud(pts), w / w.sum())
+
+
+class TestKernelParity:
+    """Every attention function against the per-point loops it replaced
+    (`kernel_oracle`), bit for bit, signed zeros included."""
+
+    @pytest.mark.parametrize("n", (1, 2, 7, 8, 9, 64, 256))
+    @pytest.mark.parametrize("d", (1, 2, 4, 8))
+    @pytest.mark.parametrize("lookup_kind", LOOKUP_KINDS)
+    @pytest.mark.parametrize("potential_kind", POTENTIAL_KINDS)
+    def test_bitwise_against_loop_oracle(self, potential_kind, lookup_kind, d, n):
+        key = [POTENTIAL_KINDS.index(potential_kind), LOOKUP_KINDS.index(lookup_kind), d, n]
+        rng = np.random.default_rng(key)
+        mu = weighted_cloud(rng, n, d)
+        cloud = mu.support
+        cfg = random_attention_config(rng, d, potential_kind, lookup_kind)
+        other = random_attention_config(rng, d, potential_kind, lookup_kind)
+        mh = MultiHeadConfig(
+            [Head(c, rng.normal(scale=0.5, size=(c.out_dim, d))) for c in (cfg, other)]
+        )
+        ffn = random_ffn(rng, d)
+
+        kernel_oracle.assert_bitwise(
+            self_attention(cfg, cloud).points,
+            kernel_oracle.attention_pushforward(cfg, empirical(cloud)),
+        )
+        out = attention_pushforward(cfg, mu)
+        kernel_oracle.assert_bitwise(out.support.points, kernel_oracle.attention_pushforward(cfg, mu))
+        kernel_oracle.assert_bitwise(out.weights, mu.weights)
+        kernel_oracle.assert_bitwise(multi_head(mh, cloud).points, kernel_oracle.multi_head(mh, cloud))
+        kernel_oracle.assert_bitwise(
+            transformer_layer(mh, ffn, cloud).points,
+            kernel_oracle.transformer_layer(mh, ffn, cloud),
+        )
+        for q in (*rng.normal(size=(2, d)), cloud.points[0]):
+            kernel_oracle.assert_bitwise(
+                attention_kernel(cfg, q, mu), kernel_oracle.attention_kernel(cfg, q, mu)
+            )
+            kernel_oracle.assert_bitwise(
+                softmatch_weights(cfg.potential, q, mu),
+                kernel_oracle.softmatch_weights(cfg.potential, q, mu),
+            )
+        kernel_oracle.assert_bitwise(barycenter(mu), kernel_oracle.barycenter(mu))
+        kernel_oracle.assert_bitwise(barycenter(out), kernel_oracle.barycenter(out))
+
+    @pytest.mark.parametrize("n", (1, 3))
+    def test_negative_zero_values(self, n):
+        # the value sum starts from 0.0 like the loop, so -0.0 values
+        # attend to +0.0, while the barycenter keeps the -0.0
+        mu = empirical(np.full((n, 2), -0.0))
+        cfg = AttentionConfig(Gaussian(2), IdentityLookup(2))
+        got = self_attention(cfg, mu.support).points
+        kernel_oracle.assert_bitwise(got, kernel_oracle.attention_pushforward(cfg, mu))
+        assert not np.any(np.signbit(got))
+        kernel_oracle.assert_bitwise(barycenter(mu), kernel_oracle.barycenter(mu))
+        assert np.all(np.signbit(barycenter(mu)))
+
+
+class TestRowIndependence:
+    """One query alone gets the same bits as its row of a batch: a batch
+    of one sums along the fast axis, where numpy would sum pairwise."""
+
+    @pytest.mark.parametrize("n", (9, 64, 256))
+    @pytest.mark.parametrize("d", (1, 4))
+    @pytest.mark.parametrize("potential_kind", POTENTIAL_KINDS)
+    def test_single_query_equals_batched_row(self, potential_kind, d, n):
+        rng = np.random.default_rng([POTENTIAL_KINDS.index(potential_kind), d, n])
+        mu = weighted_cloud(rng, n, d)
+        cfg = random_attention_config(rng, d, potential_kind, "linear")
+        batched = attention_pushforward(cfg, mu).support.points
+        weights, order = _softmatch_rows(cfg.potential, mu.support.points, mu)
+        for i, x in enumerate(mu.support.points):
+            kernel_oracle.assert_bitwise(attention_kernel(cfg, x, mu), batched[i])
+            row = np.zeros(n)
+            row[order] = weights[:, i]
+            kernel_oracle.assert_bitwise(softmatch_weights(cfg.potential, x, mu), row)

@@ -1,8 +1,9 @@
 """Empirical measures: construction invariants, barycenter, projection, IO."""
 
+import kernel_oracle
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from softmatch.errors import DimMismatch, EmptySupport, InvalidInput
@@ -10,6 +11,7 @@ from softmatch.measures import (
     DomainBox,
     EmpiricalMeasure,
     PointCloud,
+    _ordered_sum,
     barycenter,
     empirical,
     load_cloud_any,
@@ -128,6 +130,37 @@ class TestBarycenter:
             w /= w.sum()
             b = barycenter(EmpiricalMeasure(PointCloud(pts), w))
             assert box.contains(b.reshape(1, -1), atol=1e-12)
+
+
+class TestOrderedSum:
+    """`_ordered_sum` against the left-to-right loop it replaced, over
+    shapes whose trailing size is 1 (where numpy would sum pairwise) and
+    larger, in C and Fortran layout."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 1000),
+        st.sampled_from(((), (1,), (1, 1), (2,), (3,), (8,), (1, 4), (2, 3))),
+    )
+    @example(seed=0, n=1000, trailing=())
+    @example(seed=1, n=1000, trailing=(1,))
+    @example(seed=2, n=1000, trailing=(4,))
+    def test_equals_left_to_right_loop(self, seed, n, trailing):
+        rng = np.random.default_rng(seed)
+        shape = (n, *trailing)
+        rows = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+        rows[rng.random(shape) < 0.1] = -0.0
+        want = kernel_oracle._ordered_sum(rows)
+        kernel_oracle.assert_bitwise(_ordered_sum(rows), want)
+        if rows.ndim == 2:
+            kernel_oracle.assert_bitwise(_ordered_sum(np.asfortranarray(rows)), want)
+
+    @pytest.mark.parametrize("shape", ((1,), (3,), (1, 1), (3, 1), (1, 2), (3, 2)))
+    def test_sum_of_negative_zeros_is_negative_zero(self, shape):
+        rows = np.full(shape, -0.0)
+        kernel_oracle.assert_bitwise(_ordered_sum(rows), kernel_oracle._ordered_sum(rows))
+        assert np.all(np.signbit(_ordered_sum(rows)))
 
 
 class TestProjectDirac:
