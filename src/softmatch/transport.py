@@ -34,7 +34,12 @@ takes the sorted-supports path; otherwise uniform equal-size measures
 start the simplex from scipy's Hungarian matching, hung along its
 shortest-path tree so that an optimal matching is certified with no
 pivot, and repaired where float rounding left it suboptimal; every other
-pair starts from the matrix-minimum allocation. Oracles: factorial
+pair starts from the matrix-minimum allocation. The matching and the tree
+are found in float on the reduced matrix r (c less its row minima, then
+its column minima), where the differences that decide them keep their
+bits even when every row of c is nearly constant, as on a contracted
+cloud; exact row and column shifts change neither, so r only guides the
+start, and the simplex prices and certifies c itself. Oracles: factorial
 enumeration over permutations, and LCM replication for uniform unequal
 sizes.
 
@@ -69,12 +74,26 @@ log = logging.getLogger("softmatch")
 
 
 def cost_matrix_l1(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """c_ij = ||x_i - y_j||_1."""
+    """c_ij = ||x_i - y_j||_1, bit for bit numpy's sum over the last axis
+    of |x[:, None, :] - y[None, :, :]|.
+
+    numpy adds a last axis shorter than 8 in order, from 0, and a longer
+    one pairwise from eight partial sums. Below d = 8 the terms are
+    therefore accumulated in order one coordinate at a time, with no
+    (N, M, d) temporary; from d = 8 on the expression above is kept, so
+    its schedule is numpy's own. d = 0 gives the zero matrix.
+    """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if x.shape[1] != y.shape[1]:
-        raise DimMismatch(f"dims {x.shape[1]} and {y.shape[1]} differ")
-    c = np.abs(x[:, None, :] - y[None, :, :]).sum(axis=2)
+    d = x.shape[1]
+    if d != y.shape[1]:
+        raise DimMismatch(f"dims {d} and {y.shape[1]} differ")
+    if d >= 8:
+        c = np.abs(x[:, None, :] - y[None, :, :]).sum(axis=2)
+    else:
+        c = np.zeros((x.shape[0], y.shape[0]))
+        for k in range(d):
+            c += np.abs(x[:, k, None] - y[:, k])
     if not np.all(np.isfinite(c)):
         raise InvalidInput("non-finite transport costs")
     return c
@@ -554,6 +573,13 @@ def _assignment_basis(c: np.ndarray, cols: list) -> list:
     predecessors. A row whose chain of predecessors does not reach r0 (a
     negative cycle: the matching is suboptimal) hangs from the root sink
     instead, and the simplex repairs the matching.
+
+    `c` need not be the matrix the simplex then prices: `w1` hands over
+    `_reduced_costs(c)`, r_kj = c_kj - a_k - b_j. On r the distances
+    become d_k - a_k + a_r0, and every candidate of row k moves by the
+    same a_r0 - a_k, so in exact arithmetic each row picks the same
+    predecessor; only the rounding differs. From any matrix the arcs are
+    a strongly feasible basis, so a rounded choice costs pivots at most.
     """
     n = len(cols)
     root = n - 1
@@ -590,6 +616,21 @@ def _assignment_basis(c: np.ndarray, cols: list) -> list:
     return [(i, j, 1) for i, j in enumerate(cols)] + [
         (k, sink[k], 0) for k in range(n) if k != r0
     ]
+
+
+def _reduced_costs(c: np.ndarray) -> np.ndarray:
+    """c less each row's minimum, then each column's minimum, in float.
+
+    On a step of a contracted particle trajectory every row of c is
+    nearly constant, and the differences that decide the matching sit in
+    its last bits. Subtracting the row minimum removes the shared part
+    (exactly, by Sterbenz, wherever a row stays within a factor 2 of its
+    minimum), so the Hungarian method and the Bellman-Ford of
+    `_assignment_basis` see those differences at full precision.
+    """
+    r = c - c.min(axis=1)[:, None]
+    r -= r.min(axis=0)
+    return r
 
 
 def _solve_masses(c: np.ndarray, supply: list, demand: list, shift: int, path: str) -> _Basis:
@@ -791,16 +832,23 @@ def _w1_assignment(mu: EmpiricalMeasure, nu: EmpiricalMeasure, c: np.ndarray) ->
     For equal sizes and uniform weights the transportation LP optimum is
     attained at a permutation. scipy's Hungarian matching (float
     arithmetic), hung along its shortest-path tree (`_assignment_basis`),
-    warm-starts the exact network simplex with unit masses. When the
-    matching is exactly optimal the tree potentials are already dual
-    feasible and the simplex certifies it without a pivot; otherwise it
-    improves the matching. Either way it supplies exact duals. The value
+    warm-starts the exact network simplex with unit masses. Both are
+    computed on the reduced matrix r = `_reduced_costs(c)`: in exact
+    arithmetic row and column shifts change neither which matchings are
+    optimal nor the tree, and in float r keeps the bits that tell the
+    matchings of a contracted cloud apart. r never makes a result wrong:
+    the simplex prices and certifies the true c, integerized with c's
+    own dyadic shift, and r only decides where it starts. When the
+    matching is exactly optimal for c the tree potentials are already
+    dual feasible and the simplex certifies it without a pivot; otherwise
+    it improves the matching. Either way it supplies exact duals. The value
     is the exact optimum rounded once, so it is exactly symmetric in the
     two inputs; the masses are exact, so the dual gap is 0. The plan
     refers to mu and nu themselves.
     """
-    _, cols = linear_sum_assignment(c)
-    basis = _network_simplex(c, _assignment_basis(c, cols.tolist()), _dyadic_shift(c), "assignment")
+    r = _reduced_costs(c)
+    cols = linear_sum_assignment(r)[1].tolist()
+    basis = _network_simplex(c, _assignment_basis(r, cols), _dyadic_shift(c), "assignment")
     return _result(mu, nu, c, basis, mu.n)
 
 

@@ -28,6 +28,7 @@ from softmatch.transport import (
     _assignment_basis,
     _line_basis,
     _network_simplex,
+    _reduced_costs,
     _solve_masses,
     _tie_signs,
     cost_matrix_l1,
@@ -108,6 +109,32 @@ class TestW1Examples:
         big = empirical(np.zeros((513, 1)) + np.arange(513)[:, None])
         with pytest.raises(SupportTooLarge):
             w1(big, big)
+
+
+class TestCostMatrix:
+    @pytest.mark.parametrize("d", (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17))
+    def test_bitwise_equal_to_the_broadcast_sum(self, d):
+        # per-coordinate scales from 1e-6 to 1e6 make the order of the
+        # additions show in the last bits
+        rng = np.random.default_rng(d)
+        for n, m in ((1, 1), (1, 7), (9, 1), (13, 11), (40, 33)):
+            scale = 10.0 ** rng.uniform(-6, 6, d)
+            x = rng.uniform(-1, 1, (n, d)) * scale
+            y = rng.uniform(-1, 1, (m, d)) * scale
+            want = np.abs(x[:, None, :] - y[None, :, :]).sum(axis=2)
+            c = cost_matrix_l1(x, y)
+            assert c.shape == (n, m) and c.dtype == np.float64
+            assert c.tobytes() == want.tobytes()
+
+    def test_zero_dim_clouds(self):
+        x, y = PointCloud(np.zeros((3, 0))), PointCloud(np.zeros((2, 0)))
+        assert cost_matrix_l1(x.points, y.points).tobytes() == np.zeros((3, 2)).tobytes()
+        for other in (y, x):
+            assert w1(empirical(x), empirical(other)).value == 0.0
+
+    def test_non_finite_costs_raise(self):
+        with np.errstate(over="ignore"), pytest.raises(InvalidInput):
+            cost_matrix_l1(np.array([[1e308, 0.0]]), np.array([[-1e308, 0.0]]))
 
 
 class TestAssignmentPath:
@@ -519,7 +546,8 @@ class TestEngineParity:
 
 def _start_instance(kind, rng, n, d):
     """Point sets of one size: generic, near-identical (1e-9 jitter),
-    quarter-grid ties, or clouds contracted to 1e-3 around 0.5."""
+    quarter-grid ties, clouds contracted to 1e-3 around 0.5, or generic
+    sources with targets contracted toward their mean by 1e-1 to 1e-6."""
     if kind == "generic":
         return rng.uniform(-1, 1, (n, d)), rng.uniform(-1, 1, (n, d))
     if kind == "near":
@@ -527,17 +555,22 @@ def _start_instance(kind, rng, n, d):
         return x, x + rng.uniform(-1e-9, 1e-9, x.shape)
     if kind == "grid":
         return rng.integers(-4, 5, (n, d)) / 4.0, rng.integers(-4, 5, (n, d)) / 4.0
+    if kind == "shrunk":
+        y = rng.uniform(-1, 1, (n, d))
+        mean = y.mean(axis=0)
+        return rng.uniform(-1, 1, (n, d)), mean + 10.0 ** -int(rng.integers(1, 7)) * (y - mean)
     return 0.5 + rng.uniform(-1e-3, 1e-3, (n, d)), 0.5 + rng.uniform(-1e-3, 1e-3, (n, d))
 
 
-START_KINDS = ("generic", "near", "grid", "contracted")
+START_KINDS = ("generic", "near", "grid", "contracted", "shrunk")
 START_SIZES = (1, 2, 3, 5, 8, 13, 24, 48, 96)
 
 
 class TestAssignmentStart:
     """The shortest-path-tree start: a strongly feasible spanning tree
-    rooted at sink n - 1 from any matching, and the simplex from it reaches
-    the successive-shortest-path optimum exactly."""
+    rooted at sink n - 1 from any matching, hung along the cost matrix or
+    along its reduced matrix, and the simplex from it reaches the
+    successive-shortest-path optimum exactly."""
 
     @pytest.mark.parametrize("kind", START_KINDS)
     def test_tree_and_exact_optimum(self, kind):
@@ -548,16 +581,18 @@ class TestAssignmentStart:
                 mu, nu = empirical(x), empirical(y)
                 c, cost, shift, a, b, den = exact_lp(mu, nu, True)
                 total = oracle_total(cost, a, b)
-                # the Hungarian matching, and a random one that is
-                # suboptimal whenever the optimum is not degenerate
-                for cols in (linear_sum_assignment(c)[1].tolist(), rng.permutation(n).tolist()):
-                    arcs = _assignment_basis(c, cols)
-                    assert sorted((i, j) for i, j, f in arcs if f) == list(enumerate(cols))
-                    assert all(f in (0, 1) for _, _, f in arcs)
-                    assert_strongly_feasible(arcs, n, n)
-                    basis = _network_simplex(c, arcs, shift, "assignment")
-                    assert_exact_basis(basis, cost, a, b, total)
-                    assert_strongly_feasible(basis.arcs, n, n)
+                # on c and on the reduced matrix w1 uses: the Hungarian
+                # matching, and a random one that is suboptimal whenever
+                # the optimum is not degenerate
+                for guide in (c, _reduced_costs(c)):
+                    for cols in (linear_sum_assignment(guide)[1].tolist(), rng.permutation(n).tolist()):
+                        arcs = _assignment_basis(guide, cols)
+                        assert sorted((i, j) for i, j, f in arcs if f) == list(enumerate(cols))
+                        assert all(f in (0, 1) for _, _, f in arcs)
+                        assert_strongly_feasible(arcs, n, n)
+                        basis = _network_simplex(c, arcs, shift, "assignment")
+                        assert_exact_basis(basis, cost, a, b, total)
+                        assert_strongly_feasible(basis.arcs, n, n)
 
     def test_negative_cycles_hang_from_the_root(self):
         # matching i -> i with every row cheaper under the next row's sink:
@@ -588,6 +623,32 @@ class TestAssignmentStart:
             w1(mu, nu)
         events = [r.args for r in caplog.records if r.name == "softmatch"]
         assert [e[:4] for e in events] == [("assignment", n, n, 0)]
+
+    def test_contracted_trajectory_needs_no_repair(self, caplog):
+        # a contractive layer shrinks the cloud, so every row of c is
+        # nearly constant. On c itself scipy's matching is exactly
+        # suboptimal on every step of this trajectory, and the simplex
+        # needs 9/18/28 non-degenerate pivots to repair it; on the reduced
+        # matrix it is optimal, and any pivot left is degenerate
+        from softmatch.dynamics import run_particles
+        from softmatch.kernels import AttentionConfig, LinearLookup
+        from softmatch.potentials import Gaussian
+
+        layer = AttentionConfig(Gaussian(4), LinearLookup(0.5 * np.eye(4)))
+        x0 = PointCloud(np.random.default_rng(0).uniform(-1, 1, (96, 4)))
+        with caplog.at_level(logging.DEBUG, logger="softmatch"):
+            states = run_particles(layer, x0, steps=3).states
+        events = [r.args for r in caplog.records if r.name == "softmatch"]
+        assert [e[:3] for e in events] == [("assignment", 96, 96)] * 3
+        assert all(e[3] == e[4] for e in events)
+        for h in range(3):
+            mu, nu = empirical(states[h]), empirical(states[h + 1])
+            c, cost, shift, a, b, den = exact_lp(mu, nu, True)
+            cols = linear_sum_assignment(_reduced_costs(c))[1]
+            # the optimum from the matrix-minimum start, a start the
+            # reduced matrix plays no part in
+            optimum = _solve_masses(c, a, b, shift, "flow").total
+            assert sum(cost[i][j] for i, j in enumerate(cols)) == optimum
 
 
 def _exact_signs(c, u, v, shift):
