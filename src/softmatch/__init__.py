@@ -36,6 +36,7 @@ from .kernels import (
     apply_lookup,
     attention_kernel,
     attention_pushforward,
+    layer_map,
     multi_head,
     reference_attention,
     reference_multi_head,

@@ -15,6 +15,7 @@ certificate of interest.
 """
 from __future__ import annotations
 
+import logging
 import warnings
 from dataclasses import dataclass
 
@@ -23,36 +24,22 @@ import numpy as np
 from .errors import DimMismatch, InvalidInput
 from .kernels import (
     AttentionConfig,
-    FfnConfig,
+    Layer,
     MultiHeadConfig,
-    multi_head,
-    self_attention,
-    transformer_layer,
+    TransformerLayerSpec,
+    _chunk_size,
+    layer_map,
 )
 from .measures import PointCloud, empirical
 from .streams import stream
 from .transport import w1
 
-
-@dataclass(frozen=True)
-class TransformerLayerSpec:
-    """A full layer: multi-head attention followed by a pointwise FFN."""
-
-    mh: MultiHeadConfig
-    ffn: FfnConfig
-
-
-Layer = AttentionConfig | MultiHeadConfig | TransformerLayerSpec
+log = logging.getLogger("softmatch")
 
 
 def apply_layer(layer: Layer, cloud: PointCloud) -> PointCloud:
-    if isinstance(layer, AttentionConfig):
-        return self_attention(layer, cloud)
-    if isinstance(layer, MultiHeadConfig):
-        return multi_head(layer, cloud)
-    if isinstance(layer, TransformerLayerSpec):
-        return transformer_layer(layer.mh, layer.ffn, cloud)
-    raise InvalidInput(f"not a layer: {layer!r}")
+    """One layer on one cloud: the batch of one of `kernels.layer_map`."""
+    return PointCloud(layer_map(layer, cloud.points[None])[0])
 
 
 def cloud_distance(a: PointCloud | np.ndarray, b: PointCloud | np.ndarray) -> float:
@@ -131,6 +118,11 @@ class DeqResult:
         }
 
 
+def _diverged(points: np.ndarray) -> bool:
+    """Past any useful range: the iterations report this, never raise."""
+    return not np.all(np.isfinite(points)) or np.abs(points).max() > 1e100
+
+
 def deq_solve(
     layer: Layer,
     x: PointCloud,
@@ -143,7 +135,8 @@ def deq_solve(
     Runs until the sup-l1 step falls below tol or max_iter is exhausted;
     non-convergence is reported in the result, never raised. The
     contraction estimate is the largest observed step ratio. To inject a
-    transformed input s(X), pass s(X) as x.
+    transformed input s(X), pass s(X) as x. The iterates are plain arrays
+    mapped by `layer_map`; one DEBUG event reports the solve.
     """
     if tol <= 0:
         raise InvalidInput("tol must be positive")
@@ -153,18 +146,17 @@ def deq_solve(
         raise DimMismatch(
             f"input shape {x.points.shape} vs state shape {h0.points.shape}"
         )
-    h = h0
+    h = h0.points
     prev_step = None
     contraction = 0.0
     step = float("inf")
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        arg = h.points + x.points
-        if not np.all(np.isfinite(arg)) or np.abs(arg).max() > 1e100:
-            # diverged past any useful range: report, do not raise
+        arg = h + x.points
+        if _diverged(arg):
             step = float("inf")
             break
-        nxt = apply_layer(layer, PointCloud(arg))
+        nxt = layer_map(layer, arg[None])[0]
         step = cloud_distance(nxt, h)
         if prev_step is not None and prev_step > 0:
             contraction = max(contraction, step / prev_step)
@@ -172,8 +164,12 @@ def deq_solve(
         h = nxt
         if step < tol:
             break
+    log.debug(
+        "deq_solve: n=%d d=%d iterations=%d residual=%.3e converged=%s",
+        *h.shape, iterations, step, step < tol,
+    )
     return DeqResult(
-        h_star=h,
+        h_star=PointCloud(h),
         iterations=iterations,
         residual=step,
         contraction_estimate=contraction,
@@ -205,6 +201,23 @@ class InversionResult:
         }
 
 
+def _gate_pair(reference: np.ndarray, seed: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Trial t's pair of clouds around the reference; the mode is t % 3."""
+    scale = 0.5
+    shape = reference.shape
+    rng = stream(seed, t)
+    a = reference + scale * rng.standard_normal(shape)
+    mode = t % 3
+    if mode == 0:
+        b = reference + scale * rng.standard_normal(shape)
+    elif mode == 1:
+        b = a + scale * rng.standard_normal(shape[1])[None, :]
+    else:
+        b = a.copy()
+        b[int(rng.integers(shape[0]))] += scale * rng.standard_normal(shape[1])
+    return a, b
+
+
 def sampled_set_lipschitz(
     layer: Layer,
     reference: PointCloud,
@@ -217,28 +230,44 @@ def sampled_set_lipschitz(
     it because it certifies nothing. Pairs mix three perturbation shapes:
     independent clouds, a common translation of every particle (the worst
     direction for averaging maps), and a single-particle move, each drawn
-    with standard deviation 0.5.
+    with standard deviation 0.5. Pairs closer than 1e-12 are skipped.
+
+    The trials are evaluated in batches: a batch draws as many pairs as
+    one chunk of `kernels.layer_map` holds (about 256^2 / N^2 clouds of
+    N points, so the N x N buffers stay the size of one 256-point
+    similarity matrix; from N = 256 on, one pair per batch), maps its
+    a-clouds in one call and its b-clouds in another. Each pair comes
+    from its own stream(seed, t) and `layer_map` gives every cloud the
+    bits of a call on it alone, so the estimate equals the trial-by-trial
+    one bit for bit. One DEBUG event reports the trials, the layer-map
+    calls (`batches`) and the estimate.
     """
-    scale = 0.5
+    if trials < 1:
+        raise InvalidInput(f"trials must be >= 1, got {trials!r}")
+    pts = reference.points
+    size = _chunk_size(pts.shape[0])
     best = 0.0
-    shape = reference.points.shape
-    for t in range(trials):
-        rng = stream(seed, t)
-        a = reference.points + scale * rng.standard_normal(shape)
-        mode = t % 3
-        if mode == 0:
-            b = reference.points + scale * rng.standard_normal(shape)
-        elif mode == 1:
-            b = a + scale * rng.standard_normal(shape[1])[None, :]
-        else:
-            b = a.copy()
-            b[int(rng.integers(shape[0]))] += scale * rng.standard_normal(shape[1])
-        den = cloud_distance(a, b)
-        if den < 1e-12:
+    batches = 0
+    for start in range(0, trials, size):
+        a_clouds, b_clouds, dens = [], [], []
+        for t in range(start, min(start + size, trials)):
+            a, b = _gate_pair(pts, seed, t)
+            den = cloud_distance(a, b)
+            if den >= 1e-12:
+                a_clouds.append(a)
+                b_clouds.append(b)
+                dens.append(den)
+        if not dens:
             continue
-        ga = apply_layer(layer, PointCloud(a)).points
-        gb = apply_layer(layer, PointCloud(b)).points
-        best = max(best, cloud_distance(ga, gb) / den)
+        ga = layer_map(layer, np.stack(a_clouds))
+        gb = layer_map(layer, np.stack(b_clouds))
+        batches += 2
+        ratios = np.abs(ga - gb).sum(axis=2).max(axis=1) / np.array(dens)
+        best = max(best, float(ratios.max()))
+    log.debug(
+        "sampled_set_lipschitz: n=%d d=%d trials=%d batches=%d estimate=%.6g",
+        *pts.shape, trials, batches, best,
+    )
     return best
 
 
@@ -253,6 +282,8 @@ def invert_residual(
     """Invert F(X) = X + g(X), g the set-to-set attention map, by the
     fixed-point iteration x <- y - g(x); the whole cloud is inverted
     jointly. Non-convergence yields a diagnostic result, not an exception.
+    The iterates are plain arrays mapped by `layer_map`; one DEBUG event
+    reports the inversion.
     """
     if tol <= 0:
         raise InvalidInput("tol must be positive")
@@ -271,28 +302,30 @@ def invert_residual(
     xk = y.points
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        if not np.all(np.isfinite(xk)) or np.abs(xk).max() > 1e100:
-            return InversionResult(
-                points=y, iterations=iterations, residual=float("inf"),
-                converged=False, lip_estimate=lip,
-            )
-        gx = apply_layer(layer, PointCloud(xk)).points
-        nxt = y.points - gx
+        if _diverged(xk):
+            break
+        nxt = y.points - layer_map(layer, xk[None])[0]
         step = float(np.abs(nxt - xk).sum(axis=1).max())
         xk = nxt
         if step < tol:
             break
-    if not np.all(np.isfinite(xk)) or np.abs(xk).max() > 1e100:
-        return InversionResult(
+    if _diverged(xk):
+        result = InversionResult(
             points=y, iterations=iterations, residual=float("inf"),
             converged=False, lip_estimate=lip,
         )
-    gx = apply_layer(layer, PointCloud(xk)).points
-    residual = float(np.abs(xk + gx - y.points).sum(axis=1).max())
-    return InversionResult(
-        points=PointCloud(xk),
-        iterations=iterations,
-        residual=residual,
-        converged=residual <= tol,
-        lip_estimate=lip,
+    else:
+        gx = layer_map(layer, xk[None])[0]
+        residual = float(np.abs(xk + gx - y.points).sum(axis=1).max())
+        result = InversionResult(
+            points=PointCloud(xk),
+            iterations=iterations,
+            residual=residual,
+            converged=residual <= tol,
+            lip_estimate=lip,
+        )
+    log.debug(
+        "invert_residual: n=%d d=%d iterations=%d residual=%.3e converged=%s",
+        *y.points.shape, result.iterations, result.residual, result.converged,
     )
+    return result

@@ -7,20 +7,37 @@ The pipeline view of one attention evaluation at query q against measure mu:
     push the support through the lookup map   (key -> value correspondence)
     project to the Dirac at the barycenter    (value averaging)
 
-`_attend` runs this map for a whole batch of queries at once, and every
-attention function here calls it. Per call it builds one similarity
-matrix, one lookup of the support and one canonical order of (support,
-weights). The weights are stored keys-major, one row per positive-weight
-point in canonical order and one column per query, so the softmatch
-normalizer and the value sum are each one `measures._ordered_sum` along
-axis 0: numpy adds the rows one after another, vectorised across queries,
-which is the canonical left-to-right order. The weights are normalized
-once. Products over support points (similarities, lookups, W_O, the FFN)
-accumulate their shared index in order, so an output row depends only on
-its query and on mu: jointly permuting the input permutes the output bit
-for bit. One query alone gets the same bits as in a batch, although its
-(n', 1) weights make axis 0 the fast axis, which numpy would sum
-pairwise: `_ordered_sum` accumulates that shape instead.
+`_attend` runs this map for a batch of B measures of one shape at once,
+each with its own query rows, and every attention function here calls it:
+the measure functions (`softmatch_weights`, `attention_kernel`,
+`attention_pushforward`) with B = 1, and `layer_map`, the set-to-set map
+of a single-head, multi-head or transformer layer on (B, N, d) clouds,
+with any B. `self_attention`, `multi_head` and `transformer_layer` are its
+B = 1 case.
+
+Per batch, `np.lexsort` along the last axis puts each cloud's
+positive-weight keys in canonical order, and the potential builds the
+similarities directly in keys-major layout from those sorted keys: an
+(n', B, Q) buffer with one row per key, the same elementwise operations
+in the same operand order as its matrix form (q - k for the Gaussian,
+q_c k_c accumulated over c in order for the dot products), so no (Q, N)
+matrix is transposed and gathered. Exponentials are shifted by each
+query's max, and the softmatch normalizer and the value sums are each one
+`measures._ordered_sum` along axis 0 of a C-contiguous (n', B * Q) view:
+numpy adds the rows one after another, vectorised across clouds and
+queries, which is the canonical left-to-right order of each column. The
+lookup maps the sorted keys row by row, and products over support points
+(similarities, lookups, W_O, the FFN) accumulate their shared index in
+order.
+
+So no bit depends on the batch: an output row depends only on its query
+and its own cloud, in any batch and any chunk of it, and jointly
+permuting a cloud permutes its output bit for bit. A single query
+(B = Q = 1) gets the same bits as in a batch, although its (n', 1) weights
+make axis 0 the fast axis, which numpy would sum pairwise:
+`_ordered_sum` accumulates that shape instead. `layer_map` splits a batch
+so that its (N, B, N) buffers hold about as many entries as one 256-point
+similarity matrix; a cloud of 256 points or more runs alone.
 
 `reference_attention` computes the familiar matrix formula directly with
 max-shifted exponentials and is kept independent of the pipeline code so
@@ -40,7 +57,6 @@ from .measures import (
     _ordered_matmul,
     _ordered_sum,
     canonical_order,
-    empirical,
 )
 from .potentials import Potential
 
@@ -268,39 +284,65 @@ class FfnConfig:
         return out
 
 
+@dataclass(frozen=True)
+class TransformerLayerSpec:
+    """A full layer: multi-head attention followed by a pointwise FFN."""
+
+    mh: MultiHeadConfig
+    ffn: FfnConfig
+
+
+Layer = AttentionConfig | MultiHeadConfig | TransformerLayerSpec
+
+
 # ---------------------------------------------------------------------------
 # Softmatch
 # ---------------------------------------------------------------------------
 
-def _softmatch_rows(
-    potential: Potential, queries: np.ndarray, nu: EmpiricalMeasure
-) -> tuple[np.ndarray, np.ndarray]:
-    """Softmatch weights of nu for every query row, stored keys-major, and
-    the canonical order of nu's positive-weight points.
+def _require_finite(values: np.ndarray, message: str) -> None:
+    if not np.isfinite(values).all():
+        raise InvalidInput(message)
 
-    The weights are a C-contiguous array of shape (n', Q): row j belongs to
-    the point order[j] and column k to query k. Every sum over points is
-    then one `_ordered_sum` along axis 0, in canonical order. Exponentials
-    are shifted by each query's max similarity over the positive-weight
-    points and taken only there, so nothing overflows; points of weight
-    zero have no row.
+
+def _softmatch_rows(
+    potential: Potential, queries: np.ndarray, keys: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Softmatch weights of B measures of one shape, each for its own
+    query rows, stored keys-major; with the canonical order and the keys
+    it sorts.
+
+    queries has shape (B, Q, d), keys (B, N, d) and weights (B, N): cloud
+    b is the measure with weights[b] on keys[b], and every cloud has
+    equally many positive weights, n'. Returns (w, order, sorted_keys):
+    order (B, n') lists each cloud's positive-weight points in canonical
+    order, sorted_keys (n', B, d) holds them in that order, and w
+    (n', B, Q) is C-contiguous with row j of cloud b belonging to the
+    point order[b, j]. Every sum over points is then one `_ordered_sum`
+    along axis 0, in canonical order. Exponentials are shifted by each
+    query's max similarity over the positive-weight points and taken only
+    there, so nothing overflows; points of weight zero have no row.
     """
-    queries = np.asarray(queries, dtype=np.float64)
-    if not np.all(np.isfinite(queries)):
-        raise InvalidInput("query must be finite")
-    if queries.shape[1:] != (nu.dim,):
-        raise DimMismatch(f"query shape {queries.shape[1:]} vs measure dim {nu.dim}")
-    logits = potential.similarity_matrix(queries, nu.support.points)
-    if not np.all(np.isfinite(logits)):
-        raise InvalidInput("similarity produced non-finite values")
-    order = canonical_order(nu.support.points, nu.weights)
-    order = order[nu.weights[order] > 0]
-    weights = logits.T[order]
-    weights -= weights.max(axis=0)
-    np.exp(weights, out=weights)
-    weights *= nu.weights[order, None]
-    weights /= _ordered_sum(weights)
-    return weights, order
+    _require_finite(queries, "query must be finite")
+    if queries.shape[-1] != keys.shape[-1]:
+        raise DimMismatch(
+            f"query shape {queries.shape[-1:]} vs measure dim {keys.shape[-1]}"
+        )
+    order = canonical_order(keys, weights)
+    clouds = np.arange(len(order))[:, None]
+    mass = weights[clouds, order]
+    if np.count_nonzero(mass) < mass.size:
+        keep = mass > 0
+        order = order[keep].reshape(len(order), -1)
+        mass = mass[keep].reshape(order.shape)
+    sorted_keys = keys[clouds.T, order.T]
+    w = potential.similarity_keys_major(queries, sorted_keys)
+    _require_finite(w, "similarity produced non-finite values")
+    w -= w.max(axis=0)
+    np.exp(w, out=w)
+    w *= mass.T[..., None]
+    n = w.shape[0]
+    w /= _ordered_sum(w.reshape(n, -1)).reshape(w.shape[1:])
+    return w, order, sorted_keys
 
 
 def softmatch_weights(
@@ -314,10 +356,10 @@ def softmatch_weights(
     order, which keeps the weights exactly invariant under joint
     permutations of nu.
     """
-    q = np.asarray(q, dtype=np.float64).reshape(-1)
-    weights, order = _softmatch_rows(potential, q[None, :], nu)
+    q = np.asarray(q, dtype=np.float64).reshape(1, 1, -1)
+    w, order, _ = _softmatch_rows(potential, q, nu.support.points[None], nu.weights[None])
     out = np.zeros(nu.n)
-    out[order] = weights[:, 0]
+    out[order[0]] = w[:, 0, 0]
     return out
 
 
@@ -342,24 +384,30 @@ def apply_lookup(lookup: Lookup, mu: EmpiricalMeasure) -> EmpiricalMeasure:
 # ---------------------------------------------------------------------------
 
 def _attend(
-    cfg: AttentionConfig, queries: np.ndarray, mu: EmpiricalMeasure
+    cfg: AttentionConfig, queries: np.ndarray, keys: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
-    """barycenter(lookup(softmatch(mu, q))) for every query row q; shape
-    (Q, d_out).
+    """barycenter(lookup(softmatch(mu_b, q))) for every query row q of
+    every cloud b, where mu_b puts weights[b] on keys[b]; queries
+    (B, Q, d), keys (B, N, d) and weights (B, N) give shape (B, Q, d_out).
 
-    Output coordinate c is the keys-major product weights * values[:, c]
-    summed along axis 0, in the order the weights were normalized in; one
-    product buffer serves every coordinate. Each sum is added to a zero
-    output, so a sum of only -0.0 terms gives +0.0, the bits of an
-    accumulation started from zero.
+    The lookup maps the sorted keys row by row. Output coordinate c is the
+    keys-major product w * values[..., c] summed along axis 0, in the
+    order the weights were normalized in; one product buffer serves every
+    coordinate. Each sum is added to a zero output, so a sum of only -0.0
+    terms gives +0.0, the bits of an accumulation started from zero.
     """
-    weights, order = _softmatch_rows(cfg.potential, queries, mu)
-    values = apply_lookup(cfg.lookup, mu).support.points[order]
-    out = np.zeros((weights.shape[1], values.shape[1]))
-    term = np.empty_like(weights)
-    for c in range(values.shape[1]):
-        np.multiply(weights, values[:, c, None], out=term)
-        out[:, c] += _ordered_sum(term)
+    w, _, sorted_keys = _softmatch_rows(cfg.potential, queries, keys, weights)
+    if cfg.lookup.in_dim != keys.shape[-1]:
+        raise DimMismatch(
+            f"lookup input dim {cfg.lookup.in_dim} vs measure dim {keys.shape[-1]}"
+        )
+    n, b, q = w.shape
+    values = cfg.lookup.apply_points(sorted_keys.reshape(n * b, -1)).reshape(n, b, -1)
+    out = np.zeros((b, q, values.shape[-1]))
+    term = np.empty_like(w)
+    for c in range(values.shape[-1]):
+        np.multiply(w, values[..., c, None], out=term)
+        out[..., c] += _ordered_sum(term.reshape(n, -1)).reshape(b, q)
     return out
 
 
@@ -367,8 +415,10 @@ def attention_kernel(
     cfg: AttentionConfig, q: np.ndarray, mu: EmpiricalMeasure
 ) -> np.ndarray:
     """Location of the output Dirac: barycenter(lookup(softmatch(mu, q)))."""
-    q = np.asarray(q, dtype=np.float64).reshape(-1)
-    return _attend(cfg, q[None, :], mu)[0]
+    q = np.asarray(q, dtype=np.float64).reshape(1, 1, -1)
+    out = _attend(cfg, q, mu.support.points[None], mu.weights[None])[0, 0]
+    _require_finite(out, "attention output must be finite")
+    return out
 
 
 def attention_pushforward(
@@ -377,13 +427,80 @@ def attention_pushforward(
     """The full output measure of self-attention: every support point of mu
     is mapped through the attention kernel (interacting with mu itself),
     keeping its weight."""
-    outs = _attend(cfg, mu.support.points, mu)
-    return EmpiricalMeasure(PointCloud(outs), mu.weights)
+    pts = mu.support.points[None]
+    return EmpiricalMeasure(PointCloud(_attend(cfg, pts, pts, mu.weights[None])[0]), mu.weights)
+
+
+def _multi_head(cfg: MultiHeadConfig, clouds: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    per_head = [
+        _ordered_matmul(_attend(h.attention, clouds, clouds, weights), h.w_o)
+        for h in cfg.heads
+    ]
+    return _ordered_sum(np.stack(per_head))
+
+
+# A batch of clouds is evaluated in chunks whose (N, B, N) buffers hold
+# about as many entries as one 256-point similarity matrix; clouds of 256
+# points or more run one at a time.
+_CHUNK_ENTRIES = 256 * 256
+
+
+def _chunk_size(n: int) -> int:
+    """Clouds of n points per chunk of a batch."""
+    return max(1, _CHUNK_ENTRIES // (n * n))
+
+
+def _layer_chunk(layer: Layer, clouds: np.ndarray) -> np.ndarray:
+    b, n = clouds.shape[:2]
+    weights = np.full((b, n), 1.0 / n)  # m(X), as `empirical` builds it
+    if isinstance(layer, AttentionConfig):
+        out = _attend(layer, clouds, clouds, weights)
+    elif isinstance(layer, MultiHeadConfig):
+        out = _multi_head(layer, clouds, weights)
+    else:
+        out = _multi_head(layer.mh, clouds, weights)
+        _require_finite(out, "multi-head output must be finite")
+        out = layer.ffn.apply_points(out)
+    _require_finite(out, "layer output must be finite")
+    return out
+
+
+def layer_map(layer: Layer, clouds: np.ndarray) -> np.ndarray:
+    """The set-to-set map of one layer on B clouds of one shape at once:
+    (B, N, d) -> (B, N, d_out), each cloud attending over m(X) of itself.
+
+    A single head is self-attention, a `MultiHeadConfig` sums its heads'
+    W_O products in head order, and a `TransformerLayerSpec` applies its
+    FFN pointwise to that sum. Every cloud gets the bits of a call on it
+    alone, whatever the batch: all sums over points and heads run along
+    axis 0 of keys-major buffers, vectorised across clouds and queries,
+    and the batch is split into chunks of `_CHUNK_ENTRIES` buffer entries.
+    Non-finite input, similarities or outputs raise InvalidInput.
+    """
+    if not isinstance(layer, (AttentionConfig, MultiHeadConfig, TransformerLayerSpec)):
+        raise InvalidInput(f"not a layer: {layer!r}")
+    clouds = np.asarray(clouds, dtype=np.float64)
+    if clouds.ndim != 3 or 0 in clouds.shape[:2]:
+        raise InvalidInput(f"clouds must have shape (B, N, d), got {clouds.shape}")
+    if isinstance(layer, TransformerLayerSpec):
+        if layer.ffn.dim != layer.mh.dim:
+            raise DimMismatch(f"FFN dim {layer.ffn.dim} vs attention dim {layer.mh.dim}")
+        dim = layer.mh.dim
+    else:
+        dim = layer.dim
+    if clouds.shape[-1] != dim:
+        raise DimMismatch(f"layer dim {dim} vs cloud dim {clouds.shape[-1]}")
+    size = _chunk_size(clouds.shape[1])
+    if clouds.shape[0] <= size:
+        return _layer_chunk(layer, clouds)
+    return np.concatenate(
+        [_layer_chunk(layer, clouds[s : s + size]) for s in range(0, clouds.shape[0], size)]
+    )
 
 
 def self_attention(cfg: AttentionConfig, cloud: PointCloud) -> PointCloud:
     """Apply the attention kernel with mu = m(X) to every point of X."""
-    return attention_pushforward(cfg, empirical(cloud)).support
+    return PointCloud(layer_map(cfg, cloud.points[None])[0])
 
 
 def multi_head(cfg: MultiHeadConfig, cloud: PointCloud) -> PointCloud:
@@ -395,22 +512,14 @@ def multi_head(cfg: MultiHeadConfig, cloud: PointCloud) -> PointCloud:
     W_O products accumulate in index order, like every product over
     points, so the result is exactly permutation equivariant.
     """
-    mu = empirical(cloud)
-    per_head = [
-        _ordered_matmul(_attend(h.attention, cloud.points, mu), h.w_o)
-        for h in cfg.heads
-    ]
-    return PointCloud(_ordered_sum(np.stack(per_head)))
+    return PointCloud(layer_map(cfg, cloud.points[None])[0])
 
 
 def transformer_layer(
     mh: MultiHeadConfig, ffn: FfnConfig, cloud: PointCloud
 ) -> PointCloud:
     """FFN applied pointwise to the multi-head output."""
-    if ffn.dim != mh.dim:
-        raise DimMismatch(f"FFN dim {ffn.dim} vs attention dim {mh.dim}")
-    attended = multi_head(mh, cloud)
-    return PointCloud(ffn.apply_points(attended.points))
+    return PointCloud(layer_map(TransformerLayerSpec(mh, ffn), cloud.points[None])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -76,12 +76,13 @@ def canonical_order(points: np.ndarray, weights: np.ndarray | None = None) -> np
 
     Jointly permuted (points, weights) pairs map to the same ordered
     sequence, which makes canonically ordered reductions exactly
-    permutation invariant.
+    permutation invariant. Points of shape (..., N, d) with weights of
+    shape (..., N) are sorted cloud by cloud along their N axis.
     """
-    keys = [points[:, j] for j in range(points.shape[1] - 1, -1, -1)]
+    keys = [points[..., j] for j in range(points.shape[-1] - 1, -1, -1)]
     if weights is not None:
         keys.insert(0, weights)
-    return np.lexsort(keys)
+    return np.lexsort(keys, axis=-1)
 
 
 def _ordered_sum(rows: np.ndarray) -> np.ndarray:
@@ -103,15 +104,16 @@ def _ordered_sum(rows: np.ndarray) -> np.ndarray:
 
 
 def _ordered_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b with the shared index accumulated in index order.
+    """a @ b with the shared index accumulated in index order, for a of
+    shape (..., k).
 
     Every output row then depends on its own input row alone, bit for bit;
     BLAS may round a row differently depending on where it sits, which
     would break exact permutation invariance.
     """
-    out = a[:, 0, None] * b[0]
-    for c in range(1, a.shape[1]):
-        out += a[:, c, None] * b[c]
+    out = a[..., 0, None] * b[0]
+    for c in range(1, a.shape[-1]):
+        out += a[..., c, None] * b[c]
     return out
 
 

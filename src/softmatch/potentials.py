@@ -45,8 +45,25 @@ _MAX_CORNERS = 256
 _FD_STEP = 1e-4
 
 
+def _scaled_dot(scale: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """scale * sum_c x_c y_c over the last axis of broadcastable x and y,
+    the products accumulated over c in order (as `_ordered_matmul` does)."""
+    out = np.multiply(x[..., 0], y[..., 0])
+    term = np.empty_like(out)
+    for c in range(1, x.shape[-1]):
+        np.multiply(x[..., c], y[..., c], out=term)
+        out += term
+    out *= scale
+    return out
+
+
 class Potential:
-    """Base interaction potential; subclasses define the similarity a(x, y)."""
+    """Base interaction potential; subclasses define the similarity a(x, y).
+
+    The similarity of many pairs has two layouts: `similarity_matrix`,
+    one row per query, and `similarity_keys_major`, one row per key for a
+    batch of clouds.
+    """
 
     dim: int
     kind: str = "custom"
@@ -60,6 +77,18 @@ class Potential:
         for i, q in enumerate(queries):
             for j, k in enumerate(keys):
                 out[i, j] = self.similarity(q, k)
+        return out
+
+    def similarity_keys_major(self, queries: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """a(q_i, k_j) within each of B clouds, stored keys-major: queries
+        of shape (B, Q, d) and keys of shape (N, B, d) give (N, B, Q).
+
+        This default evaluates `similarity_matrix` one cloud at a time, on
+        the keys in the order given.
+        """
+        out = np.empty((keys.shape[0], queries.shape[0], queries.shape[1]))
+        for b in range(queries.shape[0]):
+            out[:, b, :] = self.similarity_matrix(queries[b], keys[:, b]).T
         return out
 
     def similarity_pairs(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -76,8 +105,23 @@ class Potential:
         return x, y
 
 
+class _PairwisePotential(Potential):
+    """A potential whose similarity is one broadcasting expression,
+    `_pairwise(x, y)` over the last axis of broadcastable x and y, which
+    gives the matrix and the keys-major layouts the same bits."""
+
+    def _pairwise(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def similarity_matrix(self, queries, keys):
+        return self._pairwise(queries[:, None, :], keys[None, :, :])
+
+    def similarity_keys_major(self, queries, keys):
+        return self._pairwise(queries[None], keys[:, :, None, :])
+
+
 @dataclass(frozen=True)
-class DotProduct(Potential):
+class DotProduct(_PairwisePotential):
     """a(x, y) = scale * <x, y>."""
 
     scale: float
@@ -88,8 +132,8 @@ class DotProduct(Potential):
         x, y = self._check_dims(x, y)
         return float(self.scale * np.dot(x, y))
 
-    def similarity_matrix(self, queries, keys):
-        return self.scale * _ordered_matmul(queries, keys.T)
+    def _pairwise(self, x, y):
+        return _scaled_dot(self.scale, x, y)
 
     @property
     def bilinear_matrix(self) -> np.ndarray:
@@ -97,7 +141,7 @@ class DotProduct(Potential):
 
 
 @dataclass(frozen=True)
-class ScaledDotProduct(Potential):
+class ScaledDotProduct(_PairwisePotential):
     """a(x, y) = scale * <W_Q x, W_K y>, the learned-projection similarity."""
 
     w_q: np.ndarray
@@ -123,10 +167,10 @@ class ScaledDotProduct(Potential):
         x, y = self._check_dims(x, y)
         return float(self.scale * np.dot(self.w_q @ x, self.w_k @ y))
 
-    def similarity_matrix(self, queries, keys):
-        q = _ordered_matmul(queries, self.w_q.T)
-        k = _ordered_matmul(keys, self.w_k.T)
-        return self.scale * _ordered_matmul(q, k.T)
+    def _pairwise(self, x, y):
+        q = _ordered_matmul(x, self.w_q.T)
+        k = _ordered_matmul(y, self.w_k.T)
+        return _scaled_dot(self.scale, q, k)
 
     @property
     def bilinear_matrix(self) -> np.ndarray:
@@ -134,7 +178,7 @@ class ScaledDotProduct(Potential):
 
 
 @dataclass(frozen=True)
-class Gaussian(Potential):
+class Gaussian(_PairwisePotential):
     """a(x, y) = -||x - y||_2^2, so G(x, y) = exp(-||x - y||_2^2) exactly."""
 
     dim: int
@@ -145,14 +189,15 @@ class Gaussian(Potential):
         d = x - y
         return float(-np.dot(d, d))
 
-    def similarity_matrix(self, queries, keys):
+    @staticmethod
+    def _pairwise(x, y):
         # one coordinate at a time into two preallocated buffers, so no
         # (n_queries, n_keys, dim) temporary and no allocation per coordinate
-        sq = np.subtract.outer(queries[:, 0], keys[:, 0])
+        sq = np.subtract(x[..., 0], y[..., 0])
         sq *= sq
         diff = np.empty_like(sq)
-        for c in range(1, queries.shape[1]):
-            np.subtract.outer(queries[:, c], keys[:, c], out=diff)
+        for c in range(1, x.shape[-1]):
+            np.subtract(x[..., c], y[..., c], out=diff)
             diff *= diff
             sq += diff
         np.negative(sq, out=sq)

@@ -88,12 +88,14 @@ def cost_matrix_l1(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     d = x.shape[1]
     if d != y.shape[1]:
         raise DimMismatch(f"dims {d} and {y.shape[1]} differ")
-    if d >= 8:
-        c = np.abs(x[:, None, :] - y[None, :, :]).sum(axis=2)
-    else:
-        c = np.zeros((x.shape[0], y.shape[0]))
-        for k in range(d):
-            c += np.abs(x[:, k, None] - y[:, k])
+    # finite coordinates may still overflow; the check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        if d >= 8:
+            c = np.abs(x[:, None, :] - y[None, :, :]).sum(axis=2)
+        else:
+            c = np.zeros((x.shape[0], y.shape[0]))
+            for k in range(d):
+                c += np.abs(x[:, k, None] - y[:, k])
     if not np.all(np.isfinite(c)):
         raise InvalidInput("non-finite transport costs")
     return c

@@ -1,16 +1,20 @@
 """The attention engine as softmatch computed it before the keys-major
 weights: the per-point Python loops of `_ordered_sum`, `_softmatch_rows`
 and `_attend`, kept unchanged as a bitwise parity oracle, plus the public
-functions composed from them as they were, and the bitwise comparison."""
+functions composed from them as they were, and the bitwise comparison.
+Also the inversion's Lipschitz gate as it ran before batching: one layer
+call per cloud, trial by trial."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from softmatch.dynamics import apply_layer, cloud_distance
 from softmatch.errors import DimMismatch, InvalidInput
 from softmatch.kernels import AttentionConfig, apply_lookup
-from softmatch.measures import EmpiricalMeasure, _ordered_matmul, canonical_order, empirical
+from softmatch.measures import EmpiricalMeasure, PointCloud, _ordered_matmul, canonical_order, empirical
 from softmatch.potentials import Potential
+from softmatch.streams import stream
 
 
 def _ordered_sum(rows: np.ndarray) -> np.ndarray:
@@ -104,3 +108,27 @@ def assert_bitwise(got, want):
     got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes(), np.abs(got - want).max()
+
+
+def sampled_set_lipschitz(layer, reference, trials=16, seed=0) -> float:
+    scale = 0.5
+    best = 0.0
+    shape = reference.points.shape
+    for t in range(trials):
+        rng = stream(seed, t)
+        a = reference.points + scale * rng.standard_normal(shape)
+        mode = t % 3
+        if mode == 0:
+            b = reference.points + scale * rng.standard_normal(shape)
+        elif mode == 1:
+            b = a + scale * rng.standard_normal(shape[1])[None, :]
+        else:
+            b = a.copy()
+            b[int(rng.integers(shape[0]))] += scale * rng.standard_normal(shape[1])
+        den = cloud_distance(a, b)
+        if den < 1e-12:
+            continue
+        ga = apply_layer(layer, PointCloud(a)).points
+        gb = apply_layer(layer, PointCloud(b)).points
+        best = max(best, cloud_distance(ga, gb) / den)
+    return best

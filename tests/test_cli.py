@@ -1,10 +1,15 @@
 """CLI contract: subcommands, exit codes, report envelopes, replay fields."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import softmatch
 from softmatch.cli import main
 from softmatch.measures import PointCloud, save_point_cloud_csv
 
@@ -55,6 +60,24 @@ class TestW1Command:
         code, _, err = run(capsys, "w1", str(workdir / "nope.csv"), str(workdir / "b.csv"))
         assert code == 2
         assert "missing input" in err
+
+
+def test_overflowing_costs_print_one_line(tmp_path):
+    # finite coordinates whose l1 distance overflows: exit 2 with the
+    # one-line message, and no numpy warning ahead of it; a child process
+    # sees stderr as a user would, outside pytest's warning capture
+    (tmp_path / "a.csv").write_text("1e308,0\n")
+    (tmp_path / "b.csv").write_text("-1e308,0\n")
+    src = str(Path(softmatch.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default")
+    proc = subprocess.run(
+        [sys.executable, "-m", "softmatch.cli", "w1", "a.csv", "b.csv"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert "non-finite transport costs" in proc.stderr
 
 
 class TestEquivCommand:

@@ -1,7 +1,9 @@
 """Particle trajectories, DEQ fixed points, residual inversion."""
 
+import logging
 import math
 
+import kernel_oracle
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from softmatch.kernels import (
     IdentityLookup,
     LinearLookup,
     MultiHeadConfig,
+    _chunk_size,
     self_attention,
 )
 from softmatch.measures import DomainBox, PointCloud, barycenter, empirical
@@ -213,3 +216,110 @@ class TestInvertResidual:
         with pytest.warns(RuntimeWarning):
             res = invert_residual(cfg, y, tol=1e-10, max_iter=10, seed=0)
         assert not res.converged
+
+
+def gate_layers(d):
+    head = contractive_config(d)
+    gauss = AttentionConfig(Gaussian(d), LinearLookup(0.3 * np.eye(d)))
+    mh = MultiHeadConfig([Head(head, 0.5 * np.eye(d)), Head(gauss, 0.5 * np.eye(d))])
+    ffn = FfnConfig([(0.5 * np.eye(d), np.zeros(d))], "tanh")
+    return {"dot": head, "gauss": gauss, "multi": mh, "transformer": TransformerLayerSpec(mh, ffn)}
+
+
+class TestLipschitzGate:
+    @pytest.mark.parametrize("trials", (1, 2, 4, 7, 16, 17, 20))
+    @pytest.mark.parametrize("n", (1, 2, 5, 16))
+    @pytest.mark.parametrize("kind", ("dot", "gauss", "multi", "transformer"))
+    def test_batched_gate_equals_trial_by_trial(self, kind, n, trials):
+        d = 2
+        rng = np.random.default_rng([n, trials])
+        layer = gate_layers(d)[kind]
+        ref = PointCloud(rng.uniform(-0.5, 0.5, (n, d)))
+        seed = int(rng.integers(2**31))
+        got = sampled_set_lipschitz(layer, ref, trials=trials, seed=seed)
+        want = kernel_oracle.sampled_set_lipschitz(layer, ref, trials=trials, seed=seed)
+        kernel_oracle.assert_bitwise(np.float64(got), np.float64(want))
+
+    @pytest.mark.parametrize("kind", ("gauss", "transformer"))
+    def test_trials_spanning_several_batches(self, kind):
+        # 100 points: a batch holds 6 pairs, so 16 trials take 3 batches
+        n, d = 100, 2
+        assert _chunk_size(n) == 6
+        layer = gate_layers(d)[kind]
+        ref = PointCloud(np.random.default_rng(5).uniform(-0.5, 0.5, (n, d)))
+        got = sampled_set_lipschitz(layer, ref, trials=16, seed=9)
+        kernel_oracle.assert_bitwise(
+            np.float64(got),
+            np.float64(kernel_oracle.sampled_set_lipschitz(layer, ref, trials=16, seed=9)),
+        )
+
+    @pytest.mark.parametrize("trials", (0, -1))
+    def test_no_trials_is_rejected(self, trials):
+        # 0.0 would read as "contracts" with no pair sampled
+        ref = PointCloud([[0.0], [1.0]])
+        with pytest.raises(InvalidInput):
+            sampled_set_lipschitz(contractive_config(1), ref, trials=trials)
+
+
+def events(caplog, prefix):
+    return [r for r in caplog.records if r.name == "softmatch" and r.getMessage().startswith(prefix)]
+
+
+class TestDebugEvents:
+    def test_one_event_per_call(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="softmatch")
+        d = 2
+        cfg = contractive_config(d)
+        rng = np.random.default_rng(21)
+        x = PointCloud(rng.uniform(-0.5, 0.5, (6, d)))
+        res = deq_solve(cfg, x, PointCloud(rng.uniform(-0.5, 0.5, (6, d))), tol=1e-12)
+        (deq,) = events(caplog, "deq_solve:")
+        assert f"iterations={res.iterations} " in deq.getMessage()
+        assert "converged=True" in deq.getMessage()
+        assert "residual=" in deq.getMessage()
+
+        caplog.clear()
+        lip = sampled_set_lipschitz(cfg, x, trials=5, seed=2)
+        (gate,) = events(caplog, "sampled_set_lipschitz:")
+        assert "trials=5 batches=2 " in gate.getMessage()
+        assert f"estimate={lip:.6g}" in gate.getMessage()
+
+        caplog.clear()
+        y = PointCloud(x.points + self_attention(cfg, x).points)
+        inv = invert_residual(cfg, y, tol=1e-10, seed=0)
+        (event,) = events(caplog, "invert_residual:")
+        assert f"iterations={inv.iterations} " in event.getMessage()
+        assert "converged=True" in event.getMessage()
+        assert len(events(caplog, "sampled_set_lipschitz:")) == 1
+        assert len(caplog.records) == 2
+
+    def test_diverged_inversion_still_logs_once(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="softmatch")
+        expander = AttentionConfig(DotProduct(0.0, 1), LinearLookup(np.array([[-1e60]])))
+        res = invert_residual(expander, PointCloud([[1.0], [2.0]]), lip_check=False, max_iter=50)
+        assert not res.converged and res.residual == float("inf")
+        (event,) = events(caplog, "invert_residual:")
+        assert "residual=inf" in event.getMessage()
+        assert len(caplog.records) == 1
+
+
+class TestNonFiniteLayerOutputs:
+    """Similarities or outputs that overflow inside the iterations raise
+    InvalidInput, as they did when every iterate was a PointCloud."""
+
+    def overflowing(self):
+        return AttentionConfig(DotProduct(1e300, 1), IdentityLookup(1))
+
+    def test_deq_raises(self):
+        x = PointCloud([[1e5], [2e5]])
+        with pytest.raises(InvalidInput):
+            deq_solve(self.overflowing(), x, x)
+
+    def test_invert_raises(self):
+        y = PointCloud([[1e5], [2e5]])
+        with pytest.raises(InvalidInput):
+            invert_residual(self.overflowing(), y, lip_check=False)
+
+    def test_gate_raises(self):
+        with pytest.raises(InvalidInput):
+            sampled_set_lipschitz(self.overflowing(), PointCloud([[1e5], [2e5]]), trials=3)

@@ -14,6 +14,8 @@ from softmatch.equiv import (
     POTENTIAL_KINDS,
     random_attention_config,
     random_ffn,
+    random_lookup,
+    random_potential,
 )
 from softmatch.errors import DimMismatch, InvalidInput, KeyValueMismatch
 from softmatch.kernels import (
@@ -24,11 +26,16 @@ from softmatch.kernels import (
     IdentityLookup,
     LinearLookup,
     MultiHeadConfig,
+    TransformerLayerSpec,
+    _CHUNK_ENTRIES,
+    _attend,
+    _chunk_size,
     _softmatch_rows,
     apply_lookup,
     attention_kernel,
     attention_pushforward,
     induced_l1_norm,
+    layer_map,
     multi_head,
     reference_attention,
     reference_multi_head,
@@ -504,9 +511,168 @@ class TestRowIndependence:
         mu = weighted_cloud(rng, n, d)
         cfg = random_attention_config(rng, d, potential_kind, "linear")
         batched = attention_pushforward(cfg, mu).support.points
-        weights, order = _softmatch_rows(cfg.potential, mu.support.points, mu)
+        pts = mu.support.points[None]
+        weights, order, _ = _softmatch_rows(cfg.potential, pts, pts, mu.weights[None])
         for i, x in enumerate(mu.support.points):
             kernel_oracle.assert_bitwise(attention_kernel(cfg, x, mu), batched[i])
             row = np.zeros(n)
-            row[order] = weights[:, i]
+            row[order[0]] = weights[:, 0, i]
             kernel_oracle.assert_bitwise(softmatch_weights(cfg.potential, x, mu), row)
+
+
+# the built-in potentials, plus a custom one with only a pairwise function
+BATCH_POTENTIALS = POTENTIAL_KINDS + ("custom_pairwise",)
+LAYER_KINDS = ("single", "multi", "transformer")
+
+
+def batch_layer(rng, layer_kind, potential_kind, d):
+    def attention():
+        if potential_kind == "custom_pairwise":
+            pot = CustomPotential(fn=lambda x, y: -float(np.abs(x - y).sum()), dim=d)
+        else:
+            pot = random_potential(rng, d, potential_kind)
+        return AttentionConfig(pot, random_lookup(rng, d))
+
+    if layer_kind == "single":
+        return attention()
+    heads = [attention() for _ in range(2)]
+    mh = MultiHeadConfig([Head(c, rng.normal(scale=0.5, size=(c.out_dim, d))) for c in heads])
+    if layer_kind == "multi":
+        return mh
+    return TransformerLayerSpec(mh, random_ffn(rng, d))
+
+
+def oracle_layer(layer, cloud):
+    """The per-point loops of `kernel_oracle` on one cloud."""
+    if isinstance(layer, AttentionConfig):
+        return kernel_oracle.attention_pushforward(layer, empirical(cloud))
+    if isinstance(layer, MultiHeadConfig):
+        return kernel_oracle.multi_head(layer, cloud)
+    return kernel_oracle.transformer_layer(layer.mh, layer.ffn, cloud)
+
+
+class TestLayerMapBatch:
+    """`layer_map` on B clouds gives every cloud the bits of a call on it
+    alone: of `self_attention`, `multi_head` or `transformer_layer`, which
+    are its B = 1 case, and of the per-point loop oracle."""
+
+    @pytest.mark.parametrize("d", (1, 3))
+    @pytest.mark.parametrize("n", (1, 2, 17))
+    @pytest.mark.parametrize("layer_kind", LAYER_KINDS)
+    @pytest.mark.parametrize("potential_kind", BATCH_POTENTIALS)
+    def test_batch_equals_separate_calls(self, potential_kind, layer_kind, n, d):
+        key = [BATCH_POTENTIALS.index(potential_kind), LAYER_KINDS.index(layer_kind), n, d]
+        rng = np.random.default_rng(key)
+        layer = batch_layer(rng, layer_kind, potential_kind, d)
+        clouds = rng.normal(size=(5, n, d))
+        clouds[1, -1] = clouds[1, 0]  # a duplicated point
+        if layer_kind == "single":
+            single = functools.partial(self_attention, layer)
+        elif layer_kind == "multi":
+            single = functools.partial(multi_head, layer)
+        else:
+            single = functools.partial(transformer_layer, layer.mh, layer.ffn)
+        for b in (1, 2, 5):
+            got = layer_map(layer, clouds[:b])
+            for i in range(b):
+                cloud = PointCloud(clouds[i])
+                kernel_oracle.assert_bitwise(got[i], single(cloud).points)
+                kernel_oracle.assert_bitwise(got[i], oracle_layer(layer, cloud))
+
+    @pytest.mark.parametrize("layer_kind", LAYER_KINDS)
+    def test_batch_across_chunk_boundaries(self, layer_kind):
+        n, d = 100, 3
+        size = _chunk_size(n)
+        rng = np.random.default_rng([7, LAYER_KINDS.index(layer_kind)])
+        layer = batch_layer(rng, layer_kind, "gaussian", d)
+        clouds = rng.uniform(-1.0, 1.0, size=(2 * size + 1, n, d))
+        got = layer_map(layer, clouds)
+        for i in (0, size - 1, size, 2 * size - 1, 2 * size):
+            kernel_oracle.assert_bitwise(got[i], oracle_layer(layer, PointCloud(clouds[i])))
+
+    def test_chunks_stay_within_one_256_point_matrix(self):
+        for n in (1, 2, 16, 17, 64, 100, 255):
+            assert _chunk_size(n) * n * n <= _CHUNK_ENTRIES < (_chunk_size(n) + 1) * n * n
+        assert _chunk_size(256) == _chunk_size(512) == 1
+
+    @pytest.mark.parametrize("n", (9, 33))
+    @pytest.mark.parametrize("potential_kind", POTENTIAL_KINDS)
+    def test_single_query_per_cloud(self, potential_kind, n):
+        # one query per cloud: each column of the keys-major weights is
+        # then summed as its own row of a batch, never along a fast axis
+        d = 3
+        rng = np.random.default_rng([POTENTIAL_KINDS.index(potential_kind), n])
+        cfg = random_attention_config(rng, d, potential_kind, "linear")
+        mu = weighted_cloud(rng, n, d)
+        keys = np.stack([mu.support.points, rng.normal(size=(n, d)), mu.support.points])
+        queries = rng.normal(size=(3, 1, d))
+        got = _attend(cfg, queries, keys, np.stack([mu.weights] * 3))
+        for i in range(3):
+            nu = EmpiricalMeasure(PointCloud(keys[i]), mu.weights)
+            kernel_oracle.assert_bitwise(got[i, 0], attention_kernel(cfg, queries[i, 0], nu))
+            kernel_oracle.assert_bitwise(
+                got[i, 0], kernel_oracle.attention_kernel(cfg, queries[i, 0], nu)
+            )
+
+    @pytest.mark.parametrize("potential_kind", POTENTIAL_KINDS)
+    def test_zero_weight_points_in_a_batch(self, potential_kind):
+        n, d = 12, 2
+        rng = np.random.default_rng([POTENTIAL_KINDS.index(potential_kind), 99])
+        cfg = random_attention_config(rng, d, potential_kind, "identity")
+        mu = weighted_cloud(rng, n, d)
+        assert np.any(mu.weights == 0)
+        clouds = np.stack([mu.support.points, rng.normal(size=(n, d)), rng.normal(size=(n, d))])
+        got = _attend(cfg, clouds, clouds, np.stack([mu.weights] * 3))
+        for i in range(3):
+            nu = EmpiricalMeasure(PointCloud(clouds[i]), mu.weights)
+            kernel_oracle.assert_bitwise(got[i], attention_pushforward(cfg, nu).support.points)
+            kernel_oracle.assert_bitwise(got[i], kernel_oracle.attention_pushforward(cfg, nu))
+
+    def test_non_finite_input_raises_invalid_input(self):
+        cfg = AttentionConfig(Gaussian(2), IdentityLookup(2))
+        clouds = np.zeros((3, 4, 2))
+        clouds[2, 1, 0] = np.nan
+        with pytest.raises(InvalidInput):
+            layer_map(cfg, clouds)
+        mu = empirical(np.zeros((4, 2)))
+        for q in ([np.inf, 0.0], [0.0, np.nan]):
+            with pytest.raises(InvalidInput):
+                attention_kernel(cfg, q, mu)
+            with pytest.raises(InvalidInput):
+                softmatch_weights(cfg.potential, q, mu)
+
+    def test_overflowing_similarity_raises_invalid_input(self):
+        cfg = AttentionConfig(DotProduct(1e300, 1), IdentityLookup(1))
+        clouds = np.array([[[1.0], [2.0]], [[1e10], [2e10]]])
+        with pytest.raises(InvalidInput):
+            layer_map(cfg, clouds)
+        with pytest.raises(InvalidInput):
+            self_attention(cfg, PointCloud(clouds[1]))
+
+    def test_overflowing_output_raises_invalid_input(self):
+        mh = MultiHeadConfig([Head(AttentionConfig(Gaussian(1), IdentityLookup(1)), np.eye(1))])
+        ffn = FfnConfig([(np.array([[1e308]]), np.zeros(1))])
+        cloud = PointCloud([[10.0], [10.0]])
+        with pytest.raises(InvalidInput):
+            transformer_layer(mh, ffn, cloud)
+        with pytest.raises(InvalidInput):
+            layer_map(TransformerLayerSpec(mh, ffn), np.stack([cloud.points] * 2))
+        # an overflowing multi-head output raises even where tanh would
+        # map it back to a finite FFN output
+        wide = MultiHeadConfig([Head(AttentionConfig(Gaussian(1), IdentityLookup(1)), [[1e308]])])
+        squash = FfnConfig([(np.eye(1), np.zeros(1)), (np.eye(1), np.zeros(1))], "tanh")
+        with pytest.raises(InvalidInput):
+            transformer_layer(wide, squash, cloud)
+        with pytest.raises(InvalidInput):
+            layer_map(TransformerLayerSpec(wide, squash), np.stack([cloud.points] * 2))
+
+    def test_bad_shapes_and_layers_rejected(self):
+        cfg = AttentionConfig(Gaussian(2), IdentityLookup(2))
+        with pytest.raises(InvalidInput):
+            layer_map(cfg, np.zeros((4, 2)))
+        with pytest.raises(InvalidInput):
+            layer_map(cfg, np.zeros((0, 4, 2)))
+        with pytest.raises(DimMismatch):
+            layer_map(cfg, np.zeros((1, 4, 3)))
+        with pytest.raises(InvalidInput):
+            layer_map(object(), np.zeros((1, 4, 2)))
