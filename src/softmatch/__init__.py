@@ -38,7 +38,6 @@ from .kernels import (
     attention_pushforward,
     layer_map,
     multi_head,
-    reference_attention,
     reference_multi_head,
     reference_self_attention,
     self_attention,
@@ -50,8 +49,6 @@ from .transport import (
     TransportPlan,
     W1Result,
     w1,
-    w1_oracle_lcm,
-    w1_oracle_permutations,
     w1_product,
 )
 from .bounds import (

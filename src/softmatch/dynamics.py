@@ -22,24 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatch, InvalidInput
-from .kernels import (
-    AttentionConfig,
-    Layer,
-    MultiHeadConfig,
-    TransformerLayerSpec,
-    _chunk_size,
-    layer_map,
-)
+# TransformerLayerSpec is re-exported: callers build layers as
+# dynamics.TransformerLayerSpec.
+from .kernels import Layer, TransformerLayerSpec, _chunk_size, layer_map
 from .measures import PointCloud, empirical
 from .streams import stream
 from .transport import w1
 
 log = logging.getLogger("softmatch")
-
-
-def apply_layer(layer: Layer, cloud: PointCloud) -> PointCloud:
-    """One layer on one cloud: the batch of one of `kernels.layer_map`."""
-    return PointCloud(layer_map(layer, cloud.points[None])[0])
 
 
 def cloud_distance(a: PointCloud | np.ndarray, b: PointCloud | np.ndarray) -> float:
@@ -75,7 +65,7 @@ def run_particles(layers, x0: PointCloud, steps: int | None = None) -> Trajector
     once per entry. steps = 0 returns the trajectory [x0]. Each step's W1
     is exact, so a cloud of more than 512 points raises SupportTooLarge.
     """
-    if isinstance(layers, (AttentionConfig, MultiHeadConfig, TransformerLayerSpec)):
+    if isinstance(layers, Layer):
         if steps is None:
             raise InvalidInput("weight-tied run needs an explicit step count")
         if steps < 0:
@@ -90,7 +80,7 @@ def run_particles(layers, x0: PointCloud, steps: int | None = None) -> Trajector
     states = [x0]
     per_step = []
     for layer in seq:
-        nxt = apply_layer(layer, states[-1])
+        nxt = PointCloud(layer_map(layer, states[-1].points[None])[0])
         per_step.append(w1(empirical(states[-1]), empirical(nxt)).value)
         states.append(nxt)
     return Trajectory(tuple(states), tuple(per_step), tuple(seq))

@@ -34,18 +34,6 @@ class UnboundedDomainUnsupported(ValueError):
     """Regularity statistics need a bounded domain for this potential kind."""
 
 
-class KeyValueMismatch(ValueError):
-    """Key and value collections have different lengths."""
-
-
-class SizeMismatch(ValueError):
-    """The permutation oracle was given clouds of different sizes."""
-
-
-class OracleTooLarge(ValueError):
-    """A brute-force oracle was asked to exceed its stated size limit."""
-
-
 class SupportTooLarge(ValueError):
     """Instance exceeds the documented desk-scale support limits."""
 

@@ -39,9 +39,9 @@ make axis 0 the fast axis, which numpy would sum pairwise:
 so that its (N, B, N) buffers hold about as many entries as one 256-point
 similarity matrix; a cloud of 256 points or more runs alone.
 
-`reference_attention` computes the familiar matrix formula directly with
-max-shifted exponentials and is kept independent of the pipeline code so
-the two can be compared as an equivalence test.
+The matrix-form `reference_*` functions compute the familiar formula
+directly with max-shifted exponentials, independent of the pipeline code;
+`softmatch equiv` compares the two.
 """
 from __future__ import annotations
 
@@ -50,7 +50,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimMismatch, InvalidInput, KeyValueMismatch
+from .errors import DimMismatch, InvalidInput
 from .measures import (
     EmpiricalMeasure,
     PointCloud,
@@ -291,6 +291,14 @@ class TransformerLayerSpec:
     mh: MultiHeadConfig
     ffn: FfnConfig
 
+    def __post_init__(self):
+        if self.ffn.dim != self.mh.dim:
+            raise DimMismatch(f"FFN dim {self.ffn.dim} vs attention dim {self.mh.dim}")
+
+    @property
+    def dim(self) -> int:
+        return self.mh.dim
+
 
 Layer = AttentionConfig | MultiHeadConfig | TransformerLayerSpec
 
@@ -302,6 +310,12 @@ Layer = AttentionConfig | MultiHeadConfig | TransformerLayerSpec
 def _require_finite(values: np.ndarray, message: str) -> None:
     if not np.isfinite(values).all():
         raise InvalidInput(message)
+
+
+# Overflow in the similarities, W_O products or FFN surfaces as a
+# non-finite value that `_require_finite` turns into InvalidInput, so numpy
+# need not warn about it first.
+_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 
 
 def _softmatch_rows(
@@ -345,6 +359,7 @@ def _softmatch_rows(
     return w, order, sorted_keys
 
 
+@_quiet_overflow
 def softmatch_weights(
     potential: Potential, q: np.ndarray, nu: EmpiricalMeasure
 ) -> np.ndarray:
@@ -383,6 +398,7 @@ def apply_lookup(lookup: Lookup, mu: EmpiricalMeasure) -> EmpiricalMeasure:
 # Attention kernels
 # ---------------------------------------------------------------------------
 
+@_quiet_overflow
 def _attend(
     cfg: AttentionConfig, queries: np.ndarray, keys: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
@@ -450,6 +466,7 @@ def _chunk_size(n: int) -> int:
     return max(1, _CHUNK_ENTRIES // (n * n))
 
 
+@_quiet_overflow
 def _layer_chunk(layer: Layer, clouds: np.ndarray) -> np.ndarray:
     b, n = clouds.shape[:2]
     weights = np.full((b, n), 1.0 / n)  # m(X), as `empirical` builds it
@@ -477,19 +494,13 @@ def layer_map(layer: Layer, clouds: np.ndarray) -> np.ndarray:
     and the batch is split into chunks of `_CHUNK_ENTRIES` buffer entries.
     Non-finite input, similarities or outputs raise InvalidInput.
     """
-    if not isinstance(layer, (AttentionConfig, MultiHeadConfig, TransformerLayerSpec)):
+    if not isinstance(layer, Layer):
         raise InvalidInput(f"not a layer: {layer!r}")
     clouds = np.asarray(clouds, dtype=np.float64)
     if clouds.ndim != 3 or 0 in clouds.shape[:2]:
         raise InvalidInput(f"clouds must have shape (B, N, d), got {clouds.shape}")
-    if isinstance(layer, TransformerLayerSpec):
-        if layer.ffn.dim != layer.mh.dim:
-            raise DimMismatch(f"FFN dim {layer.ffn.dim} vs attention dim {layer.mh.dim}")
-        dim = layer.mh.dim
-    else:
-        dim = layer.dim
-    if clouds.shape[-1] != dim:
-        raise DimMismatch(f"layer dim {dim} vs cloud dim {clouds.shape[-1]}")
+    if clouds.shape[-1] != layer.dim:
+        raise DimMismatch(f"layer dim {layer.dim} vs cloud dim {clouds.shape[-1]}")
     size = _chunk_size(clouds.shape[1])
     if clouds.shape[0] <= size:
         return _layer_chunk(layer, clouds)
@@ -523,24 +534,8 @@ def transformer_layer(
 
 
 # ---------------------------------------------------------------------------
-# Reference (matrix form) oracles, independent of the measure pipeline
+# Reference (matrix form) layers, independent of the measure pipeline
 # ---------------------------------------------------------------------------
-
-def reference_attention(
-    a: Potential, q, keys: PointCloud, values: PointCloud
-) -> np.ndarray:
-    """The textbook formula sum_i softmax(a(q, k_.))_i v_i.
-
-    Direct exponentials with a max shift; no measure machinery.
-    """
-    if keys.n != values.n:
-        raise KeyValueMismatch(f"{keys.n} keys vs {values.n} values")
-    q = np.asarray(q, dtype=np.float64).reshape(-1)
-    logits = np.array([a.similarity(q, k) for k in keys.points])
-    e = np.exp(logits - logits.max())
-    p = e / e.sum()
-    return p @ values.points
-
 
 def reference_self_attention(cfg: AttentionConfig, cloud: PointCloud) -> np.ndarray:
     """Row-wise matrix attention with values = lookup(X); shape (N, d_out)."""

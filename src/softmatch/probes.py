@@ -454,7 +454,7 @@ def check_product_lemma(
     }
 
 
-def _lip_estimates(f, known_points: np.ndarray, rng, d: int, n_samples: int):
+def _lip_estimates(f, rng, d: int, n_samples: int):
     """(restricted, unrestricted) sampled Lipschitz estimates of f.
 
     Random pairs plus coordinate-aligned finite differences; restricted
@@ -482,7 +482,7 @@ def _lip_estimates(f, known_points: np.ndarray, rng, d: int, n_samples: int):
 
     # coordinate-aligned differences at a few grid points (the local
     # finite-difference refinement)
-    base = known_points if known_points is not None else xs[:64]
+    base = xs[:64]
     for axis in range(d):
         for h in (1e-4, 0.5, 1.0):
             step = np.zeros(d)
@@ -531,7 +531,7 @@ def check_local_lip_lemma(
             def f(p):
                 return np.zeros(p.shape[0])
 
-        restricted, unrestricted = _lip_estimates(f, None, rng, d, n_samples)
+        restricted, unrestricted = _lip_estimates(f, rng, d, n_samples)
         scale = max(1.0, known)
         err = max(abs(restricted - known), abs(unrestricted - known)) / scale
         worst = max(worst, err)

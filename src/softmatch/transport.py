@@ -39,9 +39,7 @@ are found in float on the reduced matrix r (c less its row minima, then
 its column minima), where the differences that decide them keep their
 bits even when every row of c is nearly constant, as on a contracted
 cloud; exact row and column shifts change neither, so r only guides the
-start, and the simplex prices and certifies c itself. Oracles: factorial
-enumeration over permutations, and LCM replication for uniform unequal
-sizes.
+start, and the simplex prices and certifies c itself.
 
 Desk-scale limits: every path accepts N, M <= 512, d = 1 included: the
 plan is a dense N x M array, and its check builds the N x M cost matrix.
@@ -57,13 +55,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import (
-    DimMismatch,
-    InvalidInput,
-    OracleTooLarge,
-    SizeMismatch,
-    SupportTooLarge,
-)
+from .errors import DimMismatch, InvalidInput, SupportTooLarge
 from .measures import EmpiricalMeasure, PointCloud
 
 MAX_LP_SUPPORT = 512
@@ -816,18 +808,6 @@ def _result(mu, nu, c, basis: _Basis, den: int) -> W1Result:
     return W1Result(value=value, plan=plan, dual_gap=0.0)
 
 
-def _exact_mean(values: np.ndarray, n: int) -> float:
-    """sum(values) / n evaluated in exact rational arithmetic, rounded once.
-
-    l1 costs tie exactly in real arithmetic surprisingly often (nested
-    intervals in 1-d transport); exact evaluation makes the value identical
-    across any optimal matching the solver happens to pick, and therefore
-    exactly symmetric in the two inputs.
-    """
-    ints, shift = _dyadic_ints(values)
-    return float(Fraction(sum(ints), n << shift))
-
-
 def _w1_assignment(mu: EmpiricalMeasure, nu: EmpiricalMeasure, c: np.ndarray) -> W1Result:
     """W1 of two uniform measures of one size and dim via optimal assignment.
 
@@ -852,43 +832,6 @@ def _w1_assignment(mu: EmpiricalMeasure, nu: EmpiricalMeasure, c: np.ndarray) ->
     cols = linear_sum_assignment(r)[1].tolist()
     basis = _network_simplex(c, _assignment_basis(r, cols), _dyadic_shift(c), "assignment")
     return _result(mu, nu, c, basis, mu.n)
-
-
-def w1_oracle_permutations(x: PointCloud, y: PointCloud) -> float:
-    """Factorial brute force: min over all N! matchings of the mean cost."""
-    from itertools import permutations
-
-    if x.n != y.n:
-        raise SizeMismatch(f"permutation oracle got sizes {x.n} and {y.n}")
-    if x.n > 8:
-        raise OracleTooLarge(f"{x.n}! permutations is past the oracle limit")
-    c = cost_matrix_l1(x.points, y.points)
-    idx = np.arange(x.n)
-    best = math.inf
-    for perm in permutations(range(x.n)):
-        total = float(c[idx, list(perm)].sum())
-        if total < best:
-            best = total
-    return best / x.n
-
-
-def w1_oracle_lcm(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
-    """Replicate both uniform supports to lcm(N, M) points and assign.
-
-    Exact for uniform empirical measures. Limited to lcm(N, M) <= 12.
-    """
-    _check_pair(mu, nu)
-    if not (_is_uniform(mu) and _is_uniform(nu)):
-        raise InvalidInput("LCM oracle needs uniform weights on both sides")
-    n, m = mu.n, nu.n
-    lcm = n * m // math.gcd(n, m)
-    if lcm > 12:
-        raise OracleTooLarge(f"lcm({n}, {m}) = {lcm} exceeds the oracle limit 12")
-    xs = np.repeat(mu.support.points, lcm // n, axis=0)
-    ys = np.repeat(nu.support.points, lcm // m, axis=0)
-    c = cost_matrix_l1(xs, ys)
-    rows, cols = linear_sum_assignment(c)
-    return _exact_mean(c[rows, cols], lcm)
 
 
 def product_measure(mu1: EmpiricalMeasure, mu2: EmpiricalMeasure) -> EmpiricalMeasure:

@@ -1,8 +1,29 @@
-"""The successive-shortest-path min-cost flow that was softmatch's exact W1
+"""Independent W1 oracles for the transport tests.
+
+The successive-shortest-path min-cost flow that was softmatch's exact W1
 solver before the network simplex, kept unchanged as an independent exact
-oracle for the transport tests."""
+oracle; and two brute-force oracles for small instances: factorial
+enumeration over permutations (N <= 8), and LCM replication for uniform
+measures of unequal sizes (lcm(N, M) <= 12)."""
 
 import heapq
+import math
+from fractions import Fraction
+
+import numpy as np
+from scipy.optimize import linear_sum_assignment
+
+from softmatch.errors import InvalidInput
+from softmatch.measures import EmpiricalMeasure, PointCloud
+from softmatch.transport import _check_pair, _dyadic_ints, _is_uniform, cost_matrix_l1
+
+
+class SizeMismatch(ValueError):
+    """The permutation oracle was given clouds of different sizes."""
+
+
+class OracleTooLarge(ValueError):
+    """A brute-force oracle was asked to exceed its stated size limit."""
 
 
 def _min_cost_flow(cost: list, supply: list, demand: list):
@@ -101,3 +122,52 @@ def _min_cost_flow(cost: list, supply: list, demand: list):
         remaining -= amount
 
     return flow, pi
+
+
+def _exact_mean(values: np.ndarray, n: int) -> float:
+    """sum(values) / n evaluated in exact rational arithmetic, rounded once.
+
+    l1 costs tie exactly in real arithmetic surprisingly often (nested
+    intervals in 1-d transport); exact evaluation makes the value identical
+    across any optimal matching the solver happens to pick, and therefore
+    exactly symmetric in the two inputs.
+    """
+    ints, shift = _dyadic_ints(values)
+    return float(Fraction(sum(ints), n << shift))
+
+
+def w1_oracle_permutations(x: PointCloud, y: PointCloud) -> float:
+    """Factorial brute force: min over all N! matchings of the mean cost."""
+    from itertools import permutations
+
+    if x.n != y.n:
+        raise SizeMismatch(f"permutation oracle got sizes {x.n} and {y.n}")
+    if x.n > 8:
+        raise OracleTooLarge(f"{x.n}! permutations is past the oracle limit")
+    c = cost_matrix_l1(x.points, y.points)
+    idx = np.arange(x.n)
+    best = math.inf
+    for perm in permutations(range(x.n)):
+        total = float(c[idx, list(perm)].sum())
+        if total < best:
+            best = total
+    return best / x.n
+
+
+def w1_oracle_lcm(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
+    """Replicate both uniform supports to lcm(N, M) points and assign.
+
+    Exact for uniform empirical measures. Limited to lcm(N, M) <= 12.
+    """
+    _check_pair(mu, nu)
+    if not (_is_uniform(mu) and _is_uniform(nu)):
+        raise InvalidInput("LCM oracle needs uniform weights on both sides")
+    n, m = mu.n, nu.n
+    lcm = n * m // math.gcd(n, m)
+    if lcm > 12:
+        raise OracleTooLarge(f"lcm({n}, {m}) = {lcm} exceeds the oracle limit 12")
+    xs = np.repeat(mu.support.points, lcm // n, axis=0)
+    ys = np.repeat(nu.support.points, lcm // m, axis=0)
+    c = cost_matrix_l1(xs, ys)
+    rows, cols = linear_sum_assignment(c)
+    return _exact_mean(c[rows, cols], lcm)

@@ -3,18 +3,23 @@ weights: the per-point Python loops of `_ordered_sum`, `_softmatch_rows`
 and `_attend`, kept unchanged as a bitwise parity oracle, plus the public
 functions composed from them as they were, and the bitwise comparison.
 Also the inversion's Lipschitz gate as it ran before batching: one layer
-call per cloud, trial by trial."""
+call per cloud, trial by trial. And `reference_attention`, the textbook
+formula for one query, with no measure machinery."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from softmatch.dynamics import apply_layer, cloud_distance
+from softmatch.dynamics import cloud_distance
 from softmatch.errors import DimMismatch, InvalidInput
-from softmatch.kernels import AttentionConfig, apply_lookup
+from softmatch.kernels import AttentionConfig, apply_lookup, layer_map
 from softmatch.measures import EmpiricalMeasure, PointCloud, _ordered_matmul, canonical_order, empirical
 from softmatch.potentials import Potential
 from softmatch.streams import stream
+
+
+class KeyValueMismatch(ValueError):
+    """Key and value collections have different lengths."""
 
 
 def _ordered_sum(rows: np.ndarray) -> np.ndarray:
@@ -128,7 +133,23 @@ def sampled_set_lipschitz(layer, reference, trials=16, seed=0) -> float:
         den = cloud_distance(a, b)
         if den < 1e-12:
             continue
-        ga = apply_layer(layer, PointCloud(a)).points
-        gb = apply_layer(layer, PointCloud(b)).points
+        ga = layer_map(layer, a[None])[0]
+        gb = layer_map(layer, b[None])[0]
         best = max(best, cloud_distance(ga, gb) / den)
     return best
+
+
+def reference_attention(
+    a: Potential, q, keys: PointCloud, values: PointCloud
+) -> np.ndarray:
+    """The textbook formula sum_i softmax(a(q, k_.))_i v_i.
+
+    Direct exponentials with a max shift; no measure machinery.
+    """
+    if keys.n != values.n:
+        raise KeyValueMismatch(f"{keys.n} keys vs {values.n} values")
+    q = np.asarray(q, dtype=np.float64).reshape(-1)
+    logits = np.array([a.similarity(q, k) for k in keys.points])
+    e = np.exp(logits - logits.max())
+    p = e / e.sum()
+    return p @ values.points

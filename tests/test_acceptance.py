@@ -10,6 +10,7 @@ import time
 from itertools import product
 
 import numpy as np
+from flow_oracle import w1_oracle_lcm, w1_oracle_permutations
 
 from softmatch.bounds import (
     bound_bounded_contraction,
@@ -36,7 +37,7 @@ from softmatch.measures import DomainBox, PointCloud, empirical
 from softmatch.potentials import DotProduct, Gaussian
 from softmatch.probes import ProbeConfig, probe_component, probe_contraction
 from softmatch.streams import stream
-from softmatch.transport import w1, w1_oracle_lcm, w1_oracle_permutations
+from softmatch.transport import w1
 from test_transport import matrix_minimum_w1
 
 

@@ -62,22 +62,60 @@ class TestW1Command:
         assert "missing input" in err
 
 
-def test_overflowing_costs_print_one_line(tmp_path):
-    # finite coordinates whose l1 distance overflows: exit 2 with the
-    # one-line message, and no numpy warning ahead of it; a child process
-    # sees stderr as a user would, outside pytest's warning capture
-    (tmp_path / "a.csv").write_text("1e308,0\n")
-    (tmp_path / "b.csv").write_text("-1e308,0\n")
+def run_child(cwd, *argv):
+    """The CLI in a child process, which sees stderr as a user would,
+    outside pytest's warning capture."""
     src = str(Path(softmatch.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default")
-    proc = subprocess.run(
-        [sys.executable, "-m", "softmatch.cli", "w1", "a.csv", "b.csv"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    return subprocess.run(
+        [sys.executable, "-m", "softmatch.cli", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def test_overflowing_costs_print_one_line(tmp_path):
+    # finite coordinates whose l1 distance overflows: exit 2 with the
+    # one-line message, and no numpy warning ahead of it
+    (tmp_path / "a.csv").write_text("1e308,0\n")
+    (tmp_path / "b.csv").write_text("-1e308,0\n")
+    proc = run_child(tmp_path, "w1", "a.csv", "b.csv")
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
     assert "non-finite transport costs" in proc.stderr
+
+
+# an overflowing similarity (dot product of scale 1e300), and an
+# overflowing FFN product (W = [[1e308]] on a one-head d = 1 layer)
+OVERFLOWING_LAYERS = {
+    "similarity": (
+        "1e5,0\n2e5,0\n",
+        {"potential": {"kind": "dot_product", "scale": 1e300}},
+        ("deq",),
+        "similarity produced non-finite values",
+    ),
+    "ffn": (
+        "10\n10\n",
+        {
+            "heads": [{"potential": {"kind": "gaussian", "dim": 1}, "W_O": [[1.0]]}],
+            "ffn": {"layers": [{"W": [[1e308]]}]},
+        },
+        ("dynamics", "--steps", "1"),
+        "layer output must be finite",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", OVERFLOWING_LAYERS)
+def test_overflowing_layer_prints_one_line(tmp_path, case):
+    points, config, (command, *flags), message = OVERFLOWING_LAYERS[case]
+    (tmp_path / "x.csv").write_text(points)
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    proc = run_child(tmp_path, command, "x.csv", "--config", "cfg.json", *flags)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert message in proc.stderr
 
 
 class TestEquivCommand:
@@ -278,6 +316,25 @@ class TestExitCodes:
         assert env is None
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("input error: ")
+
+    def test_ffn_dim_mismatch_is_usage_error(self, workdir, capsys):
+        (workdir / "ffn3.json").write_text(
+            json.dumps(
+                {
+                    "heads": [
+                        {"potential": {"kind": "gaussian", "dim": 2}, "W_O": np.eye(2).tolist()}
+                    ],
+                    "ffn": {"layers": [{"W": np.eye(3).tolist()}]},
+                }
+            )
+        )
+        code, env, err = run(
+            capsys, "dynamics", str(workdir / "x.csv"),
+            "--config", str(workdir / "ffn3.json"), "--steps", "1",
+        )
+        assert code == 2
+        assert env is None
+        assert err.strip() == "input error: DimMismatch: FFN dim 3 vs attention dim 2"
 
     @pytest.mark.parametrize("d", (1, 2))
     def test_w1_on_weights_with_unequal_float_totals_passes(self, workdir, capsys, d):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from kernel_oracle import KeyValueMismatch, reference_attention
 
 from softmatch.equiv import (
     LOOKUP_KINDS,
@@ -17,7 +18,7 @@ from softmatch.equiv import (
     random_lookup,
     random_potential,
 )
-from softmatch.errors import DimMismatch, InvalidInput, KeyValueMismatch
+from softmatch.errors import DimMismatch, InvalidInput
 from softmatch.kernels import (
     AttentionConfig,
     FfnConfig,
@@ -37,7 +38,6 @@ from softmatch.kernels import (
     induced_l1_norm,
     layer_map,
     multi_head,
-    reference_attention,
     reference_multi_head,
     reference_self_attention,
     reference_transformer_layer,
@@ -424,6 +424,15 @@ class TestTransformerLayer:
         ffn = FfnConfig([(w1, np.zeros(2)), (w2, np.zeros(2))], "tanh")
         assert ffn.lip() == induced_l1_norm(w1) * induced_l1_norm(w2)
 
+    def test_ffn_dim_must_match_attention_dim(self):
+        mh = MultiHeadConfig(
+            [Head(AttentionConfig(Gaussian(2), IdentityLookup(2)), np.eye(2))]
+        )
+        ffn = FfnConfig([(np.eye(3), np.zeros(3))])
+        with pytest.raises(DimMismatch, match="FFN dim 3 vs attention dim 2"):
+            TransformerLayerSpec(mh, ffn)
+        assert TransformerLayerSpec(mh, FfnConfig([(np.eye(2), np.zeros(2))])).dim == 2
+
     def test_ffn_shape_validation(self):
         with pytest.raises(DimMismatch):
             FfnConfig([(np.ones((3, 2)), np.zeros(3))])  # not square overall
@@ -648,6 +657,8 @@ class TestLayerMapBatch:
             layer_map(cfg, clouds)
         with pytest.raises(InvalidInput):
             self_attention(cfg, PointCloud(clouds[1]))
+        with pytest.raises(InvalidInput):
+            softmatch_weights(cfg.potential, [1e10], empirical(clouds[1]))
 
     def test_overflowing_output_raises_invalid_input(self):
         mh = MultiHeadConfig([Head(AttentionConfig(Gaussian(1), IdentityLookup(1)), np.eye(1))])

@@ -6,18 +6,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from flow_oracle import _min_cost_flow
+from flow_oracle import OracleTooLarge, _min_cost_flow, w1_oracle_lcm, w1_oracle_permutations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment, linprog
 
 from softmatch import transport
-from softmatch.errors import (
-    DimMismatch,
-    InvalidInput,
-    OracleTooLarge,
-    SupportTooLarge,
-)
+from softmatch.errors import DimMismatch, InvalidInput, SupportTooLarge
 from softmatch.measures import EmpiricalMeasure, PointCloud, empirical
 from softmatch.transport import (
     TransportPlan,
@@ -34,8 +29,6 @@ from softmatch.transport import (
     cost_matrix_l1,
     product_measure,
     w1,
-    w1_oracle_lcm,
-    w1_oracle_permutations,
     w1_product,
 )
 
