@@ -161,10 +161,10 @@ def _sample_pair(rng: np.random.Generator, probe: ProbeConfig):
 def _aggregate(
     ratios: list, instances: list, bound: float | None, skipped: int, trials: int
 ) -> ProbeResult:
+    arr = np.array(ratios)
     if ratios:
-        arr = np.array(ratios)
         hist = {
-            f"q{q:g}": float(np.quantile(arr, q)) for q in _QUANTILES
+            f"q{q:g}": float(x) for q, x in zip(_QUANTILES, np.quantile(arr, _QUANTILES))
         }
         top = int(np.argmax(arr))
         max_ratio = float(arr[top])
@@ -175,7 +175,7 @@ def _aggregate(
         argmax = None
     violations = 0
     if bound is not None and ratios:
-        violations = int(np.sum(np.array(ratios) > violation_threshold(bound)))
+        violations = int(np.sum(arr > violation_threshold(bound)))
     return ProbeResult(
         max_ratio=max_ratio,
         argmax_instance=argmax,
@@ -471,29 +471,31 @@ def _lip_estimates(f, rng, d: int, n_samples: int):
     ys_near = xs + dirs * scales
     ys_far = rng.uniform(-radius, radius, size=(half, d))
 
-    def ratio(a, b):
-        num = np.abs(f(a) - f(b))
+    def ratio(a, fa, b):
+        num = np.abs(fa - f(b))
         den = np.abs(a - b).sum(axis=1)
         ok = den > 1e-12
         return float((num[ok] / den[ok]).max(initial=0.0))
 
-    restricted = ratio(xs, ys_near)
-    unrestricted = max(restricted, ratio(xs, ys_far))
+    fx = f(xs)
+    restricted = ratio(xs, fx, ys_near)
+    unrestricted = max(restricted, ratio(xs, fx, ys_far))
 
     # coordinate-aligned differences at a few grid points (the local
     # finite-difference refinement)
     base = xs[:64]
+    fbase = f(base)
     for axis in range(d):
         for h in (1e-4, 0.5, 1.0):
             step = np.zeros(d)
             step[axis] = h
-            r = ratio(base + step, base)
+            r = ratio(base, fbase, base + step)
             restricted = max(restricted, r)
             unrestricted = max(unrestricted, r)
         for h in (2.0, 4.0):
             step = np.zeros(d)
             step[axis] = h
-            unrestricted = max(unrestricted, ratio(base + step, base))
+            unrestricted = max(unrestricted, ratio(base, fbase, base + step))
     return restricted, unrestricted
 
 

@@ -19,13 +19,15 @@ float l1 cost matrix: "exact" means the exact optimum of the LP over those
 float costs, each c_ij = fl(sum_k |x_ik - y_jk|) read exactly as a dyadic
 integer. Flows and node potentials are exact Python integers on a
 spanning-tree basis. numpy prices all N*M arcs at once from correctly
-rounded float copies of the potentials; an arc enters only once its
-reduced cost is confirmed negative in exact integers. Arcs within the
-float error bound of zero are settled exactly; when there are many, a
-double-double pricing under a rigorous per-arc bound settles most of
-them first, and only the rest are checked in integers. The solve stops
-when no arc is exactly negative, so the primal, the dual and
-complementary slackness hold by construction. Every plan carries the dual potentials of its
+rounded float copies of the potentials, refreshed from the exact ones once
+per pricing round; an arc enters only once its reduced cost is confirmed
+negative in exact integers, its exact cost read on demand from the float
+cost (no per-arc integer array is kept). Arcs within the float error
+bound of zero are settled exactly; when there are many, a double-double
+pricing under a rigorous per-arc bound settles most of them first, and
+only the rest are checked in integers. The solve stops when no arc is
+exactly negative, so the primal, the dual and complementary slackness
+hold by construction. Every plan carries the dual potentials of its
 optimal basis, rounded toward -inf so that they stay exactly feasible for
 the float cost matrix.
 
@@ -113,15 +115,12 @@ def _dyadic_ints(values: np.ndarray, shift: int | None = None) -> tuple[list[int
     `shift` defaults to the least one that works and may be given larger.
     """
     flat = np.asarray(values, dtype=np.float64).reshape(-1)
-    mant, exp = np.frexp(flat)
-    # mant * 2^53 is integral for every finite float
-    m_int = (mant * (1 << 53)).astype(np.int64)
-    e_int = exp.astype(np.int64) - 53
     if shift is None:
         shift = _dyadic_shift(flat)
-    ms = m_int.tolist()
-    es = e_int.tolist()
-    return [m << (e + shift) for m, e in zip(ms, es)], shift
+    mant, exp = np.frexp(flat)
+    # mant * 2^53 is integral for every finite float
+    ms = (mant * (1 << 53)).astype(np.int64).tolist()
+    return [a << e for a, e in zip(ms, (exp + (shift - 53)).tolist())], shift
 
 
 def _integer_masses(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> tuple[list, list, int]:
@@ -355,15 +354,32 @@ def _tie_signs(c, src, dst, pot: list, shift: int) -> tuple[np.ndarray, np.ndarr
     return (np.abs(r) <= err2) & (2.0 * err2 < math.ldexp(1.0, -shift)), r > err2
 
 
+def _smallest(vals: np.ndarray, k: int) -> np.ndarray:
+    """np.argsort(vals, kind="stable")[:k].
+
+    Past 512 entries, where np.partition costs less than a full sort, only
+    the entries at or below the k-th smallest value are sorted: they are
+    kept in index order, so their stable sort puts the same k first.
+    """
+    if k < vals.size and vals.size > 512:
+        keep = np.flatnonzero(vals <= np.partition(vals, k - 1)[k - 1])
+        return keep[np.argsort(vals[keep], kind="stable")[:k]]
+    return np.argsort(vals, kind="stable")[:k]
+
+
 def _network_simplex(c: np.ndarray, arcs: list, shift: int, path: str) -> _Basis:
     """Exact network simplex for the transportation problem on cost c.
 
     `arcs` is a strongly feasible spanning-tree basis (i, j, flow) rooted
     at sink m - 1: every zero-flow arc has its source as the child. Flows
     and potentials are exact Python integers; costs enter as
-    c_ij * 2**shift. Pricing runs in numpy on correctly rounded float
-    copies of the potentials, against a rigorous bound `err` on the
-    rounding error of the float reduced cost r~:
+    c_ij * 2**shift, each read on demand from the float c_ij for the arcs
+    that need it (the start tree and each round's candidates). Pricing
+    runs in numpy on correctly rounded float copies of the potentials,
+    refreshed from the exact ones once at the top of each pricing round
+    (pivots shift only the exact potentials, and nothing reads the floats
+    until the next pass), against a rigorous bound `err` on the rounding
+    error of the float reduced cost r~:
 
     - r~ < -err: certainly negative;
     - |r~| <= err: a possible tie, looked at once no certainly negative arc
@@ -375,13 +391,16 @@ def _network_simplex(c: np.ndarray, arcs: list, shift: int, path: str) -> _Basis
       list in exact integers;
     - r~ > err: certainly nonnegative.
 
-    Candidates are taken most negative first and each is re-priced in
-    exact integers before it enters, so no arc enters on a stale or
-    rounded value. The leaving arc is the last blocking arc met when
-    walking the cycle from its apex along the entering arc (strongly
-    feasible rule: the tree stays strongly feasible, so degenerate pivots
-    cannot cycle). When no arc is exactly negative the flow is optimal
-    and the tree potentials are an exact dual certificate.
+    Candidates are taken most negative first, ties in arc order: the
+    `block` most negative in an ordinary round (`_smallest`), all of them
+    in a tie round. Each is re-priced in exact integers before it enters,
+    so no arc enters on a stale or rounded value. The leaving arc is the
+    last blocking arc met when walking the cycle from its apex along the
+    entering arc (strongly feasible rule: the tree stays strongly
+    feasible, so degenerate pivots cannot cycle). When no arc is exactly
+    negative the flow is optimal and the tree potentials are an exact dual
+    certificate. Every tree arc is tight, c_ij = u_i + v_j, so the
+    objective is the sum of flow * (u_i + v_j) over the tree.
     """
     n, m = c.shape
     size = n + m
@@ -396,13 +415,9 @@ def _network_simplex(c: np.ndarray, arcs: list, shift: int, path: str) -> _Basis
     children = [[] for _ in range(size)]
     pot = [0] * size  # u_i at node i, v_j at node n + j
     basic = np.zeros(n * m, dtype=bool)
-    # exact scaled costs are mant << sh, kept per arc in numpy
-    mant, sh = np.frexp(cflat)
-    mant = (mant * (1 << 53)).astype(np.int64)
-    sh += shift - 53
 
     def exact_costs(ks):
-        return [a << e for a, e in zip(mant[ks].tolist(), sh[ks].tolist())]
+        return _dyadic_ints(cflat[ks], shift)[0]
 
     adj = [[] for _ in range(size)]
     ks = [i * m + j for i, j, _ in arcs]
@@ -420,7 +435,6 @@ def _network_simplex(c: np.ndarray, arcs: list, shift: int, path: str) -> _Basis
                 children[x].append(y)
                 pot[y] = ck - pot[x]
                 stack.append(y)
-    potf = np.array([p / scale for p in pot])
     red = np.empty((n, m))
     flat_red = red.reshape(-1)
     block = max(8, size // 2)
@@ -487,16 +501,14 @@ def _network_simplex(c: np.ndarray, arcs: list, shift: int, path: str) -> _Basis
         # shift its potentials (sources by s, sinks by -s) so the entering
         # arc becomes tight
         s = r if e_in < n else -r
-        moved = []
-        stack = [e_in]
-        while stack:
-            x = stack.pop()
-            moved.append(x)
+        sub = [e_in]
+        for x in sub:
             pot[x] += s if x < n else -s
-            stack += children[x]
-        potf[moved] = [pot[x] / scale for x in moved]
+            sub += children[x]
 
     while True:
+        # pivots shift only the exact potentials; round them once per pass
+        potf = np.array([p / scale for p in pot])
         np.subtract(c, potf[:n, None], out=red)
         red -= potf[None, n:]
         # |r~ - r| <= 2^-53 (2|c| + 3|u~| + 2|v~|) to first order (rounded
@@ -519,8 +531,7 @@ def _network_simplex(c: np.ndarray, arcs: list, shift: int, path: str) -> _Basis
                 cand = cand[~(zero | positive)]
             if cand.size == 0:
                 break
-        order = np.argsort(flat_red[cand], kind="stable")
-        cand = cand[order if ties else order[:block]]
+        cand = cand[_smallest(flat_red[cand], cand.size if ties else block)]
         entered = 0
         for k, ck in zip(cand.tolist(), exact_costs(cand)):
             i, j = divmod(k, m)
@@ -546,8 +557,8 @@ def _network_simplex(c: np.ndarray, arcs: list, shift: int, path: str) -> _Basis
         (x, parent[x] - n, flow[x]) if x < n else (parent[x], x - n, flow[x])
         for x in range(root)
     ]
-    costs = exact_costs([i * m + j for i, j, _ in arcs])
-    total = sum(f * ck for (_, _, f), ck in zip(arcs, costs))
+    # every tree arc is tight: its exact cost is u_i + v_j
+    total = sum(flow[x] * (pot[x] + pot[parent[x]]) for x in range(root))
     return _Basis(arcs, pot[:n], pot[n:], total, shift)
 
 

@@ -1,5 +1,6 @@
 """Exact W1: solver examples, oracle agreement, certificates, metric axioms."""
 
+import hashlib
 import logging
 import math
 from fractions import Fraction
@@ -7,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from flow_oracle import OracleTooLarge, _min_cost_flow, w1_oracle_lcm, w1_oracle_permutations
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment, linprog
 
@@ -24,6 +25,7 @@ from softmatch.transport import (
     _line_basis,
     _network_simplex,
     _reduced_costs,
+    _smallest,
     _solve_masses,
     _tie_signs,
     cost_matrix_l1,
@@ -1077,3 +1079,77 @@ class TestSolveEvents:
         with caplog.at_level(logging.DEBUG, logger="softmatch"):
             w1(mu, nu)
         assert [r.args[:3] for r in self.events(caplog)] == [("line", 512, 512)]
+
+
+class TestSmallest:
+    """The candidate block of a pricing round: the k smallest values, ties
+    in index order, partitioned first only past 512 entries."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        size=st.integers(1, 1500),
+        k=st.integers(1, 1600),
+        grid=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(size=1200, k=1, grid=True, seed=0)
+    @example(size=1200, k=1, grid=False, seed=1)
+    @example(size=700, k=699, grid=True, seed=2)
+    @example(size=1200, k=1200, grid=True, seed=3)
+    @example(size=1200, k=1600, grid=False, seed=4)
+    def test_equals_stable_argsort_prefix(self, size, k, grid, seed):
+        rng = np.random.default_rng(seed)
+        if grid:
+            # quarter-grid values, signed zeros included: heavy ties
+            vals = rng.integers(-4, 5, size) / 4.0 * rng.choice((-1.0, 1.0), size)
+        else:
+            vals = -rng.exponential(size=size)
+        assert np.array_equal(_smallest(vals, k), np.argsort(vals, kind="stable")[:k])
+
+
+def _pinned_pair(kind, seed):
+    rng = np.random.default_rng([seed, ("80x96", "128x112", "grid96").index(kind)])
+
+    def weighted(pts):
+        w = rng.random(len(pts)) + 0.05
+        return EmpiricalMeasure(PointCloud(pts), w / w.sum())
+
+    if kind == "80x96":
+        return weighted(rng.uniform(-1, 1, (80, 2))), weighted(rng.uniform(-1, 1, (96, 2)))
+    if kind == "128x112":
+        return weighted(rng.uniform(-1, 1, (128, 4))), weighted(rng.uniform(-1, 1, (112, 4)))
+    return weighted(rng.integers(-4, 5, (96, 3)) / 4.0), weighted(rng.integers(-4, 5, (96, 3)) / 4.0)
+
+
+class TestPinnedEnteringSequence:
+    """The simplex enters the same arcs in the same order as the solver of
+    commit 0e0985f, which stable-sorted every candidate and re-rounded the
+    float potentials on each pivot: the DEBUG counts (pivots, degenerate,
+    tie_checks) and a sha256 of the value, plan and float duals were
+    recorded with that solver. Weighted flow pairs at the benchmark's
+    sizes (80 x 96 at d = 2, 128 x 112 at d = 4), and 96-point pairs on a
+    quarter grid at d = 3, whose reduced costs tie and go through tie
+    rounds."""
+
+    @pytest.mark.parametrize(
+        "kind, seed, counts, digest",
+        [
+            ("80x96", 0, (129, 0, 65), "60d831b5eddb13843d52562dc2a67246fb45e4b6f7a5d93763d89373e90d672a"),
+            ("128x112", 0, (328, 0, 1), "531976952ede2259dcc7373850f331927fca5f44d6b004296384e58f5691fbc3"),
+            ("grid96", 0, (109, 0, 330), "6394c8cd5580327baaa0348edde4083962247ed9be068eba1443a8ad2f47e258"),
+            ("80x96", 1, (196, 0, 76), "8fa8ca6a627f723b559bc7efbc2f6a5e54aeadb5cecc29bc3fa95cbe9893078d"),
+            ("128x112", 1, (289, 0, 4), "69edbb39f645d48385700a2fd52114adc9c87d1e10d165c03a20b5152e9022bf"),
+            ("grid96", 1, (104, 0, 365), "0bf12b688ef941ce01558bd48d8f807abd20410ccc2e5372b384c6b1033ecddd"),
+        ],
+    )
+    def test_counts_and_digest(self, caplog, kind, seed, counts, digest):
+        mu, nu = _pinned_pair(kind, seed)
+        with caplog.at_level(logging.DEBUG, logger="softmatch"):
+            res = w1(mu, nu)
+        [event] = [r.args for r in caplog.records if r.name == "softmatch"]
+        assert event[:3] == ("flow", mu.n, nu.n)
+        assert event[3:] == counts
+        h = hashlib.sha256()
+        for a in (np.float64(res.value), res.plan.gamma, *res.plan.dual_potentials()):
+            h.update(np.ascontiguousarray(a).tobytes())
+        assert h.hexdigest() == digest
