@@ -183,6 +183,30 @@ def _load_config_file(path: str | None) -> dict:
     return cfg
 
 
+class _Unwritable(Exception):
+    """An output path that cannot be written."""
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise _Unwritable(f"cannot write {path}: {e.strerror}") from None
+
+
+def _log_level() -> int:
+    """The level SOFTMATCH_LOG_LEVEL names, in any case; WARNING if unset."""
+    name = os.environ.get("SOFTMATCH_LOG_LEVEL", "WARNING")
+    level = logging.getLevelName(name.upper())
+    if not isinstance(level, int):
+        raise ConfigError(
+            f"SOFTMATCH_LOG_LEVEL={name!r} is not a level name "
+            "(DEBUG, INFO, WARNING, ERROR or CRITICAL)"
+        )
+    return level
+
+
 def _config_hash(obj) -> str:
     blob = json.dumps(obj, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
@@ -306,10 +330,7 @@ def cmd_probe(args, config):
         raise ConfigError(f"unknown probe theorem {theorem!r}")
 
     if args.ratios_csv:
-        with open(args.ratios_csv, "w") as fh:
-            fh.write("ratio\n")
-            for r in result.ratios:
-                fh.write(f"{r!r}\n")
+        _write(args.ratios_csv, "ratio\n" + "".join(f"{r!r}\n" for r in result.ratios))
     return result.to_dict(), result.violations == 0
 
 
@@ -318,9 +339,10 @@ def cmd_dynamics(args, config):
     layer = build_layer(config, default_dim=x0.dim)
     traj = run_particles(layer, x0, steps=args.steps)
     if args.states_out:
-        with open(args.states_out, "w") as fh:
-            for state in traj.states:
-                fh.write(json.dumps({"points": state.points.tolist()}) + "\n")
+        _write(
+            args.states_out,
+            "".join(json.dumps({"points": s.points.tolist()}) + "\n" for s in traj.states),
+        )
     report = {
         "depth": traj.depth,
         "per_step_w1": list(traj.per_step_w1),
@@ -493,24 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("SOFTMATCH_LOG_LEVEL", "WARNING"))
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        config = _load_config_file(getattr(args, "config", None))
-        report, ok = args.fn(args, config)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
-        print(f"missing input: {e}", file=sys.stderr)
-        return 2
-    except _INPUT_ERRORS as e:
-        message = " ".join(str(e).split())
-        print(f"input error: {type(e).__name__}: {message}", file=sys.stderr)
-        return 2
-
+def _emit(args, config: dict, report: dict) -> None:
+    """The JSON envelope to --out, or to stdout."""
     envelope = {
         "command": args.command,
         "seed": getattr(args, "seed", None),
@@ -522,10 +528,32 @@ def main(argv=None) -> int:
     }
     blob = json.dumps(envelope, indent=2)
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(blob + "\n")
+        _write(args.out, blob + "\n")
     else:
         print(blob)
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        logging.basicConfig(level=_log_level())
+        config = _load_config_file(getattr(args, "config", None))
+        report, ok = args.fn(args, config)
+        _emit(args, config, report)
+    except _Unwritable as e:
+        print(e, file=sys.stderr)
+        return 2
+    except ConfigError as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return 2
+    except FileNotFoundError as e:
+        print(f"missing input: {e}", file=sys.stderr)
+        return 2
+    except _INPUT_ERRORS as e:
+        message = " ".join(str(e).split())
+        print(f"input error: {type(e).__name__}: {message}", file=sys.stderr)
+        return 2
     print(
         f"softmatch {args.command}: {'pass' if ok else 'FAIL'}",
         file=sys.stderr,

@@ -43,6 +43,11 @@ bits even when every row of c is nearly constant, as on a contracted
 cloud; exact row and column shifts change neither, so r only guides the
 start, and the simplex prices and certifies c itself.
 
+scipy is imported here only for that Hungarian matching, inside
+`_w1_assignment` at its first call, so that importing softmatch does not
+load scipy: a process pays for it only once it solves a uniform
+equal-size pair at d >= 2. Every other path runs on numpy alone.
+
 Desk-scale limits: every path accepts N, M <= 512, d = 1 included: the
 plan is a dense N x M array, and its check builds the N x M cost matrix.
 Product measures hold at most 64 support points.
@@ -55,7 +60,6 @@ from dataclasses import InitVar, dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import DimMismatch, InvalidInput, SupportTooLarge
 from .measures import EmpiricalMeasure, PointCloud
@@ -73,9 +77,11 @@ def cost_matrix_l1(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     numpy adds a last axis shorter than 8 in order, from 0, and a longer
     one pairwise from eight partial sums. Below d = 8 the terms are
-    therefore accumulated in order one coordinate at a time, with no
-    (N, M, d) temporary; from d = 8 on the expression above is kept, so
-    its schedule is numpy's own. d = 0 gives the zero matrix.
+    therefore accumulated in order one coordinate at a time: coordinate 0
+    is written into c itself, and each later one goes through one reused
+    (N, M) buffer, so no temporary is allocated per coordinate. From
+    d = 8 on the expression above is kept, so its schedule is numpy's
+    own. d = 0 gives the zero matrix.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -86,10 +92,16 @@ def cost_matrix_l1(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         if d >= 8:
             c = np.abs(x[:, None, :] - y[None, :, :]).sum(axis=2)
-        else:
+        elif d == 0:
             c = np.zeros((x.shape[0], y.shape[0]))
-            for k in range(d):
-                c += np.abs(x[:, k, None] - y[:, k])
+        else:
+            c = np.subtract(x[:, 0, None], y[:, 0])
+            np.abs(c, out=c)
+            buf = np.empty_like(c) if d > 1 else None
+            for k in range(1, d):
+                np.subtract(x[:, k, None], y[:, k], out=buf)
+                np.abs(buf, out=buf)
+                c += buf
     if not np.all(np.isfinite(c)):
         raise InvalidInput("non-finite transport costs")
     return c
@@ -589,21 +601,25 @@ def _assignment_basis(c: np.ndarray, cols: list) -> list:
     n = len(cols)
     root = n - 1
     r0 = cols.index(root)
-    a = c[:, cols]  # a[k, p] = c[k, cols[p]]
-    base = a.diagonal()
+    at = c.T[cols]  # at[p, k] = c[k, cols[p]]
+    base = at.diagonal()
     unit = n * math.ldexp(1.0, -51)
-    c_max = float(a.max(initial=0.0))
+    c_max = float(at.max(initial=0.0))
     # the first round relaxes from r0 alone: every row under the root
-    d = a[:, r0] - base[r0]
+    d = at[r0] - base[r0]
     d[r0] = 0.0
     pred = np.full(n, r0)
     rows = np.arange(n)
     active = rows[rows != r0]
     span = float(np.abs(d).max())
+    # via[q, k]: row k's distance through the q-th active row, filled in
+    # place; mode="clip" keeps np.take from buffering (the indices are valid)
+    buf = np.empty_like(at)
     for _ in range(n - 1):
-        via = a[:, active] + (d[active] - base[active])
-        arg = via.argmin(axis=1)
-        best = via[rows, arg]
+        via = np.take(at, active, axis=0, out=buf[: active.size], mode="clip")
+        via += (d[active] - base[active])[:, None]
+        arg = via.argmin(axis=0)
+        best = via[arg, rows]
         better = best < d - unit * (2.0 * c_max + span)
         better[r0] = False
         improved = np.flatnonzero(better)
@@ -839,6 +855,8 @@ def _w1_assignment(mu: EmpiricalMeasure, nu: EmpiricalMeasure, c: np.ndarray) ->
     two inputs; the masses are exact, so the dual gap is 0. The plan
     refers to mu and nu themselves.
     """
+    from scipy.optimize import linear_sum_assignment
+
     r = _reduced_costs(c)
     cols = linear_sum_assignment(r)[1].tolist()
     basis = _network_simplex(c, _assignment_basis(r, cols), _dyadic_shift(c), "assignment")

@@ -62,11 +62,14 @@ class TestW1Command:
         assert "missing input" in err
 
 
-def run_child(cwd, *argv):
+def run_child(cwd, *argv, log_level=None):
     """The CLI in a child process, which sees stderr as a user would,
-    outside pytest's warning capture."""
+    outside pytest's warning capture and logging handlers."""
     src = str(Path(softmatch.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default")
+    env.pop("SOFTMATCH_LOG_LEVEL", None)
+    if log_level is not None:
+        env["SOFTMATCH_LOG_LEVEL"] = log_level
     return subprocess.run(
         [sys.executable, "-m", "softmatch.cli", *argv],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
@@ -371,6 +374,54 @@ class TestExitCodes:
         assert exit_info.value.code == 2
         assert captured.out == ""
         assert ": error: " in captured.err.strip().splitlines()[-1]
+
+
+class TestLogLevel:
+    @pytest.mark.parametrize("name", ("debug", "Info", "WARNING", "error"))
+    def test_level_names_in_any_case(self, workdir, capsys, monkeypatch, name):
+        monkeypatch.setenv("SOFTMATCH_LOG_LEVEL", name)
+        code, env, _ = run(capsys, "w1", str(workdir / "a.csv"), str(workdir / "b.csv"))
+        assert code == 0
+        assert env["report"]["value"] == 5.0
+
+    @pytest.mark.parametrize("name", ("verbose", "", "10"))
+    def test_unknown_or_empty_level_is_usage_error(self, workdir, capsys, monkeypatch, name):
+        monkeypatch.setenv("SOFTMATCH_LOG_LEVEL", name)
+        code, env, err = run(capsys, "w1", str(workdir / "a.csv"), str(workdir / "b.csv"))
+        assert code == 2
+        assert env is None
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("config error: SOFTMATCH_LOG_LEVEL=")
+
+    def test_lower_case_debug_logs_events(self, workdir):
+        proc = run_child(workdir, "w1", "a.csv", "b.csv", log_level="debug")
+        assert proc.returncode == 0
+        assert "DEBUG:softmatch:w1 " in proc.stderr
+
+
+class TestUnwritableOutputs:
+    # each output flag with a subcommand that writes it
+    WRITERS = {
+        "out": ("w1", "a.csv", "b.csv", "--out"),
+        "ratios_csv": (
+            "probe", "--theorem", "component-projection", "--trials", "5", "--d", "1",
+            "--box-radius", "2", "--ratios-csv",
+        ),
+        "states_out": ("dynamics", "x.csv", "--config", "cfg.json", "--steps", "1", "--states-out"),
+    }
+
+    @pytest.mark.parametrize("target", ("directory", "missing_directory"))
+    @pytest.mark.parametrize("flag", WRITERS)
+    def test_exit_2_with_one_line(self, workdir, capsys, monkeypatch, flag, target):
+        monkeypatch.chdir(workdir)
+        (workdir / "sub").mkdir()
+        path = {"directory": "sub", "missing_directory": "nope/report.txt"}[target]
+        code, env, err = run(capsys, *self.WRITERS[flag], path)
+        assert code == 2
+        assert env is None
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith(f"cannot write {path}: ")
+        assert not (workdir / "nope").exists()
 
 
 class TestEnvelope:

@@ -3,6 +3,7 @@
 import hashlib
 import logging
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -126,6 +127,31 @@ class TestCostMatrix:
         assert cost_matrix_l1(x.points, y.points).tobytes() == np.zeros((3, 2)).tobytes()
         for other in (y, x):
             assert w1(empirical(x), empirical(other)).value == 0.0
+
+    @pytest.mark.parametrize("kind", ("generic", "near", "grid", "contracted", "shrunk"))
+    def test_bitwise_equal_on_ties_and_contracted_pairs(self, kind):
+        # quarter-grid points tie exactly, and contracted clouds keep the
+        # decisive differences in the last bits of nearly equal costs
+        rng = np.random.default_rng(60 + len(kind))
+        for d in range(1, 7):
+            for n in (1, 5, 24, 61):
+                x, y = _start_instance(kind, rng, n, d)
+                y = y[: max(1, n - d)]
+                want = np.abs(x[:, None, :] - y[None, :, :]).sum(axis=2)
+                assert cost_matrix_l1(x, y).tobytes() == want.tobytes()
+
+    def test_one_reused_buffer_below_d_8(self):
+        # the cost matrix, one reused buffer and the finiteness mask: 18
+        # bytes per arc (24 with a fresh difference and |.| per coordinate)
+        rng = np.random.default_rng(3)
+        x, y = rng.uniform(-1, 1, (256, 4)), rng.uniform(-1, 1, (256, 4))
+        tracemalloc.start()
+        try:
+            cost_matrix_l1(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 256 * 256
 
     def test_non_finite_costs_raise(self):
         with np.errstate(over="ignore"), pytest.raises(InvalidInput):
@@ -558,6 +584,45 @@ def _start_instance(kind, rng, n, d):
 
 
 START_KINDS = ("generic", "near", "grid", "contracted", "shrunk")
+
+
+def _row_major_tree(c, cols):
+    """`_assignment_basis` relaxed row-major on a = c[:, cols], with fresh
+    arrays each round: the plain layout whose trees the buffered one must
+    reproduce exactly."""
+    n = len(cols)
+    root = n - 1
+    r0 = cols.index(root)
+    a = c[:, cols]
+    base = a.diagonal()
+    unit = n * math.ldexp(1.0, -51)
+    c_max = float(a.max(initial=0.0))
+    d = a[:, r0] - base[r0]
+    d[r0] = 0.0
+    pred = np.full(n, r0)
+    rows = np.arange(n)
+    active = rows[rows != r0]
+    span = float(np.abs(d).max())
+    for _ in range(n - 1):
+        via = a[:, active] + (d[active] - base[active])
+        arg = via.argmin(axis=1)
+        best = via[rows, arg]
+        better = best < d - unit * (2.0 * c_max + span)
+        better[r0] = False
+        improved = np.flatnonzero(better)
+        if not improved.size:
+            break
+        pred[improved] = active[arg[improved]]
+        d[improved] = best[improved]
+        span = max(span, float(np.abs(d[improved]).max()))
+        active = improved
+    hop = pred.copy()
+    for _ in range(n.bit_length()):
+        hop = hop[hop]
+    sink = np.where(hop == r0, np.asarray(cols)[pred], root).tolist()
+    return [(i, j, 1) for i, j in enumerate(cols)] + [
+        (k, sink[k], 0) for k in range(n) if k != r0
+    ]
 START_SIZES = (1, 2, 3, 5, 8, 13, 24, 48, 96)
 
 
@@ -588,6 +653,31 @@ class TestAssignmentStart:
                         basis = _network_simplex(c, arcs, shift, "assignment")
                         assert_exact_basis(basis, cost, a, b, total)
                         assert_strongly_feasible(basis.arcs, n, n)
+
+    @pytest.mark.parametrize("kind", START_KINDS)
+    def test_same_tree_as_the_row_major_relaxation(self, kind):
+        rng = np.random.default_rng(70 + START_KINDS.index(kind))
+        for d in (2, 3, 4):
+            for n in START_SIZES:
+                c = cost_matrix_l1(*_start_instance(kind, rng, n, d))
+                for guide in (c, _reduced_costs(c)):
+                    for cols in (linear_sum_assignment(guide)[1].tolist(), rng.permutation(n).tolist()):
+                        assert _assignment_basis(guide, cols) == _row_major_tree(guide, cols)
+
+    def test_peak_memory_per_arc(self):
+        # the transposed copy, the relaxation buffer and numpy's copy for
+        # the argmin along axis 0: 24 bytes per arc (32 row-major)
+        n = 256
+        rng = np.random.default_rng(5)
+        r = _reduced_costs(cost_matrix_l1(rng.uniform(-1, 1, (n, 4)), rng.uniform(-1, 1, (n, 4))))
+        cols = linear_sum_assignment(r)[1].tolist()
+        tracemalloc.start()
+        try:
+            _assignment_basis(r, cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 26 * n * n
 
     def test_negative_cycles_hang_from_the_root(self):
         # matching i -> i with every row cheaper under the next row's sink:
