@@ -12,6 +12,7 @@ locality of the Lipschitz seminorm).
 """
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -36,6 +37,8 @@ DEGENERATE_W1 = 1e-12
 VIOLATION_SLACK = 1e-7
 
 _QUANTILES = (0.0, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0)
+
+log = logging.getLogger("softmatch")
 
 PERTURBATIONS = ("resample", "jitter", "drop_point", "duplicate_point")
 
@@ -298,6 +301,10 @@ def probe_component(
 
 # rows of the ratio-lemma check (one per n) processed together
 _RATIO_BUCKET = 64
+# most entries in one stacked ascent array: four work arrays of 512 KB fit
+# a 2 MB L2 cache; stacking all three restarts of the 1000-row check was
+# about 15% slower than one restart at a time
+_RATIO_STACK = 65536
 
 
 def _ratio_reduction(ns: np.ndarray, grid: int) -> np.ndarray:
@@ -339,6 +346,35 @@ def _ratio_reduction(ns: np.ndarray, grid: int) -> np.ndarray:
     return np.maximum(np.maximum(g((a + b) / 2.0), fc), fd)
 
 
+def _ascend(z: np.ndarray, mask: np.ndarray, ascent_iters: int) -> np.ndarray:
+    """Run the projected gradient ascent on the stacked starts z (restarts,
+    rows, hi) in place, and return f at the end point of every row."""
+    e, t, u = np.empty_like(z), np.empty_like(z), np.empty_like(z)
+    s0, s1, den = (np.empty(z.shape[:2]) for _ in range(3))
+    for _ in range(ascent_iters):
+        np.multiply(z, z, out=t)
+        np.negative(t, out=e)
+        np.exp(e, out=e)
+        e *= mask
+        e.sum(axis=2, out=s0)
+        np.multiply(z, e, out=u).sum(axis=2, out=s1)
+        np.add(s0, 1.0, out=den)
+        np.divide(s1, den, out=s1)  # f
+        # z += 0.25 e (1 - 2 z z + 2 z f) / (1 + s0)
+        s1 *= 2.0
+        den *= 4.0
+        np.multiply(z, s1[..., None], out=u)
+        t *= -2.0
+        t += 1.0
+        t += u
+        t *= e
+        t /= den[..., None]
+        z += t
+        np.maximum(z, 0.0, out=z)
+    e = np.exp(-z * z) * mask
+    return (z * e).sum(axis=2) / (1.0 + e.sum(axis=2))
+
+
 def _ratio_ascent(n_max: int, restarts: int, seed: int, ascent_iters: int) -> np.ndarray:
     """Best f_n(z) = sum z_i e^{-z_i^2} / (1 + sum e^{-z_i^2}) found by
     projected gradient ascent from uniform starts, for every n <= n_max.
@@ -348,40 +384,41 @@ def _ratio_ascent(n_max: int, restarts: int, seed: int, ascent_iters: int) -> np
     to 0. Buckets of rows lo..hi-1 run on the (hi - lo, hi) slice, so the
     masked upper triangle beyond column hi - 1 is never computed. Masked
     entries have e = 0, hence zero gradient, and stay at z = 0.
+
+    Every start is drawn first, restart by restart and within a restart
+    bucket by bucket. Each bucket then stacks its restarts into one
+    (restarts, hi - lo, hi) array, split into groups of at most
+    _RATIO_STACK entries, and runs one iteration loop per group; each
+    row's maximum over restarts is taken at the end. Rows never interact
+    and each still sums over the same hi columns, so every value is the
+    one a loop over restarts would give, bit for bit.
+
+    A step of 0.25 along the gradient e (1 - 2 z^2 + 2 z f) / (1 + s0)
+    takes 15 passes over the array. t = z z is computed once, for
+    e = exp(-t) and for 1 - 2 z^2 = 1 + (-2) t; 2 z f is formed as z (2 f);
+    and the division is by 4 (1 + s0) instead of by 1 + s0 followed by a
+    multiplication by 0.25. Each rewrite only moves a power-of-two factor,
+    which commutes with rounding unless a value is subnormal. z is either
+    0 or far above the subnormal range (on the benchmark's configs and
+    criterion 07, nonzero z stays within [7e-4, 2.5] and e >= 1.9e-3), so
+    every step is bit for bit the one the textbook order gives.
     """
     rng = stream(seed, 0)
-    ascent = np.zeros(n_max)
-    step = 0.25
-    for _ in range(restarts):
-        for lo in range(0, n_max, _RATIO_BUCKET):
-            hi = min(lo + _RATIO_BUCKET, n_max)
-            mask = np.arange(hi)[None, :] <= np.arange(lo, hi)[:, None]
-            z = rng.uniform(0.0, 2.5, size=(hi - lo, n_max))[:, :hi] * mask
-            e, t, u = np.empty_like(z), np.empty_like(z), np.empty_like(z)
-            s0, s1, den = np.empty(hi - lo), np.empty(hi - lo), np.empty(hi - lo)
-            for _ in range(ascent_iters):
-                np.multiply(z, z, out=e)
-                np.negative(e, out=e)
-                np.exp(e, out=e)
-                e *= mask
-                e.sum(axis=1, out=s0)
-                np.multiply(z, e, out=t).sum(axis=1, out=s1)
-                np.add(s0, 1.0, out=den)
-                np.divide(s1, den, out=s1)  # f
-                # grad = e (1 - 2 z z + 2 z f) / (1 + s0)
-                np.multiply(z, 2.0, out=u)
-                np.multiply(u, z, out=t)
-                np.subtract(1.0, t, out=t)
-                u *= s1[:, None]
-                t += u
-                t *= e
-                t /= den[:, None]
-                t *= step
-                z += t
-                np.maximum(z, 0.0, out=z)
-            e = np.exp(-z * z) * mask
-            vals = (z * e).sum(axis=1) / (1.0 + e.sum(axis=1))
-            np.maximum(ascent[lo:hi], vals, out=ascent[lo:hi])
+    buckets = [(lo, min(lo + _RATIO_BUCKET, n_max)) for lo in range(0, n_max, _RATIO_BUCKET)]
+    masks = [
+        (np.arange(hi)[None, :] <= np.arange(lo, hi)[:, None]).astype(np.float64)
+        for lo, hi in buckets
+    ]
+    starts = [np.empty((restarts, hi - lo, hi)) for lo, hi in buckets]
+    for r in range(restarts):
+        for (lo, hi), mask, z in zip(buckets, masks, starts):
+            np.multiply(rng.uniform(0.0, 2.5, size=(hi - lo, n_max))[:, :hi], mask, out=z[r])
+    ascent = np.empty(n_max)
+    for (lo, hi), mask, z in zip(buckets, masks, starts):
+        group = max(1, _RATIO_STACK // mask.size)
+        ascent[lo:hi] = np.concatenate(
+            [_ascend(z[r : r + group], mask, ascent_iters) for r in range(0, restarts, group)]
+        ).max(axis=0)
     return ascent
 
 
@@ -396,15 +433,27 @@ def check_ratio_lemma(
     and an independent multi-start projected gradient ascent on the full
     n-dimensional function. Both maxima must stay at or below
     sqrt(ln n + 1/2e), and the ascent must never beat the reduction.
+    The grid needs two points to bracket a maximum, and the ascent at
+    least one restart and one step.
     """
-    n_max = int(n_max)
+    n_max, grid, restarts, ascent_iters = map(int, (n_max, grid, restarts, ascent_iters))
     if n_max < 1:
         raise InvalidInput("n_max must be >= 1")
+    if grid < 2:
+        raise InvalidInput("grid must be >= 2")
+    if restarts < 1:
+        raise InvalidInput("restarts must be >= 1")
+    if ascent_iters < 1:
+        raise InvalidInput("ascent_iters must be >= 1")
 
     ns = np.arange(1, n_max + 1)
     reduction = _ratio_reduction(ns, grid)
     ascent = _ratio_ascent(n_max, restarts, seed, ascent_iters)
     bound = np.array([ratio_lemma_bound(int(n)) for n in ns])
+    log.debug(
+        "check_ratio_lemma: n_max=%d grid=%d restarts=%d ascent_iters=%d buckets=%d rows=%d",
+        n_max, grid, restarts, ascent_iters, -(-n_max // _RATIO_BUCKET), restarts * n_max,
+    )
     return {
         "n_max": n_max,
         "max_violation_reduction": float((reduction - bound).max()),
@@ -423,12 +472,17 @@ def check_product_lemma(
 ) -> dict:
     """Random small instances of W1 tensor subadditivity:
     W1(mu1 x mu2, nu1 x nu2) <= W1(mu1, nu1) + W1(mu2, nu2)."""
+    trials, d = int(trials), int(d)
+    lo, hi = (int(k) for k in size_range)
     if trials < 1:
         raise InvalidInput("trials must be >= 1")
-    lo, hi = size_range
+    if not 1 <= lo <= hi:
+        raise InvalidInput(f"bad size_range {tuple(size_range)!r}")
+    if d < 1:
+        raise InvalidInput("d must be >= 1")
     excess = []
     slack = []
-    for t in range(int(trials)):
+    for t in range(trials):
         rng = stream(seed, t)
 
         def rand_measure():
@@ -444,14 +498,35 @@ def check_product_lemma(
         slack.append((w_a + w_b) - w_prod)
     excess = np.array(excess)
     slack = np.array(slack)
+    log.debug("check_product_lemma: trials=%d size_range=%d..%d d=%d", trials, lo, hi, d)
     return {
-        "trials": int(trials),
+        "trials": trials,
         "max_violation": float(excess.max()),
         "subadditive": bool(np.all(excess <= 1e-9)),
         "tightness_min": float(slack.min()),
         "tightness_median": float(np.median(slack)),
         "tightness_max": float(slack.max()),
     }
+
+
+def _l1_rows(a: np.ndarray) -> np.ndarray:
+    """||a_i||_1 for every row of an (N, d) array, bit for bit
+    np.abs(a).sum(axis=1).
+
+    numpy adds a last axis shorter than 8 in order, as `cost_matrix_l1`
+    relies on too, so below d = 8 the columns are accumulated in order one
+    at a time; numpy's reduce runs its inner loop once per short row,
+    about seven times slower on a (50 000, 3) array. From d = 8 on
+    numpy's own expression is kept.
+    """
+    d = a.shape[1]
+    if not 0 < d < 8:
+        return np.abs(a).sum(axis=1)
+    out = np.abs(a[:, 0])
+    buf = np.empty_like(out)
+    for k in range(1, d):
+        out += np.abs(a[:, k], out=buf)
+    return out
 
 
 def _lip_estimates(f, rng, d: int, n_samples: int):
@@ -466,14 +541,14 @@ def _lip_estimates(f, rng, d: int, n_samples: int):
 
     # random l1-ball directions for the restricted estimator
     raw = rng.standard_normal((half, d))
-    dirs = raw / np.abs(raw).sum(axis=1, keepdims=True)
+    dirs = raw / _l1_rows(raw)[:, None]
     scales = rng.uniform(0.05, 1.0, size=(half, 1))
     ys_near = xs + dirs * scales
     ys_far = rng.uniform(-radius, radius, size=(half, d))
 
     def ratio(a, fa, b):
         num = np.abs(fa - f(b))
-        den = np.abs(a - b).sum(axis=1)
+        den = _l1_rows(a - b)
         ok = den > 1e-12
         return float((num[ok] / den[ok]).max(initial=0.0))
 
@@ -504,11 +579,19 @@ def check_local_lip_lemma(
 ) -> dict:
     """Restricting seminorm estimation to pairs with ||x - y||_1 <= 1 loses
     nothing: both estimators recover known seminorms of piecewise-linear
-    test functions within 1e-2 relative."""
+    test functions within 1e-2 relative. Half of the samples are base
+    points, so n_samples must be at least 2."""
+    trials, d, n_samples = int(trials), int(d), int(n_samples)
+    if trials < 1:
+        raise InvalidInput("trials must be >= 1")
+    if d < 1:
+        raise InvalidInput("d must be >= 1")
+    if n_samples < 2:
+        raise InvalidInput("n_samples must be >= 2")
     rel_tol = 1e-2
     worst = 0.0
     cases = []
-    for t in range(int(trials)):
+    for t in range(trials):
         rng = stream(seed, t)
         family = ("cone", "affine", "constant")[t % 3]
         if family == "cone":
@@ -517,7 +600,7 @@ def check_local_lip_lemma(
             known = s
 
             def f(p, x0=x0, s=s):
-                return s * np.abs(p - x0).sum(axis=1)
+                return s * _l1_rows(p - x0)
 
         elif family == "affine":
             g = rng.uniform(-2.0, 2.0, size=d)
@@ -545,8 +628,9 @@ def check_local_lip_lemma(
                 "unrestricted": unrestricted,
             }
         )
+    log.debug("check_local_lip_lemma: trials=%d d=%d n_samples=%d", trials, d, n_samples)
     return {
-        "trials": int(trials),
+        "trials": trials,
         "max_relative_error": worst,
         "all_consistent": bool(worst <= rel_tol),
         "cases": cases,

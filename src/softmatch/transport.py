@@ -44,9 +44,11 @@ cloud; exact row and column shifts change neither, so r only guides the
 start, and the simplex prices and certifies c itself.
 
 scipy is imported here only for that Hungarian matching, inside
-`_w1_assignment` at its first call, so that importing softmatch does not
-load scipy: a process pays for it only once it solves a uniform
-equal-size pair at d >= 2. Every other path runs on numpy alone.
+`_w1_assignment` at the first pair that needs one, so that importing
+softmatch does not load scipy: a process pays for it only once it solves a
+uniform equal-size pair of at least two points at d >= 2. A pair of
+one-point measures has the one matching [0] and imports nothing, and every
+other path runs on numpy alone.
 
 Desk-scale limits: every path accepts N, M <= 512, d = 1 included: the
 plan is a dense N x M array, and its check builds the N x M cost matrix.
@@ -841,7 +843,8 @@ def _w1_assignment(mu: EmpiricalMeasure, nu: EmpiricalMeasure, c: np.ndarray) ->
     For equal sizes and uniform weights the transportation LP optimum is
     attained at a permutation. scipy's Hungarian matching (float
     arithmetic), hung along its shortest-path tree (`_assignment_basis`),
-    warm-starts the exact network simplex with unit masses. Both are
+    warm-starts the exact network simplex with unit masses (a one-point
+    pair has the one matching and needs no scipy). Both are
     computed on the reduced matrix r = `_reduced_costs(c)`: in exact
     arithmetic row and column shifts change neither which matchings are
     optimal nor the tree, and in float r keeps the bits that tell the
@@ -855,10 +858,13 @@ def _w1_assignment(mu: EmpiricalMeasure, nu: EmpiricalMeasure, c: np.ndarray) ->
     two inputs; the masses are exact, so the dual gap is 0. The plan
     refers to mu and nu themselves.
     """
-    from scipy.optimize import linear_sum_assignment
-
     r = _reduced_costs(c)
-    cols = linear_sum_assignment(r)[1].tolist()
+    if mu.n == 1:
+        cols = [0]
+    else:
+        from scipy.optimize import linear_sum_assignment
+
+        cols = linear_sum_assignment(r)[1].tolist()
     basis = _network_simplex(c, _assignment_basis(r, cols), _dyadic_shift(c), "assignment")
     return _result(mu, nu, c, basis, mu.n)
 

@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, report envelopes, replay fields."""
 
+import functools
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import softmatch
+from softmatch import probes
 from softmatch.cli import main
 from softmatch.measures import PointCloud, save_point_cloud_csv
 
@@ -262,6 +264,25 @@ class TestLemmasCommand:
         code, env, _ = run(capsys, "lemmas", "--nmax", "20", "--trials", "20")
         assert code == 0
         assert set(env["report"]) == {"ratio_lemma", "product_lemma", "local_lip_lemma"}
+
+    @pytest.mark.parametrize(
+        "flag, check, kw",
+        [
+            ("--ratio", "check_ratio_lemma", {"restarts": 0}),
+            ("--ratio", "check_ratio_lemma", {"grid": 1}),
+            ("--product", "check_product_lemma", {"size_range": (3, 2)}),
+            ("--local-lip", "check_local_lip_lemma", {"n_samples": 1}),
+        ],
+        ids=["ratio-restarts0", "ratio-grid1", "product-range", "local_lip-samples1"],
+    )
+    def test_rejected_arguments_exit_2(self, workdir, capsys, monkeypatch, flag, check, kw):
+        # the flags do not reach these arguments; a library caller's
+        # InvalidInput takes the same exit-2 path
+        monkeypatch.setattr(probes, check, functools.partial(getattr(probes, check), **kw))
+        code, env, err = run(capsys, "lemmas", flag, "--nmax", "10", "--trials", "5")
+        assert code == 2
+        assert env is None
+        assert err.startswith("input error: InvalidInput: ")
 
 
 class TestExitCodes:

@@ -3,7 +3,8 @@
 Each case runs a fresh `python -I` child, which sees no PYTHONPATH and no
 user site, and lists the scipy modules it has loaded once it is done. The
 library imports scipy only at the first use of the three things that need
-it: the Hungarian start of a uniform equal-size W1 at d >= 2, the
+it: the Hungarian start of a uniform equal-size W1 of two or more points
+at d >= 2, the
 numerically maximized gradient constant (`bound --tight-c`) and a custom
 potential's sampled statistics.
 """
@@ -69,9 +70,10 @@ def test_import_loads_no_scipy(tmp_path):
         ("equiv", "--trials", "5"),
         ("bound", "--theorem", "unbounded-gaussian"),
         ("lemmas", "--ratio", "--nmax", "30"),
+        ("lemmas", "--product"),
         ("w1", "a12.csv", "b10.csv"),
     ),
-    ids=("equiv", "bound", "lemmas-ratio", "w1-unequal"),
+    ids=("equiv", "bound", "lemmas-ratio", "lemmas-product", "w1-unequal"),
 )
 def test_subcommands_load_no_scipy(clouds, argv):
     child = cold(clouds, *argv)

@@ -1,9 +1,16 @@
 """Probe machinery: per-component tightness, reproducibility, lemma checks."""
 
+import hashlib
+import json
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from ratio_oracle import oracle_report, ratio_vectors
 
+from softmatch import probes
 from softmatch.bounds import ratio_lemma_bound, tau_pi
 from softmatch.errors import InvalidInput
 from softmatch.kernels import AttentionConfig, IdentityLookup, LinearLookup
@@ -11,6 +18,7 @@ from softmatch.measures import DomainBox
 from softmatch.potentials import DotProduct, Gaussian
 from softmatch.probes import (
     ProbeConfig,
+    _l1_rows,
     _ratio_ascent,
     _ratio_reduction,
     check_local_lip_lemma,
@@ -208,3 +216,134 @@ class TestLocalLipLemma:
         rep = check_local_lip_lemma(trials=3, n_samples=5_000, seed=4)
         const = [c for c in rep["cases"] if c["family"] == "constant"]
         assert all(c["restricted"] == 0.0 and c["unrestricted"] == 0.0 for c in const)
+
+
+class TestPinnedLemmaBits:
+    """The lemma checks give the values of commit a06dc80 bit for bit: its
+    one-restart-at-a-time ascent, 17-pass ascent step and numpy row sums
+    in the local-Lipschitz estimator. sha256 digests recorded with that
+    code, for the benchmark's four ratio configs and its two
+    local-Lipschitz configs, at two seeds each."""
+
+    @pytest.mark.parametrize(
+        "n_max, restarts, ascent_iters, seed, digest",
+        [
+            (1000, 1, 50, 0, "92b2986ad24acabfef1a4eb3ce06dbc60b7a8b4210ab9966d73f912044dafa13"),
+            (1000, 1, 50, 1, "da30c78da2784abe44ef0363e053a9af928188e2e694bab5339c3d6c9bffeb71"),
+            (400, 2, 100, 0, "27e49a5dcba9f094d8293494bb1b9662292be5d9ccbd1d08d2f07a507f82c5c1"),
+            (400, 2, 100, 1, "cef1248966a55e4a3253099aab2ef4372150cfcfe668061b1c76f152dd313561"),
+            (100, 3, 250, 0, "cb824b67e9ab61e66eaf8196d4ddaee79d49158574d4d81f11e80df17b248039"),
+            (100, 3, 250, 1, "ee520069d109397476d5c795c52eb20fc8d5df50e3aad747bddeff77245fba5e"),
+            (30, 3, 250, 0, "dada900ffab9385b7f2bfddfe4474bdb883f4b43ed9231994358af5010f1f95e"),
+            (30, 3, 250, 1, "0707c5bc5a762467dcdff461b4dd5d879061df98dcbdfeb20195f5b1c37d55f1"),
+        ],
+    )
+    def test_ratio_ascent(self, n_max, restarts, ascent_iters, seed, digest):
+        ascent = _ratio_ascent(n_max, restarts, seed, ascent_iters)
+        assert hashlib.sha256(ascent.tobytes()).hexdigest() == digest
+
+    def test_restart_groups_do_not_change_bits(self, monkeypatch):
+        # 3 x 64 x 130 entries: one group per restart, or all three stacked
+        monkeypatch.setattr(probes, "_RATIO_STACK", 1)
+        one_by_one = _ratio_ascent(130, 3, 5, 20)
+        monkeypatch.setattr(probes, "_RATIO_STACK", 10**9)
+        assert np.array_equal(_ratio_ascent(130, 3, 5, 20), one_by_one)
+
+    @pytest.mark.parametrize(
+        "trials, d, n_samples, seed, digest",
+        [
+            (12, 3, 100_000, 0, "0b9d95291d3f46d5576118fc40447972ac1633c8615ab5c5426d1cf38e9c22f6"),
+            (12, 3, 100_000, 1, "93eca402da10ae467ba63f4a78b746ad50fbda0d506a9bdd9dc7350ff091264b"),
+            (6, 2, 50_000, 0, "007f12c710fffd7d9658da8a2cb662f2814064f7be39f3e4ba7bf5e464b1b161"),
+            (6, 2, 50_000, 1, "0f5bff88d0ccfc174bc532ddd12e18d38c2106a51c18164087d50612d5633236"),
+        ],
+    )
+    def test_local_lip_report(self, trials, d, n_samples, seed, digest):
+        rep = check_local_lip_lemma(trials=trials, d=d, n_samples=n_samples, seed=seed)
+        blob = json.dumps(rep, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == digest
+
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_l1_rows_is_numpy_row_sum(self, d):
+        rng = np.random.default_rng(d)
+        a = rng.standard_normal((257, d)) * 10.0 ** rng.integers(-8, 9, size=(257, d))
+        assert np.array_equal(_l1_rows(a), np.abs(a).sum(axis=1))
+
+    def test_checks_raise_no_float_error(self):
+        with np.errstate(all="raise"):
+            assert check_ratio_lemma(130, restarts=2, ascent_iters=40, seed=1)["ascent_consistent"]
+            assert check_product_lemma(20, size_range=(1, 4), d=2, seed=1)["subadditive"]
+            assert check_local_lip_lemma(trials=6, d=3, n_samples=4_000, seed=1)["all_consistent"]
+
+
+class TestLemmaArguments:
+    """A lemma check that would gather no evidence, or is asked something
+    malformed, raises InvalidInput, which the CLI turns into exit 2."""
+
+    @pytest.mark.parametrize(
+        "check, kw",
+        [
+            (check_local_lip_lemma, {"trials": 0}),
+            (check_local_lip_lemma, {"trials": -3}),
+            (check_local_lip_lemma, {"d": 0}),
+            (check_local_lip_lemma, {"n_samples": 1}),
+            (check_ratio_lemma, {"n_max": 10, "restarts": 0}),
+            (check_ratio_lemma, {"n_max": 10, "grid": 0}),
+            (check_ratio_lemma, {"n_max": 10, "grid": 1}),
+            (check_ratio_lemma, {"n_max": 10, "ascent_iters": 0}),
+            (check_product_lemma, {"trials": 5, "size_range": (3, 2)}),
+            (check_product_lemma, {"trials": 5, "size_range": (0, 2)}),
+            (check_product_lemma, {"trials": 5, "d": 0}),
+        ],
+        ids=[
+            "local_lip-trials0", "local_lip-trials-3", "local_lip-d0", "local_lip-samples1",
+            "ratio-restarts0", "ratio-grid0", "ratio-grid1", "ratio-iters0",
+            "product-range-reversed", "product-range-zero", "product-d0",
+        ],
+    )
+    def test_rejected(self, check, kw):
+        with pytest.raises(InvalidInput):
+            check(**kw)
+
+    @pytest.mark.parametrize(
+        "check, args",
+        [
+            (check_ratio_lemma, {"n_max": (-2, 70), "grid": (-2, 12), "restarts": (-2, 3),
+                                 "ascent_iters": (-2, 8)}),
+            (check_product_lemma, {"trials": (-2, 4), "lo": (-1, 8), "hi": (-1, 8), "d": (-2, 4)}),
+            (check_local_lip_lemma, {"trials": (-2, 4), "d": (-2, 4), "n_samples": (-3, 300)}),
+        ],
+        ids=["ratio", "product", "local_lip"],
+    )
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_finite_report_or_invalid_input(self, check, args, data):
+        kw = {name: data.draw(st.integers(*span), label=name) for name, span in args.items()}
+        if "lo" in kw:
+            kw["size_range"] = (kw.pop("lo"), kw.pop("hi"))
+        try:
+            rep = check(**kw, seed=0)
+        except InvalidInput:
+            return
+        json.dumps(rep, allow_nan=False)  # raises on a non-finite float
+
+
+class TestLemmaEvents:
+    def events(self, caplog):
+        messages = [r.getMessage() for r in caplog.records if r.name == "softmatch"]
+        return [m for m in messages if m.startswith("check_")]
+
+    def test_one_debug_event_per_check(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="softmatch")
+        check_ratio_lemma(130, grid=50, restarts=2, ascent_iters=5)
+        assert self.events(caplog) == [
+            "check_ratio_lemma: n_max=130 grid=50 restarts=2 ascent_iters=5 buckets=3 rows=260"
+        ]
+        caplog.clear()
+        check_product_lemma(3, size_range=(2, 3), d=2)
+        assert self.events(caplog) == ["check_product_lemma: trials=3 size_range=2..3 d=2"]
+        caplog.clear()
+        rep = check_local_lip_lemma(trials=2, d=2, n_samples=500)
+        assert self.events(caplog) == ["check_local_lip_lemma: trials=2 d=2 n_samples=500"]
+        # the event carries no timing into the report, which the benchmark digests
+        assert set(rep) == {"trials", "max_relative_error", "all_consistent", "cases"}
