@@ -34,6 +34,7 @@ from .kernels import (
 from .measures import DomainBox, PointCloud, load_cloud_any, load_measure_any
 from .potentials import DotProduct, Gaussian, ScaledDotProduct
 from .probes import ProbeConfig, probe_component, probe_contraction
+from .streams import check_seed
 from .transport import w1
 
 log = logging.getLogger("softmatch")
@@ -539,6 +540,9 @@ def main(argv=None) -> int:
     try:
         logging.basicConfig(level=_log_level())
         config = _load_config_file(getattr(args, "config", None))
+        # the envelope records the seed for a replay, so every subcommand
+        # checks it, not only those that draw from a stream
+        check_seed(args.seed)
         report, ok = args.fn(args, config)
         _emit(args, config, report)
     except _Unwritable as e:

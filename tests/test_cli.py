@@ -13,7 +13,9 @@ import pytest
 import softmatch
 from softmatch import probes
 from softmatch.cli import main
+from softmatch.errors import InvalidInput
 from softmatch.measures import PointCloud, save_point_cloud_csv
+from softmatch.streams import stream
 
 
 @pytest.fixture
@@ -395,6 +397,39 @@ class TestExitCodes:
         assert exit_info.value.code == 2
         assert captured.out == ""
         assert ": error: " in captured.err.strip().splitlines()[-1]
+
+
+class TestSeed:
+    # one cheap run of every subcommand; each takes --seed, and the
+    # envelope records it for a replay
+    RUNS = {
+        "equiv": ("equiv", "--trials", "2"),
+        "w1": ("w1", "a.csv", "b.csv"),
+        "bound": ("bound", "--theorem", "unbounded-gaussian", "--d", "2"),
+        "probe": (
+            "probe", "--theorem", "component-projection", "--trials", "2", "--d", "1",
+            "--box-radius", "1",
+        ),
+        "dynamics": ("dynamics", "x.csv", "--config", "cfg.json", "--steps", "1"),
+        "deq": ("deq", "x.csv", "--config", "cfg.json"),
+        "invert": ("invert", "x.csv", "--config", "cfg.json"),
+        "lemmas": ("lemmas", "--product", "--trials", "2"),
+    }
+
+    @pytest.mark.parametrize("command", RUNS)
+    def test_negative_seed_exits_2_with_one_line(self, workdir, capsys, monkeypatch, command):
+        monkeypatch.chdir(workdir)
+        code, env, err = run(capsys, *self.RUNS[command], "--seed", "0")
+        assert code in (0, 1) and env["seed"] == 0
+        code, env, err = run(capsys, *self.RUNS[command], "--seed", "-1")
+        assert code == 2
+        assert env is None
+        assert err.strip() == "input error: InvalidInput: seed must be >= 0, got -1"
+
+    def test_streams_reject_negative_seeds(self):
+        with pytest.raises(InvalidInput):
+            stream(-1, 0)
+        assert stream(0, 1).random() == stream(np.int64(0), 1).random()
 
 
 class TestLogLevel:

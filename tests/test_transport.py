@@ -141,8 +141,8 @@ class TestCostMatrix:
                 assert cost_matrix_l1(x, y).tobytes() == want.tobytes()
 
     def test_one_reused_buffer_below_d_8(self):
-        # the cost matrix, one reused buffer and the finiteness mask: 18
-        # bytes per arc (24 with a fresh difference and |.| per coordinate)
+        # the cost matrix and one reused buffer: 16 bytes per arc (24 with
+        # a fresh difference and |.| per coordinate)
         rng = np.random.default_rng(3)
         x, y = rng.uniform(-1, 1, (256, 4)), rng.uniform(-1, 1, (256, 4))
         tracemalloc.start()
@@ -540,6 +540,32 @@ class TestEngineParity:
             if min(a) and min(b):
                 # zero-mass points sit out of the simplex
                 assert_strongly_feasible(basis.arcs, mu.n, nu.n)
+
+    def test_wide_binades_exact_without_float_scaling(self):
+        # coordinates down to 1e-307 next to ones near 1 push the shift past
+        # 1000 bits, where c_ij * 2**shift overflows a float: the simplex
+        # then reads its exact costs through frexp and rounds potentials by
+        # integer division, and stays exact
+        rng = np.random.default_rng(8)
+        unscaled = 0
+        for _ in range(30):
+            n, m = (int(k) for k in rng.integers(2, 9, 2))
+
+            def coords(k):
+                z = rng.uniform(0, 1, (k, 2))
+                tiny = rng.random((k, 2)) < 0.8
+                z[tiny] *= 10.0 ** -rng.integers(280, 308, tiny.sum())
+                return z
+
+            mu, nu = EmpiricalMeasure(PointCloud(coords(n)), _weights(rng, n)), empirical(coords(m))
+            res = w1(mu, nu)
+            c, cost, shift, a, b, den = exact_lp(mu, nu, False)
+            unscaled += math.frexp(c.max())[1] + shift + (n + m).bit_length() > 1023
+            total = oracle_total(cost, a, b)
+            assert res.value == float(Fraction(total, den << shift))
+            assert_float_duals_exactly_feasible(res, c)
+            assert_exact_basis(_solve_masses(c, a, b, shift, "flow"), cost, a, b, total)
+        assert unscaled >= 15
 
     def test_repairs_a_suboptimal_hungarian_matching(self):
         # three steps of a contractive attention layer on a 1-d cloud; on
@@ -941,7 +967,8 @@ class TestLinePath:
         mu = empirical([[-3 * 2.0**-55], [-3 * 2.0**-20]])
         nu = empirical([[1.0], [2.0**-5]])
         c = cost_matrix_l1(mu.support.points, nu.support.points)
-        u, v = _float_duals(_line_basis(mu, nu, [1, 1], [1, 1]))
+        basis = _line_basis(mu, nu, [1, 1], [1, 1])
+        u, v = _float_duals(basis.u, basis.v, basis.shift)
         assert (np.array([[Fraction(x) + Fraction(y) for y in v] for x in u]) > c).any()
         res = w1(mu, nu)
         assert_float_duals_exactly_feasible(res, c)
@@ -1094,6 +1121,32 @@ class TestSolverHandOff:
             w1(mu, nu)
             assert calls == [(mu.n, nu.n)]
 
+    @pytest.mark.parametrize("d", (1, 2, 4))
+    def test_plan_derives_its_duals_once_and_keeps_no_cost_matrix(self, monkeypatch, d):
+        # the plan holds gamma and, until the first read, the exact
+        # integer potentials of its basis (no arcs, no c); at d = 1 that
+        # read rebuilds c for the float duals' fix-up, and the second read
+        # is the cache
+        rng = np.random.default_rng(25 + d)
+        weighted = random_measure(rng, 6, d), random_measure(rng, 4, d)
+        uniform = random_measure(rng, 5, d, uniform=True), random_measure(rng, 5, d, uniform=True)
+        calls = self.count_cost_matrices(monkeypatch)
+        for mu, nu in (weighted, uniform):
+            calls.clear()
+            plan = w1(mu, nu).plan
+            assert calls == [(mu.n, nu.n)]
+            arrays = [x for x in vars(plan).values() if isinstance(x, np.ndarray)]
+            assert len(arrays) == 1 and arrays[0] is plan.gamma
+            assert plan._duals is None
+            u, v, shift = plan._potentials
+            assert (len(u), len(v)) == (mu.n, nu.n)
+            assert all(type(x) is int for x in (*u, *v, shift))
+            duals = plan.dual_potentials()
+            assert calls == [(mu.n, nu.n)] * (2 if d == 1 else 1)
+            assert plan.dual_potentials() is duals
+            assert len(calls) == (2 if d == 1 else 1)
+            assert plan._potentials is None
+
     def test_caller_plan_checks_its_cost_against_its_own_matrix(self, monkeypatch):
         rng = np.random.default_rng(24)
         mu, nu = random_measure(rng, 4, 3), random_measure(rng, 3, 3)
@@ -1242,4 +1295,84 @@ class TestPinnedEnteringSequence:
         h = hashlib.sha256()
         for a in (np.float64(res.value), res.plan.gamma, *res.plan.dual_potentials()):
             h.update(np.ascontiguousarray(a).tobytes())
+        assert h.hexdigest() == digest
+
+
+SMALL_KINDS = ("uniform_equal", "uniform_unequal", "weighted", "drop", "duplicate")
+
+
+def _small_pair(kind, d, rng):
+    """A probe-sized pair of 2-16 points on [-1, 1]^d.
+
+    uniform_equal: uniform weights, one size (the assignment path at
+    d >= 2); uniform_unequal: uniform weights, two sizes; weighted: random
+    weights; drop: random weights with some points of zero mass;
+    duplicate: both supports drawn from one small pool of points, so
+    points repeat within and across the sides, with uniform or random
+    weights.
+    """
+    n = int(rng.integers(2, 17))
+    if kind == "uniform_equal":
+        m = n
+    elif kind == "uniform_unequal":
+        m = 2 + (n - 2 + int(rng.integers(1, 15))) % 15
+    else:
+        m = int(rng.integers(2, 17))
+    if kind == "duplicate":
+        pool = rng.uniform(-1, 1, (max(2, min(n, m) // 2), d))
+        x, y = pool[rng.integers(len(pool), size=n)], pool[rng.integers(len(pool), size=m)]
+    else:
+        x, y = rng.uniform(-1, 1, (n, d)), rng.uniform(-1, 1, (m, d))
+    if kind.startswith("uniform") or (kind == "duplicate" and rng.integers(2)):
+        return empirical(x), empirical(y)
+
+    def weights(k):
+        w = rng.random(k) + 0.05
+        if kind == "drop":
+            w[rng.choice(k, size=int(rng.integers(1, k)), replace=False)] = 0.0
+        return w / w.sum()
+
+    return EmpiricalMeasure(PointCloud(x), weights(n)), EmpiricalMeasure(PointCloud(y), weights(m))
+
+
+class TestPinnedSmallPairs:
+    """Probe-sized solves, pinned bit for bit: 40 seeded pairs of 2-16
+    points per kind and dimension. The paths taken (line, assignment,
+    flow), the DEBUG counts
+    (pivots, degenerate, tie_checks) summed over the pairs, and a sha256
+    of every value, plan and pair of float duals were recorded with the
+    solver of commit db2b384, before its per-solve fixed costs were cut."""
+
+    @pytest.mark.parametrize(
+        "kind, d, paths, counts, digest",
+        [
+            ("uniform_equal", 1, (40, 0, 0), (0, 0, 0), "5f4ead340a645b0262271d63f93c8d161728e61f296e7b44ed7d3553dd526c82"),
+            ("uniform_equal", 2, (0, 40, 0), (4, 4, 210), "03b70c2350d27736cc4fac8c2f8313b3b99825e79d4263784e29f9b834b37c78"),
+            ("uniform_equal", 4, (0, 40, 0), (0, 0, 4), "747dd227d40936c636159c5e717f758a394e3e8f346259ae444ad569a165b005"),
+            ("uniform_unequal", 1, (40, 0, 0), (0, 0, 0), "b48d422e2674e5db58aa061054febd09c83585fa6cb77911b3b1e2877d05df03"),
+            ("uniform_unequal", 2, (0, 0, 40), (307, 55, 197), "e388cae15a67773e4076da4b9e68161b493cf94e450e401d3fe2f56c70867fed"),
+            ("uniform_unequal", 4, (0, 0, 40), (323, 45, 8), "09456b32472edf05c6d15cb4bb278eb1cdcbe4cf586742699351a21cb7260199"),
+            ("weighted", 1, (40, 0, 0), (0, 0, 0), "f3b946eaf13ae5650c1e09b4fbf78b6a0a0aa697a6840274bbae3180735b6b0f"),
+            ("weighted", 2, (0, 0, 40), (292, 0, 232), "e6d8db076a2730dc84fded7d25f92c2c4c962f29b2294dd7889d67a43c705530"),
+            ("weighted", 4, (0, 0, 40), (262, 0, 22), "faf5f4396f2d8ee15cebce7cb2b37dc5d2ef33052284e86912ea660636a9bfc4"),
+            ("drop", 1, (40, 0, 0), (0, 0, 0), "364df0c405ad019baec722ede8df460db49a9f4714f2026470da59e28f62459b"),
+            ("drop", 2, (0, 0, 40), (75, 0, 53), "3f7cc7483013a34f1cb7bb10cf2c63a682e7fe5a2de793217e8bb6bed535c0ec"),
+            ("drop", 4, (0, 0, 40), (65, 0, 7), "255d7d48c1ac5378f99f4380e300a14b4c7e9244585908b59b2cde2b3965be3a"),
+            ("duplicate", 1, (40, 0, 0), (0, 0, 0), "c13e42149ae763d5c4cd503a76451f701f7d662be43f33d4b30bffd2fe470c77"),
+            ("duplicate", 2, (0, 1, 39), (14, 1, 1289), "c24b34e78127327f62bdc83d8c27ba0881e991d6c72a358d6beee2c611e68383"),
+            ("duplicate", 4, (0, 1, 39), (45, 3, 1351), "0dd541a1932042ba6d9a4a09a5a07e628b7bffc18483ad940cf01acb0c10d7a1"),
+        ],
+    )
+    def test_counts_and_digest(self, caplog, kind, d, paths, counts, digest):
+        rng = np.random.default_rng([SMALL_KINDS.index(kind), d])
+        h = hashlib.sha256()
+        with caplog.at_level(logging.DEBUG, logger="softmatch"):
+            for _ in range(40):
+                res = w1(*_small_pair(kind, d, rng))
+                for a in (np.float64(res.value), res.plan.gamma, *res.plan.dual_potentials()):
+                    h.update(np.ascontiguousarray(a).tobytes())
+        events = [r.args for r in caplog.records if r.name == "softmatch"]
+        assert len(events) == 40
+        assert tuple(sum(e[0] == p for e in events) for p in ("line", "assignment", "flow")) == paths
+        assert tuple(sum(e[k] for e in events) for k in (3, 4, 5)) == counts
         assert h.hexdigest() == digest
