@@ -16,6 +16,7 @@ certificate of interest.
 from __future__ import annotations
 
 import logging
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -128,8 +129,8 @@ def deq_solve(
     transformed input s(X), pass s(X) as x. The iterates are plain arrays
     mapped by `layer_map`; one DEBUG event reports the solve.
     """
-    if tol <= 0:
-        raise InvalidInput("tol must be positive")
+    if not (0 < tol < math.inf):
+        raise InvalidInput(f"tol must be positive and finite, got {tol!r}")
     if max_iter < 1:
         raise InvalidInput(f"max_iter must be >= 1, got {max_iter!r}")
     if x.points.shape != h0.points.shape:
@@ -275,8 +276,8 @@ def invert_residual(
     The iterates are plain arrays mapped by `layer_map`; one DEBUG event
     reports the inversion.
     """
-    if tol <= 0:
-        raise InvalidInput("tol must be positive")
+    if not (0 < tol < math.inf):
+        raise InvalidInput(f"tol must be positive and finite, got {tol!r}")
     if max_iter < 1:
         raise InvalidInput(f"max_iter must be >= 1, got {max_iter!r}")
     lip = None

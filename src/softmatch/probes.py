@@ -77,6 +77,12 @@ class ProbeConfig:
             raise InvalidInput(f"bad n_range {self.n_range!r}")
         if self.perturbation not in PERTURBATIONS:
             raise InvalidInput(f"unknown perturbation {self.perturbation!r}")
+        # the unbounded clouds are drawn from [-r, r), whose width 2r must be finite
+        r = self.sampling_radius
+        if not (r > 0 and math.isfinite(2 * r)):
+            raise InvalidInput(f"sampling radius must be positive with 2r finite, got {r!r}")
+        if not (0 <= self.jitter_sigma < math.inf):
+            raise InvalidInput(f"jitter sigma must be finite and >= 0, got {self.jitter_sigma!r}")
         if self.domain.is_bounded and self.domain.dim != self.d:
             raise InvalidInput(
                 f"domain dim {self.domain.dim} does not match probe d={self.d}"

@@ -343,6 +343,37 @@ class TestExitCodes:
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("input error: ")
 
+    # out-of-range probe sampling parameters and solver tolerances: numpy
+    # overflowed on a radius whose width 2r is not finite, a NaN sigma was
+    # blamed on the point coordinates, and a NaN or infinite tol ran as if
+    # it were a tolerance
+    PROBE = ("probe", "--theorem", "unbounded-gaussian", "--trials", "3")
+    JITTER = (*PROBE, "--perturbation", "jitter", "--jitter-sigma")
+    BAD_VALUES = {
+        "radius_inf": ((*PROBE, "--radius", "inf"), "sampling radius"),
+        "radius_nan": ((*PROBE, "--radius", "nan"), "sampling radius"),
+        "radius_1e308": ((*PROBE, "--radius", "1e308"), "sampling radius"),
+        "radius_negative": ((*PROBE, "--radius", "-5"), "sampling radius"),
+        "radius_zero": ((*PROBE, "--radius", "0"), "sampling radius"),
+        "jitter_sigma_nan": ((*JITTER, "nan"), "jitter sigma"),
+        "jitter_sigma_inf": ((*JITTER, "inf"), "jitter sigma"),
+        "jitter_sigma_negative": ((*JITTER, "-0.1"), "jitter sigma"),
+        "deq_tol_nan": (("deq", "x.csv", "--config", "cfg.json", "--tol", "nan"), "tol"),
+        "deq_tol_inf": (("deq", "x.csv", "--config", "cfg.json", "--tol", "inf"), "tol"),
+        "invert_tol_nan": (("invert", "x.csv", "--config", "cfg.json", "--tol", "nan"), "tol"),
+        "invert_tol_inf": (("invert", "x.csv", "--config", "cfg.json", "--tol", "inf"), "tol"),
+    }
+
+    @pytest.mark.parametrize("case", BAD_VALUES)
+    def test_out_of_range_values_are_usage_errors(self, workdir, capsys, monkeypatch, case):
+        monkeypatch.chdir(workdir)
+        argv, name = self.BAD_VALUES[case]
+        code, env, err = run(capsys, *argv)
+        assert code == 2
+        assert env is None
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith(f"input error: InvalidInput: {name} must be ")
+
     def test_ffn_dim_mismatch_is_usage_error(self, workdir, capsys):
         (workdir / "ffn3.json").write_text(
             json.dumps(

@@ -164,6 +164,14 @@ class TestDeq:
         assert not res.converged
         assert res.iterations == 20
 
+    @pytest.mark.parametrize("tol", (0.0, -1e-10, math.nan, math.inf))
+    def test_tol_must_be_positive_and_finite(self, tol):
+        # a NaN tol never stops the loop and an infinite one stops it after
+        # one step, so either would read as a result, not a usage error
+        x = PointCloud([[0.3], [0.4]])
+        with pytest.raises(InvalidInput, match="tol must be positive and finite"):
+            deq_solve(contractive_config(1), x, x, tol=tol)
+
 
 class TestInvertResidual:
     def test_zero_map_returns_target(self):
@@ -216,6 +224,12 @@ class TestInvertResidual:
         with pytest.warns(RuntimeWarning):
             res = invert_residual(cfg, y, tol=1e-10, max_iter=10, seed=0)
         assert not res.converged
+
+    @pytest.mark.parametrize("tol", (0.0, -1e-10, math.nan, math.inf))
+    def test_tol_must_be_positive_and_finite(self, tol):
+        y = PointCloud([[0.1], [0.2]])
+        with pytest.raises(InvalidInput, match="tol must be positive and finite"):
+            invert_residual(contractive_config(1), y, tol=tol, lip_check=False)
 
 
 def gate_layers(d):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -47,6 +48,20 @@ class TestProbeConfig:
             ProbeConfig(perturbation="negate")
         with pytest.raises(InvalidInput):
             ProbeConfig(d=3, domain=DomainBox.cube(1.0, 2))
+
+    @pytest.mark.parametrize("radius", (0.0, -5.0, math.nan, math.inf, 1e308))
+    def test_sampling_radius_positive_with_finite_width(self, radius):
+        # numpy draws from [-r, r) through the width 2r, which overflows
+        # past 2r = inf
+        with pytest.raises(InvalidInput, match="sampling radius"):
+            ProbeConfig(sampling_radius=radius)
+        assert ProbeConfig(sampling_radius=8.9e307).sampling_radius == 8.9e307
+
+    @pytest.mark.parametrize("sigma", (-0.1, math.nan, math.inf))
+    def test_jitter_sigma_finite_and_nonnegative(self, sigma):
+        with pytest.raises(InvalidInput, match="jitter sigma"):
+            ProbeConfig(perturbation="jitter", jitter_sigma=sigma)
+        assert ProbeConfig(perturbation="jitter", jitter_sigma=0.0).jitter_sigma == 0.0
 
     def test_drop_point_needs_two_points(self):
         cfg = AttentionConfig(Gaussian(1), IdentityLookup(1))

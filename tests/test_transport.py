@@ -1,10 +1,15 @@
 """Exact W1: solver examples, oracle agreement, certificates, metric axioms."""
 
 import hashlib
+import importlib.machinery
+import json
 import logging
 import math
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -760,6 +765,114 @@ class TestAssignmentStart:
             # reduced matrix plays no part in
             optimum = _solve_masses(c, a, b, shift, "flow").total
             assert sum(cost[i][j] for i, j in enumerate(cols)) == optimum
+
+
+KERNEL = "scipy.optimize._lsap"
+
+# run in a fresh `python -I` child: loads scipy's matching kernel through
+# the loader, matches every reduced matrix of the corpus file with it, and
+# only then imports scipy.optimize; prints one JSON line
+LOADER_CHILD = """
+import json, sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from softmatch import transport
+lsa = transport._linear_sum_assignment()
+kernel = sys.modules["scipy.optimize._lsap"]
+alone = sorted(m for m in sys.modules if m.startswith("scipy"))
+with np.load(sys.argv[2]) as corpus:
+    cols = {k: lsa(corpus[k])[1].tolist() for k in corpus.files}
+import scipy.optimize
+print(json.dumps({
+    "alone": alone,
+    "cols": cols,
+    "same_function": scipy.optimize.linear_sum_assignment is lsa,
+    "same_module": sys.modules["scipy.optimize._lsap"] is kernel,
+    "cached": transport._linear_sum_assignment() is lsa,
+}))
+"""
+
+
+def _lsap_corpus(rng):
+    """Reduced cost matrices, as `_w1_assignment` matches them, of uniform
+    pairs of 2 to 256 points at d = 2 and 4: generic clouds, draws from a
+    pool of a few duplicate points, quarter-grid ties and clouds contracted
+    to 1e-3 around 0.5."""
+    for kind in ("generic", "pool", "grid", "contracted"):
+        for d in (2, 4):
+            for n in (2, 3, 5, 8, 16, 32, 64, 128, 256):
+                if kind == "pool":
+                    pool = rng.integers(-2, 3, (4, d)) / 2.0
+                    x, y = pool[rng.integers(0, 4, n)], pool[rng.integers(0, 4, n)]
+                else:
+                    x, y = _start_instance(kind, rng, n, d)
+                yield f"{kind}-d{d}-n{n}", _reduced_costs(cost_matrix_l1(x, y))
+
+
+@pytest.fixture
+def fresh_loader():
+    """The loader with its cache cleared before and after the test."""
+    transport._linear_sum_assignment.cache_clear()
+    yield transport._linear_sum_assignment
+    transport._linear_sum_assignment.cache_clear()
+
+
+class TestKernelLoader:
+    """`_w1_assignment` takes scipy's Hungarian matching from its compiled
+    module alone: the very function `scipy.optimize` exports, loaded once."""
+
+    def test_same_function_after_scipy_optimize(self, fresh_loader, monkeypatch):
+        # this module imported scipy.optimize first: the loader reuses its
+        # kernel and looks for no file
+        def no_lookup(name, path=None, target=None):
+            raise AssertionError(f"looked for {name}")
+
+        monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", no_lookup)
+        assert fresh_loader() is linear_sum_assignment
+        assert fresh_loader() is sys.modules[KERNEL].linear_sum_assignment
+
+    def test_loaded_alone_matches_and_is_reused(self, tmp_path):
+        corpus = dict(_lsap_corpus(np.random.default_rng(17)))
+        np.savez(tmp_path / "corpus.npz", **corpus)
+        src = str(Path(transport.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-I", "-c", LOADER_CHILD, src, str(tmp_path / "corpus.npz")],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        child = json.loads(proc.stdout.splitlines()[-1])
+        # the kernel is the one scipy module loaded, and a later import of
+        # scipy.optimize takes it as it is: one load, one function
+        assert child["alone"] == [KERNEL]
+        assert child["same_function"] and child["same_module"] and child["cached"]
+        assert len(child["cols"]) == 72
+        for key, r in corpus.items():
+            assert child["cols"][key] == linear_sum_assignment(r)[1].tolist(), key
+
+    def test_public_function_where_the_kernel_is_not_found(self, fresh_loader, monkeypatch):
+        rng = np.random.default_rng(18)
+        pairs = [
+            (empirical(x), empirical(y))
+            for kind in ("generic", "grid", "contracted")
+            for x, y in (_start_instance(kind, rng, n, 3) for n in (2, 7, 24))
+        ]
+        values = [w1(mu, nu).value for mu, nu in pairs]
+        looked_up = []
+        find_spec = importlib.machinery.PathFinder.find_spec
+
+        def no_kernel(name, path=None, target=None):
+            if name == KERNEL:
+                looked_up.append(name)
+                return None
+            return find_spec(name, path, target)
+
+        monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", no_kernel)
+        monkeypatch.delitem(sys.modules, KERNEL)
+        fresh_loader.cache_clear()
+        assert fresh_loader() is linear_sum_assignment
+        assert looked_up == [KERNEL]
+        assert [w1(mu, nu).value for mu, nu in pairs] == values
+        assert looked_up == [KERNEL]
 
 
 def _exact_signs(c, u, v, shift):
