@@ -110,12 +110,17 @@ def tau_lookup(lookup: Lookup) -> float:
     return float(lookup.lip())
 
 
-def tau_softmatch_bounded(stats: RegularityStats, box: DomainBox) -> float:
-    """2 (lip_left + lip_right) diam_l1(E) / eps(G) on a compact box."""
+def _require_compact(box: DomainBox, stats: RegularityStats, what: str) -> None:
+    """The guards of every formula dividing diam_l1(E) by eps(G)."""
     if not box.is_bounded:
-        raise RequiresCompactDomain("tau(Psi_G) in this form needs a bounded E")
+        raise RequiresCompactDomain(f"{what} needs a bounded E")
     if not (stats.eps_g > 0):
         raise DegeneratePotential(f"eps(G) = {stats.eps_g!r} must be positive")
+
+
+def tau_softmatch_bounded(stats: RegularityStats, box: DomainBox) -> float:
+    """2 (lip_left + lip_right) diam_l1(E) / eps(G) on a compact box."""
+    _require_compact(box, stats, "tau(Psi_G) in this form")
     return 2.0 * (stats.lip_left + stats.lip_right) * box.diameter_l1() / stats.eps_g
 
 
@@ -180,10 +185,7 @@ def bound_pointwise_query(
     """l2-to-l2 Lipschitz constant of q -> Attention(q, K, V) for fixed keys:
     d^{3/2} ||ell||_Lip 2 lip_left diam_l1(E) / eps(G)."""
     stats = _stats_for(cfg, box, stats)
-    if not box.is_bounded:
-        raise RequiresCompactDomain("pointwise corollary needs a bounded E")
-    if not (stats.eps_g > 0):
-        raise DegeneratePotential(f"eps(G) = {stats.eps_g!r} must be positive")
+    _require_compact(box, stats, "pointwise corollary")
     d = cfg.dim
     return (
         d ** 1.5
@@ -206,10 +208,7 @@ def bound_cross_attention(
     if q.shape != (cfg.dim,):
         raise DimMismatch(f"query of shape {q.shape} for a potential of dim {cfg.dim}")
     stats = _stats_for(cfg, box, stats)
-    if not box.is_bounded:
-        raise RequiresCompactDomain("cross-attention bound needs a bounded E")
-    if not (stats.eps_g > 0):
-        raise DegeneratePotential(f"eps(G) = {stats.eps_g!r} must be positive")
+    _require_compact(box, stats, "cross-attention bound")
     d = cfg.dim
     lip_q = query_lipschitz(cfg.potential, q, box)
     return d * tau_lookup(cfg.lookup) * 2.0 * lip_q * box.diameter_l1() / stats.eps_g

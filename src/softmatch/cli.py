@@ -248,12 +248,28 @@ def _probe_cfg_from_args(args, d: int, domain: DomainBox) -> ProbeConfig:
     )
 
 
+def _contraction_attention(config: dict, theorem: str, d: int) -> AttentionConfig:
+    """The attention a contraction theorem is evaluated for: the config's,
+    with the Gaussian potential when it names none. The unbounded theorems
+    hold for the Gaussian kind of dimension d only, so they refuse any
+    other."""
+    if not config.get("potential"):
+        config = {**config, "potential": {"kind": "gaussian"}}
+    cfg = build_attention(config, default_dim=d)
+    kind = cfg.potential.kind
+    if theorem.startswith("unbounded-") and (kind, cfg.dim) != ("gaussian", d):
+        raise ConfigError(
+            f"theorem {theorem} holds for the Gaussian potential of dim {d} only, "
+            f"not {kind!r} of dim {cfg.dim}"
+        )
+    return cfg
+
+
 def cmd_bound(args, config):
     d = args.d
     theorem = args.theorem
     if theorem in ("unbounded-gaussian", "unbounded-equal-n"):
-        cfg = build_attention(config, default_dim=d) if config.get("potential") else None
-        lookup = cfg.lookup if cfg else build_lookup(config.get("lookup"), d)
+        lookup = _contraction_attention(config, theorem, d).lookup
         if theorem == "unbounded-gaussian":
             rep = bounds.bound_unbounded_gaussian(
                 lookup, d, args.n, args.m, include_tight_c=args.tight_c
@@ -285,12 +301,8 @@ def cmd_probe(args, config):
     d = args.d
     theorem = args.theorem
     if theorem == "unbounded-gaussian":
-        domain = DomainBox.unbounded(d)
-        probe = _probe_cfg_from_args(args, d, domain)
-        cfg = build_attention(
-            config if config.get("potential") else {"potential": {"kind": "gaussian"}},
-            default_dim=d,
-        )
+        probe = _probe_cfg_from_args(args, d, DomainBox.unbounded(d))
+        cfg = _contraction_attention(config, theorem, d)
         # conservative: the bound at the smallest support size any trial
         # can draw (the constant grows with min(N, M))
         bound = bounds.bound_unbounded_gaussian(
@@ -300,10 +312,7 @@ def cmd_probe(args, config):
     elif theorem == "bounded":
         box = build_box(config.get("box"), d, args.box_radius or 1.0)
         probe = _probe_cfg_from_args(args, d, box)
-        cfg = build_attention(
-            config if config.get("potential") else {"potential": {"kind": "gaussian"}},
-            default_dim=d,
-        )
+        cfg = _contraction_attention(config, theorem, d)
         bound = bounds.bound_bounded_contraction(cfg, box).value
         result = probe_contraction(cfg, probe, bound=bound)
     elif theorem.startswith("component-"):

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DimMismatch, InvalidInput
 # TransformerLayerSpec is re-exported: callers build layers as
 # dynamics.TransformerLayerSpec.
-from .kernels import Layer, TransformerLayerSpec, _chunk_size, layer_map
+from .kernels import Layer, TransformerLayerSpec, layer_map
 from .measures import PointCloud, empirical
 from .streams import stream
 from .transport import w1
@@ -223,38 +223,29 @@ def sampled_set_lipschitz(
     direction for averaging maps), and a single-particle move, each drawn
     with standard deviation 0.5. Pairs closer than 1e-12 are skipped.
 
-    The trials are evaluated in batches: a batch draws as many pairs as
-    one chunk of `kernels.layer_map` holds (about 256^2 / N^2 clouds of
-    N points, so the N x N buffers stay the size of one 256-point
-    similarity matrix; from N = 256 on, one pair per batch), maps its
-    a-clouds in one call and its b-clouds in another. Each pair comes
-    from its own stream(seed, t) and `layer_map` gives every cloud the
-    bits of a call on it alone, so the estimate equals the trial-by-trial
-    one bit for bit. One DEBUG event reports the trials, the layer-map
-    calls (`batches`) and the estimate.
+    All pairs are drawn first, each from its own stream(seed, t); the
+    a-clouds are mapped in one `layer_map` call and the b-clouds in
+    another. `layer_map` gives every cloud the bits of a call on it
+    alone, so the estimate equals the trial-by-trial one bit for bit. One
+    DEBUG event reports the trials, the layer-map calls (`batches`) and
+    the estimate.
     """
     if trials < 1:
         raise InvalidInput(f"trials must be >= 1, got {trials!r}")
     pts = reference.points
-    size = _chunk_size(pts.shape[0])
-    best = 0.0
-    batches = 0
-    for start in range(0, trials, size):
-        a_clouds, b_clouds, dens = [], [], []
-        for t in range(start, min(start + size, trials)):
-            a, b = _gate_pair(pts, seed, t)
-            den = cloud_distance(a, b)
-            if den >= 1e-12:
-                a_clouds.append(a)
-                b_clouds.append(b)
-                dens.append(den)
-        if not dens:
-            continue
+    kept = []
+    for t in range(trials):
+        a, b = _gate_pair(pts, seed, t)
+        den = cloud_distance(a, b)
+        if den >= 1e-12:
+            kept.append((a, b, den))
+    best, batches = 0.0, 0
+    if kept:
+        a_clouds, b_clouds, dens = zip(*kept)
         ga = layer_map(layer, np.stack(a_clouds))
         gb = layer_map(layer, np.stack(b_clouds))
-        batches += 2
-        ratios = np.abs(ga - gb).sum(axis=2).max(axis=1) / np.array(dens)
-        best = max(best, float(ratios.max()))
+        batches = 2
+        best = float((np.abs(ga - gb).sum(axis=2).max(axis=1) / np.array(dens)).max())
     log.debug(
         "sampled_set_lipschitz: n=%d d=%d trials=%d batches=%d estimate=%.6g",
         *pts.shape, trials, batches, best,

@@ -244,6 +244,8 @@ class DomainBox:
 
     @staticmethod
     def cube(radius: float, dim: int) -> "DomainBox":
+        if dim < 1:
+            raise InvalidInput(f"box dimension must be >= 1, got {dim!r}")
         r = float(radius)
         return DomainBox(np.full(dim, -r), np.full(dim, r))
 

@@ -6,6 +6,12 @@ W1 ratio against the matching closed-form bound. Sampled maxima are lower
 estimates of the true contraction coefficient; the falsifiable claim is
 that no sampled ratio ever exceeds its bound.
 
+Every probe runs the one trial loop `_run_trials`: trial t draws from
+stream(seed, t) alone, a degenerate input distance skips the trial, and
+the best instance is kept as the loop goes. Every constant a component
+is compared against comes from `bounds`, through the guards it applies
+there (a compact domain, eps(G) > 0).
+
 Also here: direct numerical checks of the three auxiliary lemmas (the
 ratio cap sqrt(ln n + 1/2e), tensorized subadditivity of W1, and the
 locality of the Lipschitz seminorm).
@@ -14,7 +20,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -72,6 +78,8 @@ class ProbeConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise InvalidInput("trials must be >= 1")
+        if self.d < 1:
+            raise InvalidInput(f"probe dimension must be >= 1, got {self.d!r}")
         lo, hi = self.n_range
         if not (1 <= lo <= hi):
             raise InvalidInput(f"bad n_range {self.n_range!r}")
@@ -167,24 +175,37 @@ def _sample_pair(rng: np.random.Generator, probe: ProbeConfig):
     return empirical(base), empirical(other)
 
 
-def _aggregate(
-    ratios: list, instances: list, bound: float | None, skipped: int, trials: int
+def _run_trials(
+    probe: ProbeConfig, bound: float | None, draw, push, ratio_first: bool = False
 ) -> ProbeResult:
+    """The one trial loop: draw(rng) gives a trial's input distance and
+    named inputs, push(**inputs) its output distance. The argmax instance
+    is the first trial of the largest ratio: "trial", the inputs (measures
+    by to_dict(), points as lists) and "ratio", second when ratio_first."""
+    ratios, skipped, best = [], 0, None
+    for t in range(probe.trials):
+        d_in, inputs = draw(stream(probe.seed, t))
+        if d_in < DEGENERATE_W1:
+            skipped += 1
+            continue
+        r = push(**inputs) / d_in
+        if best is None or r > best[1]:
+            best = (t, r, inputs)
+        ratios.append(r)
     arr = np.array(ratios)
+    hist, max_ratio, argmax, violations = {}, 0.0, None, 0
     if ratios:
         hist = {
             f"q{q:g}": float(x) for q, x in zip(_QUANTILES, np.quantile(arr, _QUANTILES))
         }
-        top = int(np.argmax(arr))
-        max_ratio = float(arr[top])
-        argmax = instances[top]
-    else:
-        hist = {}
-        max_ratio = 0.0
-        argmax = None
-    violations = 0
-    if bound is not None and ratios:
-        violations = int(np.sum(arr > violation_threshold(bound)))
+        t, r, inputs = best
+        max_ratio = float(r)
+        argmax = {"trial": t, "ratio": r} if ratio_first else {"trial": t}
+        for k, v in inputs.items():
+            argmax[k] = v.tolist() if isinstance(v, np.ndarray) else v.to_dict()
+        argmax["ratio"] = r  # a key already present keeps its place
+        if bound is not None:
+            violations = int(np.sum(arr > violation_threshold(bound)))
     return ProbeResult(
         max_ratio=max_ratio,
         argmax_instance=argmax,
@@ -192,7 +213,7 @@ def _aggregate(
         violations=violations,
         histogram=hist,
         skipped=skipped,
-        trials=trials,
+        trials=probe.trials,
         ratios=tuple(ratios),
     )
 
@@ -203,23 +224,15 @@ def probe_contraction(
     """Sample measure pairs, push both through full self-attention (the
     output cloud carries the input's weights), and compare W1 ratios to
     the supplied bound."""
-    ratios, instances = [], []
-    skipped = 0
-    for t in range(probe.trials):
-        rng = stream(probe.seed, t)
+
+    def draw(rng):
         mu, nu = _sample_pair(rng, probe)
-        d_in = w1(mu, nu).value
-        if d_in < DEGENERATE_W1:
-            skipped += 1
-            continue
-        out_mu = attention_pushforward(cfg, mu)
-        out_nu = attention_pushforward(cfg, nu)
-        d_out = w1(out_mu, out_nu).value
-        ratios.append(d_out / d_in)
-        instances.append(
-            {"trial": t, "ratio": d_out / d_in, "mu": mu.to_dict(), "nu": nu.to_dict()}
-        )
-    return _aggregate(ratios, instances, bound, skipped, probe.trials)
+        return w1(mu, nu).value, {"mu": mu, "nu": nu}
+
+    def push(mu, nu):
+        return w1(attention_pushforward(cfg, mu), attention_pushforward(cfg, nu)).value
+
+    return _run_trials(probe, bound, draw, push, ratio_first=True)
 
 
 def probe_component(
@@ -231,8 +244,10 @@ def probe_component(
     """Sampled contraction ratios of one pipeline component, against the
     component's closed-form bound.
 
-    softmatch_in_x:        x -> Psi_{G(x, .)}(mu), ratio over query moves;
-    softmatch_in_measure:  mu -> Psi_{G(x, .)}(mu), ratio over measure moves;
+    softmatch_in_x:        x -> Psi_{G(x, .)}(mu), ratio over query moves,
+                           bound 2 lip_left diam_l1(E) / eps(G);
+    softmatch_in_measure:  mu -> Psi_{G(x, .)}(mu), ratio over measure moves,
+                           bound 2 lip_right diam_l1(E) / eps(G);
     projection:            mu -> delta at barycenter, bound d;
     lookup:                mu -> pushforward, bound the lookup constant.
     """
@@ -248,57 +263,35 @@ def probe_component(
     else:
         if potential is None:
             raise InvalidInput(f"{kind} probe needs a potential")
-        if not probe.domain.is_bounded:
-            raise InvalidInput(f"{kind} probe needs a bounded domain")
-        stats = regularity_stats(potential, probe.domain)
-        diam = probe.domain.diameter_l1()
-        if kind == "softmatch_in_x":
-            bound = 2.0 * stats.lip_left * diam / stats.eps_g
-        else:
-            bound = 2.0 * stats.lip_right * diam / stats.eps_g
+        # tau(Psi_G), through its guards, with the fixed argument's seminorm 0
+        fixed = "lip_right" if kind == "softmatch_in_x" else "lip_left"
+        stats = replace(regularity_stats(potential, probe.domain), **{fixed: 0.0})
+        bound = bounds_mod.tau_softmatch_bounded(stats, probe.domain)
 
-    ratios, instances = [], []
-    skipped = 0
-    for t in range(probe.trials):
-        rng = stream(probe.seed, t)
+    def draw(rng):
         if kind == "softmatch_in_x":
             n = int(rng.integers(probe.n_range[0], probe.n_range[1] + 1))
             mu = empirical(_sample_cloud(rng, n, probe))
             x = _sample_cloud(rng, 1, probe)[0]
             y = _sample_cloud(rng, 1, probe)[0]
-            d_in = float(np.abs(x - y).sum())
-            if d_in < DEGENERATE_W1:
-                skipped += 1
-                continue
-            d_out = w1(
-                softmatch_measure(potential, x, mu),
-                softmatch_measure(potential, y, mu),
-            ).value
-            inst = {"trial": t, "x": x.tolist(), "y": y.tolist(), "mu": mu.to_dict()}
-        else:
-            mu, nu = _sample_pair(rng, probe)
-            d_in = w1(mu, nu).value
-            if d_in < DEGENERATE_W1:
-                skipped += 1
-                continue
-            if kind == "softmatch_in_measure":
-                x = _sample_cloud(rng, 1, probe)[0]
-                d_out = w1(
-                    softmatch_measure(potential, x, mu),
-                    softmatch_measure(potential, x, nu),
-                ).value
-                inst = {"trial": t, "x": x.tolist(), "mu": mu.to_dict(), "nu": nu.to_dict()}
-            elif kind == "projection":
-                d_out = float(np.abs(barycenter(mu) - barycenter(nu)).sum())
-                inst = {"trial": t, "mu": mu.to_dict(), "nu": nu.to_dict()}
-            else:  # lookup
-                d_out = w1(apply_lookup(lookup, mu), apply_lookup(lookup, nu)).value
-                inst = {"trial": t, "mu": mu.to_dict(), "nu": nu.to_dict()}
-        r = d_out / d_in
-        inst["ratio"] = r
-        ratios.append(r)
-        instances.append(inst)
-    return _aggregate(ratios, instances, bound, skipped, probe.trials)
+            return float(np.abs(x - y).sum()), {"x": x, "y": y, "mu": mu}
+        mu, nu = _sample_pair(rng, probe)
+        d_in = w1(mu, nu).value
+        if kind == "softmatch_in_measure":
+            return d_in, {"x": _sample_cloud(rng, 1, probe)[0], "mu": mu, "nu": nu}
+        return d_in, {"mu": mu, "nu": nu}
+
+    push = {
+        "softmatch_in_x": lambda x, y, mu: w1(
+            softmatch_measure(potential, x, mu), softmatch_measure(potential, y, mu)
+        ).value,
+        "softmatch_in_measure": lambda x, mu, nu: w1(
+            softmatch_measure(potential, x, mu), softmatch_measure(potential, x, nu)
+        ).value,
+        "projection": lambda mu, nu: float(np.abs(barycenter(mu) - barycenter(nu)).sum()),
+        "lookup": lambda mu, nu: w1(apply_lookup(lookup, mu), apply_lookup(lookup, nu)).value,
+    }[kind]
+    return _run_trials(probe, bound, draw, push)
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,21 @@ class TestProbeCommand:
         _, env2, _ = run(capsys, *args)
         assert env1["report"] == env2["report"]
 
+    def test_default_potential_keeps_the_config_lookup(self, workdir, capsys):
+        # with no potential named, probe and bound both use the Gaussian
+        # with the config's lookup (the probe used to drop the lookup)
+        cfg = workdir / "lookup.json"
+        cfg.write_text('{"lookup": {"kind": "linear", "W_V": [[0.3, 0.0], [0.0, 0.3]]}}')
+        _, probe, _ = run(
+            capsys, "probe", "--theorem", "unbounded-gaussian", "--trials", "3",
+            "--config", str(cfg),
+        )
+        _, bound, _ = run(
+            capsys, "bound", "--theorem", "unbounded-equal-n", "--n", "2", "--config", str(cfg),
+        )
+        assert bound["report"]["ingredients"]["tau_lookup"]["value"] == 0.3
+        assert probe["report"]["bound"] == bound["report"]["value"]
+
 
 class TestDynamicsCommands:
     def test_dynamics_with_states_out(self, workdir, capsys):
@@ -303,7 +318,9 @@ class TestExitCodes:
         (
             "dim_mismatch", "nan_csv", "zero_trials", "q_wrong_dim", "dims_zero",
             "n_max_zero", "product_trials_zero", "equiv_trials_zero", "deq_max_iter_zero",
-            "invert_max_iter_zero", *BAD_FILES,
+            "invert_max_iter_zero", "probe_d_negative", "lookup_probe_d_negative",
+            "bound_d_negative", "softmatch_x_eps_zero", "softmatch_measure_eps_zero",
+            *BAD_FILES,
         ),
     )
     def test_library_errors_are_usage_errors(self, workdir, capsys, case):
@@ -336,12 +353,54 @@ class TestExitCodes:
                     "invert", str(workdir / "x.csv"), "--config", str(workdir / "gauss.json"),
                     "--max-iter", "0",
                 ),
+                # numpy refused the negative dimension in a traceback
+                "probe_d_negative": ("probe", "--theorem", "bounded", "--d", "-1"),
+                "lookup_probe_d_negative": ("probe", "--theorem", "component-lookup", "--d", "-1"),
+                "bound_d_negative": (
+                    "bound", "--theorem", "bounded", "--d", "-1", "--box-radius", "1",
+                    "--config", str(workdir / "gauss.json"),
+                ),
+                # eps(G) = exp(-1600) underflows to 0: the constant divided by zero
+                "softmatch_x_eps_zero": (
+                    "probe", "--theorem", "component-softmatch-x", "--d", "1",
+                    "--box-radius", "20",
+                ),
+                "softmatch_measure_eps_zero": (
+                    "probe", "--theorem", "component-softmatch-measure", "--d", "1",
+                    "--box-radius", "20",
+                ),
             }[case]
         code, env, err = run(capsys, *argv)
         assert code == 2
         assert env is None
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("input error: ")
+
+    # the unbounded theorems hold for the Gaussian potential of dimension
+    # --d only; they used to report a dot-product config, or a Gaussian of
+    # another dimension, "ok" against the Gaussian constant for --d
+    GAUSSIAN_ONLY = {
+        "bound_unbounded_gaussian": ("bound", "--theorem", "unbounded-gaussian", "--d", "2"),
+        "bound_unbounded_equal_n": ("bound", "--theorem", "unbounded-equal-n", "--d", "2"),
+        "probe_unbounded_gaussian": (
+            "probe", "--theorem", "unbounded-gaussian", "--d", "2", "--trials", "3",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", GAUSSIAN_ONLY)
+    def test_gaussian_only_theorems_refuse_other_potentials(self, workdir, capsys, case):
+        (workdir / "dot.json").write_text('{"potential": {"kind": "dot_product", "scale": 1.0}}')
+        (workdir / "gauss3.json").write_text('{"potential": {"kind": "gaussian", "dim": 3}}')
+        (workdir / "gauss.json").write_text('{"potential": {"kind": "gaussian"}}')
+        argv = self.GAUSSIAN_ONLY[case]
+        for name in ("dot.json", "gauss3.json"):
+            code, env, err = run(capsys, *argv, "--config", str(workdir / name))
+            assert code == 2
+            assert env is None
+            assert len(err.strip().splitlines()) == 1
+            assert err.startswith("config error: ")
+        code, env, _ = run(capsys, *argv, "--config", str(workdir / "gauss.json"))
+        assert code == 0 and env["report"]
 
     # out-of-range probe sampling parameters and solver tolerances: numpy
     # overflowed on a radius whose width 2r is not finite, a NaN sigma was

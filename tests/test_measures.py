@@ -197,6 +197,9 @@ class TestDomainBox:
             DomainBox([0.0, 0.0], [-1.0, 1.0])
         with pytest.raises(InvalidInput):
             DomainBox([0.0], None)
+        for dim in (0, -1):
+            with pytest.raises(InvalidInput, match="box dimension"):
+                DomainBox.cube(1.0, dim)
 
     def test_diameters(self):
         box = DomainBox([-1.0, -1.0], [1.0, 1.0])

@@ -12,8 +12,13 @@ from hypothesis import strategies as st
 from ratio_oracle import oracle_report, ratio_vectors
 
 from softmatch import probes
-from softmatch.bounds import ratio_lemma_bound, tau_pi
-from softmatch.errors import InvalidInput
+from softmatch.bounds import (
+    bound_bounded_contraction,
+    bound_unbounded_gaussian,
+    ratio_lemma_bound,
+    tau_pi,
+)
+from softmatch.errors import DegeneratePotential, InvalidInput
 from softmatch.kernels import AttentionConfig, IdentityLookup, LinearLookup
 from softmatch.measures import DomainBox
 from softmatch.potentials import DotProduct, Gaussian
@@ -48,6 +53,9 @@ class TestProbeConfig:
             ProbeConfig(perturbation="negate")
         with pytest.raises(InvalidInput):
             ProbeConfig(d=3, domain=DomainBox.cube(1.0, 2))
+        for d in (0, -1):
+            with pytest.raises(InvalidInput, match="probe dimension"):
+                ProbeConfig(d=d)
 
     @pytest.mark.parametrize("radius", (0.0, -5.0, math.nan, math.inf, 1e308))
     def test_sampling_radius_positive_with_finite_width(self, radius):
@@ -100,6 +108,13 @@ class TestComponentProbes:
             res = probe_component(kind, pc, potential=Gaussian(2))
             assert res.violations == 0
             assert res.max_ratio <= violation_threshold(res.bound)
+
+    @pytest.mark.parametrize("kind", ("softmatch_in_x", "softmatch_in_measure"))
+    def test_softmatch_probes_refuse_vanishing_eps(self, kind):
+        # on [-20, 20], eps(G) = exp(-1600) underflows to 0
+        pc = box_probe(seed=0, trials=2, d=1, radius=20.0)
+        with pytest.raises(DegeneratePotential):
+            probe_component(kind, pc, potential=Gaussian(1))
 
     def test_unknown_kind(self):
         with pytest.raises(InvalidInput):
@@ -161,6 +176,137 @@ class TestContractionProbe:
             res = probe_contraction(cfg, pc, bound=None)
             inst = res.argmax_instance
             assert len(inst["nu"]["points"]) == len(inst["mu"]["points"]) + delta
+
+
+def report_digest(res) -> str:
+    """sha256 of a probe report: its JSON in insertion order, as the CLI
+    prints it, then the bytes of its ratios."""
+    h = hashlib.sha256(json.dumps(res.to_dict()).encode())
+    h.update(np.array(res.ratios, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+class TestPinnedProbeReports:
+    """Whole probe reports keep their bits: ratios, argmax instance (key
+    order included), histogram, bound and counts. Digests recorded with
+    the two-loop probes of commit e1268e5, for d = 1, 2, 4 in turn."""
+
+    @pytest.mark.parametrize(
+        "mode, bounded, digests",
+        [
+            ("resample", True, (
+                "c69a8ff83049eeb15e711f2686536256ac90dad3bf3939da365faf48213fd23f",
+                "02acd1fb851f8313530af2434d9c136b16ec7e3a3496e1f5daaff8e710a4b2d5",
+                "a7130c07a0559cc3d1b5eecd7fc2abfc8dc24020845a69893342f6839a68df42",
+            )),
+            ("resample", False, (
+                "81f4adf6963c23313167cb4d81f1def51cfb9d160dfc11ee92a5f3b9f650f410",
+                "1abdfd3cea91b45239cd6ae99ba6da0d775587ff9cc21649b4d9c7e4af169840",
+                "d64d90ed72bbc42184ccb55e13fb2fc16d275d07cc9e97b8e0bbfae1df54fb3e",
+            )),
+            ("jitter", True, (
+                "9d6a507f79af3a00313b6af5c9ee3ac4a33470af13cb995f6c1943b83e5cfe1c",
+                "65ef739d726b3a1cf19f99dad3b75ec7ee7d3f9e599b478d30672b3a85190a7e",
+                "48311fcb560bae653c077abd7e9028dd64ef7a1c199382237d64b4d713fe4a5d",
+            )),
+            ("jitter", False, (
+                "9ed23b9a4d474b371197ca2386db266959233182c6df6ed44d44c56fe23f0b4e",
+                "6d3bd9b5397f8ca4e6328733ce36bb485009abe6cd4753330ccb812d13838cb4",
+                "791bb36ff00310e9936cec0a8cc3f4b3df5eed3a5c15bb283d9c534e19aee78f",
+            )),
+            ("drop_point", True, (
+                "8f0e891daaac81a3b5d25ce5b84cd84dbe433db632d96873b500472a511ac4f5",
+                "d54c734738ef694b389dcaa205f3cd390ee9b39b566aea40c7af14fb28fb3075",
+                "57eb88d0ae3cd29c526e106dbf4741be96ac9abaeac24392915025ef058f1acb",
+            )),
+            ("drop_point", False, (
+                "50156635dc95eddfc4664b81d544e0ba6e3c70356e76fbf4ee14920bcd48a7d5",
+                "f28be34f69f2a48c67bcd63ded294d76c58ed79c1282f52f32faa4e456abd88c",
+                "1ab7ce83b3bd81029b3426e3ac53d350b0541c23edaa5dd949d8a534524e5cbd",
+            )),
+            ("duplicate_point", True, (
+                "b6998811d086a47f0d54b17675d208ad2b90abb9344812ffa078b6d39a23a477",
+                "a6a813f641838182f5c4da048083a69965fc6514f73346a28653094b9e4857c2",
+                "5272263e28b0aa93787d0fb42778c3257f0c42dd85e10d97e5ce00a805195934",
+            )),
+            ("duplicate_point", False, (
+                "c96e91a3192e4c5aada162573028fb18f0cd461edd5cfbee1020911923739a1c",
+                "7e86d127b28a79748d4433fcd40d7a33b380c19306d56032fe96e22068b005ee",
+                "16e3e537b2734dceeec03600eff952fe4e777a2877752ebaadbf105f38fbc1df",
+            )),
+        ],
+    )
+    def test_contraction(self, mode, bounded, digests):
+        for d, digest in zip((1, 2, 4), digests):
+            lookup = LinearLookup(0.5 * np.eye(d))
+            cfg = AttentionConfig(Gaussian(d), lookup)
+            if bounded:
+                box = DomainBox.cube(1.0, d)
+                bound = bound_bounded_contraction(cfg, box).value
+            else:
+                box = DomainBox.unbounded(d)
+                bound = bound_unbounded_gaussian(lookup, d, 2, 2).value
+            pc = ProbeConfig(
+                seed=d, trials=12, d=d, n_range=(1, 5), domain=box,
+                sampling_radius=2.0, perturbation=mode, jitter_sigma=0.3,
+            )
+            assert report_digest(probe_contraction(cfg, pc, bound=bound)) == digest
+
+    @pytest.mark.parametrize(
+        "kind, potential, digests",
+        [
+            ("softmatch_in_x", 'gaussian', (
+                "0ba1480b3479344bae1baa7974e7797c2f474edd4f914f70dbe3dc65d2c1353c",
+                "51b6fc5ce763ad29e528864e56dec7362ec2597970553b163b0d0f69d602d67c",
+                "db19bfb4dbaae23ec447dc010239d0e9dc9ae3424de1a735f94ae64bfc926fe1",
+            )),
+            ("softmatch_in_x", 'dot_product', (
+                "61dabeed4d22c80a521baa718313f5be8937382386d44bc63d3b3939e7929edc",
+                "034c30f832cbb87a1ac8b8f94a39b13fd30904cbcaac4b75caa80d74eb8055bd",
+                "4a50ed4a2c6e94eb84997bef60525354200b50adf6f50d1dcc276aef568da5ba",
+            )),
+            ("softmatch_in_measure", 'gaussian', (
+                "40c5990edd9a808aec88df2dc97e36d62d1ead8837bbc882961cc70f4d93e2a0",
+                "22e0149e563d8feef3ede3d55260a290a1c5fa72aabbd139e5d3a0ab4a5105bc",
+                "7e9e6f92979fb62ff92d7e03c4292d03e5be20e2af854272b493f827a13ded1d",
+            )),
+            ("softmatch_in_measure", 'dot_product', (
+                "1750e33f51fdcb5e29bd506b855772f8b77cddabba9f9e4aeb206fa594254c91",
+                "64943dc35c9924b5cb7772c9ee2686b41a766b4562aae159b02be5fd2c1cc9fe",
+                "8b9acae26edd73b0cf453dca544bfe90b100d7cdbcb1aec25361d2f2badbcb8b",
+            )),
+            ("projection", 'gaussian', (
+                "da734c475ea60133e4ae7162b8c1b4bbf2041101ab3324f0bf949f1b166c9622",
+                "4ddd487b7146df3c4a0dde8e970d9d226130d1896084372e2b29749b1b7c89e1",
+                "ed18652e18f4cb9488a676e6754dc8fe217f366e04a173cecedf215e04681dd0",
+            )),
+            ("projection", 'dot_product', (
+                "da734c475ea60133e4ae7162b8c1b4bbf2041101ab3324f0bf949f1b166c9622",
+                "4ddd487b7146df3c4a0dde8e970d9d226130d1896084372e2b29749b1b7c89e1",
+                "ed18652e18f4cb9488a676e6754dc8fe217f366e04a173cecedf215e04681dd0",
+            )),
+            ("lookup", 'gaussian', (
+                "e243b1ec7e7459a7522b4d7968284ef8f835a64dce81c2d7397462b0859bc029",
+                "60d530b828906ed09631dc6deaf174b634d3c9455884a61c1b8a3a46e571a99b",
+                "19660a958af614901c68733d44863aff0dd2d8a1b6c8c91cc219ba5b1afa3b60",
+            )),
+            ("lookup", 'dot_product', (
+                "e243b1ec7e7459a7522b4d7968284ef8f835a64dce81c2d7397462b0859bc029",
+                "60d530b828906ed09631dc6deaf174b634d3c9455884a61c1b8a3a46e571a99b",
+                "19660a958af614901c68733d44863aff0dd2d8a1b6c8c91cc219ba5b1afa3b60",
+            )),
+        ],
+    )
+    def test_component(self, kind, potential, digests):
+        # d = 4 draws duplicate_point pairs, of which a one-point cloud is skipped
+        for d, digest in zip((1, 2, 4), digests):
+            pot = Gaussian(d) if potential == "gaussian" else DotProduct(0.5, d)
+            pc = ProbeConfig(
+                seed=d, trials=12, d=d, n_range=(1, 5), domain=DomainBox.cube(1.0, d),
+                perturbation=probes.PERTURBATIONS[d - 1],
+            )
+            res = probe_component(kind, pc, potential=pot, lookup=LinearLookup(2.0 * np.eye(d)))
+            assert report_digest(res) == digest
 
 
 class TestRatioLemma:
