@@ -272,6 +272,10 @@ def bound_unbounded_gaussian(
     with tau(Pi) = d and sup G = 1. The sqrt(d) + 2 term is the stated
     loose gradient constant; a numerically maximized alternative can be
     attached as a diagnostic (never in the value).
+
+    The constant holds for Gaussian attention of dimension d. This function
+    sees only the lookup, so the caller answers for the potential; the CLI
+    refuses any other potential for this theorem.
     """
     d = int(d)
     n, m = int(n), int(m)
@@ -305,7 +309,7 @@ def bound_unbounded_gaussian(
                 note="numeric maximization, diagnostic only, not used in the value",
             ),
         )
-    assumptions = (("potential is the Gaussian kind", True), ("N, M >= 1", True))
+    assumptions = (("N, M >= 1", True),)
     return BoundReport(
         "UnboundedGaussian", value, ingredients, assumptions, diagnostics=diagnostics
     )

@@ -288,13 +288,12 @@ def cmd_bound(args, config):
     if theorem == "pointwise":
         val = bounds.bound_pointwise_query(cfg, box)
         return {"theorem": "BoundedPointwiseCorollary", "value": val}, True
-    if theorem == "cross-attention":
-        if args.q is None:
-            raise ConfigError("cross-attention bound needs --q")
-        q = np.array(args.q)
-        val = bounds.bound_cross_attention(cfg, box, q)
-        return {"theorem": "CrossAttention", "value": val, "q": q.tolist()}, True
-    raise ConfigError(f"unknown theorem {theorem!r}")
+    # cross-attention, the last of the parser's choices
+    if args.q is None:
+        raise ConfigError("cross-attention bound needs --q")
+    q = np.array(args.q)
+    val = bounds.bound_cross_attention(cfg, box, q)
+    return {"theorem": "CrossAttention", "value": val, "q": q.tolist()}, True
 
 
 def cmd_probe(args, config):
@@ -315,15 +314,13 @@ def cmd_probe(args, config):
         cfg = _contraction_attention(config, theorem, d)
         bound = bounds.bound_bounded_contraction(cfg, box).value
         result = probe_contraction(cfg, probe, bound=bound)
-    elif theorem.startswith("component-"):
+    else:
         kind = {
             "component-projection": "projection",
             "component-lookup": "lookup",
             "component-softmatch-x": "softmatch_in_x",
             "component-softmatch-measure": "softmatch_in_measure",
-        }.get(theorem)
-        if kind is None:
-            raise ConfigError(f"unknown probe theorem {theorem!r}")
+        }[theorem]
         needs_box = kind in ("softmatch_in_x", "softmatch_in_measure")
         box = build_box(config.get("box"), d, args.box_radius or (1.0 if needs_box else None))
         probe = _probe_cfg_from_args(args, d, box)
@@ -336,8 +333,6 @@ def cmd_probe(args, config):
         if kind == "lookup":
             lookup = build_lookup(config.get("lookup"), d)
         result = probe_component(kind, probe, potential=potential, lookup=lookup)
-    else:
-        raise ConfigError(f"unknown probe theorem {theorem!r}")
 
     if args.ratios_csv:
         _write(args.ratios_csv, "ratio\n" + "".join(f"{r!r}\n" for r in result.ratios))

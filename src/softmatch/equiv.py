@@ -36,10 +36,6 @@ POTENTIAL_KINDS = ("gaussian", "dot_product", "scaled_dot_product", "custom")
 LOOKUP_KINDS = ("identity", "linear", "function")
 
 
-def _neg_l1_matrix(queries, keys):
-    return -np.abs(queries[:, None, :] - keys[None, :, :]).sum(axis=2)
-
-
 def random_potential(rng: np.random.Generator, d: int, kind: str | None = None):
     kind = kind or POTENTIAL_KINDS[int(rng.integers(len(POTENTIAL_KINDS)))]
     if kind == "gaussian":
@@ -51,11 +47,7 @@ def random_potential(rng: np.random.Generator, d: int, kind: str | None = None):
         wq = rng.normal(scale=0.7 / np.sqrt(d), size=(dp, d))
         wk = rng.normal(scale=0.7 / np.sqrt(d), size=(dp, d))
         return ScaledDotProduct(w_q=wq, w_k=wk, scale=1.0 / np.sqrt(dp))
-    return CustomPotential(
-        fn=lambda x, y: -float(np.abs(x - y).sum()),
-        dim=d,
-        matrix_fn=_neg_l1_matrix,
-    )
+    return CustomPotential(fn=lambda x, y: -np.abs(x - y).sum(axis=-1), dim=d)
 
 
 def random_lookup(rng: np.random.Generator, d: int, kind: str | None = None):

@@ -133,7 +133,11 @@ class LinearLookup(Lookup):
 
 @dataclass(frozen=True)
 class FunctionLookup(Lookup):
-    """Arbitrary deterministic lookup; lip_ell is user-supplied."""
+    """Arbitrary deterministic lookup; lip_ell is user-supplied.
+
+    fn maps all points at once: an (n, in_dim) array to its (n, out_dim)
+    values, row i the value of point i.
+    """
 
     fn: Callable[[np.ndarray], np.ndarray]
     in_dim: int
@@ -142,7 +146,7 @@ class FunctionLookup(Lookup):
 
     def apply_points(self, pts):
         pts = np.asarray(pts, dtype=np.float64)
-        out = np.stack([np.asarray(self.fn(p), dtype=np.float64) for p in pts])
+        out = np.asarray(self.fn(pts), dtype=np.float64)
         if out.shape != (pts.shape[0], self.out_dim):
             raise DimMismatch(
                 f"lookup fn produced shape {out.shape}, expected (*, {self.out_dim})"

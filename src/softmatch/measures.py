@@ -228,6 +228,9 @@ class DomainBox:
                 raise InvalidInput("box bounds must be finite")
             if np.any(lo > hi):
                 raise InvalidInput("lower must be <= upper coordinate-wise")
+            with np.errstate(over="ignore"):
+                if not np.all(np.isfinite(hi - lo)):
+                    raise InvalidInput("box sides upper - lower must be finite")
             lo.setflags(write=False)
             hi.setflags(write=False)
             object.__setattr__(self, "lower", lo)

@@ -8,6 +8,9 @@ ground metric is l1 on R^d throughout; l2-derived constants are converted
 using ||u||_2 <= ||u||_1 and the conversion is recorded in the field's
 provenance.
 
+Each potential writes its similarity a(x, y) once, as one broadcasting
+expression, and derives every layout of many pairs from it (`Potential`).
+
 Analytic values are produced whenever the similarity is bilinear on a box
 (corner extrema, or per-entry interval bounds past 2^8 corners) or
 Gaussian (closed forms). Only custom potentials are sampled;
@@ -58,79 +61,59 @@ def _scaled_dot(scale: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 class Potential:
-    """Base interaction potential; subclasses define the similarity a(x, y).
+    """Base interaction potential G(x, y) = exp(a(x, y)).
 
-    The similarity of many pairs has two layouts: `similarity_matrix`,
-    one row per query, and `similarity_keys_major`, one row per key for a
-    batch of clouds.
+    A subclass writes its similarity a once, as `_pairwise(x, y)`: one
+    broadcasting expression over the last axis of broadcastable x and y,
+    elementwise across the leading axes. Every layout of many pairs is that
+    expression on views of its arguments:
+
+    - `similarity`, one pair;
+    - `similarity_matrix`, one row per query;
+    - `similarity_keys_major`, one row per key for a batch of clouds;
+    - `similarity_pairs`, row i against row i.
+
+    So a pair gets the same bits in every layout, and `evaluate` computes
+    the G that attention uses.
     """
 
     dim: int
     kind: str = "custom"
 
-    def similarity(self, x: np.ndarray, y: np.ndarray) -> float:
+    def _pairwise(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def similarity_matrix(self, queries: np.ndarray, keys: np.ndarray) -> np.ndarray:
-        """a(q_i, k_j) for all pairs; shape (n_queries, n_keys)."""
-        out = np.empty((queries.shape[0], keys.shape[0]))
-        for i, q in enumerate(queries):
-            for j, k in enumerate(keys):
-                out[i, j] = self.similarity(q, k)
-        return out
-
-    def similarity_keys_major(self, queries: np.ndarray, keys: np.ndarray) -> np.ndarray:
-        """a(q_i, k_j) within each of B clouds, stored keys-major: queries
-        of shape (B, Q, d) and keys of shape (N, B, d) give (N, B, Q).
-
-        This default evaluates `similarity_matrix` one cloud at a time, on
-        the keys in the order given.
-        """
-        out = np.empty((keys.shape[0], queries.shape[0], queries.shape[1]))
-        for b in range(queries.shape[0]):
-            out[:, b, :] = self.similarity_matrix(queries[b], keys[:, b]).T
-        return out
-
-    def similarity_pairs(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """a(x_i, y_i) row-wise; shape (n,)."""
-        return np.array([self.similarity(x, y) for x, y in zip(xs, ys)])
-
-    def _check_dims(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def similarity(self, x: np.ndarray, y: np.ndarray) -> float:
+        """a(x, y) for one pair of points of dimension `dim`."""
         x = np.asarray(x, dtype=np.float64).reshape(-1)
         y = np.asarray(y, dtype=np.float64).reshape(-1)
         if x.shape != (self.dim,) or y.shape != (self.dim,):
             raise DimMismatch(
                 f"{self.kind} potential of dim {self.dim} got shapes {x.shape}, {y.shape}"
             )
-        return x, y
+        return float(self._pairwise(x[None], y[None])[0])
 
-
-class _PairwisePotential(Potential):
-    """A potential whose similarity is one broadcasting expression,
-    `_pairwise(x, y)` over the last axis of broadcastable x and y, which
-    gives the matrix and the keys-major layouts the same bits."""
-
-    def _pairwise(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def similarity_matrix(self, queries, keys):
+    def similarity_matrix(self, queries: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """a(q_i, k_j) for all pairs; shape (n_queries, n_keys)."""
         return self._pairwise(queries[:, None, :], keys[None, :, :])
 
-    def similarity_keys_major(self, queries, keys):
+    def similarity_keys_major(self, queries: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """a(q_i, k_j) within each of B clouds, stored keys-major: queries
+        of shape (B, Q, d) and keys of shape (N, B, d) give (N, B, Q)."""
         return self._pairwise(queries[None], keys[:, :, None, :])
+
+    def similarity_pairs(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """a(x_i, y_i) row-wise; shape (n,)."""
+        return self._pairwise(xs, ys)
 
 
 @dataclass(frozen=True)
-class DotProduct(_PairwisePotential):
+class DotProduct(Potential):
     """a(x, y) = scale * <x, y>."""
 
     scale: float
     dim: int
     kind: str = field(default="dot_product", init=False)
-
-    def similarity(self, x, y):
-        x, y = self._check_dims(x, y)
-        return float(self.scale * np.dot(x, y))
 
     def _pairwise(self, x, y):
         return _scaled_dot(self.scale, x, y)
@@ -141,7 +124,7 @@ class DotProduct(_PairwisePotential):
 
 
 @dataclass(frozen=True)
-class ScaledDotProduct(_PairwisePotential):
+class ScaledDotProduct(Potential):
     """a(x, y) = scale * <W_Q x, W_K y>, the learned-projection similarity."""
 
     w_q: np.ndarray
@@ -163,10 +146,6 @@ class ScaledDotProduct(_PairwisePotential):
     def dim(self) -> int:
         return self.w_q.shape[1]
 
-    def similarity(self, x, y):
-        x, y = self._check_dims(x, y)
-        return float(self.scale * np.dot(self.w_q @ x, self.w_k @ y))
-
     def _pairwise(self, x, y):
         q = _ordered_matmul(x, self.w_q.T)
         k = _ordered_matmul(y, self.w_k.T)
@@ -178,16 +157,11 @@ class ScaledDotProduct(_PairwisePotential):
 
 
 @dataclass(frozen=True)
-class Gaussian(_PairwisePotential):
+class Gaussian(Potential):
     """a(x, y) = -||x - y||_2^2, so G(x, y) = exp(-||x - y||_2^2) exactly."""
 
     dim: int
     kind: str = field(default="gaussian", init=False)
-
-    def similarity(self, x, y):
-        x, y = self._check_dims(x, y)
-        d = x - y
-        return float(-np.dot(d, d))
 
     @staticmethod
     def _pairwise(x, y):
@@ -206,21 +180,28 @@ class Gaussian(_PairwisePotential):
 
 @dataclass(frozen=True)
 class CustomPotential(Potential):
-    """User-supplied similarity; optionally a vectorized matrix form."""
+    """A user-supplied similarity: fn(x, y) is a(x, y) broadcast over the
+    last axis of x and y, one value per pair, like `_pairwise`; for
+    example `-np.abs(x - y).sum(axis=-1)`. A function of one pair can be
+    wrapped with `np.vectorize(fn, signature="(d),(d)->()")`. An output of
+    any other shape than the pairs' raises InvalidInput.
+    """
 
-    fn: Callable[[np.ndarray, np.ndarray], float]
+    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     dim: int
-    matrix_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     kind: str = field(default="custom", init=False)
 
-    def similarity(self, x, y):
-        x, y = self._check_dims(x, y)
-        return float(self.fn(x, y))
-
-    def similarity_matrix(self, queries, keys):
-        if self.matrix_fn is not None:
-            return np.asarray(self.matrix_fn(queries, keys), dtype=np.float64)
-        return super().similarity_matrix(queries, keys)
+    def _pairwise(self, x, y):
+        # a copy: attention works in place on the similarities, and fn may
+        # return a view of its own data, or a read-only one
+        out = np.array(self.fn(x, y), dtype=np.float64)
+        pairs = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
+        if out.shape != pairs:
+            raise InvalidInput(
+                f"custom similarity gave shape {out.shape} for pairs of shape {pairs}; "
+                "fn must broadcast over the last axis"
+            )
+        return out
 
 
 def evaluate(potential: Potential, x, y) -> float:
@@ -310,6 +291,7 @@ class RegularityStats:
         }
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _bilinear_extrema(m: np.ndarray, box: DomainBox) -> tuple[float, float, bool]:
     """Min and max of x^T M y over box x box, and whether they are exact.
 
@@ -318,7 +300,8 @@ def _bilinear_extrema(m: np.ndarray, box: DomainBox) -> tuple[float, float, bool
     otherwise all corner pairs are enumerated when 2^d <= _MAX_CORNERS.
     Beyond that each term M_ij x_i y_j is bounded on its own over
     [lo_i, hi_i] x [lo_j, hi_j]: the sums of the termwise extrema enclose
-    the true ones (conservative, not exact).
+    the true ones (conservative, not exact). On a box too wide for the
+    products an extremum is infinite or NaN, which the caller reports.
     """
     lo, hi = box.lower, box.upper
     d = lo.shape[0]
@@ -455,7 +438,10 @@ def regularity_stats(
         )
         if box.is_bounded:
             span = box.upper - box.lower
-            eps = math.exp(-float(np.dot(span, span)))
+            # a squared side past the float range gives eps = 0, which
+            # the bounds report as a degenerate potential
+            with np.errstate(over="ignore"):
+                eps = math.exp(-float(np.dot(span, span)))
         else:
             eps = 0.0
         return RegularityStats(
@@ -481,7 +467,7 @@ def regularity_stats(
             )
         m = potential.bilinear_matrix
         a_min, a_max, exact = _bilinear_extrema(m, box)
-        if a_max > MAX_EXP_ARG:
+        if not a_max <= MAX_EXP_ARG:
             raise PotentialOverflow(a_max, None, None)
         eps = math.exp(a_min)
         sup = math.exp(a_max)

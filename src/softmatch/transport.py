@@ -133,15 +133,11 @@ def _dyadic_shift(values: np.ndarray) -> int:
     It is not the least such shift: [0.5] gives 53 where 1 would do, and
     0.0 counts as exp 0. Callers rely on this value and not a smaller one:
     the simplex's grain 2**-shift decides which of its pricing rounds are
-    settled as ties, and with them the arcs that enter. Up to 16 values
-    are read in Python, where one numpy frexp costs more (measured
-    crossover: about 12 values).
+    settled as ties, and with them the arcs that enter.
     """
     flat = np.asarray(values, dtype=np.float64).reshape(-1)
     if not flat.size:
         return 0
-    if flat.size <= 16:
-        return max(0, 53 - min([math.frexp(x)[1] for x in flat.tolist()]))
     return max(0, 53 - int(np.frexp(flat)[1].min()))
 
 
@@ -150,16 +146,10 @@ def _dyadic_ints(values: np.ndarray, shift: int | None = None) -> tuple[list[int
 
     Returns (ints, shift) with values[i] == ints[i] / 2**shift exactly;
     `shift` defaults to `_dyadic_shift(values)` and may be given larger.
-    Up to 16 values are read one by one with float.as_integer_ratio, whose
-    denominator 2**k has k <= shift; past that one frexp over the array
-    costs less (measured crossover: about 16 values).
     """
     flat = np.asarray(values, dtype=np.float64).reshape(-1)
     if shift is None:
         shift = _dyadic_shift(flat)
-    if flat.size <= 16:
-        ratios = map(float.as_integer_ratio, flat.tolist())
-        return [p << (shift + 1 - q.bit_length()) for p, q in ratios], shift
     mant, exp = np.frexp(flat)
     # mant * 2^53 is integral for every finite float
     ms = (mant * (1 << 53)).astype(np.int64).tolist()

@@ -320,7 +320,7 @@ class TestReportStructure:
         # the same function as Gaussian(2): its sampled eps(G) lies above
         # the true inf e^-8, so the value undercuts the certified bound
         box = DomainBox.cube(1.0, 2)
-        custom = CustomPotential(fn=lambda x, y: -float(np.dot(x - y, x - y)), dim=2)
+        custom = CustomPotential(fn=lambda x, y: -((x - y) ** 2).sum(axis=-1), dim=2)
         certified = bound_bounded_contraction(
             AttentionConfig(Gaussian(2), IdentityLookup(2)), box
         )

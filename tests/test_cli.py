@@ -313,6 +313,28 @@ class TestExitCodes:
         "json_without_points": ("bad.json", '{"dim": 2, "weights": [1.0]}'),
     }
 
+    # boxes too wide for float arithmetic: numpy's sampler refused a side
+    # 2e308 in a traceback, and the squared side of a Gaussian or the
+    # corner products of a dot product overflowed with numpy warnings
+    # ahead of the exit-2 line; a 9-d form past the corner limit read NaN
+    WIDE_BOUND = ("bound", "--theorem", "bounded", "--box-radius", "1e160", "--config")
+    WIDE_PROBE = ("probe", "--theorem", "bounded", "--trials", "3", "--box-radius", "1e160")
+    HUGE_BOXES = {
+        "projection_box_1e308": (
+            "probe", "--theorem", "component-projection", "--box-radius", "1e308",
+            "--trials", "3",
+        ),
+        "lookup_box_1e308": (
+            "probe", "--theorem", "component-lookup", "--box-radius", "1e308", "--trials", "3",
+        ),
+        "bound_gaussian_box_1e160": (*WIDE_BOUND, "gauss.json"),
+        "bound_dot_box_1e160": (*WIDE_BOUND, "cfg.json"),
+        "bound_scaled_dot_box_1e160": (*WIDE_BOUND, "sdp.json"),
+        "bound_scaled_dot_9d_box_1e160": (*WIDE_BOUND, "sdp9.json", "--d", "9"),
+        "probe_gaussian_box_1e160": WIDE_PROBE,
+        "probe_dot_box_1e160": (*WIDE_PROBE, "--config", "cfg.json"),
+    }
+
     @pytest.mark.parametrize(
         "case",
         (
@@ -320,10 +342,10 @@ class TestExitCodes:
             "n_max_zero", "product_trials_zero", "equiv_trials_zero", "deq_max_iter_zero",
             "invert_max_iter_zero", "probe_d_negative", "lookup_probe_d_negative",
             "bound_d_negative", "softmatch_x_eps_zero", "softmatch_measure_eps_zero",
-            *BAD_FILES,
+            *HUGE_BOXES, *BAD_FILES,
         ),
     )
-    def test_library_errors_are_usage_errors(self, workdir, capsys, case):
+    def test_library_errors_are_usage_errors(self, workdir, capsys, monkeypatch, case):
         (workdir / "one_d.csv").write_text("1.0\n2.0\n")
         (workdir / "nan.csv").write_text("1.0,2.0\nnan,0.0\n")
         (workdir / "gauss.json").write_text('{"potential": {"kind": "gaussian", "dim": 2}}')
@@ -331,6 +353,17 @@ class TestExitCodes:
             name, text = self.BAD_FILES[case]
             (workdir / name).write_text(text)
             argv = ("w1", str(workdir / name), str(workdir / "b.csv"))
+        elif case in self.HUGE_BOXES:
+            w9 = np.eye(9)
+            w9[0, 1] = 1.0
+            for name, w_q, w_k in (
+                ("sdp.json", [[1.0, 0.5], [0.2, 1.0]], [[1.0, 0.0], [0.3, 1.0]]),
+                ("sdp9.json", w9.tolist(), w9.tolist()),
+            ):
+                spec = {"kind": "scaled_dot_product", "W_Q": w_q, "W_K": w_k}
+                (workdir / name).write_text(json.dumps({"potential": spec}))
+            monkeypatch.chdir(workdir)
+            argv = self.HUGE_BOXES[case]
         else:
             argv = {
                 "dim_mismatch": ("w1", str(workdir / "a.csv"), str(workdir / "one_d.csv")),

@@ -1,6 +1,8 @@
 """Kernel pipeline vs the matrix-form oracles, plus structural invariants."""
 
 import functools
+import hashlib
+import json
 import math
 
 import kernel_oracle
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from kernel_oracle import KeyValueMismatch, reference_attention
 
+from softmatch import equiv
 from softmatch.equiv import (
     LOOKUP_KINDS,
     POTENTIAL_KINDS,
@@ -17,6 +20,7 @@ from softmatch.equiv import (
     random_ffn,
     random_lookup,
     random_potential,
+    run_equivalence,
 )
 from softmatch.errors import DimMismatch, InvalidInput
 from softmatch.kernels import (
@@ -86,8 +90,8 @@ class TestSoftmatch:
         pts = rng.normal(size=(5, 2))
         nu = empirical(pts)
         q = rng.normal(size=2)
-        base = CustomPotential(fn=lambda x, y: float(x @ y), dim=2)
-        shifted = CustomPotential(fn=lambda x, y: float(x @ y) + 37.5, dim=2)
+        base = CustomPotential(fn=lambda x, y: (x * y).sum(axis=-1), dim=2)
+        shifted = CustomPotential(fn=lambda x, y: (x * y).sum(axis=-1) + 37.5, dim=2)
         np.testing.assert_allclose(
             softmatch_weights(base, q, nu),
             softmatch_weights(shifted, q, nu),
@@ -162,6 +166,24 @@ class TestLookup:
         mu = empirical(np.random.default_rng(1).normal(size=(4, 2)))
         out = apply_lookup(lk, mu)
         np.testing.assert_allclose(barycenter(out), barycenter(mu) + c, atol=1e-12)
+
+    def test_function_lookup_maps_all_points_in_one_call(self):
+        calls = []
+
+        def fn(pts):
+            calls.append(pts.shape)
+            return np.tanh(pts)
+
+        mu = empirical(np.random.default_rng(2).normal(size=(5, 2)))
+        out = apply_lookup(FunctionLookup(fn=fn, in_dim=2, out_dim=2), mu)
+        assert calls == [(5, 2)]
+        kernel_oracle.assert_bitwise(out.support.points, np.tanh(mu.support.points))
+
+    def test_function_lookup_of_one_point_is_refused(self):
+        # a function of one point reduces the whole batch to one value
+        lk = FunctionLookup(fn=lambda p: np.array([p.sum(), 0.0]), in_dim=2, out_dim=2)
+        with pytest.raises(DimMismatch):
+            apply_lookup(lk, empirical(np.zeros((3, 2))))
 
     def test_lip_values(self):
         assert IdentityLookup(3).lip() == 1.0
@@ -529,7 +551,8 @@ class TestRowIndependence:
             kernel_oracle.assert_bitwise(softmatch_weights(cfg.potential, x, mu), row)
 
 
-# the built-in potentials, plus a custom one with only a pairwise function
+# the built-in potentials, plus a custom one of a one-pair function
+# wrapped with np.vectorize
 BATCH_POTENTIALS = POTENTIAL_KINDS + ("custom_pairwise",)
 LAYER_KINDS = ("single", "multi", "transformer")
 
@@ -537,7 +560,8 @@ LAYER_KINDS = ("single", "multi", "transformer")
 def batch_layer(rng, layer_kind, potential_kind, d):
     def attention():
         if potential_kind == "custom_pairwise":
-            pot = CustomPotential(fn=lambda x, y: -float(np.abs(x - y).sum()), dim=d)
+            one_pair = np.vectorize(lambda x, y: -float(np.abs(x - y).sum()), signature="(d),(d)->()")
+            pot = CustomPotential(fn=one_pair, dim=d)
         else:
             pot = random_potential(rng, d, potential_kind)
         return AttentionConfig(pot, random_lookup(rng, d))
@@ -687,3 +711,69 @@ class TestLayerMapBatch:
             layer_map(cfg, np.zeros((1, 4, 3)))
         with pytest.raises(InvalidInput):
             layer_map(object(), np.zeros((1, 4, 2)))
+
+
+class TestPinnedOutputs:
+    """sha256 of outputs recorded when a custom potential was a function of
+    one pair, and a function lookup a function of one point, each called
+    once per pair or point. The broadcasting forms of the same functions
+    keep every bit."""
+
+    LAYER_DIGESTS = {
+        "gaussian": "a9388a4011c2efcddfe4d848e35ca349c6b9d4b4c24459be470ac8e982a062d4",
+        "dot_product": "7397317190c41bac9cd6c8fc4477ed5d3248db7b22d01a1e90badd727df6591a",
+        "scaled_dot_product": "372cd42bc769edc2f5c359e92bfdeec527104c7f17fb0b854cc72b8f26166fcb",
+        "custom": "cca5b2e5a43192e01b13edc02071ef27bf10239c210a0a536753bcaba1d90e84",
+    }
+    EQUIV_DIGESTS = {
+        0: "f98f5a0bcafd9ca29b2a8cce562781e637f11c12434e6a3bab06f57e2103ae08",
+        7: "1dfc5fa558f0cf45abd45f7a5f6d9054acc98138e8234a3025a38b48a5c0d4e6",
+    }
+
+    @staticmethod
+    def layer(rng, potential_kind, layer_kind, d):
+        def attention(lookup_kind):
+            if potential_kind == "custom":
+                pot = CustomPotential(fn=lambda x, y: -np.abs(x - y).sum(axis=-1), dim=d)
+            else:
+                pot = random_potential(rng, d, potential_kind)
+            return AttentionConfig(pot, random_lookup(rng, d, lookup_kind))
+
+        if layer_kind == "single":
+            return attention("function")
+        heads = [attention(k) for k in ("function", "linear")]
+        mh = MultiHeadConfig([Head(c, rng.normal(scale=0.5, size=(c.out_dim, d))) for c in heads])
+        if layer_kind == "multi":
+            return mh
+        return TransformerLayerSpec(mh, random_ffn(rng, d))
+
+    @pytest.mark.parametrize("potential_kind", POTENTIAL_KINDS)
+    def test_layer_map_outputs(self, potential_kind):
+        h = hashlib.sha256()
+        for layer_kind in LAYER_KINDS:
+            for d in (1, 3, 8):
+                for n in (1, 5, 17):
+                    key = [POTENTIAL_KINDS.index(potential_kind), LAYER_KINDS.index(layer_kind), d, n]
+                    rng = np.random.default_rng(key)
+                    layer = self.layer(rng, potential_kind, layer_kind, d)
+                    h.update(layer_map(layer, rng.normal(size=(3, n, d))).tobytes())
+        assert h.hexdigest() == self.LAYER_DIGESTS[potential_kind]
+
+    @pytest.mark.parametrize("seed", EQUIV_DIGESTS)
+    def test_equivalence_reports(self, seed, monkeypatch):
+        drawn = []
+
+        def spy(draw):
+            def wrapped(*args, **kwargs):
+                out = draw(*args, **kwargs)
+                drawn.append(type(out).__name__)
+                return out
+
+            return wrapped
+
+        monkeypatch.setattr(equiv, "random_potential", spy(random_potential))
+        monkeypatch.setattr(equiv, "random_lookup", spy(random_lookup))
+        report = run_equivalence(trials=40, seed=seed)
+        assert {"CustomPotential", "FunctionLookup"} <= set(drawn)
+        text = json.dumps(report, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.EQUIV_DIGESTS[seed]

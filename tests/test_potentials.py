@@ -5,13 +5,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from kernel_oracle import assert_bitwise
 
+from softmatch.equiv import POTENTIAL_KINDS, random_potential
 from softmatch.errors import (
     DimMismatch,
+    InvalidInput,
     PotentialOverflow,
     UnboundedDomainUnsupported,
 )
-from softmatch.measures import DomainBox
+from softmatch.kernels import AttentionConfig, IdentityLookup, self_attention
+from softmatch.measures import DomainBox, PointCloud
 from softmatch.potentials import (
     GAUSSIAN_LIP,
     CustomPotential,
@@ -80,6 +86,51 @@ class TestEvaluate:
             mat = p.similarity_matrix(q, k)
             for i, j in itertools.product(range(4), range(5)):
                 assert mat[i, j] == pytest.approx(p.similarity(q[i], k[j]), rel=1e-12, abs=1e-12)
+
+
+class TestLayouts:
+    """Every layout is the one `_pairwise` expression on views of its
+    arguments, so a pair gets the same bits in all four."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(POTENTIAL_KINDS),
+        st.sampled_from((1, 2, 3, 4, 8, 13)),
+    )
+    def test_layouts_agree_bitwise(self, seed, kind, d):
+        rng = np.random.default_rng(seed)
+        p = random_potential(rng, d, kind)
+        q = rng.normal(size=(2, 6, d))
+        k = rng.normal(size=(7, 2, d))
+        keys_major = p.similarity_keys_major(q, k)
+        for b in range(2):
+            mat = p.similarity_matrix(q[b], k[:, b])
+            one = [[p.similarity(x, y) for y in k[:, b]] for x in q[b]]
+            pairs = p.similarity_pairs(np.repeat(q[b], 7, axis=0), np.tile(k[:, b], (6, 1)))
+            assert_bitwise(mat, np.array(one))
+            assert_bitwise(mat, pairs.reshape(6, 7))
+            assert_bitwise(mat, keys_major[:, b].T)
+
+
+class TestCustomPotential:
+    def test_scalar_style_fn_is_refused(self):
+        # a function of one pair reduces the whole batch to one number
+        p = CustomPotential(fn=lambda x, y: -float(np.abs(x - y).sum()), dim=2)
+        with pytest.raises(InvalidInput, match="must broadcast over the last axis"):
+            p.similarity_matrix(np.zeros((3, 2)), np.ones((4, 2)))
+        with pytest.raises(InvalidInput):
+            p.similarity([0.0, 1.0], [1.0, 2.0])
+
+    def test_read_only_output_is_copied(self):
+        # a broadcast view is read-only, and attention works in place
+        def zero(x, y):
+            return np.broadcast_to(0.0, np.broadcast_shapes(x.shape[:-1], y.shape[:-1]))
+
+        cloud = PointCloud(np.random.default_rng(4).normal(size=(5, 2)))
+        cfg = AttentionConfig(CustomPotential(zero, dim=2), IdentityLookup(2))
+        out = self_attention(cfg, cloud).points
+        np.testing.assert_allclose(out, np.tile(cloud.points.mean(axis=0), (5, 1)), atol=1e-12)
 
 
 class TestGaussianStats:
@@ -181,11 +232,7 @@ class TestDotProductStats:
 class TestSampledStats:
     def test_sampled_gaussian_never_beats_analytic(self):
         g_exact = Gaussian(2)
-        as_custom = CustomPotential(
-            fn=lambda x, y: g_exact.similarity(x, y),
-            dim=2,
-            matrix_fn=lambda q, k: g_exact.similarity_matrix(q, k),
-        )
+        as_custom = CustomPotential(fn=lambda x, y: -((x - y) ** 2).sum(axis=-1), dim=2)
         stats = regularity_stats(
             as_custom, DomainBox.cube(1.0, 2), SamplingConfig(n_pairs=20_000, seed=4)
         )
@@ -197,7 +244,7 @@ class TestSampledStats:
         assert stats.eps_g >= analytic.eps_g - 1e-12
 
     def test_sampled_seed_reproducible(self):
-        p = CustomPotential(fn=lambda x, y: -float(np.abs(x - y).sum()), dim=2)
+        p = CustomPotential(fn=lambda x, y: -np.abs(x - y).sum(axis=-1), dim=2)
         cfg = SamplingConfig(n_pairs=5_000, seed=123)
         box = DomainBox.cube(1.0, 2)
         a = regularity_stats(p, box, cfg)
