@@ -19,15 +19,24 @@ class InvalidInput(ValueError):
 
 
 class PotentialOverflow(OverflowError):
-    """exp(a(x, y)) overflows float64; carries the offending pair."""
+    """exp(a(x, y)) overflows float64; carries the offending pair. When
+    a_value bounds a over the domain box instead, y is None (for a fixed
+    query x) or both are (over box x box)."""
 
     def __init__(self, a_value, x, y):
         self.a_value = a_value
         self.x = x
         self.y = y
-        super().__init__(
-            f"similarity {a_value!r} overflows exp(); offending pair x={x!r}, y={y!r}"
-        )
+        if y is not None:
+            msg = f"similarity {a_value!r} overflows exp(); offending pair x={x!r}, y={y!r}"
+        elif x is not None:
+            msg = (
+                f"similarity bound {a_value!r} over the domain box for the query "
+                f"x={x!r} overflows exp()"
+            )
+        else:
+            msg = f"similarity bound {a_value!r} over the domain box overflows exp()"
+        super().__init__(msg)
 
 
 class UnboundedDomainUnsupported(ValueError):

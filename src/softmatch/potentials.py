@@ -300,8 +300,10 @@ def _bilinear_extrema(m: np.ndarray, box: DomainBox) -> tuple[float, float, bool
     otherwise all corner pairs are enumerated when 2^d <= _MAX_CORNERS.
     Beyond that each term M_ij x_i y_j is bounded on its own over
     [lo_i, hi_i] x [lo_j, hi_j]: the sums of the termwise extrema enclose
-    the true ones (conservative, not exact). On a box too wide for the
-    products an extremum is infinite or NaN, which the caller reports.
+    the true ones (conservative, not exact); a zero entry contributes
+    exactly 0, however wide the box. On a box too wide for the products
+    an extremum is infinite, which the caller reports: where float sums
+    meet inf - inf, the maximum is inf and the minimum -inf.
     """
     lo, hi = box.lower, box.upper
     d = lo.shape[0]
@@ -311,13 +313,18 @@ def _bilinear_extrema(m: np.ndarray, box: DomainBox) -> tuple[float, float, bool
         cand = np.stack(
             [diag * lo * lo, diag * lo * hi, diag * hi * lo, diag * hi * hi]
         )
-        return float(cand.min(axis=0).sum()), float(cand.max(axis=0).sum()), True
-    if 2 ** d > _MAX_CORNERS:
+        low, high, exact = cand.min(axis=0).sum(), cand.max(axis=0).sum(), True
+    elif 2 ** d > _MAX_CORNERS:
         cand = np.stack([m * np.outer(a, b) for a in (lo, hi) for b in (lo, hi)])
-        return float(cand.min(axis=0).sum()), float(cand.max(axis=0).sum()), False
-    corners = box.corners()
-    vals = corners @ m @ corners.T
-    return float(vals.min()), float(vals.max()), True
+        cand[:, m == 0] = 0.0  # not 0 * inf
+        low, high, exact = cand.min(axis=0).sum(), cand.max(axis=0).sum(), False
+    else:
+        corners = box.corners()
+        vals = corners @ m @ corners.T
+        low, high, exact = vals.min(), vals.max(), True
+    low = -math.inf if np.isnan(low) else float(low)
+    high = math.inf if np.isnan(high) else float(high)
+    return low, high, exact
 
 
 def _max_linf_image(m: np.ndarray, box: DomainBox) -> float:

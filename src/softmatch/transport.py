@@ -56,9 +56,14 @@ the package's 321 modules took about 0.6 s and 47 MB. A pair of one-point
 measures has the one matching [0] and loads nothing, and every other path
 runs on numpy alone.
 
-Desk-scale limits: every path accepts N, M <= 512, d = 1 included: the
-plan is a dense N x M array, and its check builds the N x M cost matrix.
-Product measures hold at most 64 support points.
+A result keeps its plan as the at most n + m - 1 atoms (row, column,
+mass) of its optimal basis, with the exact potentials of that basis until
+its float duals are first read: O(n + m) memory once `w1` returns. The
+dense N x M `gamma` is built only when read.
+
+Desk-scale limits: every path accepts N, M <= 512, d = 1 included: `w1`
+builds the N x M cost matrix on every path, and at d = 1 the float duals
+are fitted against it. Product measures hold at most 64 support points.
 """
 from __future__ import annotations
 
@@ -191,12 +196,19 @@ def _coprime_masses(weights: np.ndarray) -> list:
 
 @dataclass(frozen=True)
 class TransportPlan:
-    """A coupling gamma between two empirical measures certifying a cost.
+    """A coupling gamma between two empirical measures certifying a cost,
+    kept as its atoms: mass[k] at gamma[rows[k], cols[k]], atoms at one
+    entry adding up, every other entry 0. A solver's plan has the at most
+    n + m - 1 atoms of its optimal basis, one per entry; `from_gamma`
+    turns a caller's dense matrix into atoms.
 
-    Invariants checked on construction: marginals match the measure weights
-    and the stored cost matches sum_ij gamma_ij c_ij, both within 1e-9.
-    `cost_matrix` lets a solver hand over the c it has already built for
-    that check; it is not stored, and without it c is built here.
+    Invariants checked on construction, over the atoms: indices within
+    the supports, masses >= -1e-15, marginals matching the measure weights
+    and the stored cost matching sum_k mass[k] c[rows[k], cols[k]], both
+    within 1e-9. `cost_matrix` lets a solver hand over the c it has
+    already built for that check; it is not stored, and without it c is
+    built here. `gamma` builds the dense N x M view at each read and
+    keeps nothing.
     Kantorovich dual potentials are available through dual_potentials();
     they satisfy u_i + v_j <= c_ij exactly, with equality (to an ulp) on
     the support of gamma when the plan is optimal. A solver's plan keeps
@@ -205,7 +217,9 @@ class TransportPlan:
     first read, which then replace them.
     """
 
-    gamma: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    mass: np.ndarray
     source: EmpiricalMeasure
     target: EmpiricalMeasure
     cost: float
@@ -213,26 +227,57 @@ class TransportPlan:
     _potentials: tuple | None = field(default=None, repr=False, compare=False)
     cost_matrix: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self, cost_matrix):
-        g = np.asarray(self.gamma, dtype=np.float64)
-        if g.shape != (self.source.n, self.target.n):
+    @classmethod
+    def from_gamma(cls, gamma, source: EmpiricalMeasure, target: EmpiricalMeasure, cost: float):
+        """The plan of a dense N x M coupling: its nonzero entries are the atoms."""
+        g = np.asarray(gamma, dtype=np.float64)
+        if g.shape != (source.n, target.n):
             raise InvalidInput(f"plan shape {g.shape} does not match measures")
-        if g.min() < -1e-15:
-            raise InvalidInput("plan has negative entries")
-        row_err = np.abs(g.sum(axis=1) - self.source.weights).max()
-        col_err = np.abs(g.sum(axis=0) - self.target.weights).max()
-        if max(row_err, col_err) > MARGINAL_TOL:
+        rows, cols = np.nonzero(g)
+        return cls(rows, cols, g[rows, cols], source, target, cost)
+
+    def __post_init__(self, cost_matrix):
+        n, m = self.source.n, self.target.n
+        rows, cols = np.asarray(self.rows), np.asarray(self.cols)
+        mass = np.asarray(self.mass, dtype=np.float64)
+        if not (rows.ndim == cols.ndim == mass.ndim == 1 and rows.size == cols.size == mass.size):
+            raise InvalidInput("plan atoms need 1-D rows, cols and mass of one length")
+        if rows.dtype.kind not in "iu" or cols.dtype.kind not in "iu":
+            raise InvalidInput("plan rows and cols must be integers")
+        rows, cols = rows.astype(np.intp, copy=False), cols.astype(np.intp, copy=False)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "mass", mass)
+        # each comparison is written so that NaN fails it
+        if not mass.min(initial=0.0) >= -1e-15:
+            raise InvalidInput("plan has negative or NaN entries")
+        try:
+            out, into = np.bincount(rows, mass, n), np.bincount(cols, mass, m)
+        except ValueError:  # a negative index
+            out = into = None
+        if out is None or out.size > n or into.size > m:
+            raise InvalidInput(f"plan atoms fall outside the {n} x {m} supports")
+        row_err = np.abs(out - self.source.weights).max()
+        col_err = np.abs(into - self.target.weights).max()
+        if not max(row_err, col_err) <= MARGINAL_TOL:
             raise InvalidInput(
                 f"marginal mismatch {max(row_err, col_err):.3e} exceeds 1e-9"
             )
         c = cost_matrix
         if c is None:
             c = cost_matrix_l1(self.source.support.points, self.target.support.points)
-        recomputed = float((g * c).sum())
-        if abs(recomputed - self.cost) > MARGINAL_TOL * (1.0 + abs(self.cost)):
+        recomputed = float(c[rows, cols] @ mass)
+        if not abs(recomputed - self.cost) <= MARGINAL_TOL * (1.0 + abs(self.cost)):
             raise InvalidInput(
                 f"plan cost {recomputed!r} disagrees with stored {self.cost!r}"
             )
+
+    @property
+    def gamma(self) -> np.ndarray:
+        """The dense N x M coupling, built from the atoms at each read."""
+        g = np.zeros((self.source.n, self.target.n))
+        np.add.at(g, (self.rows, self.cols), self.mass)
+        return g
 
     def dual_potentials(self) -> tuple[np.ndarray, np.ndarray]:
         """Optimal Kantorovich potentials (u, v): u_i + v_j <= c_ij.
@@ -263,8 +308,9 @@ class TransportPlan:
         u, v = self.dual_potentials()
         c = cost_matrix_l1(self.source.support.points, self.target.support.points)
         feas = float((u[:, None] + v[None, :] - c).max())
-        supp = self.gamma > 0
-        slack = float(np.abs((u[:, None] + v[None, :] - c))[supp].max()) if supp.any() else 0.0
+        supp = self.mass > 0
+        i, j = self.rows[supp], self.cols[supp]
+        slack = float(np.abs(u[i] + v[j] - c[i, j]).max()) if supp.any() else 0.0
         dual_obj = float(self.source.weights @ u + self.target.weights @ v)
         return {
             "max_feasibility_violation": feas,
@@ -525,6 +571,9 @@ def _network_simplex(c: np.ndarray, arcs: list, shift: int, path: str) -> _Basis
                 children[x].append(y)
                 pot[y] = ck - pot[x]
                 stack.append(y)
+    # the tree now holds all the pivots need of the start arcs; free the
+    # rest before the (n, m) pricing buffer is made
+    del adj, arcs
     red = np.empty((n, m))
     flat_red = red.reshape(-1)
     block = max(8, size // 2)
@@ -688,8 +737,7 @@ def _assignment_basis(c: np.ndarray, cols: list) -> list:
     d = at[r0] - base[r0]
     d[r0] = 0.0
     pred = np.full(n, r0)
-    rows = np.arange(n)
-    active = rows[rows != r0]
+    active = np.flatnonzero(np.arange(n) != r0)
     span = float(np.abs(d).max())
     # via[q, k]: row k's distance through the q-th active row, filled in
     # place; mode="clip" keeps np.take from buffering (the indices are valid)
@@ -697,13 +745,15 @@ def _assignment_basis(c: np.ndarray, cols: list) -> list:
     for _ in range(n - 1):
         via = np.take(at, active, axis=0, out=buf[: active.size], mode="clip")
         via += (d[active] - base[active])[:, None]
-        arg = via.argmin(axis=0)
-        best = via[arg, rows]
+        # argmin's first minimal row, found without the copy argmin makes
+        # to bring axis 0 last
+        best = via.min(axis=0)
         better = best < d - unit * (2.0 * c_max + span)
         better[r0] = False
         improved = np.flatnonzero(better)
         if not improved.size:
             break
+        arg = (via == best).argmax(axis=0)
         pred[improved] = active[arg[improved]]
         d[improved] = best[improved]
         span = max(span, float(np.abs(d[improved]).max()))
@@ -947,14 +997,16 @@ def w1(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> W1Result:
 def _result(mu, nu, c, basis: _Basis, den: int) -> W1Result:
     """Value and plan of an optimal basis whose masses are the normalized
     weights times den; the value is the exact optimum rounded once (int
-    true division is correctly rounded), and the dual gap is 0. The plan
-    derives its float duals from the basis when they are first read."""
+    true division is correctly rounded), and the dual gap is 0. The plan's
+    atoms are the basis arcs, and it derives its float duals from the
+    basis when they are first read."""
     value = basis.total / (den << basis.shift)
-    gamma = np.zeros(c.shape)
     i, j, f = zip(*basis.arcs)
-    gamma[i, j] = [x / den for x in f]
+    mass = np.array([x / den for x in f])
     exact = basis.u, basis.v, basis.shift
-    plan = TransportPlan(gamma, mu, nu, value, _potentials=exact, cost_matrix=c)
+    plan = TransportPlan(
+        np.array(i), np.array(j), mass, mu, nu, value, _potentials=exact, cost_matrix=c
+    )
     return W1Result(value=value, plan=plan, dual_gap=0.0)
 
 

@@ -1,6 +1,7 @@
 """CLI contract: subcommands, exit codes, report envelopes, replay fields."""
 
 import functools
+import hashlib
 import json
 import os
 import subprocess
@@ -14,7 +15,12 @@ import softmatch
 from softmatch import probes
 from softmatch.cli import main
 from softmatch.errors import InvalidInput
-from softmatch.measures import PointCloud, save_point_cloud_csv
+from softmatch.measures import (
+    EmpiricalMeasure,
+    PointCloud,
+    save_measure_json,
+    save_point_cloud_csv,
+)
 from softmatch.streams import stream
 
 
@@ -59,6 +65,39 @@ class TestW1Command:
         )
         assert code == 0
         assert env["report"]["plan"] == [[1.0]]
+
+    # sha256 of the report of `w1 --plan` (value, dual gap and the dense
+    # plan, as printed) on a seeded weighted 7 x 5 pair (JSON measures:
+    # the line path at d = 1, else the flow path) and a uniform 6 x 6 one
+    # (CSV: the assignment path at d >= 2), recorded when a plan stored
+    # its dense gamma
+    PLAN_DIGESTS = {
+        ("weighted", 1): "b7ea205bd3d2f3e9b45aa0347ee14b64d067fcd07dacfb993e9b399352e3a4a9",
+        ("weighted", 2): "903f1ef6791eb651b96a86661bfc4e91308f6480650c8ca3b283ac3fe5b52977",
+        ("weighted", 4): "720e3e048779aa868a6b38e6c017308a1dd6673df898dfc2ba01c86caa95e651",
+        ("uniform", 1): "598ce1672d0e07ec37a0724895442860250d1ebf1d94dbd8291f2270e9df8bbe",
+        ("uniform", 2): "8e4ad5664c59f351b762eaafb983334038b445838a65df071a6ed14577cf1201",
+        ("uniform", 4): "d6dce174259d6d2b87c4cdaeabb97b609c2558e6dec241b0e9ad8be9dd10b960",
+    }
+
+    @pytest.mark.parametrize("d", (1, 2, 4))
+    @pytest.mark.parametrize("kind", ("weighted", "uniform"))
+    def test_plan_json_pinned(self, tmp_path, capsys, kind, d):
+        rng = np.random.default_rng([d, kind == "uniform"])
+        paths = []
+        for side, n in (("a", 7), ("b", 5)) if kind == "weighted" else (("a", 6), ("b", 6)):
+            cloud = PointCloud(rng.uniform(-2.0, 2.0, (n, d)))
+            if kind == "weighted":
+                w = rng.random(n) + 0.02
+                paths.append(tmp_path / f"{side}.json")
+                save_measure_json(paths[-1], EmpiricalMeasure(cloud, w / w.sum()))
+            else:
+                paths.append(tmp_path / f"{side}.csv")
+                save_point_cloud_csv(paths[-1], cloud)
+        code, env, _ = run(capsys, "w1", *map(str, paths), "--plan")
+        assert code == 0
+        report = json.dumps(env["report"]).encode()
+        assert hashlib.sha256(report).hexdigest() == self.PLAN_DIGESTS[kind, d]
 
     def test_missing_file_is_usage_error(self, workdir, capsys):
         code, _, err = run(capsys, "w1", str(workdir / "nope.csv"), str(workdir / "b.csv"))
@@ -408,6 +447,10 @@ class TestExitCodes:
         assert env is None
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("input error: ")
+        if case in self.HUGE_BOXES:
+            # a zero entry of W_Q^T W_K made 0 * inf = NaN in the 9-d
+            # form's per-entry extrema, reported for a pair x=None, y=None
+            assert "nan" not in err and "None" not in err
 
     # the unbounded theorems hold for the Gaussian potential of dimension
     # --d only; they used to report a dot-product config, or a Gaussian of

@@ -25,6 +25,7 @@ from softmatch.potentials import (
     Gaussian,
     SamplingConfig,
     ScaledDotProduct,
+    _bilinear_extrema,
     eps_on_data,
     evaluate,
     query_lipschitz,
@@ -209,6 +210,30 @@ class TestDotProductStats:
         for name in ("eps_g", "sup_g"):
             prov = stats.provenance[name]
             assert prov.kind == "analytic" and prov.note.startswith("conservative")
+
+    def test_zero_entries_contribute_zero_past_256_corners(self):
+        # coordinate 0 spans past the float products, but its row and
+        # column of M are zero: 0 * inf read NaN, and the extrema with it
+        rng = np.random.default_rng(12)
+        d = 9
+        m = rng.normal(size=(d, d))
+        m[0, :] = m[:, 0] = 0.0
+        wide = DomainBox(np.r_[-1e200, -np.ones(d - 1)], np.r_[1e200, np.ones(d - 1)])
+        narrow = DomainBox.cube(1.0, d)
+        low, high, exact = _bilinear_extrema(m, wide)
+        assert (low, high, exact) == _bilinear_extrema(m, narrow)
+        assert math.isfinite(low) and math.isfinite(high) and not exact
+
+    def test_overflow_names_the_bound_over_the_box(self):
+        # the 9-d form past the corner limit whose W_Q^T W_K has zero
+        # entries: the bound is inf, not NaN, and no pair is named
+        w = np.eye(9)
+        w[0, 1] = 1.0
+        p = ScaledDotProduct(w, w, scale=1.0 / 3.0)
+        with pytest.raises(PotentialOverflow) as exc:
+            regularity_stats(p, DomainBox.cube(1e160, 9))
+        assert exc.value.a_value == math.inf
+        assert str(exc.value) == "similarity bound inf over the domain box overflows exp()"
 
     def test_symmetric_when_projections_match(self):
         rng = np.random.default_rng(8)
