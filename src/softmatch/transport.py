@@ -18,14 +18,21 @@ For d >= 2 every solve is one exact transportation network simplex on the
 float l1 cost matrix: "exact" means the exact optimum of the LP over those
 float costs, each c_ij = fl(sum_k |x_ik - y_jk|) read exactly as a dyadic
 integer. Flows and node potentials are exact Python integers on a
-spanning-tree basis. numpy prices all N*M arcs at once from correctly
-rounded float copies of the potentials, refreshed from the exact ones once
-per pricing round; an arc enters only once its reduced cost is confirmed
-negative in exact integers, its exact cost read on demand from the float
-cost (no per-arc integer array is kept). Arcs within the float error
-bound of zero are settled exactly; when there are many, a double-double
-pricing under a rigorous per-arc bound settles most of them first, and
-only the rest are checked in integers. The solve stops when no arc is
+spanning-tree basis, a sink's stored negated (-v_j), so that a pivot
+shifts every potential of a subtree by one amount. numpy prices all N*M
+arcs at once from correctly rounded float copies of the potentials,
+refreshed from the exact ones once per pricing round; an arc enters only
+once its reduced cost is confirmed negative in exact integers, its exact
+cost read on demand from the float cost (no per-arc integer array is
+kept). Past 1024 arcs each of these conversions is one int64 cast
+wherever that is exact: the potentials are rounded through int64 while
+all have |p| < 2^63 (int64 -> float64 rounds to nearest, as int -> float
+does), and the candidates' costs are read through int64 while
+c_max * 2^shift < 2^62; otherwise, and in every probe-sized solve, they
+go through Python lists. Arcs within the float error bound of zero are
+settled exactly; when there are many, a double-double pricing under a
+rigorous per-arc bound settles most of them first, and only the rest are
+checked in integers. The solve stops when no arc is
 exactly negative, so the primal, the dual and complementary slackness
 hold by construction. A solver's plan keeps the exact potentials of its
 optimal basis, and derives float dual potentials from them at the first
@@ -37,7 +44,9 @@ takes the sorted-supports path; otherwise uniform equal-size measures
 start the simplex from scipy's Hungarian matching, hung along its
 shortest-path tree so that an optimal matching is certified with no
 pivot, and repaired where float rounding left it suboptimal; every other
-pair starts from the matrix-minimum allocation. The matching and the tree
+pair starts from the matrix-minimum allocation, which takes the cells in
+stable cost order (numpy's default sort with its runs of ties put back in
+index order, past 1024 cells). The matching and the tree
 are found in float on the reduced matrix r (c less its row minima, then
 its column minima), where the differences that decide them keep their
 bits even when every row of c is nearly constant, as on a contracted
@@ -363,6 +372,25 @@ class _Basis:
     shift: int
 
 
+def _stable_argsort(vals: np.ndarray) -> np.ndarray:
+    """np.argsort(vals, kind="stable") of a 1-D array with no NaN.
+
+    numpy's default argsort (a SIMD sort where the CPU has one) orders the
+    values but leaves each run of equal ones in no set order. The runs are
+    found by comparing neighbours, so -0.0 and +0.0 share one, and their
+    cells are put back in index order by one sort of the keys
+    run * size + index: these are distinct, so every sort agrees on them.
+    """
+    order = vals.argsort()
+    ranked = vals[order]
+    tied = ranked[1:] == ranked[:-1]
+    if tied.any():
+        run = np.concatenate(([0], np.cumsum(~tied)))
+        pos = np.flatnonzero(np.concatenate((tied, [False])) | np.concatenate(([False], tied)))
+        order[pos] = np.sort(run[pos] * vals.size + order[pos]) % vals.size
+    return order
+
+
 def _matrix_minimum_basis(c: np.ndarray, supply: list, demand: list) -> list:
     """Matrix-minimum allocation with every node but the root sink m - 1
     carrying eps extra supply (eps less demand at a sink).
@@ -373,18 +401,26 @@ def _matrix_minimum_basis(c: np.ndarray, supply: list, demand: list) -> list:
     positive perturbed flow, i.e. a spanning tree in which every zero-flow
     arc points from its source up to its sink (strongly feasible).
 
-    The cells are walked in stable cost order, in chunks of 2 (n + m - 1)
-    from which closed cells are dropped in bulk first. Up to 256 cells
-    (every probe-sized pair) the walk reads them all in one pass with no
-    filter, and keeps its open flags in lists: there it reaches about 96%
-    of the cells before the tree spans (median over the probe benchmark's
-    pairs), so it visits every chunk anyway, and this halves its time.
+    The cells are walked in stable cost order, ties in row-major index
+    order. Above 1024 cells that order comes from `_stable_argsort`, about
+    5 times faster than numpy's stable merge sort at 128 x 112; up to
+    there the merge sort costs less, and a process that never solves a
+    larger pair never maps the SIMD sort's code (about 0.5 MB resident).
+    The walk goes in chunks of 2 (n + m - 1) cells from which closed
+    cells are dropped in bulk first. Up to 256 cells (every probe-sized
+    pair) it reads them all in one pass with no filter, and keeps its open
+    flags in lists: there it reaches about 96% of the cells before the
+    tree spans (median over the probe benchmark's pairs), so it visits
+    every chunk anyway, and this halves its time.
     """
     n, m = c.shape
     rem_s = [(a, 1) for a in supply]
     rem_d = [(b, -1) for b in demand]
     rem_d[-1] = (demand[-1], n + m - 1)
-    order = np.argsort(c, axis=None, kind="stable")
+    if c.size > 1024:
+        order = _stable_argsort(c.reshape(-1))
+    else:
+        order = np.argsort(c, axis=None, kind="stable")
     arcs = []
     need = n + m - 1
     bulk = order.size > 256
@@ -491,12 +527,30 @@ def _network_simplex(c: np.ndarray, arcs: list, shift: int, path: str) -> _Basis
     at sink m - 1: every zero-flow arc has its source as the child. Flows
     and potentials are exact Python integers; costs enter as
     c_ij * 2**shift, each read on demand from the float c_ij for the arcs
-    that need it (the start tree and each round's candidates). Pricing
-    runs in numpy on correctly rounded float copies of the potentials,
-    refreshed from the exact ones once at the top of each pricing round
-    (pivots shift only the exact potentials, and nothing reads the floats
-    until the next pass), against a rigorous bound `err` on the rounding
-    error of the float reduced cost r~:
+    that need it (the start tree and each round's candidates). Node i
+    stores u_i and node n + j stores -v_j, so the reduced cost is
+    r_ij = c_ij - pot[i] + pot[n + j], and a pivot adds one amount to
+    every stored potential of the subtree it re-hangs. Pricing runs in
+    numpy on correctly rounded float copies of the potentials, refreshed
+    from the exact ones once at the top of each pricing round (pivots
+    shift only the exact potentials, and nothing reads the floats until
+    the next pass); rounding to nearest is odd-symmetric, so
+    (c - u~) + (-v)~ has the bits of (c - u~) - v~.
+
+    Past 1024 arcs (n * m; below, numpy's fixed cost per call outweighs
+    the lists') each conversion is one int64 cast where that is exact,
+    and falls back to the lists where it is not. Where the shift guard
+    below holds, p * 2**-shift is p / 2**shift correctly rounded for every
+    tree potential p, and int64 -> float64 rounds to nearest, ties to
+    even, as int -> float does: the potentials are rounded by one cast
+    when all of them have |p| < 2**63 (an OverflowError otherwise). Every
+    scaled cost c_ij * 2**shift is then an integer-valued float, and the
+    candidates' exact costs are read by one cast while
+    c_max * 2**shift < 2**62. The candidates' rows and columns come from
+    one np.divmod.
+
+    Pricing compares against a rigorous bound `err` on the rounding error
+    of the float reduced cost r~:
 
     - r~ < -err: certainly negative;
     - |r~| <= err: a possible tie, looked at once no certainly negative arc
@@ -526,12 +580,15 @@ def _network_simplex(c: np.ndarray, arcs: list, shift: int, path: str) -> _Basis
     grain = math.ldexp(1.0, -shift)
     cflat = np.ascontiguousarray(c).reshape(-1)
     c_max = float(cflat.max(initial=0.0))
+    # numpy's casts pay off only past 1024 arcs; probe-sized solves keep lists
+    big = n * m > 1024
 
     parent = [-1] * size
     depth = [0] * size
     flow = [0] * size  # flow on the arc between a node and its parent
     children = [[] for _ in range(size)]
-    pot = [0] * size  # u_i at node i, v_j at node n + j
+    # u_i at node i and -v_j at node n + j: r_ij = c_ij - pot[i] + pot[n + j]
+    pot = [0] * size
     basic = np.zeros(n * m, dtype=bool)
 
     if shift <= 1022 and math.frexp(c_max)[1] + shift + size.bit_length() <= 1023:
@@ -542,22 +599,35 @@ def _network_simplex(c: np.ndarray, arcs: list, shift: int, path: str) -> _Basis
         # 2**-shift is p / 2**shift correctly rounded
         up, down = math.ldexp(1.0, shift), math.ldexp(1.0, -shift)
 
-        def exact_costs(ks):
-            return [int(x * up) for x in cflat[ks].tolist()]
+        if big and c_max * up < 2.0**62:
+            def exact_costs(ks):
+                return (cflat[ks] * up).astype(np.int64).tolist()
+        else:
+            def exact_costs(ks):
+                return [int(x * up) for x in cflat[ks].tolist()]
 
         def rounded(pot):
-            return [p * down for p in pot]
+            if big:
+                try:
+                    potf = np.array(pot, dtype=np.int64) * down
+                    return potf, float(np.abs(potf).max())
+                except OverflowError:
+                    pass
+            floats = [p * down for p in pot]
+            return np.array(floats), max(map(abs, floats))
     else:
         def exact_costs(ks):
             return _dyadic_ints(cflat[ks], shift)[0]
 
         def rounded(pot):
-            return [p / scale for p in pot]
+            floats = [p / scale for p in pot]
+            return np.array(floats), max(map(abs, floats))
 
     adj = [[] for _ in range(size)]
     ks = np.array([i * m + j for i, j, _ in arcs])
     for (i, j, f), ck in zip(arcs, exact_costs(ks)):
-        adj[i].append((n + j, f, ck))
+        # a tight arc has pot[i] - pot[n + j] = c_ij
+        adj[i].append((n + j, f, -ck))
         adj[n + j].append((i, f, ck))
     basic[ks] = True
     stack = [root]
@@ -569,7 +639,7 @@ def _network_simplex(c: np.ndarray, arcs: list, shift: int, path: str) -> _Basis
                 depth[y] = depth[x] + 1
                 flow[y] = f
                 children[x].append(y)
-                pot[y] = ck - pot[x]
+                pot[y] = pot[x] + ck
                 stack.append(y)
     # the tree now holds all the pivots need of the start arcs; free the
     # rest before the (n, m) pricing buffer is made
@@ -628,25 +698,24 @@ def _network_simplex(c: np.ndarray, arcs: list, shift: int, path: str) -> _Basis
             children[new_par].append(x)
             parent[x], new_par = new_par, x
             flow[x], carry = carry, flow[x]
-        # shift its potentials (sources by s, sinks by -s) so the entering
-        # arc becomes tight
+        # shift its potentials so the entering arc becomes tight: u by s
+        # and v by -s, so every stored potential by s
         s = r if e_in < n else -r
         sub = [e_in]
         for x in sub:
-            pot[x] += s if x < n else -s
+            pot[x] += s
             depth[x] = depth[parent[x]] + 1
             sub += children[x]
 
     while True:
         # pivots shift only the exact potentials; round them once per pass
-        floats = rounded(pot)
-        potf = np.array(floats)
+        potf, pot_max = rounded(pot)
         np.subtract(c, potf[:n, None], out=red)
-        red -= potf[n:]
+        red += potf[n:]
         # |r~ - r| <= 2^-53 (2|c| + 3|u~| + 2|v~|) to first order (rounded
         # potentials, two rounded subtractions); 2^-50 (max c + 2 max|pot~|)
         # covers it with room, 2^-1070 covers subnormal potentials
-        err = math.ldexp(c_max + 2.0 * max(map(abs, floats)), -50)
+        err = math.ldexp(c_max + 2.0 * pot_max, -50)
         err += math.ldexp(1.0, -1070)
         cand = (flat_red < -err).nonzero()[0]
         ties = cand.size == 0
@@ -659,15 +728,16 @@ def _network_simplex(c: np.ndarray, arcs: list, shift: int, path: str) -> _Basis
                 # double-double settles most ties, at about the cost of
                 # exactly checking 2 (n + m) + 128 of them
                 i, j = np.divmod(cand, m)
-                zero, positive = _tie_signs(cflat[cand], i, j + n, pot, shift)
+                uv = pot[:n] + [-w for w in pot[n:]]
+                zero, positive = _tie_signs(cflat[cand], i, j + n, uv, shift)
                 cand = cand[~(zero | positive)]
             if cand.size == 0:
                 break
         cand = cand[_smallest(flat_red[cand], cand.size if ties else block)]
         entered = 0
-        for k, ck in zip(cand.tolist(), exact_costs(cand)):
-            i, j = divmod(k, m)
-            r = ck - pot[i] - pot[n + j]
+        rows, cols = np.divmod(cand, m)
+        for i, j, ck in zip(rows.tolist(), cols.tolist(), exact_costs(cand)):
+            r = ck - pot[i] + pot[n + j]
             if r < 0:
                 pivot(i, j, r)
                 entered += 1
@@ -688,11 +758,11 @@ def _network_simplex(c: np.ndarray, arcs: list, shift: int, path: str) -> _Basis
     arcs = []
     total = 0
     for x in range(root):
-        p, f = parent[x], flow[x]
-        arcs.append((x, p - n, f) if x < n else (p, x - n, f))
-        # every tree arc is tight: its exact cost is u_i + v_j
-        total += f * (pot[x] + pot[p])
-    return _Basis(arcs, pot[:n], pot[n:], total, shift)
+        i, j = (x, parent[x]) if x < n else (parent[x], x)
+        arcs.append((i, j - n, flow[x]))
+        # every tree arc is tight: its exact cost is pot[i] - pot[j]
+        total += flow[x] * (pot[i] - pot[j])
+    return _Basis(arcs, pot[:n], [-w for w in pot[n:]], total, shift)
 
 
 def _assignment_basis(c: np.ndarray, cols: list) -> list:

@@ -34,6 +34,7 @@ from softmatch.transport import (
     _reduced_costs,
     _smallest,
     _solve_masses,
+    _stable_argsort,
     _tie_signs,
     cost_matrix_l1,
     product_measure,
@@ -1156,6 +1157,35 @@ class TestNetworkxOracle:
             want, _ = nx.network_simplex(g)
             assert _solve_masses(c, a, b, shift, "flow").total == want
 
+    def test_costs_and_potentials_past_int64(self):
+        # O(1) coordinates from a shared pool beside offsets of a few
+        # 2^-70: costs range over 70 binades, so the scaled costs and the
+        # potentials pass int64 and a pair of more than 1024 arcs takes the
+        # list fallbacks of the casts
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(29)
+        pool = rng.uniform(-1, 1, 6)
+
+        def support(k):
+            return np.column_stack([pool[rng.integers(6, size=k)], rng.integers(-3, 4, k) * 2.0**-70])
+
+        mu = EmpiricalMeasure(PointCloud(support(33)), _weights(rng, 33))
+        nu = EmpiricalMeasure(PointCloud(support(34)), _weights(rng, 34))
+        c, cost, shift, a, b, den = exact_lp(mu, nu, False)
+        assert c.size > 1024 and float(c.max()) * 2.0**shift >= 2.0**63
+        g = nx.DiGraph()
+        for i in range(33):
+            g.add_node(("s", i), demand=-a[i])
+        for j in range(34):
+            g.add_node(("t", j), demand=b[j])
+            for i in range(33):
+                g.add_edge(("s", i), ("t", j), weight=cost[i][j])
+        want, _ = nx.network_simplex(g)
+        basis = _solve_masses(c, a, b, shift, "flow")
+        assert max(map(abs, basis.u + basis.v)) >= 2**63
+        assert_exact_basis(basis, cost, a, b, want)
+        assert w1(mu, nu).value == float(Fraction(want, den << shift))
+
 
 class TestEngineCertificates:
     def test_assignment_duals_exactly_feasible(self):
@@ -1426,7 +1456,7 @@ class TestSparsePlan:
     def test_whole_call_peak_per_arc(self, kind, bound):
         # d = 4, not counting the inputs, from emptied free lists (measured:
         # 34.3 bytes per arc on the uniform 256-point pair, where the
-        # Hungarian start's tree peaks, and 31.4 on the weighted 128 x 112
+        # Hungarian start's tree peaks, and 30.9 on the weighted 128 x 112
         # one, in the simplex; 40.2 and 33.8 with a dense plan, argmin's
         # copy and the start arcs kept through the simplex)
         rng = np.random.default_rng(5)
@@ -1523,18 +1553,54 @@ class TestSmallest:
         assert np.array_equal(_smallest(vals, k), np.argsort(vals, kind="stable")[:k])
 
 
-def _pinned_pair(kind, seed):
-    rng = np.random.default_rng([seed, ("80x96", "128x112", "grid96").index(kind)])
+class TestStableArgsort:
+    """The matrix-minimum start's cell order past 1024 cells: numpy's
+    default argsort with each run of equal values put back in index
+    order, which is the stable order."""
 
-    def weighted(pts):
-        w = rng.random(len(pts)) + 0.05
+    @settings(max_examples=150, deadline=None)
+    @given(
+        size=st.integers(1, 2048),
+        levels=st.integers(0, 64),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(size=1024, levels=0, seed=0)
+    @example(size=1025, levels=1, seed=1)
+    @example(size=1056, levels=8, seed=2)
+    @example(size=14336, levels=64, seed=3)
+    @example(size=14336, levels=2**40, seed=4)
+    def test_equals_stable_argsort(self, size, levels, seed):
+        rng = np.random.default_rng(seed)
+        # quarter steps of random sign: heavy ties, -0.0 beside +0.0
+        # (levels=0 makes every value a signed zero; 2**40 few ties)
+        vals = rng.integers(-levels, levels + 1, size) / 4.0 * rng.choice((-1.0, 1.0), size)
+        assert np.array_equal(_stable_argsort(vals), np.argsort(vals, kind="stable"))
+
+
+PINNED_PAIRS = {
+    # kind: (n, m, d, quarter grid)
+    "80x96": (80, 96, 2, False),
+    "128x112": (128, 112, 4, False),
+    "grid96": (96, 96, 3, True),
+    "32x32d2": (32, 32, 2, False),
+    "32x32d4": (32, 32, 4, False),
+    "32x33d2": (32, 33, 2, False),
+    "32x33d4": (32, 33, 4, False),
+    "grid40x36d2": (40, 36, 2, True),
+    "grid40x36d4": (40, 36, 4, True),
+}
+
+
+def _pinned_pair(kind, seed):
+    rng = np.random.default_rng([seed, list(PINNED_PAIRS).index(kind)])
+    n, m, d, grid = PINNED_PAIRS[kind]
+
+    def weighted(k):
+        pts = rng.integers(-4, 5, (k, d)) / 4.0 if grid else rng.uniform(-1, 1, (k, d))
+        w = rng.random(k) + 0.05
         return EmpiricalMeasure(PointCloud(pts), w / w.sum())
 
-    if kind == "80x96":
-        return weighted(rng.uniform(-1, 1, (80, 2))), weighted(rng.uniform(-1, 1, (96, 2)))
-    if kind == "128x112":
-        return weighted(rng.uniform(-1, 1, (128, 4))), weighted(rng.uniform(-1, 1, (112, 4)))
-    return weighted(rng.integers(-4, 5, (96, 3)) / 4.0), weighted(rng.integers(-4, 5, (96, 3)) / 4.0)
+    return weighted(n), weighted(m)
 
 
 class TestPinnedEnteringSequence:
@@ -1545,7 +1611,15 @@ class TestPinnedEnteringSequence:
     recorded with that solver. Weighted flow pairs at the benchmark's
     sizes (80 x 96 at d = 2, 128 x 112 at d = 4), and 96-point pairs on a
     quarter grid at d = 3, whose reduced costs tie and go through tie
-    rounds."""
+    rounds.
+
+    Pairs at d = 2 and 4 on either side of the 1024 arcs above which the
+    start's cell order comes from `_stable_argsort` and the simplex casts
+    potentials and costs to int64 (32 x 32, the list path; 32 x 33, the
+    cast path; and 40 x 36 on a quarter grid, whose costs tie) were
+    recorded with the solver of commit 6f8dee9, which had neither; each
+    solve also checks that its start sorted with `_stable_argsort` exactly
+    when the pair has more than 1024 arcs."""
 
     @pytest.mark.parametrize(
         "kind, seed, counts, digest",
@@ -1556,12 +1630,29 @@ class TestPinnedEnteringSequence:
             ("80x96", 1, (196, 0, 76), "8fa8ca6a627f723b559bc7efbc2f6a5e54aeadb5cecc29bc3fa95cbe9893078d"),
             ("128x112", 1, (289, 0, 4), "69edbb39f645d48385700a2fd52114adc9c87d1e10d165c03a20b5152e9022bf"),
             ("grid96", 1, (104, 0, 365), "0bf12b688ef941ce01558bd48d8f807abd20410ccc2e5372b384c6b1033ecddd"),
+            ("32x32d2", 0, (60, 0, 18), "e0a0fea87118ccf52124af67a34016ab70299080220d93b5f0f7b8a97315ca66"),
+            ("32x32d2", 1, (59, 0, 31), "8eb1d56e8af235037bfb5f6cee03198d386f55ff428bf77ecf9b4dd8644f462a"),
+            ("32x32d4", 0, (64, 0, 0), "6386b2c3db6322a858514a30737744fb7e1975b8e185cd1b29fa05be47340841"),
+            ("32x32d4", 1, (38, 0, 1), "0267922c1d2834c69e4d28742d4648156ebd27997f4d2029ef10ec3b396a6c2b"),
+            ("32x33d2", 0, (62, 0, 95), "d1a4cc79e7a7071522b55e3d9746e0d68871213bd8ec925081c7c39f01e9e3f7"),
+            ("32x33d2", 1, (34, 0, 24), "2af582ee2b49c6383bd128c317954dd4e681ed6fc5546f640e7aa6e485382bb1"),
+            ("32x33d4", 0, (60, 0, 0), "c03d2ab6b642e804ded18ddf1245ebd819087b23580283bbbc6f3ec6030f82ef"),
+            ("32x33d4", 1, (57, 0, 1), "95d3332a250733a1e9a71b3c64f3c5c69e3288c824fe35f591fa3d2d34b9d03d"),
+            ("grid40x36d2", 0, (19, 0, 197), "23e8dcf60428240ea9512b2e60a2fe97533643ad3adef6d3492bc7cf270df8b7"),
+            ("grid40x36d2", 1, (34, 0, 215), "ec789e21215854db5c3188d608775f47a584f621e124ed15c0fd9aab2117a32c"),
+            ("grid40x36d4", 0, (41, 0, 49), "b80b9787f171165830962a54b86ebe3384d2224116b1ffe8e45f71c55a1ae6ee"),
+            ("grid40x36d4", 1, (31, 0, 61), "c3b4a3fa1686ffa493c2d65752a4791c6af7a87988972dfff1cef72617b3dd21"),
         ],
     )
-    def test_counts_and_digest(self, caplog, kind, seed, counts, digest):
+    def test_counts_and_digest(self, caplog, monkeypatch, kind, seed, counts, digest):
         mu, nu = _pinned_pair(kind, seed)
+        sorts = []
+        monkeypatch.setattr(
+            transport, "_stable_argsort", lambda v: sorts.append(v.size) or _stable_argsort(v)
+        )
         with caplog.at_level(logging.DEBUG, logger="softmatch"):
             res = w1(mu, nu)
+        assert sorts == ([mu.n * nu.n] if mu.n * nu.n > 1024 else [])
         [event] = [r.args for r in caplog.records if r.name == "softmatch"]
         assert event[:3] == ("flow", mu.n, nu.n)
         assert event[3:] == counts
@@ -1614,7 +1705,10 @@ class TestPinnedSmallPairs:
     flow), the DEBUG counts
     (pivots, degenerate, tie_checks) summed over the pairs, and a sha256
     of every value, plan and pair of float duals were recorded with the
-    solver of commit db2b384, before its per-solve fixed costs were cut."""
+    solver of commit db2b384, before its per-solve fixed costs were cut.
+    No pair reaches `_stable_argsort` (the largest has 16 x 17 = 272
+    arcs): its SIMD sort maps about 0.5 MB of resident memory the first
+    time a process calls it, which a probe run never needs."""
 
     @pytest.mark.parametrize(
         "kind, d, paths, counts, digest",
@@ -1636,7 +1730,11 @@ class TestPinnedSmallPairs:
             ("duplicate", 4, (0, 1, 39), (45, 3, 1351), "0dd541a1932042ba6d9a4a09a5a07e628b7bffc18483ad940cf01acb0c10d7a1"),
         ],
     )
-    def test_counts_and_digest(self, caplog, kind, d, paths, counts, digest):
+    def test_counts_and_digest(self, caplog, monkeypatch, kind, d, paths, counts, digest):
+        def unreached(vals):
+            raise AssertionError(f"a probe-sized pair sorted {vals.size} cells")
+
+        monkeypatch.setattr(transport, "_stable_argsort", unreached)
         rng = np.random.default_rng([SMALL_KINDS.index(kind), d])
         h = hashlib.sha256()
         with caplog.at_level(logging.DEBUG, logger="softmatch"):
