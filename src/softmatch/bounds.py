@@ -15,6 +15,7 @@ be re-evaluated from its own ingredients, exactly.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -134,16 +135,11 @@ def bound_bounded_contraction(
     """tau(Pi) tau(Psi_G) tau(L): the composite W1 contraction constant of
     self-attention on a compact convex domain."""
     stats = _stats_for(cfg, box, stats)
-    d = cfg.dim
-    t_pi = tau_pi(d)
-    t_psi = tau_softmatch_bounded(stats, box)
-    t_l = tau_lookup(cfg.lookup)
-    value = t_pi * t_psi * t_l
     prov = stats.provenance
     ingredients = {
-        "tau_pi": Ingredient(t_pi, _ANALYTIC),
-        "tau_softmatch": Ingredient(t_psi, prov["lip_left"]),
-        "tau_lookup": Ingredient(t_l, _ANALYTIC),
+        "tau_pi": Ingredient(tau_pi(cfg.dim), _ANALYTIC),
+        "tau_softmatch": Ingredient(tau_softmatch_bounded(stats, box), prov["lip_left"]),
+        "tau_lookup": Ingredient(tau_lookup(cfg.lookup), _ANALYTIC),
         "diam_l1": Ingredient(box.diameter_l1(), _ANALYTIC),
         "eps_g": Ingredient(stats.eps_g, prov["eps_g"]),
         "lip_left": Ingredient(stats.lip_left, prov["lip_left"]),
@@ -161,7 +157,10 @@ def bound_bounded_contraction(
         status = "estimated"
     else:
         status = "ok"
-    return BoundReport("BoundedContraction", value, ingredients, assumptions, status)
+    return BoundReport(
+        "BoundedContraction", _value("BoundedContraction", ingredients), ingredients,
+        assumptions, status,
+    )
 
 
 def bound_component_taus(
@@ -170,13 +169,7 @@ def bound_component_taus(
     """The three component coefficients, reported individually; the value is
     their product (the composite bound)."""
     report = bound_bounded_contraction(cfg, box, stats)
-    return BoundReport(
-        "ComponentTaus",
-        report.value,
-        report.ingredients,
-        report.assumptions_checked,
-        report.status,
-    )
+    return dataclasses.replace(report, theorem="ComponentTaus")
 
 
 def bound_pointwise_query(
@@ -253,14 +246,6 @@ def tight_gradient_constant(d: int, restarts: int = 12, seed: int = 0) -> float:
     return best
 
 
-def _unbounded_gaussian_value(t_l: float, d: int, n_min: int) -> float:
-    # grouped exactly as reevaluate() regroups it, so self-consistency is
-    # bitwise rather than approximate
-    log_term = math.sqrt(math.log(n_min) + 1.0 / (2.0 * math.e))
-    bracket = 1.0 + loose_gradient_constant(d) + math.sqrt(d) * log_term * GAUSSIAN_LIP
-    return 2.0 * float(d) * t_l * bracket
-
-
 def bound_unbounded_gaussian(
     lookup: Lookup, d: int, n: int, m: int, include_tight_c: bool = False
 ) -> BoundReport:
@@ -281,20 +266,16 @@ def bound_unbounded_gaussian(
     n, m = int(n), int(m)
     if d < 1 or n < 1 or m < 1:
         raise InvalidInput("need d, N, M >= 1")
-    t_l = tau_lookup(lookup)
-    n_min = min(n, m)
-    value = _unbounded_gaussian_value(t_l, d, n_min)
-    log_term = math.sqrt(math.log(n_min) + 1.0 / (2.0 * math.e))
     gauss_prov = Provenance(
         "analytic",
         note="l2 gradient bound sqrt(2/e); valid in l1 since ||.||_2 <= ||.||_1",
     )
     ingredients = {
         "tau_pi": Ingredient(float(d), _ANALYTIC),
-        "tau_lookup": Ingredient(t_l, _ANALYTIC),
+        "tau_lookup": Ingredient(tau_lookup(lookup), _ANALYTIC),
         "sup_g": Ingredient(1.0, _ANALYTIC),
         "lip_g": Ingredient(GAUSSIAN_LIP, gauss_prov),
-        "support_term": Ingredient(log_term, _ANALYTIC),
+        "support_term": Ingredient(ratio_lemma_bound(min(n, m)), _ANALYTIC),
         "gradient_constant_loose": Ingredient(
             loose_gradient_constant(d),
             Provenance("analytic", note="verbatim loose constant sqrt(d) + 2"),
@@ -311,36 +292,38 @@ def bound_unbounded_gaussian(
         )
     assumptions = (("N, M >= 1", True),)
     return BoundReport(
-        "UnboundedGaussian", value, ingredients, assumptions, diagnostics=diagnostics
+        "UnboundedGaussian", _value("UnboundedGaussian", ingredients), ingredients,
+        assumptions, diagnostics=diagnostics,
     )
 
 
 def bound_unbounded_equal_n(lookup: Lookup, d: int, n: int) -> BoundReport:
     """The equal-length corollary; structurally identical to the theorem
     value at N = M (exact identity, tested)."""
-    base = bound_unbounded_gaussian(lookup, d, n, n)
-    return BoundReport(
-        "UnboundedEqualN",
-        base.value,
-        base.ingredients,
-        base.assumptions_checked,
-        base.status,
-    )
+    report = bound_unbounded_gaussian(lookup, d, n, n)
+    return dataclasses.replace(report, theorem="UnboundedEqualN")
 
 
-def reevaluate(report: BoundReport) -> float:
-    """Recompute a report's value from its own ingredients map, exactly.
-
-    Self-consistency contract: this matches report.value bit for bit.
-    """
-    ing = {k: v.value for k, v in report.ingredients.items()}
-    if report.theorem in ("BoundedContraction", "ComponentTaus"):
+def _value(theorem: str, ingredients: dict) -> float:
+    """The one formula of each theorem, on its ingredient values: the
+    builders evaluate it on theirs and `reevaluate` on a report's."""
+    ing = {k: v.value for k, v in ingredients.items()}
+    if theorem in ("BoundedContraction", "ComponentTaus"):
         return ing["tau_pi"] * ing["tau_softmatch"] * ing["tau_lookup"]
-    if report.theorem in ("UnboundedGaussian", "UnboundedEqualN"):
+    if theorem in ("UnboundedGaussian", "UnboundedEqualN"):
         bracket = (
             ing["sup_g"]
             + ing["gradient_constant_loose"]
             + math.sqrt(ing["tau_pi"]) * ing["support_term"] * ing["lip_g"]
         )
         return 2.0 * ing["tau_pi"] * ing["tau_lookup"] * bracket
-    raise InvalidInput(f"no re-evaluation rule for {report.theorem!r}")
+    raise InvalidInput(f"no re-evaluation rule for {theorem!r}")
+
+
+def reevaluate(report: BoundReport) -> float:
+    """Recompute a report's value from its own ingredients map, exactly.
+
+    Self-consistency contract: this matches report.value bit for bit, as
+    both come from `_value`.
+    """
+    return _value(report.theorem, report.ingredients)

@@ -348,12 +348,7 @@ def cmd_dynamics(args, config):
             args.states_out,
             "".join(json.dumps({"points": s.points.tolist()}) + "\n" for s in traj.states),
         )
-    report = {
-        "depth": traj.depth,
-        "per_step_w1": list(traj.per_step_w1),
-        "final_state": traj.states[-1].points.tolist(),
-    }
-    return report, True
+    return traj.to_dict(), True
 
 
 def cmd_deq(args, config):
@@ -442,7 +437,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("source")
     sp.add_argument("target")
-    sp.add_argument("--plan", action="store_true", help="include the coupling matrix")
+    sp.add_argument(
+        "--plan", action="store_true", help="include the plan's atoms (rows, cols, mass)"
+    )
     sp.set_defaults(fn=cmd_w1)
 
     sp = sub.add_parser("bound", help="evaluate a theorem constant")

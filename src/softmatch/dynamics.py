@@ -42,7 +42,7 @@ def cloud_distance(a: PointCloud | np.ndarray, b: PointCloud | np.ndarray) -> fl
     return float(np.abs(pa - pb).sum(axis=1).max())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """States of the particle system, one per layer application.
 
@@ -57,6 +57,13 @@ class Trajectory:
     @property
     def depth(self) -> int:
         return len(self.states) - 1
+
+    def to_dict(self) -> dict:
+        return {
+            "depth": self.depth,
+            "per_step_w1": list(self.per_step_w1),
+            "final_state": self.states[-1].points.tolist(),
+        }
 
 
 def run_particles(layers, x0: PointCloud, steps: int | None = None) -> Trajectory:
@@ -91,7 +98,7 @@ def run_particles(layers, x0: PointCloud, steps: int | None = None) -> Trajector
 # Deep-equilibrium fixed points
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeqResult:
     h_star: PointCloud
     iterations: int
@@ -172,7 +179,7 @@ def deq_solve(
 # Residual-block inversion
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InversionResult:
     """x with F(x) = x + g(x) close to the target, plus diagnostics."""
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +36,7 @@ def _as_points_array(points) -> np.ndarray:
     return pts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointCloud:
     """An ordered list of N >= 1 points in R^d.
 
@@ -117,7 +117,7 @@ def _ordered_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmpiricalMeasure:
     """A finitely supported probability measure sum_i w_i * delta_{x_i}.
 
@@ -204,7 +204,7 @@ def project_dirac(mu: EmpiricalMeasure) -> EmpiricalMeasure:
     return EmpiricalMeasure(PointCloud(b.reshape(1, -1)), np.array([1.0]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DomainBox:
     """An axis-aligned box [lower, upper] in R^d, or the unbounded domain.
 
@@ -214,7 +214,7 @@ class DomainBox:
 
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
-    dim_hint: int | None = field(default=None, compare=False)
+    dim_hint: int | None = None
 
     def __init__(self, lower=None, upper=None, dim_hint=None):
         if (lower is None) != (upper is None):

@@ -109,7 +109,7 @@ class ProbeConfig:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbeResult:
     """Sampled ratio statistics against a bound.
 

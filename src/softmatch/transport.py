@@ -68,11 +68,14 @@ runs on numpy alone.
 A result keeps its plan as the at most n + m - 1 atoms (row, column,
 mass) of its optimal basis, with the exact potentials of that basis until
 its float duals are first read: O(n + m) memory once `w1` returns. The
-dense N x M `gamma` is built only when read.
+plan checks its cost on those atoms, and the dense N x M `gamma` is built
+only when read.
 
-Desk-scale limits: every path accepts N, M <= 512, d = 1 included: `w1`
-builds the N x M cost matrix on every path, and at d = 1 the float duals
-are fitted against it. Product measures hold at most 64 support points.
+Desk-scale limits: every path accepts N, M <= 512, d = 1 included. At
+d = 1 `w1` builds no N x M cost matrix (an O(N + M) range check refuses
+overflowing costs): only `dual_potentials()`, fitting the float duals at
+its first call, and `certificate()` build one. Product measures hold at
+most 64 support points.
 """
 from __future__ import annotations
 
@@ -83,7 +86,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -203,21 +206,20 @@ def _coprime_masses(weights: np.ndarray) -> list:
 # Results
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransportPlan:
     """A coupling gamma between two empirical measures certifying a cost,
     kept as its atoms: mass[k] at gamma[rows[k], cols[k]], atoms at one
     entry adding up, every other entry 0. A solver's plan has the at most
     n + m - 1 atoms of its optimal basis, one per entry; `from_gamma`
-    turns a caller's dense matrix into atoms.
+    turns a caller's dense matrix into atoms. `to_dict()` gives the atoms
+    as lists, and `gamma` builds the dense N x M view at each read and
+    keeps nothing. Equality is identity; compare plans by `to_dict()`.
 
-    Invariants checked on construction, over the atoms: indices within
-    the supports, masses >= -1e-15, marginals matching the measure weights
-    and the stored cost matching sum_k mass[k] c[rows[k], cols[k]], both
-    within 1e-9. `cost_matrix` lets a solver hand over the c it has
-    already built for that check; it is not stored, and without it c is
-    built here. `gamma` builds the dense N x M view at each read and
-    keeps nothing.
+    Invariants checked on construction, over the atoms alone: indices
+    within the supports, masses >= -1e-15, marginals matching the measure
+    weights and the stored cost matching sum_k mass[k] ||x[rows[k]] -
+    y[cols[k]]||_1, both within 1e-9, with no N x M cost matrix.
     Kantorovich dual potentials are available through dual_potentials();
     they satisfy u_i + v_j <= c_ij exactly, with equality (to an ulp) on
     the support of gamma when the plan is optimal. A solver's plan keeps
@@ -233,8 +235,7 @@ class TransportPlan:
     target: EmpiricalMeasure
     cost: float
     _duals: tuple | None = None
-    _potentials: tuple | None = field(default=None, repr=False, compare=False)
-    cost_matrix: InitVar[np.ndarray | None] = None
+    _potentials: tuple | None = field(default=None, repr=False)
 
     @classmethod
     def from_gamma(cls, gamma, source: EmpiricalMeasure, target: EmpiricalMeasure, cost: float):
@@ -245,7 +246,7 @@ class TransportPlan:
         rows, cols = np.nonzero(g)
         return cls(rows, cols, g[rows, cols], source, target, cost)
 
-    def __post_init__(self, cost_matrix):
+    def __post_init__(self):
         n, m = self.source.n, self.target.n
         rows, cols = np.asarray(self.rows), np.asarray(self.cols)
         mass = np.asarray(self.mass, dtype=np.float64)
@@ -272,10 +273,10 @@ class TransportPlan:
             raise InvalidInput(
                 f"marginal mismatch {max(row_err, col_err):.3e} exceeds 1e-9"
             )
-        c = cost_matrix
-        if c is None:
-            c = cost_matrix_l1(self.source.support.points, self.target.support.points)
-        recomputed = float(c[rows, cols] @ mass)
+        x, y = self.source.support.points, self.target.support.points
+        # an overflowing cost is inf or NaN, which fails the check below
+        with np.errstate(over="ignore", invalid="ignore"):
+            recomputed = float(np.abs(x[rows] - y[cols]).sum(axis=1) @ mass)
         if not abs(recomputed - self.cost) <= MARGINAL_TOL * (1.0 + abs(self.cost)):
             raise InvalidInput(
                 f"plan cost {recomputed!r} disagrees with stored {self.cost!r}"
@@ -288,13 +289,17 @@ class TransportPlan:
         np.add.at(g, (self.rows, self.cols), self.mass)
         return g
 
+    def to_dict(self) -> dict:
+        """The atoms as lists: gamma[rows[k], cols[k]] += mass[k]."""
+        return {"rows": self.rows.tolist(), "cols": self.cols.tolist(), "mass": self.mass.tolist()}
+
     def dual_potentials(self) -> tuple[np.ndarray, np.ndarray]:
         """Optimal Kantorovich potentials (u, v): u_i + v_j <= c_ij.
 
         Plans from the solvers give the duals of their optimal basis,
         tight to an ulp wherever gamma_ij > 0, derived at the first call
         from its exact potentials (at d = 1 against the float cost matrix,
-        rebuilt then) and cached. For a plan built by a caller they are
+        built then) and cached. For a plan built by a caller they are
         those of w1(source, target), so they are feasible whatever the
         plan; a suboptimal plan shows up as
         certificate()["max_support_slack"] > 0.
@@ -329,7 +334,7 @@ class TransportPlan:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class W1Result:
     """Optimal value, an optimal plan, and its duality gap: the masses
     are normalized exactly, so the gap is 0.0 on every path."""
@@ -349,7 +354,7 @@ class W1Result:
     def to_dict(self, include_plan: bool = False) -> dict:
         d = {"value": self.value, "dual_gap": self.dual_gap}
         if include_plan:
-            d["plan"] = self.plan.gamma.tolist()
+            d["plan"] = self.plan.to_dict()
         return d
 
 
@@ -960,9 +965,16 @@ def _line_basis(mu: EmpiricalMeasure, nu: EmpiricalMeasure, supply: list, demand
     equality on every arc (F - G keeps one sign between the ends of an arc
     that moves mass), and summing by parts gives
     sum a u + sum b v = int |F - G| = total.
+    Overflowing costs are refused in O(n + m): rounding is monotone, so
+    the larger of fl(max x - min y) and fl(max y - min x) is the largest
+    fl(|x_i - y_j|).
     """
     n, m = mu.n, nu.n
-    coords = np.concatenate([mu.support.points[:, 0], nu.support.points[:, 0]])
+    x, y = mu.support.points[:, 0], nu.support.points[:, 0]
+    # Python floats overflow to inf without a warning
+    if not max(float(x.max()) - float(y.min()), float(y.max()) - float(x.min())) < math.inf:
+        raise InvalidInput("non-finite transport costs")
+    coords = np.concatenate([x, y])
     pos, shift = _dyadic_ints(coords)
     order = np.argsort(coords, kind="stable").tolist()
     phi = [0] * (n + m)
@@ -1053,18 +1065,17 @@ def w1(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> W1Result:
     from the matrix-minimum allocation. The dual gap is 0.0 on every path.
     """
     _check_pair(mu, nu)
+    if mu.dim == 1:
+        supply, demand, den = _integer_masses(mu, nu)
+        return _result(mu, nu, _line_basis(mu, nu, supply, demand), den)
     c = cost_matrix_l1(mu.support.points, nu.support.points)
-    if mu.dim > 1 and mu.n == nu.n and _is_uniform(mu) and _is_uniform(nu):
+    if mu.n == nu.n and _is_uniform(mu) and _is_uniform(nu):
         return _w1_assignment(mu, nu, c)
     supply, demand, den = _integer_masses(mu, nu)
-    if mu.dim == 1:
-        basis = _line_basis(mu, nu, supply, demand)
-    else:
-        basis = _solve_masses(c, supply, demand, _dyadic_shift(c), "flow")
-    return _result(mu, nu, c, basis, den)
+    return _result(mu, nu, _solve_masses(c, supply, demand, _dyadic_shift(c), "flow"), den)
 
 
-def _result(mu, nu, c, basis: _Basis, den: int) -> W1Result:
+def _result(mu, nu, basis: _Basis, den: int) -> W1Result:
     """Value and plan of an optimal basis whose masses are the normalized
     weights times den; the value is the exact optimum rounded once (int
     true division is correctly rounded), and the dual gap is 0. The plan's
@@ -1074,9 +1085,7 @@ def _result(mu, nu, c, basis: _Basis, den: int) -> W1Result:
     i, j, f = zip(*basis.arcs)
     mass = np.array([x / den for x in f])
     exact = basis.u, basis.v, basis.shift
-    plan = TransportPlan(
-        np.array(i), np.array(j), mass, mu, nu, value, _potentials=exact, cost_matrix=c
-    )
+    plan = TransportPlan(np.array(i), np.array(j), mass, mu, nu, value, _potentials=exact)
     return W1Result(value=value, plan=plan, dual_gap=0.0)
 
 
@@ -1105,7 +1114,7 @@ def _w1_assignment(mu: EmpiricalMeasure, nu: EmpiricalMeasure, c: np.ndarray) ->
     r = _reduced_costs(c)
     cols = [0] if mu.n == 1 else _linear_sum_assignment()(r)[1].tolist()
     basis = _network_simplex(c, _assignment_basis(r, cols), _dyadic_shift(c), "assignment")
-    return _result(mu, nu, c, basis, mu.n)
+    return _result(mu, nu, basis, mu.n)
 
 
 @functools.cache

@@ -22,6 +22,7 @@ from softmatch.measures import (
     save_point_cloud_csv,
 )
 from softmatch.streams import stream
+from softmatch.transport import w1
 
 
 @pytest.fixture
@@ -64,20 +65,20 @@ class TestW1Command:
             capsys, "w1", str(workdir / "a.csv"), str(workdir / "b.csv"), "--plan"
         )
         assert code == 0
-        assert env["report"]["plan"] == [[1.0]]
+        assert env["report"]["plan"] == {"rows": [0], "cols": [0], "mass": [1.0]}
 
-    # sha256 of the report of `w1 --plan` (value, dual gap and the dense
-    # plan, as printed) on a seeded weighted 7 x 5 pair (JSON measures:
+    # sha256 of the report of `w1 --plan` (value, dual gap and the plan's
+    # atoms, as printed) on a seeded weighted 7 x 5 pair (JSON measures:
     # the line path at d = 1, else the flow path) and a uniform 6 x 6 one
-    # (CSV: the assignment path at d >= 2), recorded when a plan stored
-    # its dense gamma
+    # (CSV: the assignment path at d >= 2); the atoms rebuild, bit for
+    # bit, the dense plans that the same reports printed before
     PLAN_DIGESTS = {
-        ("weighted", 1): "b7ea205bd3d2f3e9b45aa0347ee14b64d067fcd07dacfb993e9b399352e3a4a9",
-        ("weighted", 2): "903f1ef6791eb651b96a86661bfc4e91308f6480650c8ca3b283ac3fe5b52977",
-        ("weighted", 4): "720e3e048779aa868a6b38e6c017308a1dd6673df898dfc2ba01c86caa95e651",
-        ("uniform", 1): "598ce1672d0e07ec37a0724895442860250d1ebf1d94dbd8291f2270e9df8bbe",
-        ("uniform", 2): "8e4ad5664c59f351b762eaafb983334038b445838a65df071a6ed14577cf1201",
-        ("uniform", 4): "d6dce174259d6d2b87c4cdaeabb97b609c2558e6dec241b0e9ad8be9dd10b960",
+        ("weighted", 1): "718e5696f97ae9bae45889bafcf615af7300cfcdd64fd7085b3efd994a66f83b",
+        ("weighted", 2): "cc9c93bec95a72861898b20d6852cb47d91b157ba476a72c314ef95ef57ddf88",
+        ("weighted", 4): "535af239e9374131ac62ce31f05519f9d84ec7d4c52f03b3b459e74f69ead27d",
+        ("uniform", 1): "376c931c8b12c535f6a1cc3b10a6c1b7a8ced13f0e0eee7a3621a90579edb146",
+        ("uniform", 2): "38a2f0c2c3d1fe17d115fe4ac28574077bca4d1e6103745fd8d8bf866e679cf8",
+        ("uniform", 4): "ee8490dc1d542b259d30cfd38a5631adb04fe4431ecacd934cca2302eadf07b5",
     }
 
     @pytest.mark.parametrize("d", (1, 2, 4))
@@ -99,6 +100,27 @@ class TestW1Command:
         report = json.dumps(env["report"]).encode()
         assert hashlib.sha256(report).hexdigest() == self.PLAN_DIGESTS[kind, d]
 
+    @pytest.mark.parametrize("kind, d", (("weighted", 1), ("uniform", 2)))
+    def test_plan_at_512_points_is_its_atoms(self, tmp_path, capsys, kind, d):
+        # the dense 512 x 512 plan took 3.4 MB; its atoms rebuild it exactly
+        rng = np.random.default_rng(7)
+        measures = []
+        for side in "ab":
+            cloud = PointCloud(rng.uniform(-2.0, 2.0, (512, d)))
+            w = rng.random(512) + 0.02 if kind == "weighted" else np.ones(512)
+            measures.append(EmpiricalMeasure(cloud, w / w.sum()))
+            save_measure_json(tmp_path / f"{side}.json", measures[-1])
+        code = main(["w1", str(tmp_path / "a.json"), str(tmp_path / "b.json"), "--plan"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert len(out.encode()) < 64 * 1024
+        atoms = json.loads(out)["report"]["plan"]
+        assert len(atoms["rows"]) <= 1023
+        gamma = np.zeros((512, 512))
+        np.add.at(gamma, (atoms["rows"], atoms["cols"]), atoms["mass"])
+        plan = w1(*measures).plan
+        assert gamma.tobytes() == plan.gamma.tobytes()
+
     def test_missing_file_is_usage_error(self, workdir, capsys):
         code, _, err = run(capsys, "w1", str(workdir / "nope.csv"), str(workdir / "b.csv"))
         assert code == 2
@@ -119,11 +141,13 @@ def run_child(cwd, *argv, log_level=None):
     )
 
 
-def test_overflowing_costs_print_one_line(tmp_path):
+@pytest.mark.parametrize("a, b", (("1e308,0\n", "-1e308,0\n"), ("1e308\n0\n", "-1e308\n1\n")))
+def test_overflowing_costs_print_one_line(tmp_path, a, b):
     # finite coordinates whose l1 distance overflows: exit 2 with the
-    # one-line message, and no numpy warning ahead of it
-    (tmp_path / "a.csv").write_text("1e308,0\n")
-    (tmp_path / "b.csv").write_text("-1e308,0\n")
+    # one-line message, and no numpy warning ahead of it; at d = 1 no
+    # cost matrix is built and a range check refuses the pair
+    (tmp_path / "a.csv").write_text(a)
+    (tmp_path / "b.csv").write_text(b)
     proc = run_child(tmp_path, "w1", "a.csv", "b.csv")
     assert proc.returncode == 2
     assert proc.stdout == ""

@@ -164,6 +164,21 @@ class TestCostMatrix:
         with np.errstate(over="ignore"), pytest.raises(InvalidInput):
             cost_matrix_l1(np.array([[1e308, 0.0]]), np.array([[-1e308, 0.0]]))
 
+    @pytest.mark.parametrize("big", (1e308, 1.7e308))
+    @pytest.mark.parametrize("weighted", (False, True))
+    def test_line_path_refuses_overflowing_costs(self, big, weighted):
+        # the line path builds no cost matrix: a range check refuses the
+        # pairs that cost_matrix_l1 would. W1 of the two-point pair is
+        # finite although |x_0 - y_0| overflows; the one-point pair's W1
+        # overflows, where the exact value's int division would raise
+        # OverflowError
+        x, y = np.array([[big], [0.0]]), np.array([[-big], [1.0]])
+        w = [0.25, 0.75] if weighted else [0.5, 0.5]
+        with pytest.raises(InvalidInput, match="non-finite transport costs"):
+            w1(EmpiricalMeasure(PointCloud(x), w), EmpiricalMeasure(PointCloud(y), w))
+        with pytest.raises(InvalidInput, match="non-finite transport costs"):
+            w1(empirical(y[:1]), empirical(x[:1]))
+
 
 class TestAssignmentPath:
     def test_identical_sets_any_order(self):
@@ -1241,8 +1256,9 @@ class TestEngineCertificates:
 
 
 class TestSolverHandOff:
-    """What a `w1` call hands on instead of rebuilding: its cost matrix to
-    the plan's cost check, and the caller's measures to the plan."""
+    """What a `w1` call builds and hands on: one cost matrix at d >= 2 and
+    none at d = 1, no cost matrix to the plan, whose check reads its
+    atoms alone, and the caller's measures to the plan."""
 
     @staticmethod
     def count_cost_matrices(monkeypatch):
@@ -1256,31 +1272,33 @@ class TestSolverHandOff:
         monkeypatch.setattr(transport, "cost_matrix_l1", counted)
         return calls
 
-    def test_w1_builds_the_cost_matrix_once(self, monkeypatch):
-        rng = np.random.default_rng(23)
-        weighted = random_measure(rng, 6, 2), random_measure(rng, 4, 2)
-        uniform = random_measure(rng, 5, 2, uniform=True), random_measure(rng, 5, 2, uniform=True)
+    @staticmethod
+    def pairs(rng, d):
+        weighted = random_measure(rng, 6, d), random_measure(rng, 4, d)
+        uniform = random_measure(rng, 5, d, uniform=True), random_measure(rng, 5, d, uniform=True)
+        return weighted, uniform
+
+    @pytest.mark.parametrize("d", (1, 2, 4))
+    def test_w1_builds_the_cost_matrix_once_and_none_on_the_line(self, monkeypatch, d):
         calls = self.count_cost_matrices(monkeypatch)
-        for mu, nu in (weighted, uniform):
+        for mu, nu in self.pairs(np.random.default_rng(23 + d), d):
             calls.clear()
             w1(mu, nu)
-            assert calls == [(mu.n, nu.n)]
+            assert calls == ([] if d == 1 else [(mu.n, nu.n)])
 
     @pytest.mark.parametrize("d", (1, 2, 4))
     def test_plan_derives_its_duals_once_and_keeps_no_cost_matrix(self, monkeypatch, d):
         # the plan holds its atoms (rows, cols, mass: at most n + m - 1
         # entries each, no N x M array) and, until the first read, the
         # exact integer potentials of its basis (no c); at d = 1 that read
-        # rebuilds c for the float duals' fix-up, and the second read is
+        # builds c for the float duals' fix-up, and the second read is
         # the cache
-        rng = np.random.default_rng(25 + d)
-        weighted = random_measure(rng, 6, d), random_measure(rng, 4, d)
-        uniform = random_measure(rng, 5, d, uniform=True), random_measure(rng, 5, d, uniform=True)
         calls = self.count_cost_matrices(monkeypatch)
-        for mu, nu in (weighted, uniform):
+        for mu, nu in self.pairs(np.random.default_rng(25 + d), d):
             calls.clear()
             plan = w1(mu, nu).plan
-            assert calls == [(mu.n, nu.n)]
+            built = [] if d == 1 else [(mu.n, nu.n)]
+            assert calls == built
             arrays = [x for x in vars(plan).values() if isinstance(x, np.ndarray)]
             assert [id(a) for a in arrays] == [id(plan.rows), id(plan.cols), id(plan.mass)]
             assert all(a.shape == (plan.rows.size,) for a in arrays)
@@ -1291,21 +1309,22 @@ class TestSolverHandOff:
             assert (len(u), len(v)) == (mu.n, nu.n)
             assert all(type(x) is int for x in (*u, *v, shift))
             duals = plan.dual_potentials()
-            assert calls == [(mu.n, nu.n)] * (2 if d == 1 else 1)
+            assert calls == [(mu.n, nu.n)]
             assert plan.dual_potentials() is duals
-            assert len(calls) == (2 if d == 1 else 1)
+            assert calls == [(mu.n, nu.n)]
             assert plan._potentials is None
 
-    def test_caller_plan_checks_its_cost_against_its_own_matrix(self, monkeypatch):
+    @pytest.mark.parametrize("d", (1, 3))
+    def test_caller_plan_checks_its_cost_on_its_atoms(self, monkeypatch, d):
         rng = np.random.default_rng(24)
-        mu, nu = random_measure(rng, 4, 3), random_measure(rng, 3, 3)
+        mu, nu = random_measure(rng, 4, d), random_measure(rng, 3, d)
         solved = w1(mu, nu)
         calls = self.count_cost_matrices(monkeypatch)
-        TransportPlan.from_gamma(solved.plan.gamma, mu, nu, solved.value)
-        assert calls == [(4, 3)]
-        with pytest.raises(InvalidInput):
+        plan = TransportPlan.from_gamma(solved.plan.gamma, mu, nu, solved.value)
+        assert plan.gamma.tobytes() == solved.plan.gamma.tobytes()
+        with pytest.raises(InvalidInput, match="plan cost"):
             TransportPlan.from_gamma(solved.plan.gamma, mu, nu, solved.value + 0.25)
-        assert "cost_matrix" not in vars(solved.plan)
+        assert calls == []
 
     @pytest.mark.parametrize("kind", ("grid", "near", "d1"))
     def test_uniform_w1_keeps_the_callers_measures(self, kind):
