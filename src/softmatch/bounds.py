@@ -10,8 +10,8 @@ and the composed attention map contracts W1 by at most their product.
 The Gaussian-potential bound on the unbounded domain trades diam(E) and
 eps(G) for a sqrt(ln min(N, M) + 1/2e) support-size term.
 
-Every report records the ingredient values with their provenance and can
-be re-evaluated from its own ingredients, exactly.
+Every report records its ingredients with their provenance and the
+assumptions its status follows from, and can be re-evaluated exactly.
 """
 from __future__ import annotations
 
@@ -51,21 +51,21 @@ class Ingredient:
         return {"value": self.value, "provenance": self.provenance.to_dict()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundReport:
     """A theorem constant, its ingredients, and the assumptions behind it.
 
-    Status "ok" promises a true upper bound, so it is refused when an
-    assumption failed ("inapplicable") or when an ingredient was sampled
-    ("estimated": a sampled sup or inf only estimates the true one).
-    Diagnostics are reported values that the constant does not use.
+    The status follows from them: "inapplicable" when an assumption
+    failed, else "estimated" when an ingredient was sampled (a sampled
+    sup or inf only estimates the true one), else "ok", which promises a
+    true upper bound. Diagnostics are reported values that the constant
+    does not use. Equality is identity; compare reports by `to_dict()`.
     """
 
     theorem: str
     value: float
     ingredients: dict
     assumptions_checked: tuple
-    status: str = "ok"
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -73,10 +73,14 @@ class BoundReport:
             raise InvalidInput(f"unknown theorem tag {self.theorem!r}")
         if not (self.value >= 0):
             raise InvalidInput("bound value must be nonnegative")
-        if any(not ok for _, ok in self.assumptions_checked) and self.status != "inapplicable":
-            raise InvalidInput("failed assumptions force status 'inapplicable'")
-        if self.status == "ok" and _sampled(self.ingredients):
-            raise InvalidInput("a sampled ingredient forces status 'estimated'")
+
+    @property
+    def status(self) -> str:
+        if not all(ok for _, ok in self.assumptions_checked):
+            return "inapplicable"
+        if any(i.provenance.kind == "sampled" for i in self.ingredients.values()):
+            return "estimated"
+        return "ok"
 
     def to_dict(self) -> dict:
         d = {
@@ -89,10 +93,6 @@ class BoundReport:
         if self.diagnostics:
             d["diagnostics"] = {k: v.to_dict() for k, v in self.diagnostics.items()}
         return d
-
-
-def _sampled(ingredients: dict) -> bool:
-    return any(i.provenance.kind == "sampled" for i in ingredients.values())
 
 
 _ANALYTIC = Provenance("analytic")
@@ -125,8 +125,39 @@ def tau_softmatch_bounded(stats: RegularityStats, box: DomainBox) -> float:
     return 2.0 * (stats.lip_left + stats.lip_right) * box.diameter_l1() / stats.eps_g
 
 
-def _stats_for(cfg: AttentionConfig, box: DomainBox, stats) -> RegularityStats:
-    return stats if stats is not None else regularity_stats(cfg.potential, box)
+def _compact_report(
+    theorem: str, cfg: AttentionConfig, box: DomainBox, stats, q=None
+) -> BoundReport:
+    """The report of a theorem on a compact convex domain. Each reads
+    tau_pi, tau_lookup, diam_l1, eps_g and lip_left; the composite bound
+    adds tau_softmatch and lip_right, cross-attention the per-query lip_q."""
+    stats = stats or regularity_stats(cfg.potential, box)
+    _require_compact(box, stats, theorem)
+    prov = stats.provenance
+    composite = theorem in ("BoundedContraction", "ComponentTaus")
+    ingredients = {"tau_pi": Ingredient(tau_pi(cfg.dim), _ANALYTIC)}
+    if composite:
+        ingredients["tau_softmatch"] = Ingredient(
+            tau_softmatch_bounded(stats, box), prov["lip_left"]
+        )
+    ingredients |= {
+        "tau_lookup": Ingredient(tau_lookup(cfg.lookup), _ANALYTIC),
+        "diam_l1": Ingredient(box.diameter_l1(), _ANALYTIC),
+        "eps_g": Ingredient(stats.eps_g, prov["eps_g"]),
+        "lip_left": Ingredient(stats.lip_left, prov["lip_left"]),
+    }
+    if composite:
+        ingredients["lip_right"] = Ingredient(stats.lip_right, prov["lip_right"])
+    if theorem == "CrossAttention":
+        ingredients["lip_q"] = Ingredient(query_lipschitz(cfg.potential, q, box), _ANALYTIC)
+    seminorms = [v.value for k, v in ingredients.items() if k.startswith("lip_")]
+    assumptions = (
+        ("E compact", box.is_bounded),
+        ("E convex", True),
+        ("eps(G) > 0", stats.eps_g > 0),
+        ("seminorms finite", all(math.isfinite(s) for s in seminorms)),
+    )
+    return BoundReport(theorem, _value(theorem, ingredients), ingredients, assumptions)
 
 
 def bound_bounded_contraction(
@@ -134,33 +165,7 @@ def bound_bounded_contraction(
 ) -> BoundReport:
     """tau(Pi) tau(Psi_G) tau(L): the composite W1 contraction constant of
     self-attention on a compact convex domain."""
-    stats = _stats_for(cfg, box, stats)
-    prov = stats.provenance
-    ingredients = {
-        "tau_pi": Ingredient(tau_pi(cfg.dim), _ANALYTIC),
-        "tau_softmatch": Ingredient(tau_softmatch_bounded(stats, box), prov["lip_left"]),
-        "tau_lookup": Ingredient(tau_lookup(cfg.lookup), _ANALYTIC),
-        "diam_l1": Ingredient(box.diameter_l1(), _ANALYTIC),
-        "eps_g": Ingredient(stats.eps_g, prov["eps_g"]),
-        "lip_left": Ingredient(stats.lip_left, prov["lip_left"]),
-        "lip_right": Ingredient(stats.lip_right, prov["lip_right"]),
-    }
-    assumptions = (
-        ("E compact", box.is_bounded),
-        ("E convex", True),
-        ("eps(G) > 0", stats.eps_g > 0),
-        ("seminorms finite", math.isfinite(stats.lip_left) and math.isfinite(stats.lip_right)),
-    )
-    if not all(ok for _, ok in assumptions):
-        status = "inapplicable"
-    elif _sampled(ingredients):
-        status = "estimated"
-    else:
-        status = "ok"
-    return BoundReport(
-        "BoundedContraction", _value("BoundedContraction", ingredients), ingredients,
-        assumptions, status,
-    )
+    return _compact_report("BoundedContraction", cfg, box, stats)
 
 
 def bound_component_taus(
@@ -168,43 +173,28 @@ def bound_component_taus(
 ) -> BoundReport:
     """The three component coefficients, reported individually; the value is
     their product (the composite bound)."""
-    report = bound_bounded_contraction(cfg, box, stats)
-    return dataclasses.replace(report, theorem="ComponentTaus")
+    return _compact_report("ComponentTaus", cfg, box, stats)
 
 
 def bound_pointwise_query(
     cfg: AttentionConfig, box: DomainBox, stats: RegularityStats | None = None
-) -> float:
+) -> BoundReport:
     """l2-to-l2 Lipschitz constant of q -> Attention(q, K, V) for fixed keys:
     d^{3/2} ||ell||_Lip 2 lip_left diam_l1(E) / eps(G)."""
-    stats = _stats_for(cfg, box, stats)
-    _require_compact(box, stats, "pointwise corollary")
-    d = cfg.dim
-    return (
-        d ** 1.5
-        * tau_lookup(cfg.lookup)
-        * 2.0
-        * stats.lip_left
-        * box.diameter_l1()
-        / stats.eps_g
-    )
+    return _compact_report("BoundedPointwiseCorollary", cfg, box, stats)
 
 
 def bound_cross_attention(
     cfg: AttentionConfig, box: DomainBox, q: np.ndarray,
     stats: RegularityStats | None = None,
-) -> float:
+) -> BoundReport:
     """Per-query cross-attention constant: the l2 distance between
     Attention(q, X, X) and Attention(q, Y, Y) is at most this times
     W1(m(X), m(Y)); q must have shape (cfg.dim,)."""
     q = np.asarray(q, dtype=np.float64)
     if q.shape != (cfg.dim,):
         raise DimMismatch(f"query of shape {q.shape} for a potential of dim {cfg.dim}")
-    stats = _stats_for(cfg, box, stats)
-    _require_compact(box, stats, "cross-attention bound")
-    d = cfg.dim
-    lip_q = query_lipschitz(cfg.potential, q, box)
-    return d * tau_lookup(cfg.lookup) * 2.0 * lip_q * box.diameter_l1() / stats.eps_g
+    return _compact_report("CrossAttention", cfg, box, stats, q)
 
 
 def ratio_lemma_bound(n: int) -> float:
@@ -310,6 +300,12 @@ def _value(theorem: str, ingredients: dict) -> float:
     ing = {k: v.value for k, v in ingredients.items()}
     if theorem in ("BoundedContraction", "ComponentTaus"):
         return ing["tau_pi"] * ing["tau_softmatch"] * ing["tau_lookup"]
+    if theorem == "BoundedPointwiseCorollary":
+        factor = ing["tau_pi"] ** 1.5 * ing["tau_lookup"] * 2.0 * ing["lip_left"]
+        return factor * ing["diam_l1"] / ing["eps_g"]
+    if theorem == "CrossAttention":
+        factor = ing["tau_pi"] * ing["tau_lookup"] * 2.0 * ing["lip_q"]
+        return factor * ing["diam_l1"] / ing["eps_g"]
     if theorem in ("UnboundedGaussian", "UnboundedEqualN"):
         bracket = (
             ing["sup_g"]

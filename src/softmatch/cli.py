@@ -268,6 +268,7 @@ def _contraction_attention(config: dict, theorem: str, d: int) -> AttentionConfi
 def cmd_bound(args, config):
     d = args.d
     theorem = args.theorem
+    extra = {}
     if theorem in ("unbounded-gaussian", "unbounded-equal-n"):
         lookup = _contraction_attention(config, theorem, d).lookup
         if theorem == "unbounded-gaussian":
@@ -276,24 +277,21 @@ def cmd_bound(args, config):
             )
         else:
             rep = bounds.bound_unbounded_equal_n(lookup, d, args.n)
-        return rep.to_dict(), rep.status == "ok"
-    box = build_box(config.get("box"), d, args.box_radius)
-    cfg = build_attention(config, default_dim=box.dim or d)
-    if theorem == "bounded":
-        rep = bounds.bound_bounded_contraction(cfg, box)
-        return rep.to_dict(), rep.status == "ok"
-    if theorem == "component-taus":
-        rep = bounds.bound_component_taus(cfg, box)
-        return rep.to_dict(), rep.status == "ok"
-    if theorem == "pointwise":
-        val = bounds.bound_pointwise_query(cfg, box)
-        return {"theorem": "BoundedPointwiseCorollary", "value": val}, True
-    # cross-attention, the last of the parser's choices
-    if args.q is None:
-        raise ConfigError("cross-attention bound needs --q")
-    q = np.array(args.q)
-    val = bounds.bound_cross_attention(cfg, box, q)
-    return {"theorem": "CrossAttention", "value": val, "q": q.tolist()}, True
+    else:
+        box = build_box(config.get("box"), d, args.box_radius)
+        cfg = build_attention(config, default_dim=box.dim or d)
+        if theorem == "cross-attention":
+            if args.q is None:
+                raise ConfigError("cross-attention bound needs --q")
+            rep = bounds.bound_cross_attention(cfg, box, args.q)
+            extra["q"] = list(args.q)
+        else:
+            rep = {
+                "bounded": bounds.bound_bounded_contraction,
+                "component-taus": bounds.bound_component_taus,
+                "pointwise": bounds.bound_pointwise_query,
+            }[theorem](cfg, box)
+    return {**rep.to_dict(), **extra}, rep.status == "ok"
 
 
 def cmd_probe(args, config):

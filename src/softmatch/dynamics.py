@@ -294,7 +294,7 @@ def invert_residual(
         if _diverged(xk):
             break
         nxt = y.points - layer_map(layer, xk[None])[0]
-        step = float(np.abs(nxt - xk).sum(axis=1).max())
+        step = cloud_distance(nxt, xk)
         xk = nxt
         if step < tol:
             break
@@ -305,7 +305,7 @@ def invert_residual(
         )
     else:
         gx = layer_map(layer, xk[None])[0]
-        residual = float(np.abs(xk + gx - y.points).sum(axis=1).max())
+        residual = cloud_distance(xk + gx, y.points)
         result = InversionResult(
             points=PointCloud(xk),
             iterations=iterations,

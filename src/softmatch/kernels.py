@@ -104,7 +104,7 @@ class IdentityLookup(Lookup):
         return 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearLookup(Lookup):
     """ell(k) = W_V k with W_V of shape (d_v, d_k)."""
 
@@ -163,7 +163,7 @@ class FunctionLookup(Lookup):
 # Configurations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AttentionConfig:
     """One attention head: an interaction potential plus a lookup."""
 
@@ -186,7 +186,7 @@ class AttentionConfig:
         return self.lookup.out_dim
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Head:
     """An attention head with its output projection W_O of shape (d_h, d)."""
 
@@ -203,7 +203,7 @@ class Head:
         object.__setattr__(self, "w_o", w)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiHeadConfig:
     heads: tuple
 
@@ -238,7 +238,7 @@ _ACTIVATIONS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FfnConfig:
     """Feed-forward map f: R^d -> R^d, affine layers with an elementwise
     nonlinearity between them (none after the last layer)."""
@@ -288,7 +288,7 @@ class FfnConfig:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransformerLayerSpec:
     """A full layer: multi-head attention followed by a pointwise FFN."""
 

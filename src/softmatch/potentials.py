@@ -123,7 +123,7 @@ class DotProduct(Potential):
         return self.scale * np.eye(self.dim)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScaledDotProduct(Potential):
     """a(x, y) = scale * <W_Q x, W_K y>, the learned-projection similarity."""
 
@@ -260,7 +260,7 @@ class SamplingConfig:
     seed: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegularityStats:
     """eps(G), sup(G) and the three Lipschitz seminorms of G on E x E."""
 

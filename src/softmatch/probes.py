@@ -56,7 +56,7 @@ COMPONENT_KINDS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbeConfig:
     """How to sample measure pairs.
 

@@ -304,12 +304,17 @@ class TransportPlan:
         plan; a suboptimal plan shows up as
         certificate()["max_support_slack"] > 0.
         """
+        return self._fit_duals(None)
+
+    def _fit_duals(self, c: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+        """`dual_potentials()`, on the cost matrix c at d = 1 if the caller built it."""
         if self._duals is None:
             exact = self._potentials
             if exact is None:
                 duals = w1(self.source, self.target).plan.dual_potentials()
             elif self.source.dim == 1:
-                c = cost_matrix_l1(self.source.support.points, self.target.support.points)
+                if c is None:
+                    c = cost_matrix_l1(self.source.support.points, self.target.support.points)
                 duals = _line_duals(*exact, c)
             else:
                 duals = _float_duals(*exact)
@@ -319,8 +324,8 @@ class TransportPlan:
 
     def certificate(self) -> dict:
         """Feasibility and complementary-slackness diagnostics (floats)."""
-        u, v = self.dual_potentials()
         c = cost_matrix_l1(self.source.support.points, self.target.support.points)
+        u, v = self._fit_duals(c)
         feas = float((u[:, None] + v[None, :] - c).max())
         supp = self.mass > 0
         i, j = self.rows[supp], self.cols[supp]
@@ -362,7 +367,7 @@ class W1Result:
 # Exact transportation network simplex
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Basis:
     """An optimal basis: the basic arcs (i, j, flow), exact integer
     potentials u, v (costs scaled by 2**shift) with c_ij - u_i - v_j >= 0

@@ -237,7 +237,7 @@ def test_criterion_06_cross_attention():
         out_x = attention_kernel(cfg, q, empirical(x))
         out_y = attention_kernel(cfg, q, empirical(y))
         dev = float(np.linalg.norm(out_x - out_y, 2))
-        cap = bound_cross_attention(cfg, box, q) * w1(
+        cap = bound_cross_attention(cfg, box, q).value * w1(
             empirical(x), empirical(y)
         ).value + 1e-7
         worst = max(worst, dev - cap)

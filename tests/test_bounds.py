@@ -1,5 +1,8 @@
 """Closed-form constants: values, scaling laws, self-consistency."""
 
+import dataclasses
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -41,6 +44,7 @@ from softmatch.potentials import (
     Gaussian,
     Provenance,
     RegularityStats,
+    ScaledDotProduct,
     regularity_stats,
 )
 from softmatch.transport import w1
@@ -180,21 +184,24 @@ class TestPointwiseCorollary:
         box = DomainBox([0.0], [1.0])
         stats = stats_with(0.5, 0.5, 1.0)
         cfg = AttentionConfig(DotProduct(1.0, 1), IdentityLookup(1))
-        got = bound_pointwise_query(cfg, box, stats=stats)
-        assert got == 1.0 * 1.0 * 2.0 * 0.5 * 1.0 / 1.0
+        rep = bound_pointwise_query(cfg, box, stats=stats)
+        assert rep.theorem == "BoundedPointwiseCorollary"
+        assert rep.status == "ok"
+        assert rep.value == 1.0 * 1.0 * 2.0 * 0.5 * 1.0 / 1.0
+        assert reevaluate(rep) == rep.value
 
     def test_d4_dimension_factor_is_8(self):
         box = DomainBox.cube(1.0, 4)
         stats = stats_with(0.5, 0.5, 1.0)
         cfg = AttentionConfig(DotProduct(1.0, 4), IdentityLookup(4))
-        got = bound_pointwise_query(cfg, box, stats=stats)
+        got = bound_pointwise_query(cfg, box, stats=stats).value
         # 4^{3/2} = 8 times 2 lip_left diam / eps
         assert got == 8.0 * (2.0 * 0.5 * box.diameter_l1() / 1.0)
 
     def test_constant_potential_is_zero(self):
         box = DomainBox.cube(1.0, 2)
         cfg = AttentionConfig(DotProduct(0.0, 2), IdentityLookup(2))
-        assert bound_pointwise_query(cfg, box) == 0.0
+        assert bound_pointwise_query(cfg, box).value == 0.0
 
 
 class TestUnboundedGaussian:
@@ -239,20 +246,24 @@ class TestCrossAttention:
     def test_constant_potential_is_zero(self):
         box = DomainBox.cube(1.0, 2)
         cfg = AttentionConfig(DotProduct(0.0, 2), IdentityLookup(2))
-        assert bound_cross_attention(cfg, box, np.zeros(2)) == 0.0
+        assert bound_cross_attention(cfg, box, np.zeros(2)).value == 0.0
 
     def test_identity_lookup_d1_plugin(self):
         box = DomainBox([-1.0], [1.0])
         cfg = AttentionConfig(Gaussian(1), IdentityLookup(1))
         stats = regularity_stats(cfg.potential, box)
-        got = bound_cross_attention(cfg, box, np.array([0.3]))
-        assert got == 1.0 * 1.0 * 2.0 * GAUSSIAN_LIP * 2.0 / stats.eps_g
+        rep = bound_cross_attention(cfg, box, np.array([0.3]))
+        assert rep.theorem == "CrossAttention"
+        assert rep.status == "ok"
+        assert rep.value == 1.0 * 1.0 * 2.0 * GAUSSIAN_LIP * 2.0 / stats.eps_g
+        assert rep.ingredients["lip_q"].value == GAUSSIAN_LIP
+        assert reevaluate(rep) == rep.value
 
     def test_monotone_in_diameter(self):
         cfg = AttentionConfig(Gaussian(2), IdentityLookup(2))
         q = np.zeros(2)
-        small = bound_cross_attention(cfg, DomainBox.cube(0.5, 2), q)
-        big = bound_cross_attention(cfg, DomainBox.cube(1.0, 2), q)
+        small = bound_cross_attention(cfg, DomainBox.cube(0.5, 2), q).value
+        big = bound_cross_attention(cfg, DomainBox.cube(1.0, 2), q).value
         assert small <= big
 
     def test_degenerates_for_zero_query_dot_product(self):
@@ -263,7 +274,7 @@ class TestCrossAttention:
         box = DomainBox.cube(1.0, 1)
         cfg = AttentionConfig(DotProduct(1.0, 1), IdentityLookup(1))
         q = np.zeros(1)
-        assert bound_cross_attention(cfg, box, q) == 0.0
+        assert bound_cross_attention(cfg, box, q).value == 0.0
         x, y = empirical([[0.5]]), empirical([[-0.5]])
         from softmatch.kernels import attention_kernel
 
@@ -297,24 +308,45 @@ class TestReportStructure:
             assert key in rep.ingredients
 
     def test_failed_assumption_requires_inapplicable(self):
-        with pytest.raises(InvalidInput):
-            BoundReport(
+        # the status is derived, so no report can claim "ok" over a failed
+        # assumption, not even with sampled ingredients too
+        for prov in (Provenance("analytic"), Provenance("sampled", 10, 0)):
+            rep = BoundReport(
                 "BoundedContraction",
                 1.0,
-                {"tau_pi": Ingredient(1.0, Provenance("analytic"))},
-                (("E compact", False),),
-                status="ok",
+                {"eps_g": Ingredient(0.5, prov)},
+                (("E compact", True), ("E convex", False)),
             )
+            assert rep.status == "inapplicable"
+            assert rep.to_dict()["status"] == "inapplicable"
+        with pytest.raises(TypeError):
+            BoundReport("BoundedContraction", 1.0, {}, (("E compact", False),), status="ok")
 
     def test_sampled_ingredient_refuses_ok(self):
-        with pytest.raises(InvalidInput):
-            BoundReport(
-                "BoundedContraction",
-                1.0,
-                {"eps_g": Ingredient(0.5, Provenance("sampled", 10, 0))},
-                (("E compact", True),),
-                status="ok",
-            )
+        ingredients = {
+            "tau_pi": Ingredient(1.0, Provenance("analytic")),
+            "eps_g": Ingredient(0.5, Provenance("sampled", 10, 0)),
+        }
+        rep = BoundReport("BoundedContraction", 1.0, ingredients, (("E compact", True),))
+        assert rep.status == "estimated"
+        assert rep.to_dict()["status"] == "estimated"
+        # a sampled diagnostic is not an ingredient and leaves "ok" alone
+        clean = BoundReport(
+            "BoundedContraction", 1.0, {"tau_pi": ingredients["tau_pi"]},
+            (("E compact", True),), diagnostics={"eps_g": ingredients["eps_g"]},
+        )
+        assert clean.status == "ok"
+
+    def test_replace_rederives_the_status(self):
+        rep = bound_bounded_contraction(
+            AttentionConfig(Gaussian(2), IdentityLookup(2)), DomainBox.cube(1.0, 2)
+        )
+        failed = dataclasses.replace(
+            rep, theorem="ComponentTaus",
+            assumptions_checked=(*rep.assumptions_checked, ("extra", False)),
+        )
+        assert (rep.status, failed.status) == ("ok", "inapplicable")
+        assert failed.theorem == "ComponentTaus"
 
     def test_gaussian_as_custom_potential_is_estimated(self):
         # the same function as Gaussian(2): its sampled eps(G) lies above
@@ -348,3 +380,37 @@ class TestReportStructure:
         d = bound_bounded_contraction(cfg, box).to_dict()
         assert d["ingredients"]["eps_g"]["provenance"]["kind"] == "analytic"
         assert d["theorem"] == "BoundedContraction"
+
+
+class TestPinnedReports:
+    """Every theorem's report on a seeded corpus, byte for byte as recorded
+    while the status was a stored field and the pointwise and
+    cross-attention constants were bare floats: each report's JSON, key
+    order included, and the hex of those two values."""
+
+    DIGEST = "bf84e00945a774ee00989e9c2a6f92cceafbca3ace50dedc7690a37d40c91475"
+
+    @staticmethod
+    def corpus():
+        rng = np.random.default_rng(2023)
+        for d in (1, 2, 3, 4):
+            for radius in (0.25, 0.5, 1.0, 1.5):
+                box = DomainBox.cube(radius, d)
+                wq, wk = rng.normal(size=(2, d, d)) * 0.5
+                lookups = (IdentityLookup(d), LinearLookup(rng.normal(size=(d, d))))
+                for pot in (Gaussian(d), DotProduct(0.7, d), ScaledDotProduct(wq, wk, 0.4)):
+                    for lk in lookups:
+                        cfg = AttentionConfig(pot, lk)
+                        q = rng.uniform(-radius, radius, d)
+                        yield json.dumps(bound_bounded_contraction(cfg, box).to_dict())
+                        yield json.dumps(bound_component_taus(cfg, box).to_dict())
+                        yield bound_pointwise_query(cfg, box).value.hex()
+                        yield bound_cross_attention(cfg, box, q).value.hex()
+                for lk in lookups:
+                    for n, m in ((1, 1), (3, 7), (50, 20)):
+                        yield json.dumps(bound_unbounded_gaussian(lk, d, n, m).to_dict())
+                        yield json.dumps(bound_unbounded_equal_n(lk, d, n).to_dict())
+
+    def test_corpus_digest(self):
+        blob = "\n".join(self.corpus()).encode()
+        assert hashlib.sha256(blob).hexdigest() == self.DIGEST

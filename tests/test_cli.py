@@ -1,8 +1,10 @@
 """CLI contract: subcommands, exit codes, report envelopes, replay fields."""
 
+import dataclasses
 import functools
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,8 +14,8 @@ import numpy as np
 import pytest
 
 import softmatch
-from softmatch import probes
-from softmatch.cli import main
+from softmatch import bounds, probes
+from softmatch.cli import build_parser, main
 from softmatch.errors import InvalidInput
 from softmatch.measures import (
     EmpiricalMeasure,
@@ -21,6 +23,7 @@ from softmatch.measures import (
     save_measure_json,
     save_point_cloud_csv,
 )
+from softmatch.potentials import Provenance
 from softmatch.streams import stream
 from softmatch.transport import w1
 
@@ -233,6 +236,151 @@ class TestBoundCommand:
         assert code == 2
         assert "config error" in err
 
+
+def _bound_configs(d):
+    """The three potential kinds of the pinned bound values, at dim d."""
+    return {
+        "gaussian": {"potential": {"kind": "gaussian"}},
+        "dot": {
+            "potential": {"kind": "dot_product", "scale": 0.5},
+            "lookup": {
+                "kind": "linear",
+                "W_V": [[0.3 * (i == j) + 0.1 for j in range(d)] for i in range(d)],
+            },
+        },
+        "scaled_dot": {
+            "potential": {
+                "kind": "scaled_dot_product",
+                "W_Q": [[(i - j) / 4 + (i == j) for j in range(d)] for i in range(d)],
+                "W_K": [[(i + j + 1) / 8 for j in range(d)] for i in range(d)],
+                "scale": 0.5,
+            },
+        },
+    }
+
+
+def _report_from_dict(rep):
+    """The BoundReport a printed report describes."""
+    def ingredients(block):
+        return {
+            k: bounds.Ingredient(v["value"], Provenance(**v["provenance"]))
+            for k, v in block.items()
+        }
+
+    return bounds.BoundReport(
+        rep["theorem"], rep["value"], ingredients(rep["ingredients"]),
+        tuple(tuple(a) for a in rep["assumptions_checked"]),
+        ingredients(rep.get("diagnostics", {})),
+    )
+
+
+class TestBoundReports:
+    """Every `bound --theorem` prints a full report, exits by its status,
+    and reevaluates from its own printed ingredients."""
+
+    KEYS = ["theorem", "value", "status", "ingredients", "assumptions_checked"]
+
+    # float.hex of each value at d = 1, 2, 3, 4 on a radius-0.75 box, as
+    # printed before the pointwise and cross-attention constants became reports
+    PINNED = {
+        ("pointwise", "gaussian"): (
+            "0x1.86a2a87992852p+4", "0x1.4796c229d6bc3p+10",
+            "0x1.0ba6d2cca9494p+15", "0x1.45ce649b8dac5p+19",
+        ),
+        ("pointwise", "dot"): (
+            "0x1.945d55f6e73d8p-1", "0x1.39a35933fc9d5p+3",
+            "0x1.c70f67fec7714p+5", "0x1.de2e90174473dp+7",
+        ),
+        ("pointwise", "scaled_dot"): (
+            "0x1.34fa98fec465fp-3", "0x1.89565fb0c301ep+2",
+            "0x1.1e233ad916e37p+8", "0x1.f7a375bb628d3p+15",
+        ),
+        ("cross-attention", "gaussian"): (
+            "0x1.86a2a87992852p+4", "0x1.cf47d9b2751e0p+9",
+            "0x1.350eb8e94e0c4p+14", "0x1.45ce649b8dac5p+18",
+        ),
+        ("cross-attention", "dot"): (
+            "0x1.5205273d90e87p-4", "0x1.2daceb48089bfp+0",
+            "0x1.c4d55b48b19b6p+2", "0x1.e1df078aef97bp+4",
+        ),
+        ("cross-attention", "scaled_dot"): (
+            "0x1.3fafe6c1b617bp-6", "0x1.a9f59bb2336fbp-1",
+            "0x1.e7969762cdbadp+3", "0x1.05550cf134da2p+9",
+        ),
+        ("component-taus", "gaussian"): (
+            "0x1.86a2a87992852p+5", "0x1.cf47d9b2751e0p+10",
+            "0x1.350eb8e94e0c4p+15", "0x1.45ce649b8dac5p+19",
+        ),
+        ("component-taus", "dot"): (
+            "0x1.945d55f6e73d8p+0", "0x1.bb8d1d29c3855p+3",
+            "0x1.06baa7762e1fep+6", "0x1.de2e90174473ep+7",
+        ),
+        ("component-taus", "scaled_dot"): (
+            "0x1.34fa98fec465fp-2", "0x1.36da5795a67cbp+3",
+            "0x1.41b55c279f483p+8", "0x1.aa27d9c5f0edap+15",
+        ),
+    }
+
+    @staticmethod
+    def argv(workdir, theorem, kind, d):
+        path = workdir / f"{kind}{d}.json"
+        path.write_text(json.dumps(_bound_configs(d)[kind]))
+        argv = ["bound", "--theorem", theorem, "--config", str(path),
+                "--d", str(d), "--box-radius", "0.75"]
+        if theorem == "cross-attention":
+            argv += ["--q", ",".join(str(0.1 * (k + 1)) for k in range(d))]
+        return argv
+
+    @pytest.mark.parametrize("theorem,kind", PINNED)
+    @pytest.mark.parametrize("d", (1, 2, 3, 4))
+    def test_values_pinned_and_keys(self, workdir, capsys, theorem, kind, d):
+        code, env, _ = run(capsys, *self.argv(workdir, theorem, kind, d))
+        rep = env["report"]
+        q = [0.1 * (k + 1) for k in range(d)]
+        assert list(rep) == self.KEYS + (["q"] if theorem == "cross-attention" else [])
+        assert rep.get("q", q) == q
+        assert rep["value"].hex() == self.PINNED[theorem, kind][d - 1]
+        assert (rep["status"], code) == ("ok", 0)
+
+    @pytest.mark.parametrize("theorem", ("bounded", "component-taus", "pointwise", "cross-attention"))
+    def test_exit_code_follows_status(self, workdir, capsys, monkeypatch, theorem):
+        argv = self.argv(workdir, theorem, "dot", 2)
+        analytic = bounds.regularity_stats
+
+        def patch_stats(provenance=(), **changes):
+            def stats(potential, box):
+                s = analytic(potential, box)
+                prov = {**s.provenance, **dict(provenance)}
+                return dataclasses.replace(s, provenance=prov, **changes)
+            monkeypatch.setattr(bounds, "regularity_stats", stats)
+
+        got = [run(capsys, *argv)]
+        patch_stats(provenance={"eps_g": Provenance("sampled", n_samples=10, seed=0)})
+        got.append(run(capsys, *argv))
+        patch_stats(lip_left=math.inf, sup_g=math.inf)
+        got.append(run(capsys, *argv))
+        statuses = [(env["report"]["status"], code) for code, env, _ in got]
+        assert statuses == [("ok", 0), ("estimated", 1), ("inapplicable", 1)]
+
+    def test_every_choice_reevaluates_and_every_theorem_is_reachable(self, workdir, capsys):
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        choices = next(a for a in sub.choices["bound"]._actions if a.dest == "theorem").choices
+        path = workdir / "gauss.json"
+        path.write_text(json.dumps(_bound_configs(2)["gaussian"]))
+        tags = set()
+        for theorem in choices:
+            code, env, _ = run(
+                capsys, "bound", "--theorem", theorem, "--config", str(path), "--d", "2",
+                "--box-radius", "1", "--q", "0.1,0.2", "--n", "8", "--m", "4",
+            )
+            printed = env["report"]
+            rep = _report_from_dict(printed)
+            assert rep.theorem in bounds.THEOREMS
+            assert bounds.reevaluate(rep) == rep.value
+            assert rep.to_dict() == {k: v for k, v in printed.items() if k != "q"}
+            assert code == (0 if rep.status == "ok" else 1)
+            tags.add(rep.theorem)
+        assert tags == set(bounds.THEOREMS)
 
 class TestProbeCommand:
     def test_projection_probe(self, workdir, capsys):

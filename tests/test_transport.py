@@ -1314,6 +1314,26 @@ class TestSolverHandOff:
             assert calls == [(mu.n, nu.n)]
             assert plan._potentials is None
 
+    @pytest.mark.parametrize("d", (1, 2, 4))
+    def test_certificate_builds_one_cost_matrix_per_call(self, monkeypatch, d):
+        # at d = 1 the first call fits the float duals against the cost
+        # matrix it builds for itself, not against a second one, and gives
+        # the bits of a plan whose duals were read first
+        calls = self.count_cost_matrices(monkeypatch)
+        for mu, nu in self.pairs(np.random.default_rng(26 + d), d):
+            plan, twin = w1(mu, nu).plan, w1(mu, nu).plan
+            twin.dual_potentials()
+            for _ in range(2):
+                calls.clear()
+                cert = plan.certificate()
+                assert calls == [(mu.n, nu.n)]
+                assert cert == twin.certificate()
+            calls.clear()
+            u, v = plan.dual_potentials()
+            assert calls == []
+            assert u.tobytes() == twin.dual_potentials()[0].tobytes()
+            assert v.tobytes() == twin.dual_potentials()[1].tobytes()
+
     @pytest.mark.parametrize("d", (1, 3))
     def test_caller_plan_checks_its_cost_on_its_atoms(self, monkeypatch, d):
         rng = np.random.default_rng(24)
