@@ -300,9 +300,9 @@ def probe_component(
 
 # rows of the ratio-lemma check (one per n) processed together
 _RATIO_BUCKET = 64
-# most entries in one stacked ascent array: four work arrays of 512 KB fit
-# a 2 MB L2 cache; stacking all three restarts of the 1000-row check was
-# about 15% slower than one restart at a time
+# most entries in one stacked restart group of a bucket: the group and its
+# three work arrays, 512 KB each, fit a 2 MB L2 cache; stacking all three
+# restarts of the 1000-row check was about 15% slower than one at a time
 _RATIO_STACK = 65536
 
 
@@ -345,20 +345,24 @@ def _ratio_reduction(ns: np.ndarray, grid: int) -> np.ndarray:
     return np.maximum(np.maximum(g((a + b) / 2.0), fc), fd)
 
 
-def _ascend(z: np.ndarray, mask: np.ndarray, ascent_iters: int) -> np.ndarray:
+def _ascend(z: np.ndarray, lo: int, tri: np.ndarray, ascent_iters: int) -> np.ndarray:
     """Run the projected gradient ascent on the stacked starts z (restarts,
-    rows, hi) in place, and return f at the end point of every row."""
+    rows lo..hi-1, hi columns) in place, and return f at the end point of
+    every row. Columns below lo are live in every row; tri masks the last
+    hi - lo columns to the lower triangle."""
     e, t, u = np.empty_like(z), np.empty_like(z), np.empty_like(z)
     s0, s1, den = (np.empty(z.shape[:2]) for _ in range(3))
-    for _ in range(ascent_iters):
+    for step in range(ascent_iters + 1):
         np.multiply(z, z, out=t)
         np.negative(t, out=e)
         np.exp(e, out=e)
-        e *= mask
+        e[..., lo:] *= tri
         e.sum(axis=2, out=s0)
         np.multiply(z, e, out=u).sum(axis=2, out=s1)
         np.add(s0, 1.0, out=den)
         np.divide(s1, den, out=s1)  # f
+        if step == ascent_iters:
+            return s1
         # z += 0.25 e (1 - 2 z z + 2 z f) / (1 + s0)
         s1 *= 2.0
         den *= 4.0
@@ -370,8 +374,40 @@ def _ascend(z: np.ndarray, mask: np.ndarray, ascent_iters: int) -> np.ndarray:
         t /= den[..., None]
         z += t
         np.maximum(z, 0.0, out=z)
-    e = np.exp(-z * z) * mask
-    return (z * e).sum(axis=2) / (1.0 + e.sum(axis=2))
+
+
+def _ratio_group(lo: int, hi: int) -> int:
+    """Restarts stacked into one array in the bucket of rows lo..hi-1."""
+    return max(1, _RATIO_STACK // ((hi - lo) * hi))
+
+
+def _ratio_work_entries(n_max: int, restarts: int, grid: int) -> int:
+    """Entries of the largest array check_ratio_lemma holds: a bucket's
+    reduction grid, a stacked restart group or a block of uniform draws."""
+    work = min(_RATIO_BUCKET, n_max) * grid
+    for lo in range(0, n_max, _RATIO_BUCKET):
+        hi = min(lo + _RATIO_BUCKET, n_max)
+        group = min(_ratio_group(lo, hi), restarts)
+        work = max(work, group * (hi - lo) * hi, (hi - lo) * n_max)
+    return work
+
+
+def _stream_at(seed: int, offset: int) -> np.random.Generator:
+    """stream(seed, 0) after its first offset doubles. Philox is counter
+    based, four doubles per counter step, and advance empties its buffer,
+    so the draws from here are those of one long draw from offset on."""
+    rng = stream(seed, 0)
+    rng.bit_generator.advance(offset // 4)
+    rng.random(offset % 4)
+    return rng
+
+
+def _draw_starts(seed: int, n_max: int, r: int, lo: int, tri: np.ndarray, out: np.ndarray):
+    """Restart r's starts for rows lo..hi-1 into out (hi - lo, hi)."""
+    rows, hi = out.shape
+    block = _stream_at(seed, (r * n_max + lo) * n_max).uniform(0.0, 2.5, size=(rows, n_max))
+    out[:, :lo] = block[:, :lo]
+    np.multiply(block[:, lo:hi], tri, out=out[:, lo:])
 
 
 def _ratio_ascent(n_max: int, restarts: int, seed: int, ascent_iters: int) -> np.ndarray:
@@ -379,45 +415,46 @@ def _ratio_ascent(n_max: int, restarts: int, seed: int, ascent_iters: int) -> np
     projected gradient ascent from uniform starts, for every n <= n_max.
 
     Row n - 1 holds z for n; a restart's starts are one (n_max, n_max)
-    uniform draw in row order, with the entries past column n - 1 masked
-    to 0. Buckets of rows lo..hi-1 run on the (hi - lo, hi) slice, so the
-    masked upper triangle beyond column hi - 1 is never computed. Masked
-    entries have e = 0, hence zero gradient, and stay at z = 0.
+    uniform draw of stream(seed, 0) in row order, restart after restart,
+    with the entries past column n - 1 masked to 0. Buckets of rows
+    lo..hi-1 run on the (hi - lo, hi) slice, so the masked upper triangle
+    beyond column hi - 1 is never computed; only the last hi - lo columns
+    hold masked entries, so the mask is a (hi - lo, hi - lo) triangle.
+    Masked entries have e = 0, hence zero gradient, and stay at z = 0.
 
-    Every start is drawn first, restart by restart and within a restart
-    bucket by bucket. Each bucket then stacks its restarts into one
-    (restarts, hi - lo, hi) array, split into groups of at most
-    _RATIO_STACK entries, and runs one iteration loop per group; each
-    row's maximum over restarts is taken at the end. Rows never interact
-    and each still sums over the same hi columns, so every value is the
-    one a loop over restarts would give, bit for bit.
+    Each bucket stacks its restarts into (group, hi - lo, hi) arrays of at
+    most _RATIO_STACK entries (one restart if a single one is larger) and
+    runs one iteration loop per group. A group's starts are drawn just
+    before it runs, each (restart, bucket) block at its own offset in the
+    stream (`_stream_at`), so only one group and its three work arrays
+    are alive at a time: O(restarts * 64 * n_max) entries at most. Rows
+    never interact and each still sums over the same hi columns, so every
+    value is the one a loop over restarts would give, bit for bit; each
+    row's maximum over restarts is exact in any order.
 
     A step of 0.25 along the gradient e (1 - 2 z^2 + 2 z f) / (1 + s0)
-    takes 15 passes over the array. t = z z is computed once, for
-    e = exp(-t) and for 1 - 2 z^2 = 1 + (-2) t; 2 z f is formed as z (2 f);
-    and the division is by 4 (1 + s0) instead of by 1 + s0 followed by a
+    takes 15 passes over the group's array (the mask pass covers only its
+    last hi - lo columns). t = z z is computed once, for e = exp(-t) and
+    for 1 - 2 z^2 = 1 + (-2) t; 2 z f is formed as z (2 f); and the
+    division is by 4 (1 + s0) instead of by 1 + s0 followed by a
     multiplication by 0.25. Each rewrite only moves a power-of-two factor,
     which commutes with rounding unless a value is subnormal. z is either
     0 or far above the subnormal range (on the benchmark's configs and
     criterion 07, nonzero z stays within [7e-4, 2.5] and e >= 1.9e-3), so
     every step is bit for bit the one the textbook order gives.
     """
-    rng = stream(seed, 0)
-    buckets = [(lo, min(lo + _RATIO_BUCKET, n_max)) for lo in range(0, n_max, _RATIO_BUCKET)]
-    masks = [
-        (np.arange(hi)[None, :] <= np.arange(lo, hi)[:, None]).astype(np.float64)
-        for lo, hi in buckets
-    ]
-    starts = [np.empty((restarts, hi - lo, hi)) for lo, hi in buckets]
-    for r in range(restarts):
-        for (lo, hi), mask, z in zip(buckets, masks, starts):
-            np.multiply(rng.uniform(0.0, 2.5, size=(hi - lo, n_max))[:, :hi], mask, out=z[r])
-    ascent = np.empty(n_max)
-    for (lo, hi), mask, z in zip(buckets, masks, starts):
-        group = max(1, _RATIO_STACK // mask.size)
-        ascent[lo:hi] = np.concatenate(
-            [_ascend(z[r : r + group], mask, ascent_iters) for r in range(0, restarts, group)]
-        ).max(axis=0)
+    ascent = np.full(n_max, -np.inf)
+    for lo in range(0, n_max, _RATIO_BUCKET):
+        hi = min(lo + _RATIO_BUCKET, n_max)
+        cols = np.arange(lo, hi)
+        tri = (cols[None, :] <= cols[:, None]).astype(np.float64)
+        group = _ratio_group(lo, hi)
+        for r0 in range(0, restarts, group):
+            z = np.empty((min(group, restarts - r0), hi - lo, hi))
+            for k, zk in enumerate(z):
+                _draw_starts(seed, n_max, r0 + k, lo, tri, zk)
+            best = _ascend(z, lo, tri, ascent_iters).max(axis=0)
+            np.maximum(ascent[lo:hi], best, out=ascent[lo:hi])
     return ascent
 
 
@@ -450,8 +487,10 @@ def check_ratio_lemma(
     ascent = _ratio_ascent(n_max, restarts, seed, ascent_iters)
     bound = np.array([ratio_lemma_bound(int(n)) for n in ns])
     log.debug(
-        "check_ratio_lemma: n_max=%d grid=%d restarts=%d ascent_iters=%d buckets=%d rows=%d",
+        "check_ratio_lemma: n_max=%d grid=%d restarts=%d ascent_iters=%d buckets=%d rows=%d"
+        " work_entries=%d",
         n_max, grid, restarts, ascent_iters, -(-n_max // _RATIO_BUCKET), restarts * n_max,
+        _ratio_work_entries(n_max, restarts, grid),
     )
     return {
         "n_max": n_max,
@@ -508,23 +547,29 @@ def check_product_lemma(
     }
 
 
-def _l1_rows(a: np.ndarray) -> np.ndarray:
-    """||a_i||_1 for every row of an (N, d) array, bit for bit
-    np.abs(a).sum(axis=1).
+def _l1_rows(a: np.ndarray, b=None) -> np.ndarray:
+    """||a_i - b_i||_1 for every row of an (N, d) array a, with b an (N, d)
+    array, a (d,) point or (omitted) the origin, bit for bit
+    np.abs(a - b).sum(axis=1).
 
     numpy adds a last axis shorter than 8 in order, as `cost_matrix_l1`
-    relies on too, so below d = 8 the columns are accumulated in order one
-    at a time; numpy's reduce runs its inner loop once per short row,
-    about seven times slower on a (50 000, 3) array. From d = 8 on
-    numpy's own expression is kept.
+    relies on too, so below d = 8 the columns are differenced and
+    accumulated in order one at a time, with no (N, d) difference array;
+    numpy's reduce runs its inner loop once per short row, about seven
+    times slower on a (50 000, 3) array. From d = 8 on numpy's own
+    expression is kept.
     """
     d = a.shape[1]
     if not 0 < d < 8:
-        return np.abs(a).sum(axis=1)
-    out = np.abs(a[:, 0])
+        return np.abs(a if b is None else a - b).sum(axis=1)
+
+    def col(k, out):
+        return np.abs(a[:, k] if b is None else np.subtract(a[:, k], b[..., k], out=out), out=out)
+
+    out = col(0, np.empty(a.shape[0]))
     buf = np.empty_like(out)
     for k in range(1, d):
-        out += np.abs(a[:, k], out=buf)
+        out += col(k, buf)
     return out
 
 
@@ -532,28 +577,33 @@ def _lip_estimates(f, rng, d: int, n_samples: int):
     """(restricted, unrestricted) sampled Lipschitz estimates of f.
 
     Random pairs plus coordinate-aligned finite differences; restricted
-    pairs keep ||x - y||_1 <= 1.
+    pairs keep ||x - y||_1 <= 1. The draws are base points, normals,
+    scales, then far points. The normals become the near points in place,
+    and the far points are drawn once the near ratio is taken, so at most
+    two (n_samples // 2, d) arrays are alive at a time (below d = 8, where
+    `_l1_rows` forms no difference array).
     """
     half = n_samples // 2
     radius = 3.0
     xs = rng.uniform(-radius, radius, size=(half, d))
 
-    # random l1-ball directions for the restricted estimator
-    raw = rng.standard_normal((half, d))
-    dirs = raw / _l1_rows(raw)[:, None]
-    scales = rng.uniform(0.05, 1.0, size=(half, 1))
-    ys_near = xs + dirs * scales
-    ys_far = rng.uniform(-radius, radius, size=(half, d))
-
     def ratio(a, fa, b):
-        num = np.abs(fa - f(b))
-        den = _l1_rows(a - b)
+        num = f(b)
+        np.abs(np.subtract(fa, num, out=num), out=num)
+        den = _l1_rows(a, b)
         ok = den > 1e-12
-        return float((num[ok] / den[ok]).max(initial=0.0))
+        return float(np.divide(num, den, out=num, where=ok).max(where=ok, initial=0.0))
+
+    # random l1-ball directions for the restricted estimator
+    near = rng.standard_normal((half, d))
+    near /= _l1_rows(near)[:, None]
+    near *= rng.uniform(0.05, 1.0, size=(half, 1))
+    np.add(xs, near, out=near)
 
     fx = f(xs)
-    restricted = ratio(xs, fx, ys_near)
-    unrestricted = max(restricted, ratio(xs, fx, ys_far))
+    restricted = ratio(xs, fx, near)
+    del near
+    unrestricted = max(restricted, ratio(xs, fx, rng.uniform(-radius, radius, size=(half, d))))
 
     # coordinate-aligned differences at a few grid points (the local
     # finite-difference refinement)
@@ -599,7 +649,7 @@ def check_local_lip_lemma(
             known = s
 
             def f(p, x0=x0, s=s):
-                return s * _l1_rows(p - x0)
+                return s * _l1_rows(p, x0)
 
         elif family == "affine":
             g = rng.uniform(-2.0, 2.0, size=d)
@@ -627,7 +677,10 @@ def check_local_lip_lemma(
                 "unrestricted": unrestricted,
             }
         )
-    log.debug("check_local_lip_lemma: trials=%d d=%d n_samples=%d", trials, d, n_samples)
+    log.debug(
+        "check_local_lip_lemma: trials=%d d=%d n_samples=%d work_entries=%d",
+        trials, d, n_samples, (n_samples // 2) * d,
+    )
     return {
         "trials": trials,
         "max_relative_error": worst,

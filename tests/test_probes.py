@@ -1,9 +1,11 @@
 """Probe machinery: per-component tightness, reproducibility, lemma checks."""
 
+import gc
 import hashlib
 import json
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -384,7 +386,10 @@ class TestPinnedLemmaBits:
     one-restart-at-a-time ascent, 17-pass ascent step and numpy row sums
     in the local-Lipschitz estimator. sha256 digests recorded with that
     code, for the benchmark's four ratio configs and its two
-    local-Lipschitz configs, at two seeds each."""
+    local-Lipschitz configs, at two seeds each. The two odd sizes, recorded
+    with commit 7667724 (every start drawn before any ascent), put blocks
+    of starts at stream offsets of every residue mod 4 and stack three
+    restarts into one group."""
 
     @pytest.mark.parametrize(
         "n_max, restarts, ascent_iters, seed, digest",
@@ -397,6 +402,10 @@ class TestPinnedLemmaBits:
             (100, 3, 250, 1, "ee520069d109397476d5c795c52eb20fc8d5df50e3aad747bddeff77245fba5e"),
             (30, 3, 250, 0, "dada900ffab9385b7f2bfddfe4474bdb883f4b43ed9231994358af5010f1f95e"),
             (30, 3, 250, 1, "0707c5bc5a762467dcdff461b4dd5d879061df98dcbdfeb20195f5b1c37d55f1"),
+            (129, 3, 30, 0, "549cbb8febfcc7a96c64a47d8acdffc5f1566f7429a808d5f0317a0602cf4139"),
+            (129, 3, 30, 1, "00989823ae57588b435b0b9c03cad7684d81c9e7dce0e2198ce637d6dfb87133"),
+            (131, 2, 30, 0, "368284bc5c8697486f56831dc05335789ceab19ff4f7855745db3b8d21cdaae8"),
+            (131, 2, 30, 1, "91e21e7581caa06c9035daebce8bcbb1e10d179a0b4a3c6cf5b3823d20ad6bd7"),
         ],
     )
     def test_ratio_ascent(self, n_max, restarts, ascent_iters, seed, digest):
@@ -429,6 +438,9 @@ class TestPinnedLemmaBits:
         rng = np.random.default_rng(d)
         a = rng.standard_normal((257, d)) * 10.0 ** rng.integers(-8, 9, size=(257, d))
         assert np.array_equal(_l1_rows(a), np.abs(a).sum(axis=1))
+        b = rng.standard_normal((257, d))
+        assert np.array_equal(_l1_rows(a, b), np.abs(a - b).sum(axis=1))
+        assert np.array_equal(_l1_rows(a, b[0]), np.abs(a - b[0]).sum(axis=1))
 
     def test_checks_raise_no_float_error(self):
         with np.errstate(all="raise"):
@@ -500,12 +512,46 @@ class TestLemmaEvents:
         check_ratio_lemma(130, grid=50, restarts=2, ascent_iters=5)
         assert self.events(caplog) == [
             "check_ratio_lemma: n_max=130 grid=50 restarts=2 ascent_iters=5 buckets=3 rows=260"
+            " work_entries=16384"
         ]
         caplog.clear()
         check_product_lemma(3, size_range=(2, 3), d=2)
         assert self.events(caplog) == ["check_product_lemma: trials=3 size_range=2..3 d=2"]
         caplog.clear()
         rep = check_local_lip_lemma(trials=2, d=2, n_samples=500)
-        assert self.events(caplog) == ["check_local_lip_lemma: trials=2 d=2 n_samples=500"]
+        assert self.events(caplog) == [
+            "check_local_lip_lemma: trials=2 d=2 n_samples=500 work_entries=500"
+        ]
         # the event carries no timing into the report, which the benchmark digests
         assert set(rep) == {"trials", "max_relative_error", "all_consistent", "cases"}
+
+
+def traced_peak_mib(fn):
+    """(fn(), the peak of memory traced while it ran, in MiB). A collection
+    first empties the free lists, which otherwise move small peaks."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak / 2**20
+
+
+class TestLemmaMemory:
+    """The lemma checks hold working memory that does not grow with the
+    whole table: the ratio ascent one restart group of a bucket at a time
+    (all 3 x 4000 x 4000 starts drawn first held 258 MiB), the
+    local-Lipschitz sampler no (N, d) temporaries (8.8 MiB before)."""
+
+    def test_ratio_ascent_peak(self):
+        ascent, peak = traced_peak_mib(lambda: _ratio_ascent(4000, 3, 0, 1))
+        assert peak <= 16.0
+        assert hashlib.sha256(ascent.tobytes()).hexdigest() == (
+            "76b6e87d4f4725653105b28d6c2d1501175f38a89d9977c17c2dd0481e8fe869"
+        )
+
+    def test_local_lip_peak(self):
+        _, peak = traced_peak_mib(lambda: check_local_lip_lemma(trials=1, d=3, n_samples=100_000))
+        assert peak <= 5.0
