@@ -26,7 +26,7 @@ from .errors import DimMismatch, InvalidInput
 # TransformerLayerSpec is re-exported: callers build layers as
 # dynamics.TransformerLayerSpec.
 from .kernels import Layer, TransformerLayerSpec, layer_map
-from .measures import PointCloud, empirical
+from .measures import PointCloud, _l1_norms, empirical
 from .streams import stream
 from .transport import w1
 
@@ -37,9 +37,9 @@ def cloud_distance(a: PointCloud | np.ndarray, b: PointCloud | np.ndarray) -> fl
     """sup over particles of the per-particle l1 distance."""
     pa = a.points if isinstance(a, PointCloud) else np.asarray(a)
     pb = b.points if isinstance(b, PointCloud) else np.asarray(b)
-    if pa.shape != pb.shape:
-        raise DimMismatch(f"cloud shapes {pa.shape} and {pb.shape} differ")
-    return float(np.abs(pa - pb).sum(axis=1).max())
+    if pa.shape != pb.shape or pa.ndim != 2:
+        raise DimMismatch(f"cloud shapes {pa.shape} and {pb.shape} are not one (N, d)")
+    return float(_l1_norms(pa, pb).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,7 +252,7 @@ def sampled_set_lipschitz(
         ga = layer_map(layer, np.stack(a_clouds))
         gb = layer_map(layer, np.stack(b_clouds))
         batches = 2
-        best = float((np.abs(ga - gb).sum(axis=2).max(axis=1) / np.array(dens)).max())
+        best = float((_l1_norms(ga, gb).max(axis=1) / np.array(dens)).max())
     log.debug(
         "sampled_set_lipschitz: n=%d d=%d trials=%d batches=%d estimate=%.6g",
         *pts.shape, trials, batches, best,

@@ -117,6 +117,38 @@ def _ordered_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _l1_norms(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """||a - b||_1 over the last axis of float arrays a and b that
+    broadcast together (b omitted: the origin), bit for bit
+    np.abs(a - b).sum(axis=-1). Every l1 distance in the library is this.
+
+    numpy adds a last axis shorter than 8 in order and a longer one
+    pairwise, so that expression is evaluated as it stands from d = 8 on,
+    at d = 0 and up to 1024 entries of the difference, where its three
+    calls cost less than a loop (4 against 9 us at 4 x 4 x 2). Otherwise
+    the coordinates are accumulated in order into the output through one
+    reused buffer. That forms no difference array and beats numpy's
+    reduce, whose inner loop runs once per short row (seven times slower
+    on a (50 000, 3) array). Operands of one shape skip `np.broadcast`,
+    which costs about 1 us, as much again as the rest of the choice.
+    """
+    bc = a if b is None or a.shape == b.shape else np.broadcast(a, b)
+    d = bc.shape[-1]
+    if d >= 8 or d == 0 or bc.size <= 1024:
+        return np.abs(a if b is None else a - b).sum(axis=-1)
+
+    def term(k, into):
+        if b is None:
+            return np.abs(a[..., k], out=into)
+        return np.abs(np.subtract(a[..., k], b[..., k], out=into), out=into)
+
+    out = term(0, np.empty(bc.shape[:-1]))
+    buf = np.empty_like(out) if d > 1 else None
+    for k in range(1, d):
+        out += term(k, buf)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class EmpiricalMeasure:
     """A finitely supported probability measure sum_i w_i * delta_{x_i}.

@@ -31,7 +31,7 @@ from .errors import (
     PotentialOverflow,
     UnboundedDomainUnsupported,
 )
-from .measures import DomainBox, _ordered_matmul
+from .measures import DomainBox, _l1_norms, _ordered_matmul
 
 MAX_EXP_ARG = 709.0
 
@@ -368,41 +368,32 @@ def _sampled_stats(
     eps_hat = float(g_vals.min())
     sup_hat = float(g_vals.max())
 
-    # local coordinate finite differences refine the seminorm estimates;
-    # steps stay inside the box by flipping direction at the upper face
+    # finite differences along each side of positive width, turned back
+    # at the upper face (h is at most half of every such side, so they
+    # stay in the box), then far-pair ratios in the l1 ground metric
     m = min(n, 4096)
-    h = _FD_STEP * float(span.min() if span.min() > 0 else 1.0)
-    lip_l = 0.0
-    lip_r = 0.0
-    for axis in range(d):
-        step = np.zeros(d)
-        step[axis] = h
-        for base_x, base_y, left in ((xs[:m], ys[:m], True), (xs[:m], ys[:m], False)):
-            moved = (base_x if left else base_y) + step
-            flip = moved[:, axis] > box.upper[axis]
-            moved[flip] = moved[flip] - 2 * step[axis] * np.eye(d)[axis]
-            if left:
-                a2 = potential.similarity_pairs(moved, base_y)
-                num = np.abs(np.exp(a2) - g_vals[:m])
-                lip_l = max(lip_l, float(num.max()) / h)
-            else:
-                a2 = potential.similarity_pairs(base_x, moved)
-                num = np.abs(np.exp(a2) - g_vals[:m])
-                lip_r = max(lip_r, float(num.max()) / h)
-
-    # far-pair ratios (l1 ground metric) can only raise the estimates
     k = min(n - 1, 4096)
-    a_shift = potential.similarity_pairs(xs[1 : k + 1], ys[:k])
-    g_shift = np.exp(a_shift)
-    dx = np.abs(xs[1 : k + 1] - xs[:k]).sum(axis=1)
-    ratio_l = np.abs(g_shift - g_vals[:k]) / np.where(dx > 1e-12, dx, np.inf)
-    lip_l = max(lip_l, float(ratio_l.max()))
-    a_shift = potential.similarity_pairs(xs[:k], ys[1 : k + 1])
-    g_shift = np.exp(a_shift)
-    dy = np.abs(ys[1 : k + 1] - ys[:k]).sum(axis=1)
-    ratio_r = np.abs(g_shift - g_vals[:k]) / np.where(dy > 1e-12, dy, np.inf)
-    lip_r = max(lip_r, float(ratio_r.max()))
+    h = _FD_STEP * float(span.min(where=span > 0, initial=math.inf))
 
+    def seminorm(left: bool) -> float:
+        """Sampled seminorm of G in its left (x) or right (y) argument."""
+        moving, fixed = (xs, ys) if left else (ys, xs)
+
+        def g(p, q):  # G with the moving argument at p, the fixed one at q
+            a = potential.similarity_pairs(p, q) if left else potential.similarity_pairs(q, p)
+            return np.exp(a)
+
+        lip = 0.0
+        for axis in np.flatnonzero(span > 0):
+            moved = moving[:m].copy()
+            moved[:, axis] += h
+            moved[moved[:, axis] > box.upper[axis], axis] -= 2 * h
+            lip = max(lip, float(np.abs(g(moved, fixed[:m]) - g_vals[:m]).max()) / h)
+        dist = _l1_norms(moving[1 : k + 1], moving[:k])
+        far = np.abs(g(moving[1 : k + 1], fixed[:k]) - g_vals[:k])
+        return max(lip, float((far / np.where(dist > 1e-12, dist, np.inf)).max()))
+
+    lip_l, lip_r = seminorm(True), seminorm(False)
     lip_j = max(lip_l, lip_r)
     prov_inf = Provenance("sampled", n, rng_seed, "upper bound of the true inf")
     prov_sup = Provenance("sampled", n, rng_seed, "lower bound of the true sup")
@@ -516,9 +507,16 @@ def query_lipschitz(potential: Potential, q: np.ndarray, box: DomainBox) -> floa
 
     Gaussian: the global constant sqrt(2/e). Dot-product kinds: the
     gradient in y is constant (M^T q), so the seminorm over the box equals
-    ||M^T q||_inf * sup_y G(q, y) with the sup at a corner.
+    ||M^T q||_inf * sup_y G(q, y) with the sup at a corner. q must have
+    shape (dim,), and the box the potential's dimension.
     """
-    q = np.asarray(q, dtype=np.float64).reshape(-1)
+    q = np.asarray(q, dtype=np.float64)
+    if q.shape != (potential.dim,):
+        raise DimMismatch(
+            f"{potential.kind} potential of dim {potential.dim} got q of shape {q.shape}"
+        )
+    if box.dim is not None and box.dim != potential.dim:
+        raise DimMismatch(f"box dim {box.dim} does not match potential dim {potential.dim}")
     if isinstance(potential, Gaussian):
         return GAUSSIAN_LIP
     if isinstance(potential, (DotProduct, ScaledDotProduct)):

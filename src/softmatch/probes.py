@@ -33,7 +33,7 @@ from .kernels import (
     attention_pushforward,
     softmatch_measure,
 )
-from .measures import DomainBox, EmpiricalMeasure, PointCloud, barycenter, empirical
+from .measures import DomainBox, EmpiricalMeasure, PointCloud, _l1_norms, barycenter, empirical
 from .potentials import Potential, regularity_stats
 from .streams import stream
 from .transport import w1, w1_product
@@ -274,7 +274,7 @@ def probe_component(
             mu = empirical(_sample_cloud(rng, n, probe))
             x = _sample_cloud(rng, 1, probe)[0]
             y = _sample_cloud(rng, 1, probe)[0]
-            return float(np.abs(x - y).sum()), {"x": x, "y": y, "mu": mu}
+            return float(_l1_norms(x, y)), {"x": x, "y": y, "mu": mu}
         mu, nu = _sample_pair(rng, probe)
         d_in = w1(mu, nu).value
         if kind == "softmatch_in_measure":
@@ -288,7 +288,7 @@ def probe_component(
         "softmatch_in_measure": lambda x, mu, nu: w1(
             softmatch_measure(potential, x, mu), softmatch_measure(potential, x, nu)
         ).value,
-        "projection": lambda mu, nu: float(np.abs(barycenter(mu) - barycenter(nu)).sum()),
+        "projection": lambda mu, nu: float(_l1_norms(barycenter(mu), barycenter(nu))),
         "lookup": lambda mu, nu: w1(apply_lookup(lookup, mu), apply_lookup(lookup, nu)).value,
     }[kind]
     return _run_trials(probe, bound, draw, push)
@@ -547,32 +547,6 @@ def check_product_lemma(
     }
 
 
-def _l1_rows(a: np.ndarray, b=None) -> np.ndarray:
-    """||a_i - b_i||_1 for every row of an (N, d) array a, with b an (N, d)
-    array, a (d,) point or (omitted) the origin, bit for bit
-    np.abs(a - b).sum(axis=1).
-
-    numpy adds a last axis shorter than 8 in order, as `cost_matrix_l1`
-    relies on too, so below d = 8 the columns are differenced and
-    accumulated in order one at a time, with no (N, d) difference array;
-    numpy's reduce runs its inner loop once per short row, about seven
-    times slower on a (50 000, 3) array. From d = 8 on numpy's own
-    expression is kept.
-    """
-    d = a.shape[1]
-    if not 0 < d < 8:
-        return np.abs(a if b is None else a - b).sum(axis=1)
-
-    def col(k, out):
-        return np.abs(a[:, k] if b is None else np.subtract(a[:, k], b[..., k], out=out), out=out)
-
-    out = col(0, np.empty(a.shape[0]))
-    buf = np.empty_like(out)
-    for k in range(1, d):
-        out += col(k, buf)
-    return out
-
-
 def _lip_estimates(f, rng, d: int, n_samples: int):
     """(restricted, unrestricted) sampled Lipschitz estimates of f.
 
@@ -581,7 +555,8 @@ def _lip_estimates(f, rng, d: int, n_samples: int):
     scales, then far points. The normals become the near points in place,
     and the far points are drawn once the near ratio is taken, so at most
     two (n_samples // 2, d) arrays are alive at a time (below d = 8, where
-    `_l1_rows` forms no difference array).
+    `_l1_norms` forms no difference array). Every distance, in the ratios
+    and in the cone test functions, is `_l1_norms`.
     """
     half = n_samples // 2
     radius = 3.0
@@ -590,13 +565,13 @@ def _lip_estimates(f, rng, d: int, n_samples: int):
     def ratio(a, fa, b):
         num = f(b)
         np.abs(np.subtract(fa, num, out=num), out=num)
-        den = _l1_rows(a, b)
+        den = _l1_norms(a, b)
         ok = den > 1e-12
         return float(np.divide(num, den, out=num, where=ok).max(where=ok, initial=0.0))
 
     # random l1-ball directions for the restricted estimator
     near = rng.standard_normal((half, d))
-    near /= _l1_rows(near)[:, None]
+    near /= _l1_norms(near)[:, None]
     near *= rng.uniform(0.05, 1.0, size=(half, 1))
     np.add(xs, near, out=near)
 
@@ -649,7 +624,7 @@ def check_local_lip_lemma(
             known = s
 
             def f(p, x0=x0, s=s):
-                return s * _l1_rows(p, x0)
+                return s * _l1_norms(p, x0)
 
         elif family == "affine":
             g = rng.uniform(-2.0, 2.0, size=d)

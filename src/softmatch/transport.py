@@ -91,7 +91,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimMismatch, InvalidInput, SupportTooLarge
-from .measures import EmpiricalMeasure, PointCloud
+from .measures import EmpiricalMeasure, PointCloud, _l1_norms
 
 MAX_LP_SUPPORT = 512
 MAX_PRODUCT_SUPPORT = 64
@@ -101,19 +101,9 @@ log = logging.getLogger("softmatch")
 
 
 def cost_matrix_l1(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """c_ij = ||x_i - y_j||_1, bit for bit numpy's sum over the last axis
-    of |x[:, None, :] - y[None, :, :]|.
-
-    numpy adds a last axis shorter than 8 in order, from 0, and a longer
-    one pairwise from eight partial sums. The expression above is
-    evaluated as it stands from d = 8 on, so its schedule is numpy's own,
-    and up to N * M * d = 1024 (every probe-sized pair), where its three
-    calls cost less than a loop over the coordinates (measured: 4 against
-    9 us at 4 x 4 x 2, 17 against 26 us at 16 x 16 x 4, and slower from
-    32 x 32 x 4 on). In between, the terms are accumulated in order
-    one coordinate at a time: coordinate 0 is written into c itself, and
-    each later one goes through one reused (N, M) buffer, so no temporary
-    is allocated per coordinate. d = 0 gives the zero matrix.
+    """c_ij = ||x_i - y_j||_1: `measures._l1_norms` of x[:, None, :]
+    against y[None, :, :], so bit for bit numpy's sum over the last axis
+    of their absolute difference. d = 0 gives the zero matrix.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -122,16 +112,7 @@ def cost_matrix_l1(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise DimMismatch(f"dims {d} and {y.shape[1]} differ")
     # finite coordinates may still overflow; the check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        if d >= 8 or x.shape[0] * y.shape[0] * d <= 1024:
-            c = np.abs(x[:, None, :] - y[None, :, :]).sum(axis=2)
-        else:
-            c = np.subtract(x[:, 0, None], y[:, 0])
-            np.abs(c, out=c)
-            buf = np.empty_like(c) if d > 1 else None
-            for k in range(1, d):
-                np.subtract(x[:, k, None], y[:, k], out=buf)
-                np.abs(buf, out=buf)
-                c += buf
+        c = _l1_norms(x[:, None, :], y[None, :, :])
     # every entry is >= 0 or NaN, and max propagates NaN
     if not c.max(initial=0.0) < math.inf:
         raise InvalidInput("non-finite transport costs")
@@ -191,12 +172,16 @@ def _integer_masses(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> tuple[list, l
     return [x * sa for x in a], [y * sb for y in b], ta * sa
 
 
+def _is_uniform(weights: np.ndarray) -> bool:
+    ws = weights.tolist()
+    return ws.count(ws[0]) == len(ws)
+
+
 def _coprime_masses(weights: np.ndarray) -> list:
     """The coprime nonnegative integers proportional to `weights`: ones
     for uniform weights, else their dyadic integers over their gcd."""
-    ws = weights.tolist()
-    if ws.count(ws[0]) == len(ws):
-        return [1] * len(ws)
+    if _is_uniform(weights):
+        return [1] * len(weights)
     ints, _ = _dyadic_ints(weights)
     g = math.gcd(*ints)
     return [x // g for x in ints]
@@ -276,7 +261,7 @@ class TransportPlan:
         x, y = self.source.support.points, self.target.support.points
         # an overflowing cost is inf or NaN, which fails the check below
         with np.errstate(over="ignore", invalid="ignore"):
-            recomputed = float(np.abs(x[rows] - y[cols]).sum(axis=1) @ mass)
+            recomputed = float(_l1_norms(x[rows], y[cols]) @ mass)
         if not abs(recomputed - self.cost) <= MARGINAL_TOL * (1.0 + abs(self.cost)):
             raise InvalidInput(
                 f"plan cost {recomputed!r} disagrees with stored {self.cost!r}"
@@ -1044,11 +1029,6 @@ def _line_duals(u: list, v: list, shift: int, c: np.ndarray) -> tuple[np.ndarray
 # Public solvers
 # ---------------------------------------------------------------------------
 
-def _is_uniform(mu: EmpiricalMeasure) -> bool:
-    ws = mu.weights.tolist()
-    return ws.count(ws[0]) == len(ws)
-
-
 def _check_pair(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> None:
     if mu.dim != nu.dim:
         raise DimMismatch(f"measure dims {mu.dim} and {nu.dim} differ")
@@ -1074,7 +1054,7 @@ def w1(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> W1Result:
         supply, demand, den = _integer_masses(mu, nu)
         return _result(mu, nu, _line_basis(mu, nu, supply, demand), den)
     c = cost_matrix_l1(mu.support.points, nu.support.points)
-    if mu.n == nu.n and _is_uniform(mu) and _is_uniform(nu):
+    if mu.n == nu.n and _is_uniform(mu.weights) and _is_uniform(nu.weights):
         return _w1_assignment(mu, nu, c)
     supply, demand, den = _integer_masses(mu, nu)
     return _result(mu, nu, _solve_masses(c, supply, demand, _dyadic_shift(c), "flow"), den)

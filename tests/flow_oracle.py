@@ -160,7 +160,7 @@ def w1_oracle_lcm(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     Exact for uniform empirical measures. Limited to lcm(N, M) <= 12.
     """
     _check_pair(mu, nu)
-    if not (_is_uniform(mu) and _is_uniform(nu)):
+    if not (_is_uniform(mu.weights) and _is_uniform(nu.weights)):
         raise InvalidInput("LCM oracle needs uniform weights on both sides")
     n, m = mu.n, nu.n
     lcm = n * m // math.gcd(n, m)

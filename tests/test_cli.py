@@ -236,6 +236,14 @@ class TestBoundCommand:
         assert code == 2
         assert "config error" in err
 
+    def test_cross_attention_query_of_another_dimension_is_usage_error(self, workdir, capsys):
+        code, _, err = run(
+            capsys, "bound", "--theorem", "cross-attention", "--q", "0.1,0.2,0.3",
+            "--config", str(workdir / "cfg.json"), "--box-radius", "1", "--d", "2",
+        )
+        assert code == 2
+        assert "DimMismatch" in err
+
 
 def _bound_configs(d):
     """The three potential kinds of the pinned bound values, at dim d."""

@@ -17,7 +17,7 @@ from softmatch.dynamics import (
     run_particles,
     sampled_set_lipschitz,
 )
-from softmatch.errors import InvalidInput, SupportTooLarge
+from softmatch.errors import DimMismatch, InvalidInput, SupportTooLarge
 from softmatch.kernels import (
     AttentionConfig,
     FfnConfig,
@@ -36,6 +36,19 @@ def contractive_config(d, alpha=0.3, scale=0.05):
     return AttentionConfig(
         DotProduct(scale=scale, dim=d), LinearLookup(alpha * np.eye(d))
     )
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (np.zeros((3, 2)), np.zeros((2, 2))),
+        (np.zeros(3), np.ones(3)),
+        (np.zeros((1, 3, 2)), np.ones((1, 3, 2))),
+    ],
+)
+def test_cloud_distance_needs_two_clouds_of_one_shape(a, b):
+    with pytest.raises(DimMismatch):
+        cloud_distance(a, b)
 
 
 class TestRunParticles:

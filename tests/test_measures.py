@@ -1,4 +1,8 @@
-"""Empirical measures: construction invariants, barycenter, projection, IO."""
+"""Empirical measures: construction invariants, barycenter, projection, IO,
+and the one l1 ground metric."""
+
+import ast
+from pathlib import Path
 
 import kernel_oracle
 import numpy as np
@@ -11,6 +15,7 @@ from softmatch.measures import (
     DomainBox,
     EmpiricalMeasure,
     PointCloud,
+    _l1_norms,
     _ordered_sum,
     barycenter,
     empirical,
@@ -161,6 +166,95 @@ class TestOrderedSum:
         rows = np.full(shape, -0.0)
         kernel_oracle.assert_bitwise(_ordered_sum(rows), kernel_oracle._ordered_sum(rows))
         assert np.all(np.signbit(_ordered_sum(rows)))
+
+
+# (a shape, b shape or None for the origin) of each layout the library
+# measures: a cost matrix, rows against rows, rows against a point, norms,
+# and a batch of clouds
+_L1_LAYOUTS = {
+    "matrix": lambda n, m, d: ((n, 1, d), (1, m, d)),
+    "rows": lambda n, m, d: ((n, d), (n, d)),
+    "point": lambda n, m, d: ((n, d), (d,)),
+    "origin": lambda n, m, d: ((n, d), None),
+    "clouds": lambda n, m, d: ((m, n, d), (m, n, d)),
+}
+
+
+def _l1_operand(rng, shape):
+    """Magnitudes from 1e-8 to 1e8, with signed zeros and +-1.7e308 mixed
+    in, so that some differences and some sums overflow to inf."""
+    x = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+    x[rng.random(shape) < 0.1] = -0.0
+    x[rng.random(shape) < 0.1] = 0.0
+    huge = rng.random(shape) < 0.03
+    x[huge] = rng.choice([-1.7e308, 1.7e308], size=int(huge.sum()))
+    return x
+
+
+class TestL1Norms:
+    """`_l1_norms` is np.abs(a - b).sum(axis=-1) bit for bit, on both of
+    its paths: numpy's expression and the per-coordinate loop taken below
+    d = 8 past 1024 entries of the difference."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(sorted(_L1_LAYOUTS)),
+        st.integers(1, 300),
+        st.integers(1, 40),
+        st.integers(0, 9),
+    )
+    @example(seed=0, layout="matrix", n=4, m=4, d=2)
+    @example(seed=1, layout="matrix", n=32, m=32, d=4)
+    @example(seed=2, layout="rows", n=300, m=1, d=3)
+    @example(seed=3, layout="origin", n=300, m=1, d=1)
+    @example(seed=4, layout="point", n=300, m=1, d=7)
+    @example(seed=5, layout="clouds", n=64, m=8, d=2)
+    @example(seed=6, layout="matrix", n=40, m=40, d=0)
+    def test_is_numpy_expression(self, seed, layout, n, m, d):
+        rng = np.random.default_rng(seed)
+        a_shape, b_shape = _L1_LAYOUTS[layout](n, m, d)
+        a = _l1_operand(rng, a_shape)
+        b = None if b_shape is None else _l1_operand(rng, b_shape)
+        with np.errstate(over="ignore"):
+            got = _l1_norms(a, b)
+            want = np.abs(a - (np.zeros(d) if b is None else b)).sum(axis=-1)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def _l1_expressions(tree):
+    """Every `np.abs(<x> - <y>).sum(...)` in a module, unparsed."""
+    return [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "sum"
+        and isinstance(inner := node.func.value, ast.Call)
+        and ast.unparse(inner.func) == "np.abs"
+        and len(inner.args) == 1
+        and isinstance(inner.args[0], ast.BinOp)
+        and isinstance(inner.args[0].op, ast.Sub)
+    ]
+
+
+def test_l1_distances_come_from_measures():
+    """The l1 ground metric is written once, as `measures._l1_norms`. The
+    one allowed copy is the custom similarity that `equiv` hands to the
+    equivalence sweep as a user-written potential."""
+    allowed = {("equiv.py", "np.abs(x - y).sum(axis=-1)")}
+    assert _l1_expressions(ast.parse("d = np.abs(p - q).sum(axis=1)")) == [
+        "np.abs(p - q).sum(axis=1)"
+    ]
+    src = Path(__file__).resolve().parent.parent / "src" / "softmatch"
+    found = {
+        (path.name, expr)
+        for path in sorted(src.glob("*.py"))
+        if path.name != "measures.py"
+        for expr in _l1_expressions(ast.parse(path.read_text()))
+    }
+    assert found <= allowed, f"l1 distances written outside measures: {found - allowed}"
 
 
 class TestProjectDirac:

@@ -278,6 +278,62 @@ class TestSampledStats:
         assert a.eps_g == b.eps_g
 
 
+    @pytest.mark.parametrize(
+        "lower, upper",
+        [
+            ([0.0, 0.0], [0.0, 1.0]),
+            ([0.0, -1.0, 2.0], [1e-9, 1.0, 2.0]),
+            ([-1.0, -1.0], [1.0, 1.0]),
+        ],
+    )
+    def test_every_sampled_point_lies_in_the_box(self, lower, upper):
+        """The sampled values bound sups and infs over E only if every
+        point the potential is evaluated at lies in E, sides of width 0
+        (where no finite difference fits) included."""
+        box = DomainBox(lower, upper)
+        seen = []
+
+        def fn(x, y):
+            seen.extend((x.copy(), y.copy()))
+            return -np.abs(x - y).sum(axis=-1)
+
+        regularity_stats(CustomPotential(fn=fn, dim=box.dim), box, SamplingConfig(100))
+        assert box.contains(np.concatenate(seen))
+
+    @pytest.mark.parametrize(
+        "lower, upper, n_pairs, seed, want",
+        [
+            (
+                [-1.0, -1.0], [1.0, 1.0], 500, 3,
+                ("0x1.739d850ca9343p-6", "0x1.b44875b3e6a4fp+0", "0x1.2c8abd8e5b58cp+1",
+                 "0x1.0bfd74f27d598p+1", "0x1.2c8abd8e5b58cp+1"),
+            ),
+            (
+                [-1.0, 0.0, 2.0], [0.5, 0.25, 3.0], 2000, 7,
+                ("0x1.51c652e277b76p-4", "0x1.7d94a2b8f3b86p+0", "0x1.04abef62e94a0p+1",
+                 "0x1.0707d53c1c040p+1", "0x1.0707d53c1c040p+1"),
+            ),
+            (
+                [0.0], [1.0], 16, 0,
+                ("0x1.de6520f80883cp-2", "0x1.0dffdb0dee8afp+0", "0x1.302aea180cb80p+0",
+                 "0x1.3c8dad85d95a0p+0", "0x1.3c8dad85d95a0p+0"),
+            ),
+        ],
+    )
+    def test_stats_keep_their_bits(self, lower, upper, n_pairs, seed, want):
+        """Pinned (eps_g, sup_g, lip_left, lip_right, lip_joint) of an
+        asymmetric potential on boxes with no side of width 0."""
+        def fn(x, y):
+            sin_x, cos_y = np.sin(x).sum(axis=-1), np.cos(y).sum(axis=-1)
+            return -np.abs(x - y).sum(axis=-1) + 0.3 * sin_x * cos_y
+
+        box = DomainBox(lower, upper)
+        cfg = SamplingConfig(n_pairs, seed)
+        s = regularity_stats(CustomPotential(fn=fn, dim=box.dim), box, cfg)
+        got = (s.eps_g, s.sup_g, s.lip_left, s.lip_right, s.lip_joint)
+        assert tuple(v.hex() for v in got) == want
+
+
 class TestQueryLipschitz:
     def test_gaussian_constant(self):
         assert query_lipschitz(Gaussian(2), np.zeros(2), DomainBox.cube(1.0, 2)) == GAUSSIAN_LIP
@@ -295,6 +351,16 @@ class TestQueryLipschitz:
 
     def test_zero_scale_is_zero(self):
         assert query_lipschitz(DotProduct(0.0, 2), np.ones(2), DomainBox.cube(1.0, 2)) == 0.0
+
+    @pytest.mark.parametrize("kind", POTENTIAL_KINDS)
+    def test_wrong_dimension_raises(self, kind):
+        p = random_potential(np.random.default_rng(0), 2, kind)
+        box = DomainBox.cube(1.0, 2)
+        for q in (np.zeros(3), np.zeros(1), np.zeros((1, 2)), np.float64(0.0)):
+            with pytest.raises(DimMismatch):
+                query_lipschitz(p, q, box)
+        with pytest.raises(DimMismatch):
+            query_lipschitz(p, np.zeros(2), DomainBox.cube(1.0, 3))
 
 
 def test_eps_on_data_is_data_minimum():

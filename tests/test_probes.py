@@ -26,7 +26,6 @@ from softmatch.measures import DomainBox
 from softmatch.potentials import DotProduct, Gaussian
 from softmatch.probes import (
     ProbeConfig,
-    _l1_rows,
     _ratio_ascent,
     _ratio_reduction,
     check_local_lip_lemma,
@@ -432,15 +431,6 @@ class TestPinnedLemmaBits:
         rep = check_local_lip_lemma(trials=trials, d=d, n_samples=n_samples, seed=seed)
         blob = json.dumps(rep, sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest() == digest
-
-    @pytest.mark.parametrize("d", range(1, 10))
-    def test_l1_rows_is_numpy_row_sum(self, d):
-        rng = np.random.default_rng(d)
-        a = rng.standard_normal((257, d)) * 10.0 ** rng.integers(-8, 9, size=(257, d))
-        assert np.array_equal(_l1_rows(a), np.abs(a).sum(axis=1))
-        b = rng.standard_normal((257, d))
-        assert np.array_equal(_l1_rows(a, b), np.abs(a - b).sum(axis=1))
-        assert np.array_equal(_l1_rows(a, b[0]), np.abs(a - b[0]).sum(axis=1))
 
     def test_checks_raise_no_float_error(self):
         with np.errstate(all="raise"):

@@ -1355,7 +1355,8 @@ class TestSolverHandOff:
         seen = 0
         for _ in range(420):
             mu, nu = _parity_instance(kind, rng)
-            if not (mu.n == nu.n and transport._is_uniform(mu) and transport._is_uniform(nu)):
+            uniform = transport._is_uniform(mu.weights) and transport._is_uniform(nu.weights)
+            if not (mu.n == nu.n and uniform):
                 continue
             seen += 1
             res = w1(mu, nu)
