@@ -60,6 +60,7 @@ from .bounds import (
     bound_unbounded_equal_n,
     bound_unbounded_gaussian,
     ratio_lemma_bound,
+    ratio_lemma_sup,
     tau_lookup,
     tau_pi,
     tau_softmatch_bounded,

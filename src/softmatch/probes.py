@@ -12,9 +12,11 @@ the best instance is kept as the loop goes. Every constant a component
 is compared against comes from `bounds`, through the guards it applies
 there (a compact domain, eps(G) > 0).
 
-Also here: direct numerical checks of the three auxiliary lemmas (the
-ratio cap sqrt(ln n + 1/2e), tensorized subadditivity of W1, and the
-locality of the Lipschitz seminorm).
+Also here: direct numerical checks of the three auxiliary lemmas: the
+ratio cap sqrt(ln n + 1/2e), against which the ratio's proven supremum
+(`bounds.ratio_lemma_sup`) and a gradient ascent that must never beat it
+are compared; tensorized subadditivity of W1; and the locality of the
+Lipschitz seminorm.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bounds import ratio_lemma_bound
+from .bounds import ratio_lemma_bound, ratio_lemma_sup
 from .errors import InvalidInput
 from .kernels import (
     AttentionConfig,
@@ -306,45 +308,6 @@ _RATIO_BUCKET = 64
 _RATIO_STACK = 65536
 
 
-def _ratio_reduction(ns: np.ndarray, grid: int) -> np.ndarray:
-    """max_x g_n(x), g_n(x) = n x e^{-x^2} / (1 + n e^{-x^2}), for every n:
-    a grid argmax, then 90 golden-section steps between its neighbours,
-    vectorised across n (each n keeps its own branch at every step)."""
-    x_hi = np.array([math.sqrt(math.log(max(n, 2)) + 2.0) + 1.0 for n in ns.tolist()])
-    lo = np.empty(len(ns))
-    hi = np.empty(len(ns))
-    for s in range(0, len(ns), _RATIO_BUCKET):
-        rows = slice(s, s + _RATIO_BUCKET)
-        n = ns[rows, None]
-        xs = np.linspace(0.0, x_hi[rows], grid, axis=1)
-        e = np.exp(-xs * xs)
-        j = np.argmax(n * xs * e / (1.0 + n * e), axis=1)
-        k = np.arange(len(j))
-        lo[rows] = xs[k, np.maximum(j - 1, 0)]
-        hi[rows] = xs[k, np.minimum(j + 1, grid - 1)]
-
-    nf = ns.astype(np.float64)
-
-    def g(x):
-        ex = np.exp(-x * x)
-        return nf * x * ex / (1.0 + nf * ex)
-
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = g(c), g(d)
-    for _ in range(90):
-        left = fc >= fd  # keep [a, d], else keep [c, b]
-        a = np.where(left, a, c)
-        b = np.where(left, d, b)
-        x = np.where(left, b - phi * (b - a), a + phi * (b - a))
-        fx = g(x)
-        c, d = np.where(left, x, d), np.where(left, c, x)
-        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
-    return np.maximum(np.maximum(g((a + b) / 2.0), fc), fd)
-
-
 def _ascend(z: np.ndarray, lo: int, tri: np.ndarray, ascent_iters: int) -> np.ndarray:
     """Run the projected gradient ascent on the stacked starts z (restarts,
     rows lo..hi-1, hi columns) in place, and return f at the end point of
@@ -381,33 +344,43 @@ def _ratio_group(lo: int, hi: int) -> int:
     return max(1, _RATIO_STACK // ((hi - lo) * hi))
 
 
-def _ratio_work_entries(n_max: int, restarts: int, grid: int) -> int:
-    """Entries of the largest array check_ratio_lemma holds: a bucket's
-    reduction grid, a stacked restart group or a block of uniform draws."""
-    work = min(_RATIO_BUCKET, n_max) * grid
+def _ratio_work_entries(n_max: int, restarts: int) -> int:
+    """Entries of the largest array check_ratio_lemma holds: a stacked
+    restart group of a bucket."""
+    work = 0
     for lo in range(0, n_max, _RATIO_BUCKET):
         hi = min(lo + _RATIO_BUCKET, n_max)
-        group = min(_ratio_group(lo, hi), restarts)
-        work = max(work, group * (hi - lo) * hi, (hi - lo) * n_max)
+        work = max(work, min(_ratio_group(lo, hi), restarts) * (hi - lo) * hi)
     return work
 
 
-def _stream_at(seed: int, offset: int) -> np.random.Generator:
-    """stream(seed, 0) after its first offset doubles. Philox is counter
-    based, four doubles per counter step, and advance empties its buffer,
-    so the draws from here are those of one long draw from offset on."""
-    rng = stream(seed, 0)
-    rng.bit_generator.advance(offset // 4)
-    rng.random(offset % 4)
-    return rng
+def _skip(rng: np.random.Generator, pos: int, to: int) -> None:
+    """Move rng from pos doubles into its stream to position to >= pos.
+    Philox is counter based, four doubles per counter step, and advance
+    empties its buffer, so the draws from there are those of one long
+    draw; a skip of fewer than four doubles may end in the buffered step
+    and is drawn instead."""
+    if to - pos < 4:
+        rng.random(to - pos)
+    else:
+        rng.bit_generator.advance(to // 4 - -(-pos // 4))
+        rng.random(to % 4)
 
 
 def _draw_starts(seed: int, n_max: int, r: int, lo: int, tri: np.ndarray, out: np.ndarray):
-    """Restart r's starts for rows lo..hi-1 into out (hi - lo, hi)."""
+    """Restart r's starts for rows lo..hi-1 into out (hi - lo, hi): row k
+    holds the first hi doubles at offset (r * n_max + lo + k) * n_max of
+    stream(seed, 0), times 2.5 (uniform(0, 2.5) has these bits), and the
+    n_max - hi doubles after them are skipped, never drawn."""
     rows, hi = out.shape
-    block = _stream_at(seed, (r * n_max + lo) * n_max).uniform(0.0, 2.5, size=(rows, n_max))
-    out[:, :lo] = block[:, :lo]
-    np.multiply(block[:, lo:hi], tri, out=out[:, lo:])
+    rng, pos = stream(seed, 0), 0
+    for k in range(rows):
+        row = (r * n_max + lo + k) * n_max
+        _skip(rng, pos, row)
+        rng.random(out=out[k])
+        pos = row + hi
+    out *= 2.5
+    out[:, lo:] *= tri
 
 
 def _ratio_ascent(n_max: int, restarts: int, seed: int, ascent_iters: int) -> np.ndarray:
@@ -418,16 +391,17 @@ def _ratio_ascent(n_max: int, restarts: int, seed: int, ascent_iters: int) -> np
     uniform draw of stream(seed, 0) in row order, restart after restart,
     with the entries past column n - 1 masked to 0. Buckets of rows
     lo..hi-1 run on the (hi - lo, hi) slice, so the masked upper triangle
-    beyond column hi - 1 is never computed; only the last hi - lo columns
-    hold masked entries, so the mask is a (hi - lo, hi - lo) triangle.
-    Masked entries have e = 0, hence zero gradient, and stay at z = 0.
+    beyond column hi - 1 is never drawn or computed; only the last hi - lo
+    columns hold masked entries, so the mask is a (hi - lo, hi - lo)
+    triangle. Masked entries have e = 0, hence zero gradient, and stay at
+    z = 0.
 
     Each bucket stacks its restarts into (group, hi - lo, hi) arrays of at
     most _RATIO_STACK entries (one restart if a single one is larger) and
     runs one iteration loop per group. A group's starts are drawn just
-    before it runs, each (restart, bucket) block at its own offset in the
-    stream (`_stream_at`), so only one group and its three work arrays
-    are alive at a time: O(restarts * 64 * n_max) entries at most. Rows
+    before it runs, each row at its own offset in the stream
+    (`_draw_starts`), so only one group and its three work arrays are
+    alive at a time: O(restarts * 64 * n_max) entries at most. Rows
     never interact and each still sums over the same hi columns, so every
     value is the one a loop over restarts would give, bit for bit; each
     row's maximum over restarts is exact in any order.
@@ -459,38 +433,37 @@ def _ratio_ascent(n_max: int, restarts: int, seed: int, ascent_iters: int) -> np
 
 
 def check_ratio_lemma(
-    n_max: int, grid: int = 600, restarts: int = 3, seed: int = 0,
-    ascent_iters: int = 250,
+    n_max: int, *, restarts: int = 3, seed: int = 0, ascent_iters: int = 250
 ) -> dict:
-    """Maximize the softmax-moment ratio two ways and compare to the bound.
+    """Compare the softmax-moment ratio's proven supremum and an
+    independent search for it to the paper's cap, for each n <= n_max.
 
-    For each n: a 1-d grid plus golden-section refinement of the
-    equal-coordinates reduction g(x) = n x e^{-x^2} / (1 + n e^{-x^2}),
-    and an independent multi-start projected gradient ascent on the full
-    n-dimensional function. Both maxima must stay at or below
-    sqrt(ln n + 1/2e), and the ascent must never beat the reduction.
-    The grid needs two points to bracket a maximum, and the ascent at
-    least one restart and one step.
+    The "reduction" is m_n = `ratio_lemma_sup(n)`, the supremum of
+    f(z) = sum z_i e^{-z_i^2} / (1 + sum e^{-z_i^2}) over R^n, attained
+    with all coordinates equal and rounded upward. The ascent is a
+    multi-start projected gradient ascent on the full n-dimensional f,
+    which knows nothing of the proof. Both must stay at or below
+    sqrt(ln n + 1/2e), and the ascent can beat m_n only by rounding
+    (1e-12), so a larger excess is a bug in one of the two. The ascent
+    needs at least one restart and one step.
     """
-    n_max, grid, restarts, ascent_iters = map(int, (n_max, grid, restarts, ascent_iters))
+    n_max, restarts, ascent_iters = map(int, (n_max, restarts, ascent_iters))
     if n_max < 1:
         raise InvalidInput("n_max must be >= 1")
-    if grid < 2:
-        raise InvalidInput("grid must be >= 2")
     if restarts < 1:
         raise InvalidInput("restarts must be >= 1")
     if ascent_iters < 1:
         raise InvalidInput("ascent_iters must be >= 1")
 
     ns = np.arange(1, n_max + 1)
-    reduction = _ratio_reduction(ns, grid)
+    reduction = ratio_lemma_sup(ns)
     ascent = _ratio_ascent(n_max, restarts, seed, ascent_iters)
     bound = np.array([ratio_lemma_bound(int(n)) for n in ns])
     log.debug(
-        "check_ratio_lemma: n_max=%d grid=%d restarts=%d ascent_iters=%d buckets=%d rows=%d"
+        "check_ratio_lemma: n_max=%d restarts=%d ascent_iters=%d buckets=%d rows=%d"
         " work_entries=%d",
-        n_max, grid, restarts, ascent_iters, -(-n_max // _RATIO_BUCKET), restarts * n_max,
-        _ratio_work_entries(n_max, restarts, grid),
+        n_max, restarts, ascent_iters, -(-n_max // _RATIO_BUCKET), restarts * n_max,
+        _ratio_work_entries(n_max, restarts),
     )
     return {
         "n_max": n_max,
@@ -500,7 +473,7 @@ def check_ratio_lemma(
         "all_within_bound": bool(
             np.all(reduction <= bound + 1e-9) and np.all(ascent <= bound + 1e-9)
         ),
-        "ascent_consistent": bool(np.all(ascent <= reduction + 1e-6)),
+        "ascent_consistent": bool(np.all(ascent <= reduction + 1e-12)),
         "worst_n_reduction": int(ns[int(np.argmax(reduction - bound))]),
     }
 

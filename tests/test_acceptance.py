@@ -256,12 +256,12 @@ def test_criterion_07_ratio_lemma():
     ok = (
         rep["max_violation_reduction"] <= 1e-9
         and rep["max_violation_ascent"] <= 1e-9
-        and rep["max_ascent_excess"] <= 1e-6
+        and rep["max_ascent_excess"] <= 1e-12
     )
     verdict(
         7, "ratio lemma", ok,
         f"n <= 1000, bound excess {rep['max_violation_reduction']:.2e} (tol 1e-9), "
-        f"ascent excess {rep['max_ascent_excess']:.2e} (tol 1e-6)",
+        f"ascent excess over the supremum {rep['max_ascent_excess']:.2e} (tol 1e-12)",
     )
 
 

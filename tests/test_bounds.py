@@ -7,7 +7,10 @@ import math
 
 import numpy as np
 import pytest
+from ratio_mp import PREC, mp_sup
+from ratio_oracle import ratio_vectors
 
+from softmatch import bounds
 from softmatch.bounds import (
     BoundReport,
     Ingredient,
@@ -19,6 +22,7 @@ from softmatch.bounds import (
     bound_unbounded_gaussian,
     loose_gradient_constant,
     ratio_lemma_bound,
+    ratio_lemma_sup,
     reevaluate,
     tau_lookup,
     tau_pi,
@@ -298,6 +302,62 @@ class TestRatioLemmaBound:
     def test_monotone(self):
         vals = [ratio_lemma_bound(n) for n in range(1, 50)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
+
+
+class TestRatioLemmaSup:
+    """m_n = x - 1/(2x), x^2 = W(n / (2 sqrt e)) + 1/2, rounded upward: at
+    least the 200-bit value, within 1e-12 of it relative, below the cap."""
+
+    NS = np.unique(
+        np.concatenate([np.arange(1, 2001), np.round(np.logspace(0, 6, 61)).astype(np.int64)])
+    )
+
+    def test_brackets_the_mpmath_value_below_the_cap(self):
+        mpmath = pytest.importorskip("mpmath")
+        sup = ratio_lemma_sup(self.NS)
+        assert sup.shape == self.NS.shape
+        with mpmath.workprec(PREC):
+            for n, s in zip(self.NS.tolist(), sup.tolist()):
+                m = mp_sup(n)
+                cap = mpmath.sqrt(mpmath.log(n) + 1 / (2 * mpmath.e))
+                assert m <= s <= m * (1 + mpmath.mpf(1e-12)), n
+                assert s <= cap, n
+
+    def test_rounding_constant_is_above_its_value(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workprec(PREC):
+            assert bounds._HALF_RSQRT_E_UP >= 1 / (2 * mpmath.sqrt(mpmath.e))
+
+    def test_golden_section_never_exceeds_it(self):
+        # the per-n golden-section maxima of the old reduction
+        ns, reduction, _ = ratio_vectors(1000, 600, 1, 0, 1)
+        assert np.all(reduction <= ratio_lemma_sup(ns))
+
+    def test_ratio_to_the_cap(self):
+        # the cap is loose by 16-55% on these sizes
+        table = {1: 0.65, 2: 0.45, 16: 0.57, 256: 0.69, 1024: 0.73, 10**6: 0.84}
+        for n, ratio in table.items():
+            assert round(ratio_lemma_sup(n) / ratio_lemma_bound(n), 2) == ratio, n
+
+    def test_scalar_and_array(self):
+        assert isinstance(ratio_lemma_sup(5), float)
+        assert ratio_lemma_sup(5) == ratio_lemma_sup([5])[0]
+        grid = ratio_lemma_sup([[1, 2], [3, 4]])
+        assert grid.shape == (2, 2)
+        assert np.array_equal(grid.ravel(), ratio_lemma_sup(np.arange(1, 5)))
+        assert np.all(np.diff(ratio_lemma_sup(np.arange(1, 300))) > 0)
+
+    @pytest.mark.parametrize("n", [0, -3, 2**53 + 1, 2**70, [1, 0]])
+    def test_rejects_n_outside_1_to_2_53(self, n):
+        with pytest.raises(InvalidInput):
+            ratio_lemma_sup(n)
+
+    def test_largest_n(self):
+        mpmath = pytest.importorskip("mpmath")
+        s = ratio_lemma_sup(2**53)
+        with mpmath.workprec(PREC):
+            m = mp_sup(2**53)
+            assert m <= s <= m * (1 + mpmath.mpf(1e-12))
 
 
 class TestReportStructure:

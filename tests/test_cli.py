@@ -1,8 +1,10 @@
 """CLI contract: subcommands, exit codes, report envelopes, replay fields."""
 
+import contextlib
 import dataclasses
 import functools
 import hashlib
+import io
 import json
 import math
 import os
@@ -12,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import softmatch
 from softmatch import bounds, probes
@@ -505,11 +509,10 @@ class TestLemmasCommand:
         "flag, check, kw",
         [
             ("--ratio", "check_ratio_lemma", {"restarts": 0}),
-            ("--ratio", "check_ratio_lemma", {"grid": 1}),
             ("--product", "check_product_lemma", {"size_range": (3, 2)}),
             ("--local-lip", "check_local_lip_lemma", {"n_samples": 1}),
         ],
-        ids=["ratio-restarts0", "ratio-grid1", "product-range", "local_lip-samples1"],
+        ids=["ratio-restarts0", "product-range", "local_lip-samples1"],
     )
     def test_rejected_arguments_exit_2(self, workdir, capsys, monkeypatch, flag, check, kw):
         # the flags do not reach these arguments; a library caller's
@@ -519,6 +522,34 @@ class TestLemmasCommand:
         assert code == 2
         assert env is None
         assert err.startswith("input error: InvalidInput: ")
+
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        flag=st.sampled_from(("--ratio", "--product")),
+        nmax=st.one_of(st.integers(1, 300), st.integers(-(2**40), 0)),
+        trials=st.one_of(st.integers(1, 20), st.integers(-(2**40), 0)),
+        seed=st.one_of(st.integers(0, 2**128), st.integers(-(2**40), -1)),
+    )
+    @example(flag="--ratio", nmax=300, trials=0, seed=2**128)
+    @example(flag="--product", nmax=0, trials=20, seed=2**128)
+    @example(flag="--ratio", nmax=0, trials=20, seed=0)
+    @example(flag="--product", nmax=300, trials=-1, seed=0)
+    def test_any_count_or_seed_gives_an_exit_code_and_one_line(self, flag, nmax, trials, seed):
+        # 0, negative and large but cheap values: --nmax stays at or below
+        # 300 and --trials at or below 20, so that each run takes well under
+        # a second (the ascent holds four arrays of 64 x nmax doubles)
+        out, err = io.StringIO(), io.StringIO()
+        argv = ["lemmas", flag, "--nmax", str(nmax), "--trials", str(trials), "--seed", str(seed)]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+        if code == 2:
+            assert out.getvalue() == ""
+            return
+        env = json.loads(out.getvalue(), parse_constant=lambda c: pytest.fail(f"{c} in report"))
+        assert set(env["report"]) == {"ratio_lemma" if flag == "--ratio" else "product_lemma"}
 
 
 class TestExitCodes:

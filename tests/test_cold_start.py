@@ -1,4 +1,4 @@
-"""Cold start: scipy stays off softmatch's import path.
+"""Cold start: scipy and mpmath stay off softmatch's import path.
 
 Each case runs a fresh `python -I` child, which sees no PYTHONPATH and no
 user site, and lists the scipy modules it has loaded once it is done. The
@@ -9,10 +9,13 @@ alone, not the `scipy.optimize` package (one module instead of about 320;
 a cold `softmatch w1` on two 12-point clouds takes about 0.3 s and 33 MB
 instead of 0.9 s and 78 MB on a 2-vCPU host). The numerically maximized
 gradient constant (`bound --tight-c`) and a custom potential's sampled
-statistics import `scipy.optimize` itself.
+statistics import `scipy.optimize` itself. The ratio-lemma check needs
+neither: its supremum is a closed form in float arithmetic (`import
+mpmath` alone adds about 3.7 MB of resident memory).
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -28,7 +31,7 @@ KERNEL = "scipy.optimize._lsap"
 
 # imports softmatch.cli (and with it softmatch), runs `softmatch <argv>`
 # in-process if argv is given, and prints the exit code, the report and
-# the scipy modules then loaded as one JSON line
+# the scipy and mpmath modules then loaded as one JSON line
 CHILD = """
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
@@ -41,6 +44,7 @@ print(json.dumps({
     "code": code,
     "report": json.loads(out.getvalue())["report"] if out.getvalue() else None,
     "scipy": sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
+    "mpmath": sorted(m for m in sys.modules if m == "mpmath" or m.startswith("mpmath.")),
 }))
 """
 
@@ -90,6 +94,14 @@ def test_subcommands_load_no_scipy(clouds, argv):
     assert not child["scipy"], f"softmatch {' '.join(argv)} loaded {child['scipy']}"
 
 
+def test_ratio_lemma_loads_no_mpmath_and_no_scipy(tmp_path):
+    child = cold(tmp_path, "lemmas", "--ratio", "--nmax", "50")
+    assert child["code"] == 0
+    assert child["report"]["ratio_lemma"]["ascent_consistent"]
+    assert not child["mpmath"], f"the ratio check loaded {child['mpmath']}"
+    assert not child["scipy"], f"the ratio check loaded {child['scipy']}"
+
+
 def test_uniform_assignment_imports_scipy_on_first_use(clouds):
     child = cold(clouds, "w1", "a12.csv", "b12.csv")
     assert child["code"] == 0
@@ -115,3 +127,21 @@ def test_uniform_pairs_load_only_the_kernel(clouds, argv):
     child = cold(clouds, *argv)
     assert child["code"] == 0
     assert child["scipy"] == [KERNEL]
+
+
+def test_report_header_names_the_package_and_flags_another(tmp_path, monkeypatch):
+    # the session header shows which softmatch a run tests, and warns when
+    # PYTHONPATH points at another checkout's, which the tests then ignore
+    from conftest import pytest_report_header
+
+    other = tmp_path / "src"
+    (other / "softmatch").mkdir(parents=True)
+    (other / "softmatch" / "__init__.py").write_text("")
+    here = Path(softmatch.__file__).resolve().parent
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join((SRC, str(other))))
+    header = pytest_report_header(None)
+    assert header[0] == f"softmatch: {here}"
+    assert len(header) == 2
+    assert header[1].startswith(f"WARNING: PYTHONPATH entry {other} holds another softmatch")
+    monkeypatch.setenv("PYTHONPATH", SRC)
+    assert pytest_report_header(None) == [f"softmatch: {here}"]

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from ratio_mp import sup_floats
 from ratio_oracle import oracle_report, ratio_vectors
 
 from softmatch import probes
@@ -18,6 +19,7 @@ from softmatch.bounds import (
     bound_bounded_contraction,
     bound_unbounded_gaussian,
     ratio_lemma_bound,
+    ratio_lemma_sup,
     tau_pi,
 )
 from softmatch.errors import DegeneratePotential, InvalidInput
@@ -27,7 +29,6 @@ from softmatch.potentials import DotProduct, Gaussian
 from softmatch.probes import (
     ProbeConfig,
     _ratio_ascent,
-    _ratio_reduction,
     check_local_lip_lemma,
     check_product_lemma,
     check_ratio_lemma,
@@ -35,6 +36,7 @@ from softmatch.probes import (
     probe_contraction,
     violation_threshold,
 )
+from softmatch.streams import stream
 
 
 def box_probe(seed, trials, d, n_range=(2, 6), radius=1.0, **kw):
@@ -345,7 +347,7 @@ class TestRatioLemmaParity:
             assert rep[key] == ref[key], key
         for key in ("max_violation_reduction", "max_violation_ascent", "max_ascent_excess"):
             assert abs(rep[key] - ref[key]) <= 1e-12, key
-        assert np.max(np.abs(_ratio_reduction(ns, 600) - reduction)) <= 1e-14
+        assert np.max(np.abs(ratio_lemma_sup(ns) - reduction)) <= 1e-14
         assert np.max(np.abs(_ratio_ascent(n_max, restarts, seed, ascent_iters) - ascent)) <= 1e-14
 
     def test_small_tables_are_bitwise(self):
@@ -353,6 +355,56 @@ class TestRatioLemmaParity:
         # ones, so the ascent repeats the oracle bit for bit
         ns, _, ascent = ratio_vectors(100, 600, 2, 3, 30)
         assert np.array_equal(_ratio_ascent(100, 2, 3, 30), ascent)
+
+
+class TestRatioLemmaSupremum:
+    """The ascent is an adversary of the proven supremum m_n that knows
+    nothing of the proof: it may come within rounding of m_n, never above.
+    Criterion 07's config and the benchmark's four ratio configs at two
+    seeds each."""
+
+    @pytest.mark.parametrize(
+        "n_max, restarts, ascent_iters, seed",
+        [
+            (1000, 3, 250, 707),
+            (1000, 1, 50, 0),
+            (1000, 1, 50, 1),
+            (400, 2, 100, 0),
+            (400, 2, 100, 1),
+            (100, 3, 250, 0),
+            (100, 3, 250, 1),
+            (30, 3, 250, 0),
+            (30, 3, 250, 1),
+        ],
+    )
+    def test_ascent_never_beats_m_n(self, n_max, restarts, ascent_iters, seed):
+        ascent = _ratio_ascent(n_max, restarts, seed, ascent_iters)
+        assert np.max(ascent - sup_floats(1000)[:n_max]) <= 1e-12
+
+    def test_report_compares_against_the_supremum(self):
+        rep = check_ratio_lemma(130, restarts=2, ascent_iters=40, seed=1)
+        sup = ratio_lemma_sup(np.arange(1, 131))
+        cap = np.array([ratio_lemma_bound(n) for n in range(1, 131)])
+        assert rep["max_violation_reduction"] == float((sup - cap).max())
+        assert rep["worst_n_reduction"] == 1
+        assert rep["max_ascent_excess"] <= 1e-12
+        assert rep["ascent_consistent"]
+
+    def test_grid_is_gone_and_options_are_keywords(self):
+        with pytest.raises(TypeError):
+            check_ratio_lemma(10, grid=600)
+        with pytest.raises(TypeError):
+            check_ratio_lemma(10, 3)
+
+    def test_skip_matches_one_long_draw(self):
+        # every start position and skip length across four Philox blocks
+        long = stream(3, 0).random(64)
+        for pos in range(12):
+            for to in range(pos, 40):
+                rng = stream(3, 0)
+                rng.random(pos)
+                probes._skip(rng, pos, to)
+                assert np.array_equal(rng.random(8), long[to:to + 8]), (pos, to)
 
 
 class TestProductLemma:
@@ -451,8 +503,6 @@ class TestLemmaArguments:
             (check_local_lip_lemma, {"d": 0}),
             (check_local_lip_lemma, {"n_samples": 1}),
             (check_ratio_lemma, {"n_max": 10, "restarts": 0}),
-            (check_ratio_lemma, {"n_max": 10, "grid": 0}),
-            (check_ratio_lemma, {"n_max": 10, "grid": 1}),
             (check_ratio_lemma, {"n_max": 10, "ascent_iters": 0}),
             (check_product_lemma, {"trials": 5, "size_range": (3, 2)}),
             (check_product_lemma, {"trials": 5, "size_range": (0, 2)}),
@@ -460,7 +510,7 @@ class TestLemmaArguments:
         ],
         ids=[
             "local_lip-trials0", "local_lip-trials-3", "local_lip-d0", "local_lip-samples1",
-            "ratio-restarts0", "ratio-grid0", "ratio-grid1", "ratio-iters0",
+            "ratio-restarts0", "ratio-iters0",
             "product-range-reversed", "product-range-zero", "product-d0",
         ],
     )
@@ -471,8 +521,7 @@ class TestLemmaArguments:
     @pytest.mark.parametrize(
         "check, args",
         [
-            (check_ratio_lemma, {"n_max": (-2, 70), "grid": (-2, 12), "restarts": (-2, 3),
-                                 "ascent_iters": (-2, 8)}),
+            (check_ratio_lemma, {"n_max": (-2, 70), "restarts": (-2, 3), "ascent_iters": (-2, 8)}),
             (check_product_lemma, {"trials": (-2, 4), "lo": (-1, 8), "hi": (-1, 8), "d": (-2, 4)}),
             (check_local_lip_lemma, {"trials": (-2, 4), "d": (-2, 4), "n_samples": (-3, 300)}),
         ],
@@ -499,9 +548,9 @@ class TestLemmaEvents:
 
     def test_one_debug_event_per_check(self, caplog):
         caplog.set_level(logging.DEBUG, logger="softmatch")
-        check_ratio_lemma(130, grid=50, restarts=2, ascent_iters=5)
+        check_ratio_lemma(130, restarts=2, ascent_iters=5)
         assert self.events(caplog) == [
-            "check_ratio_lemma: n_max=130 grid=50 restarts=2 ascent_iters=5 buckets=3 rows=260"
+            "check_ratio_lemma: n_max=130 restarts=2 ascent_iters=5 buckets=3 rows=260"
             " work_entries=16384"
         ]
         caplog.clear()
