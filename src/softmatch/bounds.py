@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,16 +32,6 @@ from .potentials import (
     query_lipschitz,
     regularity_stats,
 )
-
-THEOREMS = (
-    "BoundedContraction",
-    "BoundedPointwiseCorollary",
-    "UnboundedGaussian",
-    "UnboundedEqualN",
-    "CrossAttention",
-    "ComponentTaus",
-)
-
 
 @dataclass(frozen=True)
 class Ingredient:
@@ -69,7 +60,7 @@ class BoundReport:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.theorem not in THEOREMS:
+        if self.theorem not in _TABLE:
             raise InvalidInput(f"unknown theorem tag {self.theorem!r}")
         if not (self.value >= 0):
             raise InvalidInput("bound value must be nonnegative")
@@ -134,7 +125,7 @@ def _compact_report(
     stats = stats or regularity_stats(cfg.potential, box)
     _require_compact(box, stats, theorem)
     prov = stats.provenance
-    composite = theorem in ("BoundedContraction", "ComponentTaus")
+    composite = _TABLE[theorem].formula is _composite
     ingredients = {"tau_pi": Ingredient(tau_pi(cfg.dim), _ANALYTIC)}
     if composite:
         ingredients["tau_softmatch"] = Ingredient(
@@ -307,8 +298,7 @@ def bound_unbounded_gaussian(
     sees only the lookup, so the caller answers for the potential; the CLI
     refuses any other potential for this theorem.
     """
-    d = int(d)
-    n, m = int(n), int(m)
+    d, n, m = int(d), int(n), int(m)
     if d < 1 or n < 1 or m < 1:
         raise InvalidInput("need d, N, M >= 1")
     gauss_prov = Provenance(
@@ -349,26 +339,78 @@ def bound_unbounded_equal_n(lookup: Lookup, d: int, n: int) -> BoundReport:
     return dataclasses.replace(report, theorem="UnboundedEqualN")
 
 
+@dataclass(frozen=True)
+class _Theorem:
+    """A theorem: its `softmatch bound` name, report builder, formula on the
+    ingredient values and the builder's arguments by name (the compact
+    family takes a box), and the `probes` function testing it (named, as
+    probes imports bounds) with the `softmatch probe` names that run it,
+    each with its component kind (None: the whole map)."""
+
+    name: str
+    build: Callable[..., BoundReport]
+    formula: Callable[[dict], float]
+    family: tuple
+    probe: str | None = None
+    probe_names: tuple = ()
+
+    def report(self, **inputs) -> BoundReport:
+        """The report on the inputs the family names; others are ignored."""
+        return self.build(*(inputs[k] for k in self.family))
+
+
+def _composite(v: dict) -> float:
+    return v["tau_pi"] * v["tau_softmatch"] * v["tau_lookup"]
+
+
+def _unbounded(v: dict) -> float:
+    bracket = v["sup_g"] + v["gradient_constant_loose"]
+    bracket += math.sqrt(v["tau_pi"]) * v["support_term"] * v["lip_g"]
+    return 2.0 * v["tau_pi"] * v["tau_lookup"] * bracket
+
+
+# every theorem by the tag its reports carry: THEOREMS, every report's value
+# and the --theorem choices and dispatch of `softmatch bound` and `probe`
+_TABLE = {
+    "BoundedContraction": _Theorem(
+        "bounded", bound_bounded_contraction, _composite, ("cfg", "box"),
+        "probe_contraction", (("bounded", None),),
+    ),
+    "BoundedPointwiseCorollary": _Theorem(
+        "pointwise", bound_pointwise_query,
+        lambda v: v["tau_pi"] ** 1.5 * v["tau_lookup"] * 2.0 * v["lip_left"]
+        * v["diam_l1"] / v["eps_g"],
+        ("cfg", "box"),
+    ),
+    "UnboundedGaussian": _Theorem(
+        "unbounded-gaussian", bound_unbounded_gaussian, _unbounded,
+        ("lookup", "d", "n", "m", "include_tight_c"),
+        "probe_contraction", (("unbounded-gaussian", None),),
+    ),
+    "UnboundedEqualN": _Theorem(
+        "unbounded-equal-n", bound_unbounded_equal_n, _unbounded, ("lookup", "d", "n")
+    ),
+    "CrossAttention": _Theorem(
+        "cross-attention", bound_cross_attention,
+        lambda v: v["tau_pi"] * v["tau_lookup"] * 2.0 * v["lip_q"]
+        * v["diam_l1"] / v["eps_g"],
+        ("cfg", "box", "q"),
+    ),
+    "ComponentTaus": _Theorem(
+        "component-taus", bound_component_taus, _composite, ("cfg", "box"),
+        "probe_component", (
+            ("component-projection", "projection"), ("component-lookup", "lookup"),
+            ("component-softmatch-x", "softmatch_in_x"),
+            ("component-softmatch-measure", "softmatch_in_measure"),
+        ),
+    ),
+}
+THEOREMS = tuple(_TABLE)
+
+
 def _value(theorem: str, ingredients: dict) -> float:
-    """The one formula of each theorem, on its ingredient values: the
-    builders evaluate it on theirs and `reevaluate` on a report's."""
-    ing = {k: v.value for k, v in ingredients.items()}
-    if theorem in ("BoundedContraction", "ComponentTaus"):
-        return ing["tau_pi"] * ing["tau_softmatch"] * ing["tau_lookup"]
-    if theorem == "BoundedPointwiseCorollary":
-        factor = ing["tau_pi"] ** 1.5 * ing["tau_lookup"] * 2.0 * ing["lip_left"]
-        return factor * ing["diam_l1"] / ing["eps_g"]
-    if theorem == "CrossAttention":
-        factor = ing["tau_pi"] * ing["tau_lookup"] * 2.0 * ing["lip_q"]
-        return factor * ing["diam_l1"] / ing["eps_g"]
-    if theorem in ("UnboundedGaussian", "UnboundedEqualN"):
-        bracket = (
-            ing["sup_g"]
-            + ing["gradient_constant_loose"]
-            + math.sqrt(ing["tau_pi"]) * ing["support_term"] * ing["lip_g"]
-        )
-        return 2.0 * ing["tau_pi"] * ing["tau_lookup"] * bracket
-    raise InvalidInput(f"no re-evaluation rule for {theorem!r}")
+    """The theorem's formula on the ingredient values, for builders and `reevaluate`."""
+    return _TABLE[theorem].formula({k: v.value for k, v in ingredients.items()})
 
 
 def reevaluate(report: BoundReport) -> float:

@@ -33,7 +33,7 @@ from .kernels import (
 )
 from .measures import DomainBox, PointCloud, load_cloud_any, load_measure_any
 from .potentials import DotProduct, Gaussian, ScaledDotProduct
-from .probes import ProbeConfig, probe_component, probe_contraction
+from .probes import ProbeConfig
 from .streams import check_seed
 from .transport import w1
 
@@ -73,15 +73,12 @@ def _matrix(obj, where: str) -> np.ndarray:
 def build_potential(spec: dict, default_dim: int | None = None):
     _check_keys(spec, {"kind", "scale", "dim", "W_Q", "W_K"}, {"kind"}, "potential")
     kind = spec["kind"]
-    if kind == "gaussian":
+    if kind in ("gaussian", "dot_product"):
         dim = spec.get("dim", default_dim)
         if dim is None:
-            raise ConfigError("gaussian potential needs 'dim' (or a box/-d flag)")
-        return Gaussian(int(dim))
-    if kind == "dot_product":
-        dim = spec.get("dim", default_dim)
-        if dim is None:
-            raise ConfigError("dot_product potential needs 'dim' (or a box/-d flag)")
+            raise ConfigError(f"{kind} potential needs 'dim' (or a box/-d flag)")
+        if kind == "gaussian":
+            return Gaussian(int(dim))
         return DotProduct(scale=float(spec.get("scale", 1.0)), dim=int(dim))
     if kind == "scaled_dot_product":
         if "W_Q" not in spec or "W_K" not in spec:
@@ -130,15 +127,11 @@ def build_multi_head(config: dict, default_dim: int | None = None) -> MultiHeadC
 
 def build_layer(config: dict, default_dim: int | None = None):
     """Single attention config, or a multi-head (+ optional FFN) layer."""
-    _check_keys(
-        config, {"potential", "lookup", "heads", "ffn", "box"}, set(), "config"
-    )
-    if config.get("heads"):
-        mh = build_multi_head(config, default_dim)
-        if config.get("ffn"):
-            return TransformerLayerSpec(mh, build_ffn(config["ffn"]))
-        return mh
-    return build_attention(config, default_dim)
+    if not config.get("heads"):
+        return build_attention(config, default_dim)
+    _check_keys(config, {"potential", "lookup", "heads", "ffn", "box"}, set(), "config")
+    mh = build_multi_head(config, default_dim)
+    return TransformerLayerSpec(mh, build_ffn(config["ffn"])) if config.get("ffn") else mh
 
 
 def build_ffn(spec: dict) -> FfnConfig:
@@ -152,19 +145,15 @@ def build_ffn(spec: dict) -> FfnConfig:
     return FfnConfig(layers, spec.get("activation", "identity"))
 
 
-def build_box(spec: dict | None, d: int | None, radius: float | None) -> DomainBox:
+def build_box(spec: dict | None, d: int, radius: float | None) -> DomainBox:
     if spec is not None:
         _check_keys(spec, {"lower", "upper", "radius"}, set(), "box")
         if "radius" in spec:
-            if d is None:
-                raise ConfigError("box radius form needs the dimension")
             return DomainBox.cube(float(spec["radius"]), int(d))
         if "lower" not in spec or "upper" not in spec:
             raise ConfigError("box needs lower and upper (or radius)")
         return DomainBox(spec["lower"], spec["upper"])
     if radius is not None:
-        if d is None:
-            raise ConfigError("a box radius needs the dimension")
         return DomainBox.cube(float(radius), int(d))
     return DomainBox.unbounded(d)
 
@@ -235,31 +224,28 @@ def cmd_w1(args, config):
     return res.to_dict(include_plan=args.plan), True
 
 
-def _probe_cfg_from_args(args, d: int, domain: DomainBox) -> ProbeConfig:
-    return ProbeConfig(
-        seed=args.seed,
-        trials=args.trials,
-        d=d,
-        n_range=(args.n_min, args.n_max),
-        domain=domain,
-        sampling_radius=args.radius,
-        perturbation=args.perturbation,
-        jitter_sigma=args.jitter_sigma,
-    )
+def _bound_rows() -> dict:
+    """The theorem table's rows by their `bound --theorem` name."""
+    return {row.name: row for row in bounds._TABLE.values()}
 
 
-def _contraction_attention(config: dict, theorem: str, d: int) -> AttentionConfig:
+def _probe_rows() -> dict:
+    """(row, component kind) by `probe --theorem` name."""
+    rows = bounds._TABLE.values()
+    return {name: (row, kind) for row in rows for name, kind in row.probe_names}
+
+
+def _contraction_attention(config: dict, row, d: int) -> AttentionConfig:
     """The attention a contraction theorem is evaluated for: the config's,
-    with the Gaussian potential when it names none. The unbounded theorems
-    hold for the Gaussian kind of dimension d only, so they refuse any
-    other."""
+    with the Gaussian potential when it names none. The unbounded family
+    holds for the Gaussian kind of dimension d only and refuses any other."""
     if not config.get("potential"):
         config = {**config, "potential": {"kind": "gaussian"}}
     cfg = build_attention(config, default_dim=d)
     kind = cfg.potential.kind
-    if theorem.startswith("unbounded-") and (kind, cfg.dim) != ("gaussian", d):
+    if "box" not in row.family and (kind, cfg.dim) != ("gaussian", d):
         raise ConfigError(
-            f"theorem {theorem} holds for the Gaussian potential of dim {d} only, "
+            f"theorem {row.name} holds for the Gaussian potential of dim {d} only, "
             f"not {kind!r} of dim {cfg.dim}"
         )
     return cfg
@@ -267,71 +253,51 @@ def _contraction_attention(config: dict, theorem: str, d: int) -> AttentionConfi
 
 def cmd_bound(args, config):
     d = args.d
-    theorem = args.theorem
-    extra = {}
-    if theorem in ("unbounded-gaussian", "unbounded-equal-n"):
-        lookup = _contraction_attention(config, theorem, d).lookup
-        if theorem == "unbounded-gaussian":
-            rep = bounds.bound_unbounded_gaussian(
-                lookup, d, args.n, args.m, include_tight_c=args.tight_c
-            )
-        else:
-            rep = bounds.bound_unbounded_equal_n(lookup, d, args.n)
-    else:
+    row = _bound_rows()[args.theorem]
+    query = "q" in row.family
+    if "box" in row.family:
         box = build_box(config.get("box"), d, args.box_radius)
         cfg = build_attention(config, default_dim=box.dim or d)
-        if theorem == "cross-attention":
-            if args.q is None:
-                raise ConfigError("cross-attention bound needs --q")
-            rep = bounds.bound_cross_attention(cfg, box, args.q)
-            extra["q"] = list(args.q)
-        else:
-            rep = {
-                "bounded": bounds.bound_bounded_contraction,
-                "component-taus": bounds.bound_component_taus,
-                "pointwise": bounds.bound_pointwise_query,
-            }[theorem](cfg, box)
+        if query and args.q is None:
+            raise ConfigError(f"{row.name} bound needs --q")
+        rep = row.report(cfg=cfg, box=box, q=args.q)
+    else:
+        lookup = _contraction_attention(config, row, d).lookup
+        rep = row.report(lookup=lookup, d=d, n=args.n, m=args.m, include_tight_c=args.tight_c)
+    extra = {"q": list(args.q)} if query else {}
     return {**rep.to_dict(), **extra}, rep.status == "ok"
 
 
 def cmd_probe(args, config):
     d = args.d
-    theorem = args.theorem
-    if theorem == "unbounded-gaussian":
-        probe = _probe_cfg_from_args(args, d, DomainBox.unbounded(d))
-        cfg = _contraction_attention(config, theorem, d)
-        # conservative: the bound at the smallest support size any trial
-        # can draw (the constant grows with min(N, M))
-        bound = bounds.bound_unbounded_gaussian(
-            cfg.lookup, d, args.n_min, args.n_min
-        ).value
-        result = probe_contraction(cfg, probe, bound=bound)
-    elif theorem == "bounded":
-        box = build_box(config.get("box"), d, args.box_radius or 1.0)
-        probe = _probe_cfg_from_args(args, d, box)
-        cfg = _contraction_attention(config, theorem, d)
-        bound = bounds.bound_bounded_contraction(cfg, box).value
-        result = probe_contraction(cfg, probe, bound=bound)
+    row, kind = _probe_rows()[args.theorem]
+    # the compact family and tau(Psi_G) hold on a compact box, by default
+    # the radius-1 cube; projection and lookup run on any domain
+    softmatch = kind in ("softmatch_in_x", "softmatch_in_measure")
+    radius = args.box_radius
+    if radius is None and (kind is None or softmatch):
+        radius = 1.0
+    box = DomainBox.unbounded(d)
+    if "box" in row.family:
+        box = build_box(config.get("box"), d, radius)
+    probe = ProbeConfig(
+        seed=args.seed, trials=args.trials, d=d, n_range=(args.n_min, args.n_max),
+        domain=box, sampling_radius=args.radius, perturbation=args.perturbation,
+        jitter_sigma=args.jitter_sigma,
+    )
+    run = getattr(probes, row.probe)
+    if kind is None:
+        cfg = _contraction_attention(config, row, d)
+        # on the unbounded domain, conservative: the bound at the smallest
+        # support size any trial can draw (the constant grows with min(N, M))
+        inputs = {"cfg": cfg, "box": box, "lookup": cfg.lookup, "d": d, "include_tight_c": False}
+        bound = row.report(**inputs, n=args.n_min, m=args.n_min).value
+        result = run(cfg, probe, bound=bound)
     else:
-        kind = {
-            "component-projection": "projection",
-            "component-lookup": "lookup",
-            "component-softmatch-x": "softmatch_in_x",
-            "component-softmatch-measure": "softmatch_in_measure",
-        }[theorem]
-        needs_box = kind in ("softmatch_in_x", "softmatch_in_measure")
-        box = build_box(config.get("box"), d, args.box_radius or (1.0 if needs_box else None))
-        probe = _probe_cfg_from_args(args, d, box)
-        potential = None
-        lookup = None
-        if needs_box:
-            potential = build_potential(
-                config.get("potential", {"kind": "gaussian"}), default_dim=d
-            )
-        if kind == "lookup":
-            lookup = build_lookup(config.get("lookup"), d)
-        result = probe_component(kind, probe, potential=potential, lookup=lookup)
-
+        potential = config.get("potential", {"kind": "gaussian"})
+        potential = build_potential(potential, default_dim=d) if softmatch else None
+        lookup = build_lookup(config.get("lookup"), d) if kind == "lookup" else None
+        result = run(kind, probe, potential=potential, lookup=lookup)
     if args.ratios_csv:
         _write(args.ratios_csv, "ratio\n" + "".join(f"{r!r}\n" for r in result.ratios))
     return result.to_dict(), result.violations == 0
@@ -442,14 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bound", help="evaluate a theorem constant")
     common(sp)
-    sp.add_argument(
-        "--theorem",
-        required=True,
-        choices=(
-            "bounded", "pointwise", "unbounded-gaussian", "unbounded-equal-n",
-            "cross-attention", "component-taus",
-        ),
-    )
+    sp.add_argument("--theorem", required=True, choices=tuple(_bound_rows()))
     sp.add_argument("--d", type=int, default=2)
     sp.add_argument("--n", type=int, default=8)
     sp.add_argument("--m", type=int, default=8)
@@ -461,15 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("probe", help="randomized contraction probe")
     common(sp)
-    sp.add_argument(
-        "--theorem",
-        required=True,
-        choices=(
-            "bounded", "unbounded-gaussian", "component-projection",
-            "component-lookup", "component-softmatch-x",
-            "component-softmatch-measure",
-        ),
-    )
+    sp.add_argument("--theorem", required=True, choices=tuple(_probe_rows()))
     sp.add_argument("--trials", type=int, default=200)
     sp.add_argument("--d", type=int, default=2)
     sp.add_argument("--n-min", type=int, default=2)

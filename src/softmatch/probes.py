@@ -167,7 +167,9 @@ def _sample_pair(rng: np.random.Generator, probe: ProbeConfig):
     n = int(rng.integers(max(lo, 2) if mode == "drop_point" else lo, hi + 1))
     base = _sample_cloud(rng, n, probe)
     if mode == "jitter":
-        other = base + probe.jitter_sigma * rng.standard_normal(base.shape)
+        # an overflow to inf is clipped into a box, refused on the unbounded domain
+        with np.errstate(over="ignore"):
+            other = base + probe.jitter_sigma * rng.standard_normal(base.shape)
         other = probe.domain.clip(other)
     elif mode == "drop_point":
         keep = np.delete(np.arange(n), int(rng.integers(n)))

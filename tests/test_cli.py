@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, report envelopes, replay fields."""
 
+import ast
 import contextlib
 import dataclasses
 import functools
@@ -438,6 +439,103 @@ class TestProbeCommand:
         assert bound["report"]["ingredients"]["tau_lookup"]["value"] == 0.3
         assert probe["report"]["bound"] == bound["report"]["value"]
 
+    @pytest.mark.parametrize("theorem", ("bounded", "component-projection"))
+    def test_box_radius_zero_is_the_one_point_box(self, workdir, capsys, theorem):
+        # an explicit 0 used to be replaced by the default: the radius-1
+        # cube for `bounded`, the unbounded domain for `component-projection`
+        gauss = workdir / "gauss.json"
+        gauss.write_text('{"potential": {"kind": "gaussian"}}')
+        code, env, _ = run(
+            capsys, "probe", "--theorem", theorem, "--trials", "7", "--box-radius", "0",
+            "--config", str(gauss),
+        )
+        _, bound, _ = run(
+            capsys, "bound", "--theorem", "bounded", "--box-radius", "0", "--config", str(gauss),
+        )
+        rep = env["report"]
+        assert code == 0
+        assert (rep["skipped"], rep["trials"], rep["violations"]) == (7, 7, 0)
+        if theorem == "bounded":
+            assert rep["bound"] == bound["report"]["value"] == 0.0
+
+
+def _cli(argv):
+    """main(argv) as (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestCliParity:
+    """`bound` and `probe` print what they printed at commit 7281b16, before
+    one theorem table drove both: a sha256 over every run of a grid, of
+    its argv, exit code, stdout envelope and stderr. Configs are passed by
+    a relative path, so the envelope's config_hash, which covers the parsed
+    arguments, is the same in every checkout and shows a renamed flag or
+    default."""
+
+    BOUND = {
+        "bounded": "e087204b187af45e8af1aa742d3394f5e6b7689e0b3f334df0251cfe4ef30b70",
+        "pointwise": "78c3203eab3d08f3098e8125d9c4f55491f3842da20fd7a3689fa05d60d89af8",
+        "unbounded-gaussian": "2c91f1bafaaa5b3b40af660dde1e3b806c071dd85a18dd12fc06fff33ad7c576",
+        "unbounded-equal-n": "b05b42b0c1823865657eb61eaa03dad4024eb0004e2e97d315a826b63cfc14a6",
+        "cross-attention": "aba9ebc9974ee5adc10c18d3b69f4c8d95f64caf43ff4f3f81611c51c878d513",
+        "component-taus": "4a7ac0f7204ac0893e029783fb9a4c4d43358fd939bb349bafd55a892f7bb172",
+    }
+    PROBE = {
+        "bounded": "36c13df962b84fafeb93924c47e38f5869b7b730e3b974b66905e4a05bcb86f5",
+        "unbounded-gaussian": "be1c24a379522587c82cfade04aa91070246ac97362834d56aab1b84c64977c7",
+        "component-projection": "6824d36caece441ef6fe0a301c74ef26e4c340072814282f0f3ea5f0aee9fd77",
+        "component-lookup": "a600b2b3653b51a45dffe40fddab425f4fda438976bf1d91aee963494c464040",
+        "component-softmatch-x": "01ad475e95b21bd8320e535ec358870524e6f163dfbd27a2728a695bd057b369",
+        "component-softmatch-measure": "f6da05ce321890241b25a6adb03c84512083c26397d7625738f039040ff0508c",
+    }
+
+    @staticmethod
+    def digest(runs):
+        h = hashlib.sha256()
+        for argv in runs:
+            h.update(json.dumps([argv, *_cli(argv)]).encode())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("theorem", BOUND)
+    def test_bound(self, tmp_path, monkeypatch, theorem):
+        # the Gaussian (identity lookup), dot-product (linear lookup) and
+        # scaled dot-product configs at d = 1..4, box radius 0.5 and 1,
+        # (N, M) = (1, 1) and (3, 7), and --tight-c on the unbounded ones;
+        # a theorem ignores the flags it does not read
+        monkeypatch.chdir(tmp_path)
+        runs = []
+        for d in (1, 2, 3, 4):
+            for kind, config in _bound_configs(d).items():
+                Path(f"{kind}{d}.json").write_text(json.dumps(config))
+                for radius in ("0.5", "1"):
+                    for n, m in (("1", "1"), ("3", "7")):
+                        runs.append([
+                            "bound", "--theorem", theorem, "--config", f"{kind}{d}.json",
+                            "--d", str(d), "--box-radius", radius, "--n", n, "--m", m,
+                            "--q=" + ",".join(str(0.2 * k - 0.3) for k in range(d)),
+                        ])
+                        if theorem.startswith("unbounded") and radius == "1":
+                            runs[-1].append("--tight-c")
+        assert self.digest(runs) == self.BOUND[theorem]
+
+    @pytest.mark.parametrize("theorem", PROBE)
+    def test_probe(self, tmp_path, monkeypatch, theorem):
+        # seeds 3 and 11, ten trials, the default Gaussian with and without
+        # a linear lookup, and the default box or one of radius 0.5
+        monkeypatch.chdir(tmp_path)
+        Path("lookup.json").write_text('{"lookup": {"kind": "linear", "W_V": [[0.3, 0.1], [0.0, 0.3]]}}')
+        runs = [
+            ["probe", "--theorem", theorem, "--trials", "10", "--d", "2", "--seed", seed,
+             *config, *radius]
+            for seed in ("3", "11")
+            for config in ((), ("--config", "lookup.json"))
+            for radius in ((), ("--box-radius", "0.5"))
+        ]
+        assert self.digest(runs) == self.PROBE[theorem]
+
 
 class TestDynamicsCommands:
     def test_dynamics_with_states_out(self, workdir, capsys):
@@ -550,6 +648,202 @@ class TestLemmasCommand:
             return
         env = json.loads(out.getvalue(), parse_constant=lambda c: pytest.fail(f"{c} in report"))
         assert set(env["report"]) == {"ratio_lemma" if flag == "--ratio" else "product_lemma"}
+
+
+# special flag values for the properties below: 0, negative, non-finite,
+# huge and small positive; the integer flags draw the integers among them
+SPECIAL_FLOATS = st.one_of(
+    st.sampled_from((0.0, -0.0, -1e308, math.nan, math.inf, -math.inf, 1e308, 1e-300, 5e-324)),
+    st.floats(-10.0, -1e-6),
+)
+BIG = 10**308
+
+
+def _special_ints(huge=True):
+    values = st.one_of(st.sampled_from((0, -1)), st.integers(-(2**40), -2))
+    return st.one_of(values, st.just(BIG)) if huge else values
+
+
+@st.composite
+def _flags(draw, valid, special):
+    """A valid value of every flag, with up to three of them replaced by a
+    special value, so that both the edge cases and the runs are drawn."""
+    values = {flag: draw(strategy) for flag, strategy in valid.items()}
+    for flag in draw(st.lists(st.sampled_from(sorted(special)), max_size=3, unique=True)):
+        values[flag] = draw(special[flag])
+    return values
+
+
+SEEDS = (st.integers(0, 2**128), st.integers(-(2**40), -1))
+BOUND_FLAGS = _flags(
+    {
+        "--d": st.integers(1, 8), "--n": st.integers(1, 64), "--m": st.integers(1, 64),
+        "--box-radius": st.one_of(st.none(), st.floats(1e-3, 3.0)), "--seed": SEEDS[0],
+    },
+    {
+        "--d": _special_ints(huge=False), "--n": _special_ints(), "--m": _special_ints(),
+        "--box-radius": SPECIAL_FLOATS, "--seed": SEEDS[1],
+    },
+)
+PROBE_FLAGS = _flags(
+    {
+        "--d": st.integers(1, 8), "--trials": st.integers(1, 20),
+        "--n-min": st.integers(1, 4), "--n-max": st.integers(4, 16),
+        "--radius": st.floats(1e-3, 10.0), "--box-radius": st.one_of(st.none(), st.floats(1e-3, 3.0)),
+        "--jitter-sigma": st.floats(0.0, 1.0), "--seed": SEEDS[0],
+    },
+    {
+        "--d": _special_ints(huge=False), "--trials": _special_ints(huge=False),
+        "--n-min": _special_ints(), "--n-max": _special_ints(huge=False),
+        "--radius": SPECIAL_FLOATS, "--box-radius": SPECIAL_FLOATS,
+        "--jitter-sigma": SPECIAL_FLOATS, "--seed": SEEDS[1],
+    },
+)
+
+
+def _argv(flags: dict) -> list:
+    """--flag=value for each flag that is not absent (None)."""
+    return [f"{flag}={value!r}" for flag, value in flags.items() if value is not None]
+
+
+def _assert_one_line_and_clean_json(argv):
+    code, out, err = _cli(argv)
+    assert code in (0, 1, 2)
+    assert len(err.splitlines()) == 1, err
+    if code == 2:
+        assert out == ""
+        return None
+    env = json.loads(out, parse_constant=lambda c: pytest.fail(f"{c} in report"))
+    return env["report"]
+
+
+@pytest.fixture(scope="module")
+def configs(tmp_path_factory):
+    """A Gaussian and a dot-product config of any dimension."""
+    path = tmp_path_factory.mktemp("configs")
+    (path / "gauss.json").write_text('{"potential": {"kind": "gaussian"}}')
+    (path / "dot.json").write_text('{"potential": {"kind": "dot_product", "scale": 0.5}}')
+    return path
+
+
+class TestBoundAndProbeProperties:
+    """Any numeric flag value gives an exit code, one stderr line and, on
+    exits 0 and 1, a report without NaN or Infinity. --d is at most 8,
+    --trials at most 20 and --n-max at most 16, so each run takes well
+    under a second."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        theorem=st.sampled_from(list(TestCliParity.BOUND)),
+        kind=st.sampled_from(("gauss", "dot")),
+        flags=BOUND_FLAGS,
+    )
+    @example(theorem="bounded", kind="gauss", flags={"--d": 8, "--box-radius": 1e308})
+    @example(theorem="pointwise", kind="dot", flags={"--d": 8, "--box-radius": 1e-300})
+    @example(theorem="unbounded-gaussian", kind="gauss", flags={"--d": 8, "--n": BIG, "--m": BIG})
+    @example(theorem="cross-attention", kind="gauss", flags={"--d": 3, "--box-radius": 5e-324})
+    def test_bound(self, configs, theorem, kind, flags):
+        d = flags["--d"]
+        argv = [
+            "bound", "--theorem", theorem, "--config", str(configs / f"{kind}.json"),
+            "--q=" + ",".join(["0.1"] * max(d, 1)), *_argv(flags),
+        ]
+        report = _assert_one_line_and_clean_json(argv)
+        assert report is None or report["theorem"] in bounds.THEOREMS
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        theorem=st.sampled_from(list(TestCliParity.PROBE)),
+        perturbation=st.sampled_from(probes.PERTURBATIONS),
+        dot=st.booleans(),
+        flags=PROBE_FLAGS,
+    )
+    @example(
+        theorem="unbounded-gaussian", perturbation="jitter", dot=False,
+        flags={"--d": 8, "--trials": 20, "--n-max": 16, "--jitter-sigma": 1e308},
+    )
+    @example(
+        theorem="bounded", perturbation="jitter", dot=True,
+        flags={"--d": 8, "--trials": 20, "--box-radius": 1e-300, "--jitter-sigma": 1e308},
+    )
+    @example(
+        theorem="component-softmatch-measure", perturbation="drop_point", dot=False,
+        flags={"--d": 1, "--n-min": 1, "--n-max": 1, "--box-radius": 0.0},
+    )
+    def test_probe(self, configs, theorem, perturbation, dot, flags):
+        argv = ["probe", "--theorem", theorem, "--perturbation", perturbation, *_argv(flags)]
+        if dot:
+            argv += ["--config", str(configs / "dot.json")]
+        report = _assert_one_line_and_clean_json(argv)
+        assert report is None or report["trials"] == flags.get("--trials", 200)
+
+
+def _string_literals(tree) -> set:
+    """Every string constant of a module, docstrings and f-string parts
+    included."""
+    return {
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+
+
+def test_theorem_names_live_in_the_table():
+    """Each theorem tag, `bound --theorem` name and `probe --theorem` name
+    is written once, in the theorem table of `bounds`: neither the CLI nor
+    the probes hold one as a string."""
+    rows = bounds._TABLE.values()
+    names = set(bounds._TABLE) | {row.name for row in rows}
+    names |= {name for row in rows for name, _ in row.probe_names}
+    assert names >= {*bounds.THEOREMS, *TestCliParity.BOUND, *TestCliParity.PROBE}
+    assert _string_literals(ast.parse('x = f"{y} bounded"; z = "bounded"')) & names == {"bounded"}
+    src = Path(softmatch.__file__).resolve().parent
+    found = {
+        (path, literal)
+        for path in ("cli.py", "probes.py")
+        for literal in _string_literals(ast.parse((src / path).read_text())) & names
+    }
+    assert not found, f"theorem names written outside the table: {sorted(found)}"
+
+
+def test_a_new_table_row_reaches_both_subcommands(workdir, capsys, monkeypatch):
+    """A row added to the table is a `bound` and a `probe` choice and runs
+    its own builder, with no edit to the CLI."""
+
+    def build(cfg, box):
+        base = bounds.bound_bounded_contraction(cfg, box)
+        return bounds.BoundReport(
+            "DoubledContraction", 2.0 * base.value, base.ingredients, base.assumptions_checked
+        )
+
+    row = bounds._Theorem(
+        "doubled", build, lambda v: 2.0 * v["tau_pi"] * v["tau_softmatch"] * v["tau_lookup"],
+        ("cfg", "box"), "probe_contraction", (("doubled-probe", None),),
+    )
+    monkeypatch.setitem(bounds._TABLE, "DoubledContraction", row)
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    choices = {
+        name: next(a for a in sub.choices[name]._actions if a.dest == "theorem").choices
+        for name in ("bound", "probe")
+    }
+    assert "doubled" in choices["bound"] and "doubled-probe" in choices["probe"]
+    gauss = workdir / "gauss.json"
+    gauss.write_text('{"potential": {"kind": "gaussian"}}')
+    flags = ("--config", str(gauss), "--box-radius", "1")
+    (code, env, _), (_, base, _) = (
+        run(capsys, "bound", "--theorem", name, *flags) for name in ("doubled", "bounded")
+    )
+    rep = env["report"]
+    assert (code, rep["theorem"], rep["status"]) == (0, "DoubledContraction", "ok")
+    assert rep["value"] == 2.0 * base["report"]["value"]
+    assert bounds.reevaluate(_report_from_dict(rep)) == rep["value"]
+    (code, env, _), (_, base, _) = (
+        run(capsys, "probe", "--theorem", name, "--trials", "5", *flags)
+        for name in ("doubled-probe", "bounded")
+    )
+    assert code == 0
+    assert env["report"]["bound"] == 2.0 * base["report"]["bound"]
+    assert env["report"]["max_ratio"] == base["report"]["max_ratio"]
 
 
 class TestExitCodes:
