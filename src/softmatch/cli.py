@@ -257,7 +257,7 @@ def cmd_bound(args, config):
     query = "q" in row.family
     if "box" in row.family:
         box = build_box(config.get("box"), d, args.box_radius)
-        cfg = build_attention(config, default_dim=box.dim or d)
+        cfg = _contraction_attention(config, row, box.dim or d)
         if query and args.q is None:
             raise ConfigError(f"{row.name} bound needs --q")
         rep = row.report(cfg=cfg, box=box, q=args.q)

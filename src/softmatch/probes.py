@@ -8,9 +8,11 @@ that no sampled ratio ever exceeds its bound.
 
 Every probe runs the one trial loop `_run_trials`: trial t draws from
 stream(seed, t) alone, a degenerate input distance skips the trial, and
-the best instance is kept as the loop goes. Every constant a component
-is compared against comes from `bounds`, through the guards it applies
-there (a compact domain, eps(G) > 0).
+the best instance is kept as the loop goes. The loop runs over blocks of
+trials, all of a block's draws first, so that `probe_contraction` maps a
+block's clouds with one `layer_map` call per support size. Every
+constant a component is compared against comes from `bounds`, through
+the guards it applies there (a compact domain, eps(G) > 0).
 
 Also here: direct numerical checks of the three auxiliary lemmas: the
 ratio cap sqrt(ln n + 1/2e), against which the ratio's proven supremum
@@ -28,13 +30,7 @@ import numpy as np
 
 from .bounds import ratio_lemma_bound, ratio_lemma_sup
 from .errors import InvalidInput
-from .kernels import (
-    AttentionConfig,
-    Lookup,
-    apply_lookup,
-    attention_pushforward,
-    softmatch_measure,
-)
+from .kernels import Layer, Lookup, apply_lookup, layer_map, softmatch_measure
 from .measures import DomainBox, EmpiricalMeasure, PointCloud, _l1_norms, barycenter, empirical
 from .potentials import Potential, regularity_stats
 from .streams import stream
@@ -179,23 +175,40 @@ def _sample_pair(rng: np.random.Generator, probe: ProbeConfig):
     return empirical(base), empirical(other)
 
 
+# trials drawn, mapped and solved together; only one block's inputs and
+# outputs are alive at a time, so memory does not grow with `trials`
+_TRIAL_BLOCK = 64
+
+
 def _run_trials(
     probe: ProbeConfig, bound: float | None, draw, push, ratio_first: bool = False
 ) -> ProbeResult:
-    """The one trial loop: draw(rng) gives a trial's input distance and
-    named inputs, push(**inputs) its output distance. The argmax instance
-    is the first trial of the largest ratio: "trial", the inputs (measures
-    by to_dict(), points as lists) and "ratio", second when ratio_first."""
+    """The one trial loop, over blocks of _TRIAL_BLOCK trials in three
+    phases: draw(rng) gives each trial's input distance and named inputs,
+    push(kept) the output distances of the block's kept trials in order,
+    and the ratios are then taken in trial order. A draw that raises does
+    so after the trials before it are pushed. The argmax instance is the
+    first trial of the largest ratio: "trial", the inputs (measures by
+    to_dict(), points as lists) and "ratio", second when ratio_first."""
     ratios, skipped, best = [], 0, None
-    for t in range(probe.trials):
-        d_in, inputs = draw(stream(probe.seed, t))
-        if d_in < DEGENERATE_W1:
-            skipped += 1
-            continue
-        r = push(**inputs) / d_in
-        if best is None or r > best[1]:
-            best = (t, r, inputs)
-        ratios.append(r)
+    for start in range(0, probe.trials, _TRIAL_BLOCK):
+        kept = []
+        try:
+            for t in range(start, min(start + _TRIAL_BLOCK, probe.trials)):
+                d_in, inputs = draw(stream(probe.seed, t))
+                if d_in < DEGENERATE_W1:
+                    skipped += 1
+                else:
+                    kept.append((t, d_in, inputs))
+        finally:
+            # after a draw error too: an error of the earlier trials' push
+            # replaces it, as in a trial-by-trial loop
+            d_out = push([inputs for _, _, inputs in kept]) if kept else []
+        for (t, d_in, inputs), d in zip(kept, d_out):
+            r = d / d_in
+            if best is None or r > best[1]:
+                best = (t, r, inputs)
+            ratios.append(r)
     arr = np.array(ratios)
     hist, max_ratio, argmax, violations = {}, 0.0, None, 0
     if ratios:
@@ -222,19 +235,41 @@ def _run_trials(
     )
 
 
+def _map_by_size(layer: Layer, clouds: list) -> list:
+    """layer_map of every (n, d) cloud, in order, with one call per
+    distinct n. `layer_map` gives each cloud the bits of a call on it
+    alone."""
+    by_size = {}
+    for i, c in enumerate(clouds):
+        by_size.setdefault(len(c), []).append(i)
+    out = [None] * len(clouds)
+    for idx in by_size.values():
+        for i, mapped in zip(idx, layer_map(layer, np.stack([clouds[i] for i in idx]))):
+            out[i] = mapped
+    return out
+
+
 def probe_contraction(
-    cfg: AttentionConfig, probe: ProbeConfig, bound: float | None = None
+    cfg: Layer, probe: ProbeConfig, bound: float | None = None
 ) -> ProbeResult:
-    """Sample measure pairs, push both through full self-attention (the
-    output cloud carries the input's weights), and compare W1 ratios to
-    the supplied bound."""
+    """Sample measure pairs, push both through the set-to-set map of a
+    single-head, multi-head or transformer layer (the output cloud
+    carries the input's weights), and compare W1 ratios to the supplied
+    bound. Sampled clouds are empirical, with the uniform weights
+    `layer_map` attends over, so a block's clouds of one size are mapped
+    in one call with the bits of a call per cloud."""
 
     def draw(rng):
         mu, nu = _sample_pair(rng, probe)
         return w1(mu, nu).value, {"mu": mu, "nu": nu}
 
-    def push(mu, nu):
-        return w1(attention_pushforward(cfg, mu), attention_pushforward(cfg, nu)).value
+    def push(kept):
+        ins = [m for inputs in kept for m in (inputs["mu"], inputs["nu"])]
+        outs = [
+            EmpiricalMeasure(PointCloud(pts), m.weights)
+            for m, pts in zip(ins, _map_by_size(cfg, [m.support.points for m in ins]))
+        ]
+        return [w1(a, b).value for a, b in zip(outs[::2], outs[1::2])]
 
     return _run_trials(probe, bound, draw, push, ratio_first=True)
 
@@ -285,7 +320,7 @@ def probe_component(
             return d_in, {"x": _sample_cloud(rng, 1, probe)[0], "mu": mu, "nu": nu}
         return d_in, {"mu": mu, "nu": nu}
 
-    push = {
+    one = {
         "softmatch_in_x": lambda x, y, mu: w1(
             softmatch_measure(potential, x, mu), softmatch_measure(potential, y, mu)
         ).value,
@@ -295,7 +330,7 @@ def probe_component(
         "projection": lambda mu, nu: float(_l1_norms(barycenter(mu), barycenter(nu))),
         "lookup": lambda mu, nu: w1(apply_lookup(lookup, mu), apply_lookup(lookup, nu)).value,
     }[kind]
-    return _run_trials(probe, bound, draw, push)
+    return _run_trials(probe, bound, draw, lambda kept: [one(**inputs) for inputs in kept])
 
 
 # ---------------------------------------------------------------------------
@@ -356,13 +391,20 @@ def _ratio_work_entries(n_max: int, restarts: int) -> int:
     return work
 
 
+# skips shorter than this are drawn: `Philox.advance` plus the draw of the
+# remainder took 3.3 us, a draw of 384 doubles 3.35 us and of 256 doubles
+# 2.6 us (medians of 30 interleaved reps, numpy 2.4.6, 2-vCPU host)
+_ADVANCE_FROM = 384
+
+
 def _skip(rng: np.random.Generator, pos: int, to: int) -> None:
     """Move rng from pos doubles into its stream to position to >= pos.
     Philox is counter based, four doubles per counter step, and advance
     empties its buffer, so the draws from there are those of one long
-    draw; a skip of fewer than four doubles may end in the buffered step
-    and is drawn instead."""
-    if to - pos < 4:
+    draw. A skip of fewer than _ADVANCE_FROM doubles is drawn instead,
+    which is cheaper and also covers the skips of fewer than four doubles
+    that may end in the buffered step."""
+    if to - pos < _ADVANCE_FROM:
         rng.random(to - pos)
     else:
         rng.bit_generator.advance(to // 4 - -(-pos // 4))

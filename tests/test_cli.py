@@ -249,6 +249,39 @@ class TestBoundCommand:
         assert code == 2
         assert "DimMismatch" in err
 
+    @pytest.mark.parametrize(
+        "theorem, query",
+        [
+            ("bounded", ()),
+            ("pointwise", ()),
+            ("cross-attention", ("--q", "0.1,-0.2")),
+            ("component-taus", ()),
+        ],
+    )
+    def test_compact_theorems_default_to_the_gaussian(self, workdir, capsys, theorem, query):
+        # with no potential named, the compact family takes the Gaussian, as
+        # the unbounded family and `probe` do; it used to exit 2
+        lookup = '"lookup": {"kind": "linear", "W_V": [[0.3, 0.0], [0.0, 0.3]]}'
+        bare, gauss = workdir / "bare.json", workdir / "gauss.json"
+        bare.write_text("{" + lookup + "}")
+        gauss.write_text('{"potential": {"kind": "gaussian"}, ' + lookup + "}")
+        reports = []
+        for cfg in (bare, gauss):
+            code, env, err = run(
+                capsys, "bound", "--theorem", theorem, "--box-radius", "0.5",
+                "--config", str(cfg), *query,
+            )
+            assert (code, err) == (0, "softmatch bound: pass\n")
+            reports.append(env["report"])
+        assert reports[0] == reports[1]
+        assert reports[0]["status"] == "ok"
+        if theorem == "bounded":
+            _, probe, _ = run(
+                capsys, "probe", "--theorem", "bounded", "--trials", "3",
+                "--box-radius", "0.5", "--config", str(bare),
+            )
+            assert probe["report"]["bound"] == reports[0]["value"]
+
 
 def _bound_configs(d):
     """The three potential kinds of the pinned bound values, at dim d."""

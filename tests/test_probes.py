@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from ratio_mp import sup_floats
 from ratio_oracle import oracle_report, ratio_vectors
 
-from softmatch import probes
+from softmatch import kernels, probes
 from softmatch.bounds import (
     bound_bounded_contraction,
     bound_unbounded_gaussian,
@@ -23,8 +23,17 @@ from softmatch.bounds import (
     tau_pi,
 )
 from softmatch.errors import DegeneratePotential, InvalidInput
-from softmatch.kernels import AttentionConfig, IdentityLookup, LinearLookup
-from softmatch.measures import DomainBox
+from softmatch.kernels import (
+    AttentionConfig,
+    FfnConfig,
+    Head,
+    IdentityLookup,
+    LinearLookup,
+    MultiHeadConfig,
+    TransformerLayerSpec,
+    layer_map,
+)
+from softmatch.measures import DomainBox, EmpiricalMeasure, PointCloud
 from softmatch.potentials import DotProduct, Gaussian
 from softmatch.probes import (
     ProbeConfig,
@@ -37,6 +46,7 @@ from softmatch.probes import (
     violation_threshold,
 )
 from softmatch.streams import stream
+from softmatch.transport import w1
 
 
 def box_probe(seed, trials, d, n_range=(2, 6), radius=1.0, **kw):
@@ -312,6 +322,144 @@ class TestPinnedProbeReports:
             assert report_digest(res) == digest
 
 
+def _layers(d):
+    """A multi-head layer, a transformer layer over it, and a single head
+    whose lookup leaves R^d, all of input dim d."""
+    rng = np.random.default_rng(d)
+    heads = [
+        Head(AttentionConfig(Gaussian(d), IdentityLookup(d)), 0.4 * rng.normal(size=(d, d))),
+        Head(
+            AttentionConfig(DotProduct(0.5, d), LinearLookup(rng.normal(size=(3, d)))),
+            0.3 * rng.normal(size=(3, d)),
+        ),
+    ]
+    mh = MultiHeadConfig(heads)
+    ffn = FfnConfig(
+        [(rng.normal(size=(5, d)), rng.normal(size=5)), (rng.normal(size=(d, 5)), np.zeros(d))],
+        "tanh",
+    )
+    wide = AttentionConfig(Gaussian(d), LinearLookup(rng.normal(size=(d + 1, d))))
+    return {"multi-head": mh, "transformer": TransformerLayerSpec(mh, ffn), "wide-lookup": wide}
+
+
+class TestBatchedTrials:
+    """`probe_contraction` draws a block of trials, maps the block's clouds
+    with one `layer_map` call per support size, then solves the output W1s
+    in trial order; the reports keep the bits of a trial-by-trial loop."""
+
+    def test_one_layer_map_call_per_cloud_size_in_a_block(self, monkeypatch):
+        calls = []
+
+        def counting(layer, clouds):
+            calls.append(clouds.shape)
+            return layer_map(layer, clouds)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("attention_pushforward called")
+
+        monkeypatch.setattr(probes, "layer_map", counting)
+        monkeypatch.setattr(kernels, "layer_map", counting)
+        monkeypatch.setattr(kernels, "attention_pushforward", refuse)
+        monkeypatch.setattr(probes, "_TRIAL_BLOCK", 7)
+        cfg = AttentionConfig(Gaussian(2), IdentityLookup(2))
+        pc = box_probe(seed=11, trials=20, d=2, n_range=(1, 6))
+        res = probe_contraction(cfg, pc, bound=None)
+        # per block, the kept trials' clouds grouped by size in order of appearance
+        expected = []
+        for start in range(0, 20, 7):
+            sizes = {}
+            for t in range(start, min(start + 7, 20)):
+                mu, nu = probes._sample_pair(stream(11, t), pc)
+                if w1(mu, nu).value >= probes.DEGENERATE_W1:
+                    for m in (mu, nu):
+                        sizes[m.n] = sizes.get(m.n, 0) + 1
+            expected += [(count, n, 2) for n, count in sizes.items()]
+        assert calls == expected
+        assert sum(b for b, _, _ in calls) == 2 * len(res.ratios) > 0
+
+    @pytest.mark.parametrize("bounded", (True, False))
+    @pytest.mark.parametrize("mode", probes.PERTURBATIONS)
+    def test_blocks_keep_the_report_bits(self, monkeypatch, bounded, mode):
+        d = 2
+        lookup = LinearLookup(0.5 * np.eye(d))
+        cfg = AttentionConfig(Gaussian(d), lookup)
+        box = DomainBox.cube(1.0, d) if bounded else DomainBox.unbounded(d)
+        pc = ProbeConfig(
+            seed=21, trials=10, d=d, n_range=(1, 5), domain=box,
+            sampling_radius=2.0, perturbation=mode, jitter_sigma=0.3,
+        )
+        runs = {}
+        for block in (64, 3):
+            monkeypatch.setattr(probes, "_TRIAL_BLOCK", block)
+            runs[block] = (
+                report_digest(probe_contraction(cfg, pc, bound=1.0)),
+                report_digest(probe_component("softmatch_in_measure", pc, potential=Gaussian(d)))
+                if bounded else None,
+            )
+        assert runs[3] == runs[64]
+
+    @pytest.mark.parametrize("name", ("multi-head", "transformer", "wide-lookup"))
+    @pytest.mark.parametrize("mode", ("resample", "duplicate_point"))
+    def test_any_layer_matches_a_trial_by_trial_reference(self, name, mode):
+        d = 2
+        layer = _layers(d)[name]
+        pc = box_probe(seed=31, trials=16, d=d, n_range=(1, 6), perturbation=mode)
+        res = probe_contraction(layer, pc)
+
+        def push(m):
+            return EmpiricalMeasure(PointCloud(layer_map(layer, m.support.points[None])[0]), m.weights)
+
+        ref = []
+        for t in range(pc.trials):
+            mu, nu = probes._sample_pair(stream(31, t), pc)
+            d_in = w1(mu, nu).value
+            if d_in >= probes.DEGENERATE_W1:
+                ref.append(w1(push(mu), push(nu)).value / d_in)
+        assert res.ratios == tuple(ref)
+        assert (res.bound, res.violations, res.skipped) == (None, 0, 16 - len(ref))
+        assert res.max_ratio == max(ref) > 0
+
+    def test_a_draw_error_is_raised_after_the_earlier_trials_are_pushed(self, monkeypatch):
+        # trial 2's draw raises; a push that fails on trials 0 and 1 raises
+        # first, as in a trial-by-trial loop, and one that succeeds does not
+        real = probes._sample_pair
+        drawn = []
+
+        class DrawError(Exception):
+            pass
+
+        def sample_pair(rng, probe):
+            if len(drawn) == 2:
+                raise DrawError
+            drawn.append(rng)
+            return real(rng, probe)
+
+        def failing_map(layer, clouds):
+            raise InvalidInput("layer output must be finite")
+
+        monkeypatch.setattr(probes, "_sample_pair", sample_pair)
+        cfg = AttentionConfig(Gaussian(2), IdentityLookup(2))
+        for mapper, error in ((failing_map, InvalidInput), (layer_map, DrawError)):
+            drawn.clear()
+            monkeypatch.setattr(probes, "layer_map", mapper)
+            with pytest.raises(error):
+                probe_contraction(cfg, box_probe(seed=1, trials=5, d=2))
+            assert len(drawn) == 2
+
+    def test_memory_grows_with_the_ratios_only(self):
+        # a block's clouds are alive at a time: holding every trial's inputs
+        # took about 2 KB a trial, the ratios and their summaries take 200 B
+        cfg = AttentionConfig(Gaussian(1), IdentityLookup(1))
+        probe_contraction(cfg, box_probe(seed=0, trials=2, d=1))  # first-call imports
+        peaks = []
+        for trials in (200, 800):
+            pc = box_probe(seed=1, trials=trials, d=1, n_range=(1, 3))
+            res, peak = traced_peak_mib(lambda pc=pc: probe_contraction(cfg, pc))
+            assert len(res.ratios) > 0.9 * trials
+            peaks.append(peak * 2**20)
+        assert peaks[1] - peaks[0] <= 600 * 512
+
+
 class TestRatioLemma:
     def test_small_n(self):
         rep = check_ratio_lemma(40, seed=0)
@@ -401,6 +549,17 @@ class TestRatioLemmaSupremum:
         long = stream(3, 0).random(64)
         for pos in range(12):
             for to in range(pos, 40):
+                rng = stream(3, 0)
+                rng.random(pos)
+                probes._skip(rng, pos, to)
+                assert np.array_equal(rng.random(8), long[to:to + 8]), (pos, to)
+
+    def test_skip_past_the_crossover_matches_one_long_draw(self):
+        # drawn below _ADVANCE_FROM doubles, advanced from there
+        edge = probes._ADVANCE_FROM
+        long = stream(3, 0).random(3 * edge)
+        for pos in range(6):
+            for to in range(pos + edge - 6, pos + edge + 6):
                 rng = stream(3, 0)
                 rng.random(pos)
                 probes._skip(rng, pos, to)
