@@ -256,29 +256,70 @@ def loose_gradient_constant(d: int) -> float:
     return math.sqrt(int(d)) + 2.0
 
 
-def tight_gradient_constant(d: int, restarts: int = 12, seed: int = 0) -> float:
-    """Numeric maximum of 2 (2 + ||u||_1) ||u||_inf exp(-||u||_2^2) over R^d.
+# tight_gradient_constant's grid: a = 0, 0.01, ..., 3
+_GRADIENT_GRID = tuple(0.01 * i for i in range(301))
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-    A diagnostic lower estimate of the true constant that sqrt(d) + 2
-    upper-bounds loosely; exposed for reporting, never used in a bound.
+
+def _gradient_profile(a: float, k: int) -> float:
+    """g(a) = h(a, min(a, b*(a))) for d = k + 1: the largest gradient value
+    over the vectors whose largest coordinate is a (see
+    `tight_gradient_constant`)."""
+    c = 2.0 + a
+    b = min(a, 1.0 / (c + math.sqrt(c * c + 2.0 * k)))
+    return 2.0 * (c + k * b) * a * math.exp(-a * a - k * b * b)
+
+
+def tight_gradient_constant(d: int) -> float:
+    """The maximum C_d of f(u) = 2 (2 + ||u||_1) ||u||_inf exp(-||u||_2^2)
+    over R^d, which sqrt(d) + 2 upper-bounds loosely; a diagnostic for
+    reports, never used in a bound.
+
+    Reduction to one variable: f(|u|) = f(u), so take u >= 0 with its
+    largest coordinate a = ||u||_inf and k = d - 1 others in [0, a]. At a
+    fixed sum of the others their sum of squares is least when they are
+    all equal, to some b <= a, so C_d is the maximum of
+
+        h(a, b) = 2 (2 + a + k b) a exp(-a^2 - k b^2),   0 <= b <= a.
+
+    dh/db has the sign of 1 - 2b (2 + a + k b), which falls as b grows
+    and vanishes at b*(a) = 1 / ((2 + a) + sqrt((2 + a)^2 + 2k)). So the
+    best b at a fixed a is min(a, b*(a)), and C_d is the maximum over
+    a >= 0 of g(a) = h(a, min(a, b*(a))).
+
+    g has one maximum. a - b*(a) increases, so b*(a) >= a exactly on some
+    [0, a_c], a_c <= 1/4. There g(a) = 2a (2 + d a) exp(-d a^2) and
+    (log g)' = 1/a + d / (2 + d a) - 2 d a; beyond it, by the envelope
+    theorem, (log g)' = 1/a - 2a + 2 b*(a). Both fall as a grows and they
+    agree at a_c, so log g is concave on a > 0. Its derivative is positive
+    at a = 1/sqrt(2) and negative at a = 0.81, so the maximiser lies
+    between them for every d.
+
+    The tail past the grid: for a >= a0 = 1/sqrt(2), dropping b <= a gives
+    g(a) <= 2a exp(-a^2) Phi(a) with Phi(a) = max over b >= 0 of
+    (2 + a + k b) exp(-k b^2), with equality at a0 as b*(a0) < a0, and
+    Phi(a) <= Phi(a0) (2 + a) / (2 + a0). As a (2 + a) exp(-a^2) falls on
+    a >= 1, every a >= 3 has g(a) <= g(a0) * 15 e^-9 / (a0 (2 + a0) e^-1/2)
+    < 0.0016 C_d, whatever d.
+
+    g is evaluated on the grid a = 0, 0.01, ..., 3, and golden-section
+    steps then narrow the two grid steps around its best point, which hold
+    the maximiser. The result, the largest value seen, is a lower estimate
+    of C_d; tested within 1e-12 relative of a 200-bit mpmath maximum for
+    d up to 1024. Time and memory do not grow with d.
     """
     d = int(d)
-
-    def value(u: np.ndarray) -> float:
-        u = np.abs(u)
-        return float(
-            2.0 * (2.0 + u.sum()) * u.max() * math.exp(-float(np.dot(u, u)))
-        )
-
-    from scipy.optimize import minimize
-
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    for k in range(restarts):
-        u0 = rng.uniform(0.0, 1.5, size=d) if k else np.full(d, 1.0 / math.sqrt(d))
-        res = minimize(lambda u: -value(u), u0, method="Nelder-Mead",
-                       options={"maxiter": 2000, "xatol": 1e-10, "fatol": 1e-12})
-        best = max(best, -float(res.fun))
+    if d < 1:
+        raise InvalidInput("dimension must be >= 1")
+    k = d - 1
+    values = [_gradient_profile(a, k) for a in _GRADIENT_GRID]
+    i = values.index(best := max(values))
+    lo, hi = _GRADIENT_GRID[max(i - 1, 0)], _GRADIENT_GRID[min(i + 1, len(values) - 1)]
+    for _ in range(60):
+        x1, x2 = hi - _INV_GOLDEN * (hi - lo), lo + _INV_GOLDEN * (hi - lo)
+        f1, f2 = _gradient_profile(x1, k), _gradient_profile(x2, k)
+        best = max(best, f1, f2)
+        lo, hi = (x1, hi) if f1 < f2 else (lo, x2)
     return best
 
 

@@ -237,8 +237,15 @@ def _probe_rows() -> dict:
 
 def _contraction_attention(config: dict, row, d: int) -> AttentionConfig:
     """The attention a contraction theorem is evaluated for: the config's,
-    with the Gaussian potential when it names none. The unbounded family
+    with the Gaussian potential when it names none. Multi-head and FFN
+    layers have no theorem yet and are refused. The unbounded family
     holds for the Gaussian kind of dimension d only and refuses any other."""
+    layered = sorted({"heads", "ffn"} & set(config))
+    if layered:
+        raise ConfigError(
+            f"theorem {row.name} holds for a single attention map; multi-head and FFN "
+            f"layers (config fields {layered}) have no bound yet, see ROADMAP item 9"
+        )
     if not config.get("potential"):
         config = {**config, "potential": {"kind": "gaussian"}}
     cfg = build_attention(config, default_dim=d)
@@ -286,18 +293,15 @@ def cmd_probe(args, config):
         jitter_sigma=args.jitter_sigma,
     )
     run = getattr(probes, row.probe)
+    cfg = _contraction_attention(config, row, box.dim or d)
     if kind is None:
-        cfg = _contraction_attention(config, row, d)
         # on the unbounded domain, conservative: the bound at the smallest
         # support size any trial can draw (the constant grows with min(N, M))
         inputs = {"cfg": cfg, "box": box, "lookup": cfg.lookup, "d": d, "include_tight_c": False}
         bound = row.report(**inputs, n=args.n_min, m=args.n_min).value
         result = run(cfg, probe, bound=bound)
     else:
-        potential = config.get("potential", {"kind": "gaussian"})
-        potential = build_potential(potential, default_dim=d) if softmatch else None
-        lookup = build_lookup(config.get("lookup"), d) if kind == "lookup" else None
-        result = run(kind, probe, potential=potential, lookup=lookup)
+        result = run(kind, probe, potential=cfg.potential, lookup=cfg.lookup)
     if args.ratios_csv:
         _write(args.ratios_csv, "ratio\n" + "".join(f"{r!r}\n" for r in result.ratios))
     return result.to_dict(), result.violations == 0
@@ -415,7 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--box-radius", type=float)
     sp.add_argument("--q", type=_float_list, help="comma-separated query vector")
     sp.add_argument("--tight-c", action="store_true",
-                    help="attach the numerically maximized gradient constant")
+                    help="attach the gradient constant's maximum, found over one "
+                    "variable, as a diagnostic beside the loose sqrt(d) + 2")
     sp.set_defaults(fn=cmd_bound)
 
     sp = sub.add_parser("probe", help="randomized contraction probe")

@@ -345,17 +345,27 @@ def _require_bounded(box: DomainBox, potential: Potential) -> None:
         )
 
 
+def _latin_hypercube(n: int, dim: int, seed: int) -> np.ndarray:
+    """n points of [0, 1)^dim, one in each of the n strata of every axis:
+    scipy's `qmc.LatinHypercube(d=dim, seed=seed).random(n)`, bit for bit,
+    as its algorithm on the same generator (a uniform offset per entry,
+    then one shuffle of the strata 1..n per axis)."""
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(size=(n, dim))
+    strata = np.tile(np.arange(1, n + 1), (dim, 1))
+    for row in strata:
+        rng.shuffle(row)
+    return (strata.T - u) / n
+
+
 def _sampled_stats(
     potential: Potential, box: DomainBox, sampling: SamplingConfig
 ) -> RegularityStats:
-    from scipy.stats import qmc
-
     _require_bounded(box, potential)
     d = box.dim
     rng_seed = sampling.seed
     n = max(16, sampling.n_pairs)
-    sampler = qmc.LatinHypercube(d=2 * d, seed=rng_seed)
-    u = sampler.random(n)
+    u = _latin_hypercube(n, 2 * d, rng_seed)
     span = box.upper - box.lower
     xs = box.lower + u[:, :d] * span
     ys = box.lower + u[:, d:] * span
@@ -553,8 +563,10 @@ def regularity_stats_on_data(
 
     The domain is the data's bounding box; eps(G) is replaced by the min
     over all data pairs (never smaller than the box infimum) and flagged
-    data-empirical. Bounds built from these stats apply to measures
-    supported on the data, with the bounding box standing in for E.
+    data-empirical. That minimum only estimates the box infimum from
+    above, as a sampled inf does, and the theorems need a convex E, which
+    a finite data set is not; so it carries the "sampled" kind, and a
+    bound built from these stats is "estimated", never "ok".
     """
     pts = np.asarray(points, dtype=np.float64)
     box = DomainBox.bounding(pts)
@@ -562,7 +574,7 @@ def regularity_stats_on_data(
     eps_data = max(stats.eps_g, eps_on_data(potential, pts))
     prov = dict(stats.provenance)
     prov["eps_g"] = Provenance(
-        "analytic",
+        "sampled",
         n_samples=pts.shape[0],
         note="data-empirical: min of G over all data pairs; applicability "
         "refers to the data bounding box",

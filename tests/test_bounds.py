@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from gradient_mp import mp_gradient_constant
 from ratio_mp import PREC, mp_sup
 from ratio_oracle import ratio_vectors
 
@@ -50,6 +51,7 @@ from softmatch.potentials import (
     RegularityStats,
     ScaledDotProduct,
     regularity_stats,
+    regularity_stats_on_data,
 )
 from softmatch.transport import w1
 
@@ -242,8 +244,56 @@ class TestUnboundedGaussian:
 
     def test_tight_constant_below_loose(self):
         for d in (1, 2, 4):
-            tight = tight_gradient_constant(d, restarts=6)
+            tight = tight_gradient_constant(d)
             assert 0.0 < tight <= loose_gradient_constant(d)
+
+
+def _gradient_h(a, b, d):
+    """h(a, b) = 2 (2 + a + (d - 1) b) a exp(-a^2 - (d - 1) b^2)."""
+    k = d - 1
+    return 2.0 * (2.0 + a + k * b) * a * np.exp(-a * a - k * b * b)
+
+
+class TestTightGradientConstant:
+    # the 12-start Nelder-Mead maximum over R^d that the one-variable
+    # maximum replaced, at its default seed 0
+    NELDER_MEAD = {
+        1: 2.362286402118957, 2: 2.4343787465785987, 3: 2.5011627234431955,
+        4: 2.5637041067487587, 5: 2.622747344656177, 6: 2.6788381531818697,
+        7: 2.7323914242626834, 8: 2.7837317359448353,
+        16: 3.0738695235731557, 64: 2.7210480298887947,
+    }
+
+    @pytest.mark.parametrize("d", (1, 2, 3, 4, 8, 16, 64, 1024))
+    def test_matches_the_200_bit_maximum(self, d):
+        want = mp_gradient_constant(d)
+        assert abs(tight_gradient_constant(d) - want) <= 1e-12 * want
+
+    def test_keeps_nelder_mead_values_and_beats_its_misses(self):
+        for d, old in self.NELDER_MEAD.items():
+            if d <= 8:
+                assert tight_gradient_constant(d) == pytest.approx(old, rel=1e-12, abs=0)
+            else:
+                assert tight_gradient_constant(d) > old
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_at_least_the_two_variable_grid(self, d):
+        # h over a 2001 x 2001 grid of 0 <= b <= a <= 3, a row block at a
+        # time; no grid point may beat the one-variable maximum
+        axis = np.linspace(0.0, 3.0, 2001)
+        best = 0.0
+        for a in np.array_split(axis, 20):
+            h = _gradient_h(a[:, None], axis[None, :], d)
+            best = max(best, float(np.where(axis[None, :] <= a[:, None], h, 0.0).max()))
+        assert tight_gradient_constant(d) >= best * (1.0 - 1e-12)
+
+    def test_deterministic(self):
+        for d in (1, 7, 64):
+            assert tight_gradient_constant(d).hex() == tight_gradient_constant(d).hex()
+
+    def test_dimension_must_be_positive(self):
+        with pytest.raises(InvalidInput):
+            tight_gradient_constant(0)
 
 
 class TestCrossAttention:
@@ -424,6 +474,21 @@ class TestReportStructure:
         assert sampled.value < certified.value
         assert sampled.ingredients["eps_g"].provenance.kind == "sampled"
         assert bound_component_taus(cfg, box, stats=stats).status == "estimated"
+
+    def test_data_stats_are_estimated(self):
+        # eps(G) as the minimum of G over the data pairs lies above the
+        # bounding box's inf, so the value undercuts the box's own bound;
+        # it used to carry the "analytic" kind and read "ok"
+        pts = np.array([[0.0, 0.0], [1.0, 0.5], [0.5, 1.0]])
+        cfg = AttentionConfig(Gaussian(2), IdentityLookup(2))
+        stats, box = regularity_stats_on_data(Gaussian(2), pts)
+        rep = bound_bounded_contraction(cfg, box, stats)
+        certified = bound_bounded_contraction(cfg, box)
+        assert rep.status == "estimated"
+        assert rep.ingredients["eps_g"].provenance.kind == "sampled"
+        assert "data-empirical" in rep.ingredients["eps_g"].provenance.note
+        assert (round(rep.value, 2), round(certified.value, 2)) == (47.90, 101.41)
+        assert certified.status == "ok"
 
     def test_numeric_gradient_constant_is_a_diagnostic(self):
         rep = bound_unbounded_gaussian(IdentityLookup(2), 2, 3, 4, include_tight_c=True)

@@ -225,6 +225,16 @@ class TestBoundCommand:
         assert rep["value"] > 0
         assert "tau_pi" in rep["ingredients"]
 
+    def test_tight_constant_at_a_large_dimension(self, workdir, capsys):
+        # the maximum is over one variable, so its cost does not grow with d
+        code, env, _ = run(
+            capsys, "bound", "--theorem", "unbounded-gaussian", "--d", "100000", "--tight-c",
+        )
+        assert code == 0
+        diag = env["report"]["diagnostics"]["gradient_constant_numeric"]
+        assert diag["value"] == bounds.tight_gradient_constant(100000)
+        assert diag["value"] < env["report"]["ingredients"]["gradient_constant_loose"]["value"]
+
     def test_bounded_with_config(self, workdir, capsys):
         code, env, _ = run(
             capsys, "bound", "--theorem", "bounded",
@@ -503,7 +513,9 @@ def _cli(argv):
 class TestCliParity:
     """`bound` and `probe` print what they printed at commit 7281b16, before
     one theorem table drove both: a sha256 over every run of a grid, of
-    its argv, exit code, stdout envelope and stderr. Configs are passed by
+    its argv, exit code, stdout envelope and stderr. The one change since
+    is the `--tight-c` diagnostic of `unbounded-gaussian`, now the
+    gradient constant's one-variable maximum. Configs are passed by
     a relative path, so the envelope's config_hash, which covers the parsed
     arguments, is the same in every checkout and shows a renamed flag or
     default."""
@@ -511,7 +523,7 @@ class TestCliParity:
     BOUND = {
         "bounded": "e087204b187af45e8af1aa742d3394f5e6b7689e0b3f334df0251cfe4ef30b70",
         "pointwise": "78c3203eab3d08f3098e8125d9c4f55491f3842da20fd7a3689fa05d60d89af8",
-        "unbounded-gaussian": "2c91f1bafaaa5b3b40af660dde1e3b806c071dd85a18dd12fc06fff33ad7c576",
+        "unbounded-gaussian": "bd0de8279cf8d8d2da8a19c36586332df07faf8d3e9ded026ed1b2af851587df",
         "unbounded-equal-n": "b05b42b0c1823865657eb61eaa03dad4024eb0004e2e97d315a826b63cfc14a6",
         "cross-attention": "aba9ebc9974ee5adc10c18d3b69f4c8d95f64caf43ff4f3f81611c51c878d513",
         "component-taus": "4a7ac0f7204ac0893e029783fb9a4c4d43358fd939bb349bafd55a892f7bb172",
@@ -1015,6 +1027,52 @@ class TestExitCodes:
             assert err.startswith("config error: ")
         code, env, _ = run(capsys, *argv, "--config", str(workdir / "gauss.json"))
         assert code == 0 and env["report"]
+
+    # a config naming heads or an ffn passed the key check and was then
+    # evaluated as the default single Gaussian head: one head with W_O = 5I
+    # read 81822.66 (bounded) and 24.96 (unbounded), both "ok"
+    LAYERED = {
+        "bound_bounded": ("bound", "--theorem", "bounded", "--box-radius", "1"),
+        "bound_unbounded_gaussian": ("bound", "--theorem", "unbounded-gaussian"),
+        "probe_bounded": ("probe", "--theorem", "bounded", "--trials", "3"),
+        "probe_component_lookup": ("probe", "--theorem", "component-lookup", "--trials", "3"),
+    }
+
+    @pytest.mark.parametrize("case", LAYERED)
+    @pytest.mark.parametrize("field", ("heads", "ffn"))
+    def test_multi_head_and_ffn_configs_are_refused(self, workdir, capsys, case, field):
+        layer = {
+            "heads": [{"potential": {"kind": "gaussian", "dim": 2}, "W_O": [[5, 0], [0, 5]]}],
+            "ffn": {"layers": [{"W": [[2, 0], [0, 2]]}]},
+        }
+        layer = {field: layer[field]}
+        (workdir / "layer.json").write_text(json.dumps(layer))
+        code, env, err = run(capsys, *self.LAYERED[case], "--config", str(workdir / "layer.json"))
+        assert code == 2
+        assert env is None
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("config error: ") and f"'{field}'" in err
+        assert "ROADMAP item 9" in err
+
+    # the component probes built only the part of the config their kind
+    # uses, so a bad potential or lookup elsewhere in it passed unread
+    @pytest.mark.parametrize(
+        "theorem, config",
+        (
+            ("component-projection", {"potential": {"kind": "bogus"}}),
+            ("component-lookup", {"potential": {"kind": "bogus"}}),
+            ("component-projection", {"lookup": {"kind": "bogus"}}),
+            ("component-softmatch-x", {"lookup": {"kind": "bogus"}}),
+        ),
+    )
+    def test_component_probes_read_the_whole_config(self, workdir, capsys, theorem, config):
+        (workdir / "bad.json").write_text(json.dumps(config))
+        code, env, err = run(
+            capsys, "probe", "--theorem", theorem, "--trials", "3",
+            "--config", str(workdir / "bad.json"),
+        )
+        assert (code, env) == (2, None)
+        assert err == f"config error: unknown {next(iter(config))} kind 'bogus'\n"
 
     # out-of-range probe sampling parameters and solver tolerances: numpy
     # overflowed on a radius whose width 2r is not finite, a NaN sigma was

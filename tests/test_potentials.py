@@ -26,6 +26,7 @@ from softmatch.potentials import (
     SamplingConfig,
     ScaledDotProduct,
     _bilinear_extrema,
+    _latin_hypercube,
     eps_on_data,
     evaluate,
     query_lipschitz,
@@ -332,6 +333,15 @@ class TestSampledStats:
         s = regularity_stats(CustomPotential(fn=fn, dim=box.dim), box, cfg)
         got = (s.eps_g, s.sup_g, s.lip_left, s.lip_right, s.lip_joint)
         assert tuple(v.hex() for v in got) == want
+
+
+@pytest.mark.parametrize("dim, n, seed", ((2, 16, 0), (4, 500, 3), (6, 2000, 7), (1, 17, 11)))
+def test_latin_hypercube_is_scipys(dim, n, seed):
+    # the sampled statistics draw their pairs from scipy's Latin hypercube
+    # algorithm, rewritten on numpy's generator to keep scipy.stats unloaded
+    qmc = pytest.importorskip("scipy.stats.qmc")
+    want = qmc.LatinHypercube(d=dim, seed=seed).random(n)
+    assert _latin_hypercube(n, dim, seed).tobytes() == want.tobytes()
 
 
 class TestQueryLipschitz:
