@@ -16,6 +16,7 @@ import logging
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -128,6 +129,8 @@ def build_multi_head(config: dict, default_dim: int | None = None) -> MultiHeadC
 def build_layer(config: dict, default_dim: int | None = None):
     """Single attention config, or a multi-head (+ optional FFN) layer."""
     if not config.get("heads"):
+        if "ffn" in config:
+            raise ConfigError("an 'ffn' block follows multi-head attention and needs 'heads'")
         return build_attention(config, default_dim)
     _check_keys(config, {"potential", "lookup", "heads", "ffn", "box"}, set(), "config")
     mh = build_multi_head(config, default_dim)
@@ -330,7 +333,10 @@ def cmd_deq(args, config):
 def cmd_invert(args, config):
     y = load_cloud_any(args.cloud)
     layer = build_layer(config, default_dim=y.dim)
-    res = invert_residual(layer, y, tol=args.tol, max_iter=args.max_iter, seed=args.seed)
+    with warnings.catch_warnings():
+        # the report and the summary line carry the gate's estimate instead
+        warnings.filterwarnings("ignore", "sampled Lipschitz estimate", RuntimeWarning)
+        res = invert_residual(layer, y, tol=args.tol, max_iter=args.max_iter, seed=args.seed)
     return res.to_dict(), res.converged
 
 
@@ -509,14 +515,16 @@ def main(argv=None) -> int:
     except FileNotFoundError as e:
         print(f"missing input: {e}", file=sys.stderr)
         return 2
+    except (IsADirectoryError, PermissionError) as e:
+        print(f"cannot read input: {e}", file=sys.stderr)
+        return 2
     except _INPUT_ERRORS as e:
         message = " ".join(str(e).split())
         print(f"input error: {type(e).__name__}: {message}", file=sys.stderr)
         return 2
-    print(
-        f"softmatch {args.command}: {'pass' if ok else 'FAIL'}",
-        file=sys.stderr,
-    )
+    lip = report.get("lip_estimate")
+    gate = f" (sampled Lipschitz estimate {lip:.3f} >= 1)" if lip is not None and lip >= 1 else ""
+    print(f"softmatch {args.command}: {'pass' if ok else 'FAIL'}{gate}", file=sys.stderr)
     return 0 if ok else 1
 
 

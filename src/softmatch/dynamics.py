@@ -15,8 +15,10 @@ certificate of interest.
 """
 from __future__ import annotations
 
+import itertools
 import logging
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -70,15 +72,18 @@ def run_particles(layers, x0: PointCloud, steps: int | None = None) -> Trajector
     """Iterate a layer (or a list of per-step layers) from x0.
 
     A single layer is weight-tied and applied `steps` times; a list runs
-    once per entry. steps = 0 returns the trajectory [x0]. Each step's W1
-    is exact, so a cloud of more than 512 points raises SupportTooLarge.
+    once per entry. steps = 0 returns the trajectory [x0]; a trajectory
+    holds fewer than sys.maxsize states. Each step's W1 is exact, so a
+    cloud of more than 512 points raises SupportTooLarge.
     """
     if isinstance(layers, Layer):
         if steps is None:
             raise InvalidInput("weight-tied run needs an explicit step count")
         if steps < 0:
             raise InvalidInput("steps must be >= 0")
-        seq = [layers] * steps
+        if steps >= sys.maxsize:
+            raise InvalidInput(f"steps must be below {sys.maxsize}, got {steps!r}")
+        seq = itertools.repeat(layers, steps)
     else:
         seq = list(layers)
         if steps is not None and steps != len(seq):
@@ -87,11 +92,13 @@ def run_particles(layers, x0: PointCloud, steps: int | None = None) -> Trajector
             )
     states = [x0]
     per_step = []
+    applied = []
     for layer in seq:
         nxt = PointCloud(layer_map(layer, states[-1].points[None])[0])
         per_step.append(w1(empirical(states[-1]), empirical(nxt)).value)
         states.append(nxt)
-    return Trajectory(tuple(states), tuple(per_step), tuple(seq))
+        applied.append(layer)
+    return Trajectory(tuple(states), tuple(per_step), tuple(applied))
 
 
 # ---------------------------------------------------------------------------
@@ -107,13 +114,19 @@ class DeqResult:
     converged: bool
 
     def to_dict(self) -> dict:
+        """The fields as JSON values: an infinite float reads None."""
         return {
             "iterations": self.iterations,
-            "residual": self.residual,
-            "contraction_estimate": self.contraction_estimate,
+            "residual": _json_float(self.residual),
+            "contraction_estimate": _json_float(self.contraction_estimate),
             "converged": self.converged,
             "h_star": self.h_star.points.tolist(),
         }
+
+
+def _json_float(x: float | None) -> float | None:
+    """x, or None where JSON has no number for it (inf or NaN)."""
+    return x if x is not None and math.isfinite(x) else None
 
 
 def _diverged(points: np.ndarray) -> bool:
@@ -121,6 +134,8 @@ def _diverged(points: np.ndarray) -> bool:
     return not np.all(np.isfinite(points)) or np.abs(points).max() > 1e100
 
 
+# an iterate past the float range is inf, which `_diverged` reports
+@np.errstate(over="ignore")
 def deq_solve(
     layer: Layer,
     x: PointCloud,
@@ -190,11 +205,12 @@ class InversionResult:
     lip_estimate: float | None
 
     def to_dict(self) -> dict:
+        """The fields as JSON values: an infinite float reads None."""
         return {
             "iterations": self.iterations,
-            "residual": self.residual,
+            "residual": _json_float(self.residual),
             "converged": self.converged,
-            "lip_estimate": self.lip_estimate,
+            "lip_estimate": _json_float(self.lip_estimate),
             "points": self.points.points.tolist(),
         }
 
@@ -290,14 +306,15 @@ def invert_residual(
             )
     xk = y.points
     iterations = 0
-    for iterations in range(1, max_iter + 1):
-        if _diverged(xk):
-            break
-        nxt = y.points - layer_map(layer, xk[None])[0]
-        step = cloud_distance(nxt, xk)
-        xk = nxt
-        if step < tol:
-            break
+    with np.errstate(over="ignore"):  # as in `deq_solve`
+        for iterations in range(1, max_iter + 1):
+            if _diverged(xk):
+                break
+            nxt = y.points - layer_map(layer, xk[None])[0]
+            step = cloud_distance(nxt, xk)
+            xk = nxt
+            if step < tol:
+                break
     if _diverged(xk):
         result = InversionResult(
             points=y, iterations=iterations, residual=float("inf"),

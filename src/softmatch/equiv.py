@@ -104,11 +104,14 @@ def run_equivalence(
     transformer_every: int = 5,
     sabotage: bool = False,
 ) -> dict:
-    """Run the suite; the report carries the worst instance for replay."""
+    """Run the suite; the report carries the worst instance for replay.
+    n_max**2 * max(d_choices), the size of a pairwise array, is at most 2**24."""
     if not d_choices or min(d_choices) < 1:
         raise InvalidInput(f"d_choices must be dimensions >= 1, got {d_choices!r}")
     if n_max < 1:
         raise InvalidInput(f"n_max must be >= 1, got {n_max!r}")
+    if n_max**2 * max(d_choices) > 2**24:
+        raise InvalidInput(f"n_max**2 * max(d) must be at most 2**24: {n_max!r}, {d_choices!r}")
     if trials < 1:
         raise InvalidInput(f"trials must be >= 1, got {trials!r}")
     worst = {"deviation": -1.0}

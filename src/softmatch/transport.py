@@ -14,56 +14,25 @@ F and G. `_line_basis` merges the sorted supports once, in exact integers:
 the value is W1 with the exact costs |x - y|, and the dual potentials come
 from the same walk, exactly feasible with strong duality by construction.
 
-For d >= 2 every solve is one exact transportation network simplex on the
-float l1 cost matrix: "exact" means the exact optimum of the LP over those
-float costs, each c_ij = fl(sum_k |x_ik - y_jk|) read exactly as a dyadic
-integer. Flows and node potentials are exact Python integers on a
-spanning-tree basis, a sink's stored negated (-v_j), so that a pivot
-shifts every potential of a subtree by one amount. numpy prices all N*M
-arcs at once from correctly rounded float copies of the potentials,
-refreshed from the exact ones once per pricing round; an arc enters only
-once its reduced cost is confirmed negative in exact integers, its exact
-cost read on demand from the float cost (no per-arc integer array is
-kept). Past 1024 arcs each of these conversions is one int64 cast
-wherever that is exact: the potentials are rounded through int64 while
-all have |p| < 2^63 (int64 -> float64 rounds to nearest, as int -> float
-does), and the candidates' costs are read through int64 while
-c_max * 2^shift < 2^62; otherwise, and in every probe-sized solve, they
-go through Python lists. Arcs within the float error bound of zero are
-settled exactly; when there are many, a double-double pricing under a
-rigorous per-arc bound settles most of them first, and only the rest are
-checked in integers. The solve stops when no arc is
-exactly negative, so the primal, the dual and complementary slackness
-hold by construction. A solver's plan keeps the exact potentials of its
-optimal basis, and derives float dual potentials from them at the first
-read, rounded toward -inf so that they stay exactly feasible for the float
-cost matrix; most callers read only the value and never pay for them.
+For d >= 2 every solve is one exact transportation network simplex
+(`_network_simplex`) on the float l1 cost matrix: "exact" means the exact
+optimum of the LP over those float costs, each c_ij = fl(sum_k |x_ik -
+y_jk|) read exactly as a dyadic integer. Flows and potentials are exact
+integers; numpy prices every arc from float copies of the potentials, and
+an arc enters only once its reduced cost is confirmed negative in exact
+integers, so the solve stops with an exact dual certificate. A solver's
+plan keeps the exact potentials of its optimal basis and derives float
+duals from them at the first read, rounded toward -inf so that they stay
+exactly feasible for the float cost matrix.
 
 `w1` is the one entry point, and it picks the path from its input: d = 1
-takes the sorted-supports path; otherwise uniform equal-size measures
-start the simplex from scipy's Hungarian matching, hung along its
-shortest-path tree so that an optimal matching is certified with no
-pivot, and repaired where float rounding left it suboptimal; every other
-pair starts from the matrix-minimum allocation, which takes the cells in
-stable cost order (numpy's default sort with its runs of ties put back in
-index order, past 1024 cells). The matching and the tree
-are found in float on the reduced matrix r (c less its row minima, then
-its column minima), where the differences that decide them keep their
-bits even when every row of c is nearly constant, as on a contracted
-cloud; exact row and column shifts change neither, so r only guides the
-start, and the simplex prices and certifies c itself.
-
-scipy serves here only for that Hungarian matching, and only its compiled
-kernel is loaded: `_linear_sum_assignment` loads the extension module
-`scipy.optimize._lsap` alone at the first pair that needs it, not the
-`scipy.optimize` package. The function is the one `scipy.optimize`
-exports, so every matching is scipy's own, bit for bit. Importing
-softmatch loads no scipy, and a process pays for the kernel only once it
-solves a uniform equal-size pair of at least two points at d >= 2: one
-module, under 1 ms and 0.1 MB of resident memory on a 2-vCPU host, where
-the package's 321 modules took about 0.6 s and 47 MB. A pair of one-point
-measures has the one matching [0] and loads nothing, and every other path
-runs on numpy alone.
+takes the sorted-supports path; uniform equal-size measures start the
+simplex from scipy's Hungarian matching, hung along its shortest-path
+tree (`_w1_assignment`); every other pair starts from the matrix-minimum
+allocation (`_matrix_minimum_basis`). scipy serves only for that
+matching, and only its compiled kernel is loaded
+(`_linear_sum_assignment`): importing softmatch loads no scipy, and every
+other path runs on numpy alone.
 
 A result keeps its plan as the at most n + m - 1 atoms (row, column,
 mass) of its optimal basis, with the exact potentials of that basis until
@@ -74,8 +43,9 @@ only when read.
 Desk-scale limits: every path accepts N, M <= 512, d = 1 included. At
 d = 1 `w1` builds no N x M cost matrix (an O(N + M) range check refuses
 overflowing costs): only `dual_potentials()`, fitting the float duals at
-its first call, and `certificate()` build one. Product measures hold at
-most 64 support points.
+its first call, and `certificate()` build one. At d >= 2 the simplex
+refuses costs whose largest times 4 (N + M) overflows, as its float
+pricing would. Product measures hold at most 64 support points.
 """
 from __future__ import annotations
 
@@ -401,12 +371,17 @@ def _matrix_minimum_basis(c: np.ndarray, supply: list, demand: list) -> list:
     5 times faster than numpy's stable merge sort at 128 x 112; up to
     there the merge sort costs less, and a process that never solves a
     larger pair never maps the SIMD sort's code (about 0.5 MB resident).
+    End to end, the merge sort at every size measured within noise on
+    `transport` (0.3% faster, 3 of 8 pairs slower).
+
     The walk goes in chunks of 2 (n + m - 1) cells from which closed
     cells are dropped in bulk first. Up to 256 cells (every probe-sized
     pair) it reads them all in one pass with no filter, and keeps its open
     flags in lists: there it reaches about 96% of the cells before the
     tree spans (median over the probe benchmark's pairs), so it visits
-    every chunk anyway, and this halves its time.
+    every chunk anyway, and this halves its time. End to end, the bulk
+    walk at every size cost `probe` 3.1%, and the list walk at every size
+    cost `transport` 1.8% (each slower in 5 of 8 pairs).
     """
     n, m = c.shape
     rem_s = [(a, 1) for a in supply]
@@ -487,6 +462,11 @@ def _tie_signs(c, src, dst, pot: list, shift: int) -> tuple[np.ndarray, np.ndarr
     roundings and the split, with room; the constant covers underflow).
     r is a multiple of grain = 2**-shift, so it is 0 where |r~| <= err2
     and 2 err2 < grain, and positive where r~ > err2.
+
+    The simplex calls it past 2 (n + m) + 128 ties only. Checking every
+    tie in integers instead cost `transport` 5.1% end to end (slower in 7
+    of 8 pairs), and 384-point quarter-grid flow solves 1.17 times slower
+    in the median (3 of 6 rounds).
     """
     hi, rem = _split(pot, shift)
     scale = 1 << shift
@@ -508,6 +488,8 @@ def _smallest(vals: np.ndarray, k: int) -> np.ndarray:
     Past 512 entries, where np.partition costs less than a full sort, only
     the entries at or below the k-th smallest value are sorted: they are
     kept in index order, so their stable sort puts the same k first.
+    Without it, 128 x 112 flow solves ran 13% slower (9 of 10 rounds);
+    `transport` end to end moved within noise (0.8% faster, 8 pairs).
     """
     if k < vals.size and vals.size > 512:
         keep = np.flatnonzero(vals <= np.partition(vals, k - 1)[k - 1])
@@ -532,17 +514,14 @@ def _network_simplex(c: np.ndarray, arcs: list, shift: int, path: str) -> _Basis
     the next pass); rounding to nearest is odd-symmetric, so
     (c - u~) + (-v)~ has the bits of (c - u~) - v~.
 
-    Past 1024 arcs (n * m; below, numpy's fixed cost per call outweighs
-    the lists') each conversion is one int64 cast where that is exact,
-    and falls back to the lists where it is not. Where the shift guard
-    below holds, p * 2**-shift is p / 2**shift correctly rounded for every
-    tree potential p, and int64 -> float64 rounds to nearest, ties to
-    even, as int -> float does: the potentials are rounded by one cast
-    when all of them have |p| < 2**63 (an OverflowError otherwise). Every
-    scaled cost c_ij * 2**shift is then an integer-valued float, and the
-    candidates' exact costs are read by one cast while
-    c_max * 2**shift < 2**62. The candidates' rows and columns come from
-    one np.divmod.
+    At every size each conversion is one int64 cast where that is exact,
+    and goes through Python lists where it is not. Where `scaled` holds,
+    p * 2**-shift is p / 2**shift correctly rounded for every tree
+    potential p, and int64 -> float64 rounds to nearest, ties to even, as
+    int -> float does: the potentials are rounded by one cast when all of
+    them have |p| < 2**63 (an OverflowError otherwise). Every scaled cost
+    c_ij * 2**shift is then an integer-valued float, and the candidates'
+    exact costs are read by one cast while c_max * 2**shift < 2**62.
 
     Pricing compares against a rigorous bound `err` on the rounding error
     of the float reduced cost r~:
@@ -575,8 +554,9 @@ def _network_simplex(c: np.ndarray, arcs: list, shift: int, path: str) -> _Basis
     grain = math.ldexp(1.0, -shift)
     cflat = np.ascontiguousarray(c).reshape(-1)
     c_max = float(cflat.max(initial=0.0))
-    # numpy's casts pay off only past 1024 arcs; probe-sized solves keep lists
-    big = n * m > 1024
+    # a potential sums at most n + m - 1 costs: every float stays below 4 (n + m) c_max
+    if not c_max * (4 * size) < math.inf:
+        raise InvalidInput(f"transport cost {c_max!r} is too large to price over {size} nodes")
 
     parent = [-1] * size
     depth = [0] * size
@@ -586,37 +566,29 @@ def _network_simplex(c: np.ndarray, arcs: list, shift: int, path: str) -> _Basis
     pot = [0] * size
     basic = np.zeros(n * m, dtype=bool)
 
-    if shift <= 1022 and math.frexp(c_max)[1] + shift + size.bit_length() <= 1023:
-        # scaling by 2**shift or 2**-shift is then exact: every c_ij *
-        # 2**shift is a finite float and an integer, and a tree potential,
-        # a sum of at most n + m such costs, converts to a float and
-        # scales back with no overflow and no subnormal, so float(p) *
-        # 2**-shift is p / 2**shift correctly rounded
-        up, down = math.ldexp(1.0, shift), math.ldexp(1.0, -shift)
+    # where `scaled` holds, scaling by 2**shift or 2**-shift is exact:
+    # every c_ij * 2**shift is a finite float and an integer, and a tree
+    # potential, a sum of at most n + m such costs, converts to a float and
+    # scales back with no overflow and no subnormal, so float(p) *
+    # 2**-shift is p / 2**shift correctly rounded
+    scaled = shift <= 1022 and math.frexp(c_max)[1] + shift + size.bit_length() <= 1023
+    up, down = (math.ldexp(1.0, shift), math.ldexp(1.0, -shift)) if scaled else (0.0, 0.0)
+    cast_costs = scaled and c_max * up < 2.0**62
 
-        if big and c_max * up < 2.0**62:
-            def exact_costs(ks):
-                return (cflat[ks] * up).astype(np.int64).tolist()
-        else:
-            def exact_costs(ks):
-                return [int(x * up) for x in cflat[ks].tolist()]
+    def exact_costs(ks):
+        if cast_costs:
+            return (cflat[ks] * up).astype(np.int64).tolist()
+        return _dyadic_ints(cflat[ks], shift)[0]
 
-        def rounded(pot):
-            if big:
-                try:
-                    potf = np.array(pot, dtype=np.int64) * down
-                    return potf, float(np.abs(potf).max())
-                except OverflowError:
-                    pass
-            floats = [p * down for p in pot]
-            return np.array(floats), max(map(abs, floats))
-    else:
-        def exact_costs(ks):
-            return _dyadic_ints(cflat[ks], shift)[0]
-
-        def rounded(pot):
-            floats = [p / scale for p in pot]
-            return np.array(floats), max(map(abs, floats))
+    def rounded(pot):
+        if scaled:
+            try:
+                potf = np.array(pot, dtype=np.int64) * down
+                return potf, float(np.abs(potf).max())
+            except OverflowError:
+                pass
+        floats = [p / scale for p in pot]
+        return np.array(floats), max(map(abs, floats))
 
     adj = [[] for _ in range(size)]
     ks = np.array([i * m + j for i, j, _ in arcs])
@@ -760,6 +732,9 @@ def _network_simplex(c: np.ndarray, arcs: list, shift: int, path: str) -> _Basis
     return _Basis(arcs, pot[:n], [-w for w in pot[n:]], total, shift)
 
 
+# near the float range a distance can overflow: inf never improves a
+# distance and -inf only ends the relaxation early, so neither warns
+@np.errstate(over="ignore", invalid="ignore")
 def _assignment_basis(c: np.ndarray, cols: list) -> list:
     """Unit masses matched i -> cols[i] on a strongly feasible basis rooted
     at sink n - 1: the matching's shortest-path tree.
@@ -777,11 +752,6 @@ def _assignment_basis(c: np.ndarray, cols: list) -> list:
     negative cycle: the matching is suboptimal) hangs from the root sink
     instead, and the simplex repairs the matching.
 
-    Up to 16 rows the same relaxation runs on Python lists
-    (`_small_assignment_basis`), where numpy's fixed cost per call
-    outweighs the arithmetic (measured: 24 against 52 us per tree at up
-    to 8 rows, 81 against 86 at 13 to 16).
-
     `c` need not be the matrix the simplex then prices: `w1` hands over
     `_reduced_costs(c)`, r_kj = c_kj - a_k - b_j. On r the distances
     become d_k - a_k + a_r0, and every candidate of row k moves by the
@@ -793,8 +763,6 @@ def _assignment_basis(c: np.ndarray, cols: list) -> list:
     root = n - 1
     r0 = cols.index(root)
     at = c.T[cols]  # at[p, k] = c[k, cols[p]]
-    if n <= 16:
-        return _small_assignment_basis(at.tolist(), cols, r0)
     base = at.diagonal()
     unit = n * math.ldexp(1.0, -51)
     c_max = float(at.max(initial=0.0))
@@ -830,48 +798,6 @@ def _assignment_basis(c: np.ndarray, cols: list) -> list:
     sink = np.where(hop == r0, np.asarray(cols)[pred], root).tolist()
     return [(i, j, 1) for i, j in enumerate(cols)] + [
         (k, sink[k], 0) for k in range(n) if k != r0
-    ]
-
-
-def _small_assignment_basis(at: list, cols: list, r0: int) -> list:
-    """`_assignment_basis` on the rows at[p][k] = c[k][cols[p]], with the
-    same float operations in the same order: each round computes every
-    row's best distance through the active rows from the distances of the
-    round before, the first active row winning a tie, as argmin does."""
-    n = len(cols)
-    root = n - 1
-    base = [at[p][p] for p in range(n)]
-    unit = n * math.ldexp(1.0, -51)
-    c_max = max(0.0, max(map(max, at)))
-    d = [x - base[r0] for x in at[r0]]
-    d[r0] = 0.0
-    pred = [r0] * n
-    active = [k for k in range(n) if k != r0]
-    span = max(map(abs, d))
-    for _ in range(n - 1):
-        bar = unit * (2.0 * c_max + span)
-        via = [(q, at[q], d[q] - base[q]) for q in active]
-        improved = []
-        for k in range(n):
-            best = math.inf
-            for q, row, lift in via:
-                x = row[k] + lift
-                if x < best:
-                    best, arg = x, q
-            if best < d[k] - bar and k != r0:
-                improved.append((k, arg, best))
-        if not improved:
-            break
-        for k, q, x in improved:
-            pred[k] = q
-            d[k] = x
-        span = max(span, max(abs(x) for _, _, x in improved))
-        active = [k for k, _, _ in improved]
-    hop = pred
-    for _ in range(n.bit_length()):
-        hop = [hop[h] for h in hop]
-    return [(i, j, 1) for i, j in enumerate(cols)] + [
-        (k, cols[pred[k]] if hop[k] == r0 else root, 0) for k in range(n) if k != r0
     ]
 
 

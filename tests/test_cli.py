@@ -747,8 +747,13 @@ PROBE_FLAGS = _flags(
 
 
 def _argv(flags: dict) -> list:
-    """--flag=value for each flag that is not absent (None)."""
-    return [f"{flag}={value!r}" for flag, value in flags.items() if value is not None]
+    """--flag=value for each flag that is not absent (None); a number
+    by its repr, a string as it stands."""
+    return [
+        f"{flag}={value if isinstance(value, str) else repr(value)}"
+        for flag, value in flags.items()
+        if value is not None
+    ]
 
 
 def _assert_one_line_and_clean_json(argv):
@@ -821,6 +826,124 @@ class TestBoundAndProbeProperties:
             argv += ["--config", str(configs / "dot.json")]
         report = _assert_one_line_and_clean_json(argv)
         assert report is None or report["trials"] == flags.get("--trials", 200)
+
+
+# fields of a malformed or non-finite CSV file: non-finite, overflowing
+# and subnormal numbers, an empty field, words, a hex literal, a field
+# holding a comma (one column too many) and one cut short
+BAD_FIELDS = st.sampled_from(
+    ("nan", "inf", "-inf", "1e999", "1e308", "-1e308", "5e-324", "", "abc", "0x10", "1,2", "1e")
+)
+
+
+@st.composite
+def _csv_cloud(draw, d):
+    """A cloud of 1-6 points in d dimensions on [-2, 2] as CSV text, with
+    up to three fields replaced by a bad one, and at times a row dropped
+    to one field."""
+    n = draw(st.integers(1, 6))
+    rows = [[repr(draw(st.floats(-2.0, 2.0))) for _ in range(d)] for _ in range(n)]
+    for _ in range(draw(st.integers(0, 3))):
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, d - 1))] = draw(BAD_FIELDS)
+    if d > 1 and draw(st.integers(0, 9)) == 0:
+        rows[draw(st.integers(0, n - 1))] = rows[0][:1]
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+EQUIV_FLAGS = _flags(
+    {
+        "--trials": st.integers(1, 4), "--n-max": st.integers(1, 8),
+        "--dims": st.lists(st.integers(1, 4), min_size=1, max_size=3).map(
+            lambda ds: ",".join(map(str, ds))
+        ),
+        "--seed": SEEDS[0],
+    },
+    {
+        "--trials": _special_ints(huge=False), "--n-max": _special_ints(),
+        "--dims": st.sampled_from(("0", "-1", f"1,{BIG}", "2,-3")), "--seed": SEEDS[1],
+    },
+)
+# --max-iter draws no huge count: a layer that does not contract would
+# run all of it
+SOLVE_FLAGS = _flags(
+    {"--tol": st.floats(1e-12, 1e-2), "--max-iter": st.integers(1, 30), "--seed": SEEDS[0]},
+    {"--tol": SPECIAL_FLOATS, "--max-iter": _special_ints(huge=False), "--seed": SEEDS[1]},
+)
+STEPS_FLAGS = _flags(
+    {"--steps": st.integers(0, 3), "--seed": SEEDS[0]},
+    {"--steps": _special_ints(), "--seed": SEEDS[1]},
+)
+
+
+class TestFileCommandProperties:
+    """The property of `TestBoundAndProbeProperties` for `equiv`, `w1`,
+    `dynamics`, `deq` and `invert`: any numeric flag value and any CSV
+    file of `_csv_cloud` gives an exit code, one stderr line and, on
+    exits 0 and 1, a report without NaN or Infinity. Clouds hold at most
+    6 points, --trials is at most 4, --n-max 8, --steps 3 and --max-iter
+    30, so each run takes well under a second."""
+
+    KINDS = st.sampled_from(("gauss", "dot"))
+    # a cloud and, for deq, an optional --h0 state of its dimension
+    CLOUDS = st.integers(1, 3).flatmap(
+        lambda d: st.tuples(_csv_cloud(d), st.one_of(st.none(), _csv_cloud(d)))
+    )
+    # the two points are 1e308 apart: costs and sums pass the float range
+    FAR = "0.0,1e308\n0.0,0.0\n"
+
+    @settings(max_examples=30, deadline=None)
+    @given(flags=EQUIV_FLAGS, sabotage=st.booleans())
+    @example(flags={"--n-max": BIG}, sabotage=False)
+    @example(flags={"--dims": f"1,{BIG}", "--trials": 1}, sabotage=False)
+    def test_equiv(self, flags, sabotage):
+        argv = ["equiv", *_argv(flags), *(["--sabotage"] if sabotage else [])]
+        report = _assert_one_line_and_clean_json(argv)
+        assert report is None or report["pass"] is not sabotage
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        clouds=st.integers(1, 3).flatmap(lambda d: st.tuples(_csv_cloud(d), _csv_cloud(d))),
+        plan=st.booleans(),
+        seed=st.one_of(*SEEDS),
+    )
+    @example(clouds=(FAR, FAR), plan=False, seed=0)
+    def test_w1(self, configs, clouds, plan, seed):
+        for name, text in zip(("a.csv", "b.csv"), clouds):
+            (configs / name).write_text(text)
+        argv = ["w1", str(configs / "a.csv"), str(configs / "b.csv"), f"--seed={seed}"]
+        report = _assert_one_line_and_clean_json(argv + (["--plan"] if plan else []))
+        assert report is None or report["dual_gap"] == 0.0
+
+    @staticmethod
+    def _run(configs, command, kind, cloud, flags, h0=None):
+        (configs / "x.csv").write_text(cloud)
+        argv = [command, str(configs / "x.csv"), "--config", str(configs / f"{kind}.json")]
+        if h0 is not None:
+            (configs / "h0.csv").write_text(h0)
+            argv.append(f"--h0={configs / 'h0.csv'}")
+        return _assert_one_line_and_clean_json(argv + _argv(flags))
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=KINDS, clouds=CLOUDS, flags=STEPS_FLAGS)
+    @example(kind="gauss", clouds=("0.5,0.25\n", None), flags={"--steps": BIG})
+    def test_dynamics(self, configs, kind, clouds, flags):
+        report = self._run(configs, "dynamics", kind, clouds[0], flags)
+        assert report is None or report["depth"] == flags.get("--steps", 4)
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=KINDS, clouds=CLOUDS, flags=SOLVE_FLAGS)
+    @example(kind="gauss", clouds=(FAR, FAR), flags={"--max-iter": 1})
+    @example(kind="gauss", clouds=("1e308\n", None), flags={})
+    def test_deq(self, configs, kind, clouds, flags):
+        report = self._run(configs, "deq", kind, clouds[0], flags, h0=clouds[1])
+        assert report is None or 1 <= report["iterations"] <= flags.get("--max-iter", 500)
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=KINDS, clouds=CLOUDS, flags=SOLVE_FLAGS)
+    @example(kind="gauss", clouds=("0.1,0.2\n0.3,-0.1\n", None), flags={"--max-iter": 3})
+    def test_invert(self, configs, kind, clouds, flags):
+        report = self._run(configs, "invert", kind, clouds[0], flags)
+        assert report is None or report["lip_estimate"] is not None
 
 
 def _string_literals(tree) -> set:
@@ -1053,6 +1176,32 @@ class TestExitCodes:
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("config error: ") and f"'{field}'" in err
         assert "ROADMAP item 9" in err
+
+    # an ffn block without heads passed the key check and was dropped: a
+    # two-point dynamics run read the same per_step_w1 with and without
+    # W = 100 I
+    @pytest.mark.parametrize("command", ("dynamics", "deq", "invert"))
+    def test_ffn_without_heads_is_refused(self, workdir, capsys, command):
+        config = {
+            "potential": {"kind": "gaussian", "dim": 2},
+            "ffn": {"layers": [{"W": [[100, 0], [0, 100]]}]},
+        }
+        (workdir / "ffn.json").write_text(json.dumps(config))
+        code, env, err = run(capsys, command, str(workdir / "x.csv"), "--config", str(workdir / "ffn.json"))
+        assert (code, env) == (2, None)
+        assert err == "config error: an 'ffn' block follows multi-head attention and needs 'heads'\n"
+
+    # a file that is not UTF-8 text, and a directory, ended in a traceback
+    @pytest.mark.parametrize("name", ("bad.csv", "bad.json", "folder"))
+    def test_unreadable_inputs_are_usage_errors(self, workdir, capsys, name):
+        if name == "folder":
+            (workdir / name).mkdir()
+        else:
+            (workdir / name).write_bytes(b"\xff\xfe,1\n")
+        code, env, err = run(capsys, "w1", str(workdir / name), str(workdir / "b.csv"))
+        assert (code, env) == (2, None)
+        assert len(err.splitlines()) == 1
+        assert err.startswith("cannot read input: " if name == "folder" else "input error: ")
 
     # the component probes built only the part of the config their kind
     # uses, so a bad potential or lookup elsewhere in it passed unread

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import sys
 
 import kernel_oracle
 import numpy as np
@@ -112,6 +113,12 @@ class TestRunParticles:
                 AttentionConfig(Gaussian(1), IdentityLookup(1)),
                 PointCloud([[0.0]]),
             )
+
+    def test_steps_past_any_trajectory_are_refused(self):
+        # the weight-tied run built [layer] * steps first, which raised
+        # OverflowError from 2**63 steps on and MemoryError below
+        with pytest.raises(InvalidInput, match="steps must be below"):
+            run_particles(contractive_config(1), PointCloud([[0.0]]), steps=sys.maxsize)
 
     def test_cloud_past_the_lp_limit_is_rejected(self):
         # every step is measured by exact W1, which holds supports to 512

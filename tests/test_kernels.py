@@ -777,3 +777,11 @@ class TestPinnedOutputs:
         assert {"CustomPotential", "FunctionLookup"} <= set(drawn)
         text = json.dumps(report, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == self.EQUIV_DIGESTS[seed]
+
+
+def test_equivalence_instances_are_desk_sized():
+    # an n_max or a dimension past numpy's range ended in a ValueError
+    # traceback from the sampler; n_max**2 * d is now held to 2**24
+    for n_max, dims in ((10**30, (1,)), (4097, (1,)), (16, (10**30,)), (2048, (5,))):
+        with pytest.raises(InvalidInput, match=r"at most 2\*\*24"):
+            run_equivalence(trials=1, n_max=n_max, d_choices=dims)

@@ -179,6 +179,17 @@ class TestCostMatrix:
         with pytest.raises(InvalidInput, match="non-finite transport costs"):
             w1(empirical(y[:1]), empirical(x[:1]))
 
+    @pytest.mark.parametrize("weighted", (False, True))
+    def test_costs_too_large_to_price_are_refused(self, weighted):
+        # finite costs of 1e308, whose float reduced costs overflowed in
+        # the simplex's pricing (and in the Bellman-Ford of the assignment
+        # start) with numpy warnings
+        x = np.array([[0.0, 1e308], [0.0, 0.0]])
+        w = [0.25, 0.75] if weighted else [0.5, 0.5]
+        mu = EmpiricalMeasure(PointCloud(x), w)
+        with pytest.raises(InvalidInput, match="too large to price over 4 nodes"):
+            w1(mu, mu)
+
 
 class TestAssignmentPath:
     def test_identical_sets_any_order(self):
@@ -1172,11 +1183,12 @@ class TestNetworkxOracle:
             want, _ = nx.network_simplex(g)
             assert _solve_masses(c, a, b, shift, "flow").total == want
 
-    def test_costs_and_potentials_past_int64(self):
+    @pytest.mark.parametrize("n, m", ((8, 9), (33, 34)))
+    def test_costs_and_potentials_past_int64(self, n, m):
         # O(1) coordinates from a shared pool beside offsets of a few
         # 2^-70: costs range over 70 binades, so the scaled costs and the
-        # potentials pass int64 and a pair of more than 1024 arcs takes the
-        # list fallbacks of the casts
+        # potentials pass int64 and the solve takes the list fallbacks of
+        # the casts, for a probe-sized pair as for one of more than 1024 arcs
         nx = pytest.importorskip("networkx")
         rng = np.random.default_rng(29)
         pool = rng.uniform(-1, 1, 6)
@@ -1184,16 +1196,17 @@ class TestNetworkxOracle:
         def support(k):
             return np.column_stack([pool[rng.integers(6, size=k)], rng.integers(-3, 4, k) * 2.0**-70])
 
-        mu = EmpiricalMeasure(PointCloud(support(33)), _weights(rng, 33))
-        nu = EmpiricalMeasure(PointCloud(support(34)), _weights(rng, 34))
+        mu = EmpiricalMeasure(PointCloud(support(n)), _weights(rng, n))
+        nu = EmpiricalMeasure(PointCloud(support(m)), _weights(rng, m))
         c, cost, shift, a, b, den = exact_lp(mu, nu, False)
-        assert c.size > 1024 and float(c.max()) * 2.0**shift >= 2.0**63
+        assert c.size > 1024 or (n, m) == (8, 9)
+        assert float(c.max()) * 2.0**shift >= 2.0**63
         g = nx.DiGraph()
-        for i in range(33):
+        for i in range(n):
             g.add_node(("s", i), demand=-a[i])
-        for j in range(34):
+        for j in range(m):
             g.add_node(("t", j), demand=b[j])
-            for i in range(33):
+            for i in range(n):
                 g.add_edge(("s", i), ("t", j), weight=cost[i][j])
         want, _ = nx.network_simplex(g)
         basis = _solve_masses(c, a, b, shift, "flow")
@@ -1654,12 +1667,12 @@ class TestPinnedEnteringSequence:
     rounds.
 
     Pairs at d = 2 and 4 on either side of the 1024 arcs above which the
-    start's cell order comes from `_stable_argsort` and the simplex casts
-    potentials and costs to int64 (32 x 32, the list path; 32 x 33, the
-    cast path; and 40 x 36 on a quarter grid, whose costs tie) were
-    recorded with the solver of commit 6f8dee9, which had neither; each
-    solve also checks that its start sorted with `_stable_argsort` exactly
-    when the pair has more than 1024 arcs."""
+    start's cell order comes from `_stable_argsort` (32 x 32, sorted by
+    numpy's stable merge sort; 32 x 33 and 40 x 36 on a quarter grid,
+    whose costs tie, by `_stable_argsort`) were recorded with the solver
+    of commit 6f8dee9, which had no `_stable_argsort` and no int64 casts;
+    each solve also checks that its start sorted with `_stable_argsort`
+    exactly when the pair has more than 1024 arcs."""
 
     @pytest.mark.parametrize(
         "kind, seed, counts, digest",
