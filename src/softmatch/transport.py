@@ -371,17 +371,14 @@ def _matrix_minimum_basis(c: np.ndarray, supply: list, demand: list) -> list:
     5 times faster than numpy's stable merge sort at 128 x 112; up to
     there the merge sort costs less, and a process that never solves a
     larger pair never maps the SIMD sort's code (about 0.5 MB resident).
-    End to end, the merge sort at every size measured within noise on
-    `transport` (0.3% faster, 3 of 8 pairs slower).
-
+    End to end, the merge sort at every size read +0.3% on `transport`.
     The walk goes in chunks of 2 (n + m - 1) cells from which closed
     cells are dropped in bulk first. Up to 256 cells (every probe-sized
     pair) it reads them all in one pass with no filter, and keeps its open
     flags in lists: there it reaches about 96% of the cells before the
     tree spans (median over the probe benchmark's pairs), so it visits
     every chunk anyway, and this halves its time. End to end, the bulk
-    walk at every size cost `probe` 3.1%, and the list walk at every size
-    cost `transport` 1.8% (each slower in 5 of 8 pairs).
+    walk everywhere cost `probe` 3.1%, the list walk `transport` 1.8%.
     """
     n, m = c.shape
     rem_s = [(a, 1) for a in supply]
@@ -462,11 +459,7 @@ def _tie_signs(c, src, dst, pot: list, shift: int) -> tuple[np.ndarray, np.ndarr
     roundings and the split, with room; the constant covers underflow).
     r is a multiple of grain = 2**-shift, so it is 0 where |r~| <= err2
     and 2 err2 < grain, and positive where r~ > err2.
-
-    The simplex calls it past 2 (n + m) + 128 ties only. Checking every
-    tie in integers instead cost `transport` 5.1% end to end (slower in 7
-    of 8 pairs), and 384-point quarter-grid flow solves 1.17 times slower
-    in the median (3 of 6 rounds).
+    Used past 2 (n + m) + 128 ties; without it `transport` lost 5.1%.
     """
     hi, rem = _split(pot, shift)
     scale = 1 << shift
@@ -488,8 +481,7 @@ def _smallest(vals: np.ndarray, k: int) -> np.ndarray:
     Past 512 entries, where np.partition costs less than a full sort, only
     the entries at or below the k-th smallest value are sorted: they are
     kept in index order, so their stable sort puts the same k first.
-    Without it, 128 x 112 flow solves ran 13% slower (9 of 10 rounds);
-    `transport` end to end moved within noise (0.8% faster, 8 pairs).
+    Without it 128 x 112 flow solves took 13% longer; `transport`, +0.8%.
     """
     if k < vals.size and vals.size > 512:
         keep = np.flatnonzero(vals <= np.partition(vals, k - 1)[k - 1])
@@ -578,6 +570,8 @@ def _network_simplex(c: np.ndarray, arcs: list, shift: int, path: str) -> _Basis
     def exact_costs(ks):
         if cast_costs:
             return (cflat[ks] * up).astype(np.int64).tolist()
+        if scaled:
+            return [int(x * up) for x in cflat[ks].tolist()]
         return _dyadic_ints(cflat[ks], shift)[0]
 
     def rounded(pot):
@@ -586,8 +580,9 @@ def _network_simplex(c: np.ndarray, arcs: list, shift: int, path: str) -> _Basis
                 potf = np.array(pot, dtype=np.int64) * down
                 return potf, float(np.abs(potf).max())
             except OverflowError:
-                pass
-        floats = [p / scale for p in pot]
+                floats = [p * down for p in pot]
+        else:
+            floats = [p / scale for p in pot]
         return np.array(floats), max(map(abs, floats))
 
     adj = [[] for _ in range(size)]
