@@ -383,8 +383,22 @@ def _float_list(text: str) -> tuple:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with a usage error on one stderr line, without the usage
+    block, and exit 2; its subparsers are of this class too."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {' '.join(message.split())}\n")
+
+    def _get_values(self, action, arg_strings):
+        # argparse drops a value of "--" (--seed=--) and hands the flag []
+        if action.nargs is None and arg_strings == ["--"]:
+            self.error(f"argument {'/'.join(action.option_strings)}: expected one argument")
+        return super()._get_values(action, arg_strings)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="softmatch",
         description="Attention as measure transport: kernels, exact W1, "
         "contraction bounds, and empirical probes.",

@@ -337,25 +337,6 @@ class _Basis:
     shift: int
 
 
-def _stable_argsort(vals: np.ndarray) -> np.ndarray:
-    """np.argsort(vals, kind="stable") of a 1-D array with no NaN.
-
-    numpy's default argsort (a SIMD sort where the CPU has one) orders the
-    values but leaves each run of equal ones in no set order. The runs are
-    found by comparing neighbours, so -0.0 and +0.0 share one, and their
-    cells are put back in index order by one sort of the keys
-    run * size + index: these are distinct, so every sort agrees on them.
-    """
-    order = vals.argsort()
-    ranked = vals[order]
-    tied = ranked[1:] == ranked[:-1]
-    if tied.any():
-        run = np.concatenate(([0], np.cumsum(~tied)))
-        pos = np.flatnonzero(np.concatenate((tied, [False])) | np.concatenate(([False], tied)))
-        order[pos] = np.sort(run[pos] * vals.size + order[pos]) % vals.size
-    return order
-
-
 def _matrix_minimum_basis(c: np.ndarray, supply: list, demand: list) -> list:
     """Matrix-minimum allocation with every node but the root sink m - 1
     carrying eps extra supply (eps less demand at a sink).
@@ -367,27 +348,20 @@ def _matrix_minimum_basis(c: np.ndarray, supply: list, demand: list) -> list:
     arc points from its source up to its sink (strongly feasible).
 
     The cells are walked in stable cost order, ties in row-major index
-    order. Above 1024 cells that order comes from `_stable_argsort`, about
-    5 times faster than numpy's stable merge sort at 128 x 112; up to
-    there the merge sort costs less, and a process that never solves a
-    larger pair never maps the SIMD sort's code (about 0.5 MB resident).
-    End to end, the merge sort at every size read +0.3% on `transport`.
-    The walk goes in chunks of 2 (n + m - 1) cells from which closed
-    cells are dropped in bulk first. Up to 256 cells (every probe-sized
-    pair) it reads them all in one pass with no filter, and keeps its open
-    flags in lists: there it reaches about 96% of the cells before the
-    tree spans (median over the probe benchmark's pairs), so it visits
-    every chunk anyway, and this halves its time. End to end, the bulk
-    walk everywhere cost `probe` 3.1%, the list walk `transport` 1.8%.
+    order, as `_smallest` gives them. The walk goes in chunks of
+    2 (n + m - 1) cells from which closed cells are dropped in bulk first.
+    Up to 256 cells (every probe-sized pair) it reads them all in one pass
+    with no filter, and keeps its open flags in lists: there it reaches
+    about 96% of the cells before the tree spans (median over the probe
+    benchmark's pairs), so it visits every chunk anyway, and this halves
+    its time. Witness: the bulk walk everywhere took 300 probe-sized
+    solves 6% longer, the list walk everywhere 128 x 112 solves 12%.
     """
     n, m = c.shape
     rem_s = [(a, 1) for a in supply]
     rem_d = [(b, -1) for b in demand]
     rem_d[-1] = (demand[-1], n + m - 1)
-    if c.size > 1024:
-        order = _stable_argsort(c.reshape(-1))
-    else:
-        order = np.argsort(c, axis=None, kind="stable")
+    order = _smallest(c.reshape(-1), c.size)
     arcs = []
     need = n + m - 1
     bulk = order.size > 256
@@ -459,7 +433,8 @@ def _tie_signs(c, src, dst, pot: list, shift: int) -> tuple[np.ndarray, np.ndarr
     roundings and the split, with room; the constant covers underflow).
     r is a multiple of grain = 2**-shift, so it is 0 where |r~| <= err2
     and 2 err2 < grain, and positive where r~ > err2.
-    Used past 2 (n + m) + 128 ties; without it `transport` lost 5.1%.
+    Used past 2 (n + m) + 128 ties. Witness: 384-point quarter-grid solves
+    took 2.4% longer without it, 300 probe-sized ones 19% with it always.
     """
     hi, rem = _split(pot, shift)
     scale = 1 << shift
@@ -476,17 +451,31 @@ def _tie_signs(c, src, dst, pot: list, shift: int) -> tuple[np.ndarray, np.ndarr
 
 
 def _smallest(vals: np.ndarray, k: int) -> np.ndarray:
-    """np.argsort(vals, kind="stable")[:k].
-
-    Past 512 entries, where np.partition costs less than a full sort, only
-    the entries at or below the k-th smallest value are sorted: they are
-    kept in index order, so their stable sort puts the same k first.
-    Without it 128 x 112 flow solves took 13% longer; `transport`, +0.8%.
+    """np.argsort(vals, kind="stable")[:k] of a 1-D array with no NaN: the
+    engine's one stable order. Up to 512 entries it is numpy's stable merge
+    sort, so a probe-sized solve never maps the SIMD sort (0.5 MB resident).
+    Past 512 with k < size, only the entries at or below the k-th smallest
+    value are sorted, in index order, so the same k come first. Witness:
+    without it weighted d = 4 solves took 35% longer at 256 x 257, 2.3
+    times as long at 512 x 511. Past 512 with k >= size, numpy's default
+    (SIMD) argsort orders the values, and each run of equal ones (-0.0
+    beside +0.0) is put back in index order by one sort of the distinct
+    keys run * size + index. Witness: with the merge sort instead weighted
+    256 x 257 solves took 12% longer at d = 2 and 4.
     """
-    if k < vals.size and vals.size > 512:
+    if vals.size <= 512:
+        return vals.argsort(kind="stable")[:k]
+    if k < vals.size:
         keep = np.flatnonzero(vals <= np.partition(vals, k - 1)[k - 1])
         return keep[vals[keep].argsort(kind="stable")[:k]]
-    return vals.argsort(kind="stable")[:k]
+    order = vals.argsort()
+    ranked = vals[order]
+    tied = ranked[1:] == ranked[:-1]
+    if tied.any():
+        run = np.concatenate(([0], np.cumsum(~tied)))
+        pos = np.flatnonzero(np.concatenate((tied, [False])) | np.concatenate(([False], tied)))
+        order[pos] = np.sort(run[pos] * vals.size + order[pos]) % vals.size
+    return order
 
 
 def _network_simplex(c: np.ndarray, arcs: list, shift: int, path: str) -> _Basis:
@@ -528,16 +517,17 @@ def _network_simplex(c: np.ndarray, arcs: list, shift: int, path: str) -> _Basis
       list in exact integers;
     - r~ > err: certainly nonnegative.
 
-    Candidates are taken most negative first, ties in arc order: the
-    `block` most negative in an ordinary round (`_smallest`), all of them
-    in a tie round. Each is re-priced in exact integers before it enters,
-    so no arc enters on a stale or rounded value. The leaving arc is the
-    last blocking arc met when walking the cycle from its apex along the
-    entering arc (strongly feasible rule: the tree stays strongly
-    feasible, so degenerate pivots cannot cycle). When no arc is exactly
-    negative the flow is optimal and the tree potentials are an exact dual
-    certificate. Every tree arc is tight, c_ij = u_i + v_j, so the
-    objective is the sum of flow * (u_i + v_j) over the tree.
+    Candidates are taken most negative first, ties in arc order, by the
+    engine's one stable order `_smallest`: the `block` most negative in an
+    ordinary round, all of them in a tie round. Each is re-priced in exact
+    integers before it enters, so no arc enters on a stale or rounded
+    value. The leaving arc is the last blocking arc met when walking the
+    cycle from its apex along the entering arc (strongly feasible rule:
+    the tree stays strongly feasible, so degenerate pivots cannot cycle).
+    When no arc is exactly negative the flow is optimal and the tree
+    potentials are an exact dual certificate. Every tree arc is tight,
+    c_ij = u_i + v_j, so the objective is the sum of flow * (u_i + v_j)
+    over the tree.
     """
     n, m = c.shape
     size = n + m

@@ -503,10 +503,14 @@ class TestProbeCommand:
 
 
 def _cli(argv):
-    """main(argv) as (exit code, stdout, stderr)."""
+    """main(argv) as (exit code, stdout, stderr), the code of an argparse
+    exit included."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
+        try:
+            code = main(list(argv))
+        except SystemExit as e:
+            code = e.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -636,6 +640,23 @@ class TestDynamicsCommands:
         assert env["report"]["residual"] <= 1e-9
 
 
+def _numeric(text: str) -> bool:
+    """Whether every comma-separated piece of text reads as a float (an
+    int reads as one too)."""
+    try:
+        [float(v) for v in text.split(",")]
+    except ValueError:
+        return False
+    return True
+
+
+# non-numeric and empty flag values, which every numeric flag refuses
+STRINGS = st.one_of(
+    st.sampled_from(("", " ", "abc", "1x", "0x10", "1e", "1,x", ",", "--", "-x", "nan?")),
+    st.text(max_size=6).filter(lambda t: not _numeric(t)),
+)
+
+
 class TestLemmasCommand:
     def test_ratio_only(self, workdir, capsys):
         code, env, _ = run(capsys, "lemmas", "--ratio", "--nmax", "30")
@@ -670,42 +691,39 @@ class TestLemmasCommand:
     @settings(max_examples=25, deadline=None)
     @given(
         flag=st.sampled_from(("--ratio", "--product")),
-        nmax=st.one_of(st.integers(1, 300), st.integers(-(2**40), 0)),
-        trials=st.one_of(st.integers(1, 20), st.integers(-(2**40), 0)),
-        seed=st.one_of(st.integers(0, 2**128), st.integers(-(2**40), -1)),
+        nmax=st.one_of(st.integers(1, 300), st.integers(-(2**40), 0), STRINGS),
+        trials=st.one_of(st.integers(1, 20), st.integers(-(2**40), 0), STRINGS),
+        seed=st.one_of(st.integers(0, 2**128), st.integers(-(2**40), -1), STRINGS),
     )
     @example(flag="--ratio", nmax=300, trials=0, seed=2**128)
     @example(flag="--product", nmax=0, trials=20, seed=2**128)
     @example(flag="--ratio", nmax=0, trials=20, seed=0)
     @example(flag="--product", nmax=300, trials=-1, seed=0)
+    @example(flag="--ratio", nmax="", trials=20, seed=0)
+    @example(flag="--product", nmax=10, trials=5, seed="--")
     def test_any_count_or_seed_gives_an_exit_code_and_one_line(self, flag, nmax, trials, seed):
-        # 0, negative and large but cheap values: --nmax stays at or below
-        # 300 and --trials at or below 20, so that each run takes well under
-        # a second (the ascent holds four arrays of 64 x nmax doubles)
-        out, err = io.StringIO(), io.StringIO()
-        argv = ["lemmas", flag, "--nmax", str(nmax), "--trials", str(trials), "--seed", str(seed)]
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        assert code in (0, 1, 2)
-        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
-        if code == 2:
-            assert out.getvalue() == ""
-            return
-        env = json.loads(out.getvalue(), parse_constant=lambda c: pytest.fail(f"{c} in report"))
-        assert set(env["report"]) == {"ratio_lemma" if flag == "--ratio" else "product_lemma"}
+        # 0, negative, non-numeric and large but cheap values: --nmax stays
+        # at or below 300 and --trials at or below 20, so that each run
+        # takes well under a second (the ascent holds four arrays of
+        # 64 x nmax doubles)
+        values = {"--nmax": nmax, "--trials": trials, "--seed": seed}
+        report = _assert_one_line_and_clean_json(["lemmas", flag, *_argv(values)], values)
+        assert report is None or set(report) == {"ratio_lemma" if flag == "--ratio" else "product_lemma"}
 
 
 # special flag values for the properties below: 0, negative, non-finite,
-# huge and small positive; the integer flags draw the integers among them
+# huge and small positive, and non-numeric strings; the integer flags draw
+# the integers among them
 SPECIAL_FLOATS = st.one_of(
     st.sampled_from((0.0, -0.0, -1e308, math.nan, math.inf, -math.inf, 1e308, 1e-300, 5e-324)),
     st.floats(-10.0, -1e-6),
+    STRINGS,
 )
 BIG = 10**308
 
 
 def _special_ints(huge=True):
-    values = st.one_of(st.sampled_from((0, -1)), st.integers(-(2**40), -2))
+    values = st.one_of(st.sampled_from((0, -1)), st.integers(-(2**40), -2), STRINGS)
     return st.one_of(values, st.just(BIG)) if huge else values
 
 
@@ -719,15 +737,16 @@ def _flags(draw, valid, special):
     return values
 
 
-SEEDS = (st.integers(0, 2**128), st.integers(-(2**40), -1))
+SEEDS = (st.integers(0, 2**128), st.one_of(st.integers(-(2**40), -1), STRINGS))
 BOUND_FLAGS = _flags(
     {
         "--d": st.integers(1, 8), "--n": st.integers(1, 64), "--m": st.integers(1, 64),
         "--box-radius": st.one_of(st.none(), st.floats(1e-3, 3.0)), "--seed": SEEDS[0],
+        "--q": st.none(),
     },
     {
         "--d": _special_ints(huge=False), "--n": _special_ints(), "--m": _special_ints(),
-        "--box-radius": SPECIAL_FLOATS, "--seed": SEEDS[1],
+        "--box-radius": SPECIAL_FLOATS, "--seed": SEEDS[1], "--q": STRINGS,
     },
 )
 PROBE_FLAGS = _flags(
@@ -756,9 +775,13 @@ def _argv(flags: dict) -> list:
     ]
 
 
-def _assert_one_line_and_clean_json(argv):
+def _assert_one_line_and_clean_json(argv, flags=()):
+    """The run's report, or None on exit 2, which a non-numeric value in
+    `flags` must give."""
     code, out, err = _cli(argv)
     assert code in (0, 1, 2)
+    if any(isinstance(v, str) and not _numeric(v) for v in dict(flags).values()):
+        assert code == 2
     assert len(err.splitlines()) == 1, err
     if code == 2:
         assert out == ""
@@ -778,7 +801,8 @@ def configs(tmp_path_factory):
 
 class TestBoundAndProbeProperties:
     """Any numeric flag value gives an exit code, one stderr line and, on
-    exits 0 and 1, a report without NaN or Infinity. --d is at most 8,
+    exits 0 and 1, a report without NaN or Infinity; a non-numeric or
+    empty one gives exit 2 and one stderr line. --d is at most 8,
     --trials at most 20 and --n-max at most 16, so each run takes well
     under a second."""
 
@@ -792,13 +816,15 @@ class TestBoundAndProbeProperties:
     @example(theorem="pointwise", kind="dot", flags={"--d": 8, "--box-radius": 1e-300})
     @example(theorem="unbounded-gaussian", kind="gauss", flags={"--d": 8, "--n": BIG, "--m": BIG})
     @example(theorem="cross-attention", kind="gauss", flags={"--d": 3, "--box-radius": 5e-324})
+    @example(theorem="cross-attention", kind="dot", flags={"--d": 2, "--q": "1,x"})
+    @example(theorem="bounded", kind="gauss", flags={"--d": "", "--seed": "abc"})
     def test_bound(self, configs, theorem, kind, flags):
-        d = flags["--d"]
-        argv = [
-            "bound", "--theorem", theorem, "--config", str(configs / f"{kind}.json"),
-            "--q=" + ",".join(["0.1"] * max(d, 1)), *_argv(flags),
-        ]
-        report = _assert_one_line_and_clean_json(argv)
+        # a query of --d entries unless --q is drawn
+        d = flags["--d"] if isinstance(flags["--d"], int) else 1
+        if flags.get("--q") is None:
+            flags = {**flags, "--q": ",".join(["0.1"] * max(d, 1))}
+        argv = ["bound", "--theorem", theorem, "--config", str(configs / f"{kind}.json")]
+        report = _assert_one_line_and_clean_json(argv + _argv(flags), flags)
         assert report is None or report["theorem"] in bounds.THEOREMS
 
     @settings(max_examples=40, deadline=None)
@@ -824,7 +850,7 @@ class TestBoundAndProbeProperties:
         argv = ["probe", "--theorem", theorem, "--perturbation", perturbation, *_argv(flags)]
         if dot:
             argv += ["--config", str(configs / "dot.json")]
-        report = _assert_one_line_and_clean_json(argv)
+        report = _assert_one_line_and_clean_json(argv, flags)
         assert report is None or report["trials"] == flags.get("--trials", 200)
 
 
@@ -877,9 +903,9 @@ STEPS_FLAGS = _flags(
 
 class TestFileCommandProperties:
     """The property of `TestBoundAndProbeProperties` for `equiv`, `w1`,
-    `dynamics`, `deq` and `invert`: any numeric flag value and any CSV
-    file of `_csv_cloud` gives an exit code, one stderr line and, on
-    exits 0 and 1, a report without NaN or Infinity. Clouds hold at most
+    `dynamics`, `deq` and `invert`: any flag value and any CSV file of
+    `_csv_cloud` gives an exit code, one stderr line and, on exits 0 and
+    1, a report without NaN or Infinity. Clouds hold at most
     6 points, --trials is at most 4, --n-max 8, --steps 3 and --max-iter
     30, so each run takes well under a second."""
 
@@ -895,9 +921,10 @@ class TestFileCommandProperties:
     @given(flags=EQUIV_FLAGS, sabotage=st.booleans())
     @example(flags={"--n-max": BIG}, sabotage=False)
     @example(flags={"--dims": f"1,{BIG}", "--trials": 1}, sabotage=False)
+    @example(flags={"--dims": "1,x"}, sabotage=False)
     def test_equiv(self, flags, sabotage):
         argv = ["equiv", *_argv(flags), *(["--sabotage"] if sabotage else [])]
-        report = _assert_one_line_and_clean_json(argv)
+        report = _assert_one_line_and_clean_json(argv, flags)
         assert report is None or report["pass"] is not sabotage
 
     @settings(max_examples=40, deadline=None)
@@ -911,7 +938,7 @@ class TestFileCommandProperties:
         for name, text in zip(("a.csv", "b.csv"), clouds):
             (configs / name).write_text(text)
         argv = ["w1", str(configs / "a.csv"), str(configs / "b.csv"), f"--seed={seed}"]
-        report = _assert_one_line_and_clean_json(argv + (["--plan"] if plan else []))
+        report = _assert_one_line_and_clean_json(argv + (["--plan"] if plan else []), {"--seed": seed})
         assert report is None or report["dual_gap"] == 0.0
 
     @staticmethod
@@ -921,7 +948,7 @@ class TestFileCommandProperties:
         if h0 is not None:
             (configs / "h0.csv").write_text(h0)
             argv.append(f"--h0={configs / 'h0.csv'}")
-        return _assert_one_line_and_clean_json(argv + _argv(flags))
+        return _assert_one_line_and_clean_json(argv + _argv(flags), flags)
 
     @settings(max_examples=30, deadline=None)
     @given(kind=KINDS, clouds=CLOUDS, flags=STEPS_FLAGS)
@@ -934,6 +961,7 @@ class TestFileCommandProperties:
     @given(kind=KINDS, clouds=CLOUDS, flags=SOLVE_FLAGS)
     @example(kind="gauss", clouds=(FAR, FAR), flags={"--max-iter": 1})
     @example(kind="gauss", clouds=("1e308\n", None), flags={})
+    @example(kind="dot", clouds=("0.5\n", None), flags={"--tol": "abc"})
     def test_deq(self, configs, kind, clouds, flags):
         report = self._run(configs, "deq", kind, clouds[0], flags, h0=clouds[1])
         assert report is None or 1 <= report["iterations"] <= flags.get("--max-iter", 500)
@@ -1289,7 +1317,17 @@ class TestExitCodes:
         assert code == 0
         assert env["report"]["dual_gap"] == 0.0
 
-    # flag values argparse cannot parse, and a flag that no longer exists
+    @pytest.mark.parametrize("argv", (["-h"], ["w1", "--help"], ["--version"]))
+    def test_help_and_version_keep_their_output(self, argv):
+        code, out, err = _cli(argv)
+        assert (code, err) == (0, "")
+        if argv == ["--version"]:
+            assert out == softmatch.__version__ + "\n"
+        else:
+            assert out.startswith("usage: softmatch") and "options:" in out
+
+    # flag values argparse cannot parse, a flag that no longer exists, an
+    # unknown choice and no subcommand: one stderr line, no usage block
     UNPARSABLE_FLAGS = {
         "method_flag_gone": ("w1", "a.csv", "b.csv", "--method", "flow"),
         "q_not_numeric": (
@@ -1297,6 +1335,9 @@ class TestExitCodes:
             "--box-radius", "1", "--d", "2", "--q", "abc",
         ),
         "dims_not_integers": ("equiv", "--dims", "1,x"),
+        "tol_not_a_number": ("deq", "x.csv", "--tol", "abc"),
+        "unknown_theorem": ("probe", "--theorem", "bogus"),
+        "no_subcommand": (),
     }
 
     @pytest.mark.parametrize("case", UNPARSABLE_FLAGS)
@@ -1307,7 +1348,8 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert exit_info.value.code == 2
         assert captured.out == ""
-        assert ": error: " in captured.err.strip().splitlines()[-1]
+        [line] = captured.err.splitlines()
+        assert ": error: " in line
 
 
 class TestSeed:

@@ -34,7 +34,6 @@ from softmatch.transport import (
     _reduced_costs,
     _smallest,
     _solve_masses,
-    _stable_argsort,
     _tie_signs,
     cost_matrix_l1,
     product_measure,
@@ -1581,8 +1580,9 @@ class TestSolveEvents:
 
 
 class TestSmallest:
-    """The candidate block of a pricing round: the k smallest values, ties
-    in index order, partitioned first only past 512 entries."""
+    """The engine's one stable order: the k smallest values, ties in index
+    order; past 512 entries partitioned first when k < size, and a SIMD
+    sort with its runs of equal values put back in index order when not."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -1605,29 +1605,25 @@ class TestSmallest:
             vals = -rng.exponential(size=size)
         assert np.array_equal(_smallest(vals, k), np.argsort(vals, kind="stable")[:k])
 
-
-class TestStableArgsort:
-    """The matrix-minimum start's cell order past 1024 cells: numpy's
-    default argsort with each run of equal values put back in index
-    order, which is the stable order."""
-
     @settings(max_examples=150, deadline=None)
     @given(
         size=st.integers(1, 2048),
         levels=st.integers(0, 64),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(size=1024, levels=0, seed=0)
-    @example(size=1025, levels=1, seed=1)
+    @example(size=512, levels=0, seed=0)
+    @example(size=513, levels=1, seed=1)
     @example(size=1056, levels=8, seed=2)
     @example(size=14336, levels=64, seed=3)
     @example(size=14336, levels=2**40, seed=4)
-    def test_equals_stable_argsort(self, size, levels, seed):
+    def test_full_order_equals_stable_argsort(self, size, levels, seed):
+        # k == size, the matrix-minimum start's cell order and a tie
+        # round's: quarter steps of random sign, so heavy ties with -0.0
+        # beside +0.0 (levels=0 makes every value a signed zero; 2**40
+        # few ties)
         rng = np.random.default_rng(seed)
-        # quarter steps of random sign: heavy ties, -0.0 beside +0.0
-        # (levels=0 makes every value a signed zero; 2**40 few ties)
         vals = rng.integers(-levels, levels + 1, size) / 4.0 * rng.choice((-1.0, 1.0), size)
-        assert np.array_equal(_stable_argsort(vals), np.argsort(vals, kind="stable"))
+        assert np.array_equal(_smallest(vals, size), np.argsort(vals, kind="stable"))
 
 
 PINNED_PAIRS = {
@@ -1666,13 +1662,10 @@ class TestPinnedEnteringSequence:
     quarter grid at d = 3, whose reduced costs tie and go through tie
     rounds.
 
-    Pairs at d = 2 and 4 on either side of the 1024 arcs above which the
-    start's cell order comes from `_stable_argsort` (32 x 32, sorted by
-    numpy's stable merge sort; 32 x 33 and 40 x 36 on a quarter grid,
-    whose costs tie, by `_stable_argsort`) were recorded with the solver
-    of commit 6f8dee9, which had no `_stable_argsort` and no int64 casts;
-    each solve also checks that its start sorted with `_stable_argsort`
-    exactly when the pair has more than 1024 arcs."""
+    Pairs at d = 2 and 4 of 32 x 32, and of 32 x 33 and 40 x 36 on a
+    quarter grid, whose costs tie, were recorded with the solver of commit
+    6f8dee9, which sorted every start with numpy's stable merge sort and
+    had no int64 casts; their starts now take `_smallest`'s SIMD sort."""
 
     @pytest.mark.parametrize(
         "kind, seed, counts, digest",
@@ -1697,15 +1690,10 @@ class TestPinnedEnteringSequence:
             ("grid40x36d4", 1, (31, 0, 61), "c3b4a3fa1686ffa493c2d65752a4791c6af7a87988972dfff1cef72617b3dd21"),
         ],
     )
-    def test_counts_and_digest(self, caplog, monkeypatch, kind, seed, counts, digest):
+    def test_counts_and_digest(self, caplog, kind, seed, counts, digest):
         mu, nu = _pinned_pair(kind, seed)
-        sorts = []
-        monkeypatch.setattr(
-            transport, "_stable_argsort", lambda v: sorts.append(v.size) or _stable_argsort(v)
-        )
         with caplog.at_level(logging.DEBUG, logger="softmatch"):
             res = w1(mu, nu)
-        assert sorts == ([mu.n * nu.n] if mu.n * nu.n > 1024 else [])
         [event] = [r.args for r in caplog.records if r.name == "softmatch"]
         assert event[:3] == ("flow", mu.n, nu.n)
         assert event[3:] == counts
@@ -1759,9 +1747,10 @@ class TestPinnedSmallPairs:
     (pivots, degenerate, tie_checks) summed over the pairs, and a sha256
     of every value, plan and pair of float duals were recorded with the
     solver of commit db2b384, before its per-solve fixed costs were cut.
-    No pair reaches `_stable_argsort` (the largest has 16 x 17 = 272
-    arcs): its SIMD sort maps about 0.5 MB of resident memory the first
-    time a process calls it, which a probe run never needs."""
+    No pair passes `_smallest` more than 512 entries (the largest has
+    16 x 17 = 272 arcs): past that its SIMD sort maps about 0.5 MB of
+    resident memory the first time a process calls it, which a probe run
+    never needs."""
 
     @pytest.mark.parametrize(
         "kind, d, paths, counts, digest",
@@ -1784,10 +1773,11 @@ class TestPinnedSmallPairs:
         ],
     )
     def test_counts_and_digest(self, caplog, monkeypatch, kind, d, paths, counts, digest):
-        def unreached(vals):
-            raise AssertionError(f"a probe-sized pair sorted {vals.size} cells")
+        def within_merge_sort(vals, k):
+            assert vals.size <= 512, f"a probe-sized pair ordered {vals.size} entries"
+            return _smallest(vals, k)
 
-        monkeypatch.setattr(transport, "_stable_argsort", unreached)
+        monkeypatch.setattr(transport, "_smallest", within_merge_sort)
         rng = np.random.default_rng([SMALL_KINDS.index(kind), d])
         h = hashlib.sha256()
         with caplog.at_level(logging.DEBUG, logger="softmatch"):
