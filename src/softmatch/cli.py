@@ -10,7 +10,6 @@ replay any reported instance.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import logging
 import math
@@ -201,6 +200,10 @@ def _log_level() -> int:
 
 
 def _config_hash(obj) -> str:
+    # imported here: `hashlib` maps OpenSSL's `_hashlib` (about 3.5 MB
+    # resident), which `import softmatch.cli` then leaves out
+    import hashlib
+
     blob = json.dumps(obj, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 

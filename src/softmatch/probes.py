@@ -175,6 +175,51 @@ def _sample_pair(rng: np.random.Generator, probe: ProbeConfig):
     return empirical(base), empirical(other)
 
 
+def _order_stats(values, qs=None):
+    """np.quantile(values, qs) (linear method) as a list of floats, or
+    np.median(values) when qs is None, bit for bit, for a non-empty
+    sequence of floats and qs in [0, 1].
+
+    Both numpy functions import `numpy.ma` at their first call (about
+    1.3 MB resident): np.quantile through `np.unique`, np.median through
+    its NaN check. This partitions a copy at the indices numpy partitions
+    at: a sort orders the ties of 0.0 and -0.0 otherwise, and a zero
+    result takes its sign from that order. A quantile is numpy's two-sided
+    lerp at the virtual index v = (n - 1) q, where v >= n - 1 takes the
+    last element on both sides with gamma v + 1. The median is numpy's
+    mean of the middle one or two elements, summed from 0.0 (so -0.0
+    gives 0.0) and divided by their count; the lerp at q = 0.5 differs
+    from it in the last bit. A NaN makes every result the NaN the
+    partition puts last.
+    """
+    a = np.array(values, dtype=float)
+    n = a.size
+    if qs is None:
+        h = n // 2
+        mid = [h - 1, h] if n % 2 == 0 else [h]
+        a.partition(mid + [-1])
+        if a[-1] != a[-1]:
+            return float(a[-1])
+        total = 0.0
+        for k in mid:
+            total += float(a[k])
+        return total / len(mid)
+    spots = []
+    for q in qs:
+        v = (n - 1) * q
+        lo = -1 if v >= n - 1 else math.floor(v)
+        spots.append((v, lo, -1 if lo == -1 else lo + 1))
+    a.partition(sorted({0, -1}.union(*(spot[1:] for spot in spots))))
+    if a[-1] != a[-1]:
+        return [float(a[-1])] * len(spots)
+    out = []
+    for v, lo, hi in spots:
+        x, y, g = float(a[lo]), float(a[hi]), v - lo
+        diff = y - x
+        out.append(y - diff * (1 - g) if g >= 0.5 else x + diff * g)
+    return out
+
+
 # trials drawn, mapped and solved together; only one block's inputs and
 # outputs are alive at a time, so memory does not grow with `trials`
 _TRIAL_BLOCK = 64
@@ -212,9 +257,7 @@ def _run_trials(
     arr = np.array(ratios)
     hist, max_ratio, argmax, violations = {}, 0.0, None, 0
     if ratios:
-        hist = {
-            f"q{q:g}": float(x) for q, x in zip(_QUANTILES, np.quantile(arr, _QUANTILES))
-        }
+        hist = {f"q{q:g}": x for q, x in zip(_QUANTILES, _order_stats(arr, _QUANTILES))}
         t, r, inputs = best
         max_ratio = float(r)
         argmax = {"trial": t, "ratio": r} if ratio_first else {"trial": t}
@@ -560,9 +603,13 @@ def check_product_lemma(
         "max_violation": float(excess.max()),
         "subadditive": bool(np.all(excess <= 1e-9)),
         "tightness_min": float(slack.min()),
-        "tightness_median": float(np.median(slack)),
+        "tightness_median": _order_stats(slack),
         "tightness_max": float(slack.max()),
     }
+
+
+# rows of the local-Lipschitz sample taken at a time
+_LIP_BLOCK = 8192
 
 
 def _lip_estimates(f, rng, d: int, n_samples: int):
@@ -571,31 +618,44 @@ def _lip_estimates(f, rng, d: int, n_samples: int):
     Random pairs plus coordinate-aligned finite differences; restricted
     pairs keep ||x - y||_1 <= 1. The draws are base points, normals,
     scales, then far points. The normals become the near points in place,
-    and the far points are drawn once the near ratio is taken, so at most
-    two (n_samples // 2, d) arrays are alive at a time (below d = 8, where
-    `_l1_norms` forms no difference array). Every distance, in the ratios
-    and in the cone test functions, is `_l1_norms`.
+    and the far points are drawn once the near ratio is taken. The near
+    points, f at the base points and every ratio are formed over blocks
+    of _LIP_BLOCK rows, so the base points, f at them, one (n_samples // 2,
+    d) array of near or far points and one block's temporaries are alive
+    at a time. The scales are drawn block by block, which gives the same
+    values as one draw, and f, `_l1_norms` and the maximum act row by row,
+    so the blocks change no bit. Every distance, in the ratios and in the
+    cone test functions, is `_l1_norms`.
     """
     half = n_samples // 2
     radius = 3.0
     xs = rng.uniform(-radius, radius, size=(half, d))
 
     def ratio(a, fa, b):
-        num = f(b)
-        np.abs(np.subtract(fa, num, out=num), out=num)
-        den = _l1_norms(a, b)
-        ok = den > 1e-12
-        return float(np.divide(num, den, out=num, where=ok).max(where=ok, initial=0.0))
+        best = 0.0
+        for i in range(0, len(a), _LIP_BLOCK):
+            rows = slice(i, i + _LIP_BLOCK)
+            num = f(b[rows])
+            np.abs(np.subtract(fa[rows], num, out=num), out=num)
+            den = _l1_norms(a[rows], b[rows])
+            ok = den > 1e-12
+            best = float(np.divide(num, den, out=num, where=ok).max(where=ok, initial=best))
+            del num, den, ok  # before the next block's are formed
+        return best
 
     # random l1-ball directions for the restricted estimator
     near = rng.standard_normal((half, d))
-    near /= _l1_norms(near)[:, None]
-    near *= rng.uniform(0.05, 1.0, size=(half, 1))
-    np.add(xs, near, out=near)
+    fx = np.empty(half)
+    for i in range(0, half, _LIP_BLOCK):
+        rows = slice(i, i + _LIP_BLOCK)
+        y = near[rows]
+        y /= _l1_norms(y)[:, None]
+        y *= rng.uniform(0.05, 1.0, size=(len(y), 1))
+        np.add(xs[rows], y, out=y)
+        fx[rows] = f(xs[rows])
 
-    fx = f(xs)
     restricted = ratio(xs, fx, near)
-    del near
+    del near, y  # y views the last block of near
     unrestricted = max(restricted, ratio(xs, fx, rng.uniform(-radius, radius, size=(half, d))))
 
     # coordinate-aligned differences at a few grid points (the local
@@ -642,7 +702,9 @@ def check_local_lip_lemma(
             known = s
 
             def f(p, x0=x0, s=s):
-                return s * _l1_norms(p, x0)
+                out = _l1_norms(p, x0)
+                out *= s
+                return out
 
         elif family == "affine":
             g = rng.uniform(-2.0, 2.0, size=d)

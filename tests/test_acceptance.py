@@ -249,10 +249,9 @@ def test_criterion_06_cross_attention():
     )
 
 
-def test_criterion_07_ratio_lemma():
-    from softmatch.probes import check_ratio_lemma
-
-    rep = check_ratio_lemma(1000, seed=707)
+def test_criterion_07_ratio_lemma(ratio_check):
+    # check_ratio_lemma(1000, seed=707), run once in a session (conftest.py)
+    rep, _ = ratio_check(1000, seed=707)
     ok = (
         rep["max_violation_reduction"] <= 1e-9
         and rep["max_violation_ascent"] <= 1e-9

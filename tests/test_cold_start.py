@@ -13,6 +13,12 @@ custom potential's sampled statistics draw scipy's Latin hypercube from
 numpy's generator, so neither loads scipy. The ratio-lemma check needs
 no mpmath: its supremum is a closed form in float arithmetic (`import
 mpmath` alone adds about 3.7 MB of resident memory).
+
+Two more modules stay out. `numpy.ma`, which `np.quantile` and
+`np.median` import at their first call (about 1.3 MB resident), is left
+out of `probe` and `lemmas` runs by the probes' own order statistics.
+OpenSSL's `_hashlib`, which `import hashlib` maps (about 3.5 MB), is
+loaded by a run's config hash only, not by `import softmatch.cli`.
 """
 
 import ast
@@ -32,14 +38,16 @@ from softmatch.transport import w1
 SRC = str(Path(softmatch.__file__).resolve().parents[1])
 KERNEL = "scipy.optimize._lsap"
 
-# prints the exit code and report of a child, and the scipy and mpmath
-# modules then loaded, as one JSON line
+# prints the exit code and report of a child, the scipy and mpmath
+# modules then loaded, and whether numpy.ma and _hashlib are, as one JSON line
 LOADED = """
 print(json.dumps({
     "code": code,
     "report": report,
     "scipy": sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
     "mpmath": sorted(m for m in sys.modules if m == "mpmath" or m.startswith("mpmath.")),
+    "numpy.ma": "numpy.ma" in sys.modules,
+    "_hashlib": "_hashlib" in sys.modules,
 }))
 """
 
@@ -94,6 +102,26 @@ def clouds(tmp_path):
 def test_import_loads_no_scipy(tmp_path):
     loaded = cold(tmp_path)["scipy"]
     assert not loaded, f"importing softmatch loaded {loaded}"
+
+
+def test_import_maps_no_hashlib(tmp_path):
+    assert not cold(tmp_path)["_hashlib"], "import softmatch, softmatch.cli loaded _hashlib"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("probe", "--theorem", "bounded", "--box-radius", "1", "--trials", "20"),
+        ("lemmas", "--nmax", "30", "--trials", "20"),
+    ),
+    ids=("probe", "lemmas"),
+)
+def test_probe_and_lemmas_load_no_numpy_ma(tmp_path, argv):
+    # the probe's histogram and all three lemma checks, whose product
+    # check reports a median
+    child = cold(tmp_path, *argv)
+    assert child["code"] == 0
+    assert not child["numpy.ma"], f"softmatch {' '.join(argv)} loaded numpy.ma"
 
 
 @pytest.mark.parametrize(
