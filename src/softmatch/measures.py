@@ -254,8 +254,10 @@ class DomainBox:
         if (lower is None) != (upper is None):
             raise InvalidInput("provide both bounds or neither")
         if lower is not None:
-            lo = np.asarray(lower, dtype=np.float64).reshape(-1).copy()
-            hi = np.asarray(upper, dtype=np.float64).reshape(-1).copy()
+            # fresh copies; + 0.0 turns -0.0 into 0.0, since numpy's uniform
+            # refuses the box [0.0, -0.0] (its high - low has a sign bit)
+            lo = np.asarray(lower, dtype=np.float64).reshape(-1) + 0.0
+            hi = np.asarray(upper, dtype=np.float64).reshape(-1) + 0.0
             if lo.shape != hi.shape:
                 raise DimMismatch("lower and upper must have the same dimension")
             if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):

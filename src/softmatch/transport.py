@@ -34,11 +34,15 @@ matching, and only its compiled kernel is loaded
 (`_linear_sum_assignment`): importing softmatch loads no scipy, and every
 other path runs on numpy alone.
 
-A result keeps its plan as the at most n + m - 1 atoms (row, column,
-mass) of its optimal basis, with the exact potentials of that basis until
-its float duals are first read: O(n + m) memory once `w1` returns. The
-plan checks its cost on those atoms, and the dense N x M `gamma` is built
-only when read.
+Before `w1` returns, every solve checks its optimal basis in exact
+integers with O(n + m) work (`_check_basis`): every flow is >= 0, each
+node's flows sum to its integer mass, and sum flow * cost over the exact
+arc costs (the integers the simplex priced, |x - y| on the line) equals
+the exact total. A result keeps the at most n + m - 1 atoms (row, column,
+mass) of that basis and its exact potentials: O(n + m) memory. Its
+`TransportPlan` is built from them, with its float checks, at the first
+read of `W1Result.plan`, so a caller that reads only the value pays for
+the exact checks alone; the dense N x M `gamma` is built only when read.
 
 Desk-scale limits: every path accepts N, M <= 512, d = 1 included. At
 d = 1 `w1` builds no N x M cost matrix (an O(N + M) range check refuses
@@ -54,6 +58,7 @@ import importlib.machinery
 import importlib.util
 import logging
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass, field
@@ -122,6 +127,21 @@ def _dyadic_ints(values: np.ndarray, shift: int | None = None) -> tuple[list[int
     # mant * 2^53 is integral for every finite float
     ms = (mant * (1 << 53)).astype(np.int64).tolist()
     return [a << e for a, e in zip(ms, (exp + (shift - 53)).tolist())], shift
+
+
+def _exact_ints(vals: np.ndarray, shift: int, top: float) -> list:
+    """`_dyadic_ints(vals, shift)[0]` for a 1-D array with every |vals[k]|
+    <= top: vals * 2**shift, a product by a power of two, is exact while
+    it is finite, so it is read by one int64 cast while top * 2**shift <
+    2**62, by one Python float product each while that is finite, and
+    through frexp past it."""
+    if shift <= 1023:
+        up = math.ldexp(1.0, shift)
+        if top * up < 2.0**62:
+            return (vals * up).astype(np.int64).tolist()
+        if top * up < math.inf:
+            return [int(x * up) for x in vals.tolist()]
+    return _dyadic_ints(vals, shift)[0]
 
 
 def _integer_masses(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> tuple[list, list, int]:
@@ -255,9 +275,9 @@ class TransportPlan:
         tight to an ulp wherever gamma_ij > 0, derived at the first call
         from its exact potentials (at d = 1 against the float cost matrix,
         built then) and cached. For a plan built by a caller they are
-        those of w1(source, target), so they are feasible whatever the
-        plan; a suboptimal plan shows up as
-        certificate()["max_support_slack"] > 0.
+        derived the same way from the exact potentials of w1(source,
+        target), so they are feasible whatever the plan; a suboptimal
+        plan shows up as certificate()["max_support_slack"] > 0.
         """
         return self._fit_duals(None)
 
@@ -266,8 +286,8 @@ class TransportPlan:
         if self._duals is None:
             exact = self._potentials
             if exact is None:
-                duals = w1(self.source, self.target).plan.dual_potentials()
-            elif self.source.dim == 1:
+                exact = w1(self.source, self.target)._potentials
+            if self.source.dim == 1:
                 if c is None:
                     c = cost_matrix_l1(self.source.support.points, self.target.support.points)
                 duals = _line_duals(*exact, c)
@@ -297,19 +317,42 @@ class TransportPlan:
 @dataclass(frozen=True, eq=False)
 class W1Result:
     """Optimal value, an optimal plan, and its duality gap: the masses
-    are normalized exactly, so the gap is 0.0 on every path."""
+    are normalized exactly, so the gap is 0.0 on every path.
+
+    A solver's result holds its plan as the atoms of its optimal basis
+    (`rows`, `cols`, `mass`) and the exact integer potentials of that
+    basis, which `w1` checked in exact integers before returning. `plan`
+    builds the `TransportPlan` from them, with its float checks, at the
+    first read and keeps it, so a caller that reads only the value pays
+    for the exact checks alone. A copy with another value
+    (`dataclasses.replace`) builds a plan whose cost check refuses it.
+    """
 
     value: float
-    plan: TransportPlan
     dual_gap: float
+    rows: np.ndarray = field(repr=False)
+    cols: np.ndarray = field(repr=False)
+    mass: np.ndarray = field(repr=False)
+    source: EmpiricalMeasure = field(repr=False)
+    target: EmpiricalMeasure = field(repr=False)
+    _potentials: tuple = field(repr=False)
 
     def __post_init__(self):
-        if self.value < 0:
-            raise InvalidInput("W1 value cannot be negative")
-        if self.dual_gap > 1e-9 * (1.0 + self.value):
+        # each comparison is written so that NaN fails it
+        if not self.value >= 0:
+            raise InvalidInput("W1 value cannot be negative or NaN")
+        if not self.dual_gap <= 1e-9 * (1.0 + self.value):
             raise InvalidInput(
                 f"dual gap {self.dual_gap!r} exceeds 1e-9 * (1 + value)"
             )
+
+    @functools.cached_property
+    def plan(self) -> TransportPlan:
+        """The optimal plan, built and float-checked at the first read."""
+        return TransportPlan(
+            self.rows, self.cols, self.mass, self.source, self.target, self.value,
+            _potentials=self._potentials,
+        )
 
     def to_dict(self, include_plan: bool = False) -> dict:
         d = {"value": self.value, "dual_gap": self.dual_gap}
@@ -500,9 +543,9 @@ def _network_simplex(c: np.ndarray, arcs: list, shift: int, path: str) -> _Basis
     p * 2**-shift is p / 2**shift correctly rounded for every tree
     potential p, and int64 -> float64 rounds to nearest, ties to even, as
     int -> float does: the potentials are rounded by one cast when all of
-    them have |p| < 2**63 (an OverflowError otherwise). Every scaled cost
-    c_ij * 2**shift is then an integer-valued float, and the candidates'
-    exact costs are read by one cast while c_max * 2**shift < 2**62.
+    them have |p| < 2**63 (an OverflowError otherwise). The exact costs
+    come from `_exact_ints`, by one cast while c_max * 2**shift < 2**62;
+    `_result` reads the final basis's arc costs by the same function.
 
     Pricing compares against a rigorous bound `err` on the rounding error
     of the float reduced cost r~:
@@ -554,15 +597,7 @@ def _network_simplex(c: np.ndarray, arcs: list, shift: int, path: str) -> _Basis
     # scales back with no overflow and no subnormal, so float(p) *
     # 2**-shift is p / 2**shift correctly rounded
     scaled = shift <= 1022 and math.frexp(c_max)[1] + shift + size.bit_length() <= 1023
-    up, down = (math.ldexp(1.0, shift), math.ldexp(1.0, -shift)) if scaled else (0.0, 0.0)
-    cast_costs = scaled and c_max * up < 2.0**62
-
-    def exact_costs(ks):
-        if cast_costs:
-            return (cflat[ks] * up).astype(np.int64).tolist()
-        if scaled:
-            return [int(x * up) for x in cflat[ks].tolist()]
-        return _dyadic_ints(cflat[ks], shift)[0]
+    down = math.ldexp(1.0, -shift)
 
     def rounded(pot):
         if scaled:
@@ -577,7 +612,7 @@ def _network_simplex(c: np.ndarray, arcs: list, shift: int, path: str) -> _Basis
 
     adj = [[] for _ in range(size)]
     ks = np.array([i * m + j for i, j, _ in arcs])
-    for (i, j, f), ck in zip(arcs, exact_costs(ks)):
+    for (i, j, f), ck in zip(arcs, _exact_ints(cflat[ks], shift, c_max)):
         # a tight arc has pot[i] - pot[n + j] = c_ij
         adj[i].append((n + j, f, -ck))
         adj[n + j].append((i, f, ck))
@@ -688,7 +723,7 @@ def _network_simplex(c: np.ndarray, arcs: list, shift: int, path: str) -> _Basis
         cand = cand[_smallest(flat_red[cand], cand.size if ties else block)]
         entered = 0
         rows, cols = np.divmod(cand, m)
-        for i, j, ck in zip(rows.tolist(), cols.tolist(), exact_costs(cand)):
+        for i, j, ck in zip(rows.tolist(), cols.tolist(), _exact_ints(cflat[cand], shift, c_max)):
             r = ck - pot[i] + pot[n + j]
             if r < 0:
                 pivot(i, j, r)
@@ -963,26 +998,54 @@ def w1(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> W1Result:
     _check_pair(mu, nu)
     if mu.dim == 1:
         supply, demand, den = _integer_masses(mu, nu)
-        return _result(mu, nu, _line_basis(mu, nu, supply, demand), den)
+        return _result(mu, nu, _line_basis(mu, nu, supply, demand), supply, demand, den)
     c = cost_matrix_l1(mu.support.points, nu.support.points)
     if mu.n == nu.n and _is_uniform(mu.weights) and _is_uniform(nu.weights):
         return _w1_assignment(mu, nu, c)
     supply, demand, den = _integer_masses(mu, nu)
-    return _result(mu, nu, _solve_masses(c, supply, demand, _dyadic_shift(c), "flow"), den)
+    basis = _solve_masses(c, supply, demand, _dyadic_shift(c), "flow")
+    return _result(mu, nu, basis, supply, demand, den, c)
 
 
-def _result(mu, nu, basis: _Basis, den: int) -> W1Result:
-    """Value and plan of an optimal basis whose masses are the normalized
-    weights times den; the value is the exact optimum rounded once (int
-    true division is correctly rounded), and the dual gap is 0. The plan's
-    atoms are the basis arcs, and it derives its float duals from the
-    basis when they are first read."""
-    value = basis.total / (den << basis.shift)
+def _result(mu, nu, basis: _Basis, supply: list, demand: list, den: int, c=None) -> W1Result:
+    """Value and plan atoms of an optimal basis for the integer masses
+    supply and demand, the normalized weights times den, once
+    `_check_basis` has passed it: on the exact costs c_ij * 2**shift of
+    the cost matrix c, or without one (the line) |x_i - y_j| * 2**shift.
+    The value is the exact optimum rounded once (int true division is
+    correctly rounded), and the dual gap is 0."""
     i, j, f = zip(*basis.arcs)
+    rows, cols = np.array(i), np.array(j)
+    if c is None:
+        ends = np.concatenate([mu.support.points[rows, 0], nu.support.points[cols, 0]])
+        pos = _exact_ints(ends, basis.shift, float(np.abs(ends).max()))
+        costs = [abs(a - b) for a, b in zip(pos[: rows.size], pos[rows.size :])]
+    else:
+        vals = c[rows, cols]
+        costs = _exact_ints(vals, basis.shift, float(vals.max()))
+    _check_basis(basis.arcs, f, costs, basis.total, supply, demand)
+    value = basis.total / (den << basis.shift)
     mass = np.array([x / den for x in f])
     exact = basis.u, basis.v, basis.shift
-    plan = TransportPlan(np.array(i), np.array(j), mass, mu, nu, value, _potentials=exact)
-    return W1Result(value=value, plan=plan, dual_gap=0.0)
+    return W1Result(value, 0.0, rows, cols, mass, mu, nu, exact)
+
+
+def _check_basis(arcs: list, flows: tuple, costs: list, total: int, supply: list, demand: list):
+    """Certify the primal side of a basis in exact integers, in the sense
+    of McConnell et al., "Certifying algorithms" (2011): every flow is
+    >= 0, the flows out of source i sum to supply[i] and into sink j to
+    demand[j], and sum flow * cost over the exact arc costs equals the
+    basis's total. O(n + m) work; a failure is a fault of the engine."""
+    if min(flows) < 0:
+        raise RuntimeError("transport basis has a negative flow")
+    out, into = [0] * len(supply), [0] * len(demand)
+    for i, j, f in arcs:
+        out[i] += f
+        into[j] += f
+    if out != supply or into != demand:
+        raise RuntimeError("transport basis flows do not meet the integer masses")
+    if sum(map(operator.mul, flows, costs)) != total:
+        raise RuntimeError("transport basis flows do not cost its exact total")
 
 
 def _w1_assignment(mu: EmpiricalMeasure, nu: EmpiricalMeasure, c: np.ndarray) -> W1Result:
@@ -1010,7 +1073,8 @@ def _w1_assignment(mu: EmpiricalMeasure, nu: EmpiricalMeasure, c: np.ndarray) ->
     r = _reduced_costs(c)
     cols = [0] if mu.n == 1 else _linear_sum_assignment()(r)[1].tolist()
     basis = _network_simplex(c, _assignment_basis(r, cols), _dyadic_shift(c), "assignment")
-    return _result(mu, nu, basis, mu.n)
+    unit = [1] * mu.n
+    return _result(mu, nu, basis, unit, unit, mu.n, c)
 
 
 @functools.cache

@@ -482,18 +482,20 @@ class TestProbeCommand:
         assert bound["report"]["ingredients"]["tau_lookup"]["value"] == 0.3
         assert probe["report"]["bound"] == bound["report"]["value"]
 
+    @pytest.mark.parametrize("radius", ("0", "-0.0"))
     @pytest.mark.parametrize("theorem", ("bounded", "component-projection"))
-    def test_box_radius_zero_is_the_one_point_box(self, workdir, capsys, theorem):
+    def test_box_radius_zero_is_the_one_point_box(self, workdir, capsys, theorem, radius):
         # an explicit 0 used to be replaced by the default: the radius-1
-        # cube for `bounded`, the unbounded domain for `component-projection`
+        # cube for `bounded`, the unbounded domain for `component-projection`;
+        # -0.0 made the box [0.0, -0.0], which numpy's uniform refused
         gauss = workdir / "gauss.json"
         gauss.write_text('{"potential": {"kind": "gaussian"}}')
         code, env, _ = run(
-            capsys, "probe", "--theorem", theorem, "--trials", "7", "--box-radius", "0",
+            capsys, "probe", "--theorem", theorem, "--trials", "7", "--box-radius", radius,
             "--config", str(gauss),
         )
         _, bound, _ = run(
-            capsys, "bound", "--theorem", "bounded", "--box-radius", "0", "--config", str(gauss),
+            capsys, "bound", "--theorem", "bounded", "--box-radius", radius, "--config", str(gauss),
         )
         rep = env["report"]
         assert code == 0

@@ -1,5 +1,6 @@
 """Exact W1: solver examples, oracle agreement, certificates, metric axioms."""
 
+import dataclasses
 import gc
 import hashlib
 import importlib.machinery
@@ -1358,6 +1359,23 @@ class TestSolverHandOff:
             TransportPlan.from_gamma(solved.plan.gamma, mu, nu, solved.value + 0.25)
         assert calls == []
 
+    @pytest.mark.parametrize("d", (1, 2))
+    def test_caller_plan_duals_come_from_the_solves_exact_potentials(self, monkeypatch, d):
+        # a caller's plan takes its duals from the exact potentials of
+        # w1(source, target), fitted at d = 1 against the one cost matrix
+        # certificate() builds: the bits of the solver's own plan's duals
+        rng = np.random.default_rng(27 + d)
+        calls = self.count_cost_matrices(monkeypatch)
+        for mu, nu in self.pairs(rng, d):
+            solved = w1(mu, nu)
+            want = solved.plan.dual_potentials()
+            plan = TransportPlan.from_gamma(solved.plan.gamma, mu, nu, solved.value)
+            calls.clear()
+            plan.certificate()
+            assert calls == [(mu.n, nu.n)] * (1 if d == 1 else 2)
+            for a, b in zip(plan.dual_potentials(), want):
+                assert a.tobytes() == b.tobytes()
+
     @pytest.mark.parametrize("kind", ("grid", "near", "d1"))
     def test_uniform_w1_keeps_the_callers_measures(self, kind):
         # the unit instances of the engine-parity corpus; rebuilding the
@@ -1529,6 +1547,174 @@ class TestSparsePlan:
         finally:
             tracemalloc.stop()
         assert peak < bound * mu.n * nu.n
+
+
+class TestLazyPlan:
+    """A result holds its plan's atoms and exact potentials, and builds the
+    float-checked `TransportPlan` at the first read of `plan` alone."""
+
+    @staticmethod
+    def count_post_inits(monkeypatch):
+        calls = []
+        check = TransportPlan.__post_init__
+
+        def counted(self):
+            calls.append(1)
+            check(self)
+
+        monkeypatch.setattr(TransportPlan, "__post_init__", counted)
+        return calls
+
+    def test_value_readers_build_no_plan(self, monkeypatch):
+        from softmatch.dynamics import run_particles
+        from softmatch.kernels import AttentionConfig, LinearLookup
+        from softmatch.potentials import Gaussian
+        from softmatch.probes import ProbeConfig, check_product_lemma, probe_contraction
+
+        built = self.count_post_inits(monkeypatch)
+        solves = []
+        check = transport._check_basis
+        monkeypatch.setattr(transport, "_check_basis", lambda *a: solves.append(1) or check(*a))
+        layer = AttentionConfig(Gaussian(2), LinearLookup(0.5 * np.eye(2)))
+        probe = ProbeConfig(seed=4, trials=6, d=2, n_range=(2, 8))
+        probe_contraction(layer, probe, bound=None)
+        x0 = PointCloud(np.random.default_rng(4).uniform(-1, 1, (12, 2)))
+        run_particles(layer, x0, steps=3)
+        check_product_lemma(5, seed=4)
+        assert len(solves) >= 6 + 3 + 15
+        assert built == []
+
+    def test_plan_is_built_once_at_the_first_read(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        res = w1(random_measure(rng, 6, 2), random_measure(rng, 4, 2))
+        built = self.count_post_inits(monkeypatch)
+        assert res.to_dict() == {"value": res.value, "dual_gap": 0.0}
+        assert built == []
+        plan = res.plan
+        assert res.plan is plan
+        assert built == [1]
+        assert res.to_dict(include_plan=True)["plan"] == plan.to_dict()
+        assert built == [1]
+
+    @pytest.mark.parametrize("kind", ("weighted", "grid", "product", "near", "d1"))
+    def test_lazy_plan_matches_an_eager_one(self, kind):
+        # TestEngineParity's corpus; the eager plan is built from the
+        # result's atoms before its own plan is read
+        rng = np.random.default_rng(["weighted", "grid", "product", "near", "d1"].index(kind))
+        for _ in range(420):
+            mu, nu = _parity_instance(kind, rng)
+            res = w1(mu, nu)
+            eager = TransportPlan(
+                res.rows, res.cols, res.mass, mu, nu, res.value, _potentials=res._potentials,
+            )
+            want = {"value": res.value, "dual_gap": res.dual_gap, "plan": eager.to_dict()}
+            assert res.to_dict(include_plan=True) == want
+            for a, b in zip(res.plan.dual_potentials(), eager.dual_potentials()):
+                assert a.tobytes() == b.tobytes()
+
+    def test_a_copy_with_another_value_builds_no_plan(self):
+        # the benchmark's negative control copies a result with a spoiled
+        # value; the copy constructs, and its plan's cost check refuses it
+        rng = np.random.default_rng(42)
+        for mu, nu in (
+            (random_measure(rng, 6, 2), random_measure(rng, 4, 2)),
+            (random_measure(rng, 5, 1), random_measure(rng, 7, 1)),
+        ):
+            res = w1(mu, nu)
+            spoiled = dataclasses.replace(res, value=res.value * (1.0 + 1e-6) + 1e-6)
+            assert spoiled.value > res.value
+            with pytest.raises(InvalidInput, match="plan cost"):
+                spoiled.plan
+            assert res.plan.cost == res.value
+
+    @pytest.mark.parametrize("change", ({"value": math.nan}, {"dual_gap": math.nan},
+                                        {"value": -1.0}, {"dual_gap": 1.0}))
+    def test_nan_or_out_of_range_value_and_gap_are_refused(self, change):
+        rng = np.random.default_rng(43)
+        res = w1(random_measure(rng, 6, 2), random_measure(rng, 4, 2))
+        with pytest.raises(InvalidInput):
+            dataclasses.replace(res, **change)
+
+
+def _fault_pair(path, rng):
+    """Pairs on each of TestSparsePlan.PATHS; every one but the
+    assignment's has weights whose exact mass denominator is far above
+    1e9, where one flow unit is below the plan's float tolerances."""
+    if path == "assignment":
+        return random_measure(rng, 9, 2, uniform=True), random_measure(rng, 9, 2, uniform=True)
+    d = 1 if path.endswith("line") else 2
+
+    def measure(n):
+        w = rng.random(n) + 0.02
+        if path.startswith("zero_mass"):
+            w[::3] = 0.0
+        return EmpiricalMeasure(PointCloud(rng.uniform(-2, 2, (n, d))), w / w.sum())
+
+    return measure(7), measure(5)
+
+
+def _move_one_unit(basis):
+    arcs = list(basis.arcs)
+    k = max(range(len(arcs)), key=lambda t: arcs[t][2])
+    other = (k + 1) % len(arcs)
+    arcs[k] = arcs[k][:2] + (arcs[k][2] - 1,)
+    arcs[other] = arcs[other][:2] + (arcs[other][2] + 1,)
+    return dataclasses.replace(basis, arcs=arcs)
+
+
+def _negative_flow(basis):
+    # (i, j, f) split into (i, j, f + 1) and (i, j, -1): the same masses
+    # and cost
+    i, j, f = basis.arcs[0]
+    return dataclasses.replace(basis, arcs=[(i, j, f + 1), *basis.arcs[1:], (i, j, -1)])
+
+
+def _total_off_by_one(basis):
+    return dataclasses.replace(basis, total=basis.total + 1)
+
+
+class TestExactBasisChecks:
+    """Every solve checks its basis in exact integers before `w1` returns:
+    a faulty basis raises RuntimeError even when only the value is read."""
+
+    FAULTS = {
+        "moved_unit": (_move_one_unit, "integer masses"),
+        "negative_flow": (_negative_flow, "negative flow"),
+        "total_off_by_one": (_total_off_by_one, "exact total"),
+    }
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("path", TestSparsePlan.PATHS)
+    def test_faulty_basis_raises(self, monkeypatch, path, fault):
+        spoil, message = self.FAULTS[fault]
+        solver = "_line_basis" if path.endswith("line") else "_network_simplex"
+        solve = getattr(transport, solver)
+        seen = []
+
+        def faulty(*args):
+            seen.append(spoil(solve(*args)))
+            return seen[-1]
+
+        monkeypatch.setattr(transport, solver, faulty)
+        rng = np.random.default_rng(44 + TestSparsePlan.PATHS.index(path))
+        for _ in range(5):
+            mu, nu = _fault_pair(path, rng)
+            seen.clear()
+            with pytest.raises(RuntimeError, match=message):
+                w1(mu, nu).value
+            assert len(seen) == 1
+            if path in ("assignment", "zero_mass_flow"):
+                continue
+            # the plan's float checks alone accept the faulty atoms, whose
+            # masses are off by 1 / den or value by 2**-shift / den (the
+            # zero-mass simplex's arcs index the positive-mass points only)
+            den = _integer_masses(mu, nu)[2]
+            assert den > 1e12
+            i, j, f = zip(*seen[0].arcs)
+            TransportPlan(
+                np.array(i), np.array(j), np.array([x / den for x in f]), mu, nu,
+                seen[0].total / (den << seen[0].shift),
+            )
 
 
 class TestSolveEvents:
