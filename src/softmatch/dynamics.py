@@ -36,7 +36,16 @@ log = logging.getLogger("softmatch")
 
 
 def cloud_distance(a: PointCloud | np.ndarray, b: PointCloud | np.ndarray) -> float:
-    """sup over particles of the per-particle l1 distance."""
+    """sup over particles of the per-particle l1 distance; inf when a
+    finite distance overflows, which `_diverged` reads as divergence."""
+    with np.errstate(over="ignore"):
+        return _sup_distance(a, b)
+
+
+def _sup_distance(a: PointCloud | np.ndarray, b: PointCloud | np.ndarray) -> float:
+    """`cloud_distance` under the caller's numpy error state: the solver
+    loops already ignore overflow, so each of their steps enters no
+    errstate of its own, which costs about half as much as the distance."""
     pa = a.points if isinstance(a, PointCloud) else np.asarray(a)
     pb = b.points if isinstance(b, PointCloud) else np.asarray(b)
     if pa.shape != pb.shape or pa.ndim != 2:
@@ -170,7 +179,7 @@ def deq_solve(
             step = float("inf")
             break
         nxt = layer_map(layer, arg[None])[0]
-        step = cloud_distance(nxt, h)
+        step = _sup_distance(nxt, h)
         if prev_step is not None and prev_step > 0:
             contraction = max(contraction, step / prev_step)
         prev_step = step
@@ -256,12 +265,10 @@ def sampled_set_lipschitz(
     if trials < 1:
         raise InvalidInput(f"trials must be >= 1, got {trials!r}")
     pts = reference.points
-    kept = []
-    for t in range(trials):
-        a, b = _gate_pair(pts, seed, t)
-        den = cloud_distance(a, b)
-        if den >= 1e-12:
-            kept.append((a, b, den))
+    pairs = [_gate_pair(pts, seed, t) for t in range(trials)]
+    with np.errstate(over="ignore"):  # as in `cloud_distance`
+        dens = [_sup_distance(a, b) for a, b in pairs]
+    kept = [(a, b, den) for (a, b), den in zip(pairs, dens) if den >= 1e-12]
     best, batches = 0.0, 0
     if kept:
         a_clouds, b_clouds, dens = zip(*kept)
@@ -311,7 +318,7 @@ def invert_residual(
             if _diverged(xk):
                 break
             nxt = y.points - layer_map(layer, xk[None])[0]
-            step = cloud_distance(nxt, xk)
+            step = _sup_distance(nxt, xk)
             xk = nxt
             if step < tol:
                 break

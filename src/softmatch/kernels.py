@@ -363,7 +363,6 @@ def _softmatch_rows(
     return w, order, sorted_keys
 
 
-@_quiet_overflow
 def softmatch_weights(
     potential: Potential, q: np.ndarray, nu: EmpiricalMeasure
 ) -> np.ndarray:
@@ -375,10 +374,22 @@ def softmatch_weights(
     order, which keeps the weights exactly invariant under joint
     permutations of nu.
     """
-    q = np.asarray(q, dtype=np.float64).reshape(1, 1, -1)
-    w, order, _ = _softmatch_rows(potential, q, nu.support.points[None], nu.weights[None])
-    out = np.zeros(nu.n)
-    out[order[0]] = w[:, 0, 0]
+    q = np.asarray(q, dtype=np.float64).reshape(1, -1)
+    return _softmatch_weights_rows(potential, q, nu.support.points[None], nu.weights[None])[0]
+
+
+@_quiet_overflow
+def _softmatch_weights_rows(
+    potential: Potential, queries: np.ndarray, points: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """`softmatch_weights` of B measures of one shape, each for its own
+    query: queries (B, d), points (B, N, d) and weights (B, N), every
+    measure with equally many positive weights (see `_softmatch_rows`).
+    Returns the (B, N) weights, row b with the bits of a call on measure
+    b alone."""
+    w, order, _ = _softmatch_rows(potential, queries[:, None, :], points, weights)
+    out = np.zeros(weights.shape)
+    out[np.arange(len(order))[:, None], order] = w[:, :, 0].T
     return out
 
 

@@ -9,10 +9,15 @@ that no sampled ratio ever exceeds its bound.
 Every probe runs the one trial loop `_run_trials`: trial t draws from
 stream(seed, t) alone, a degenerate input distance skips the trial, and
 the best instance is kept as the loop goes. The loop runs over blocks of
-trials, all of a block's draws first, so that `probe_contraction` maps a
-block's clouds with one `layer_map` call per support size. Every
-constant a component is compared against comes from `bounds`, through
-the guards it applies there (a compact domain, eps(G) > 0).
+trials, all of a block's draws first, so that a block's input W1s are
+one block solve (`transport._solve_block`), `probe_contraction` maps a
+block's clouds with one `layer_map` call per support size, the softmatch
+components reweight them with one `kernels._softmatch_weights_rows`
+call per support size, and the output W1s are one more block solve. A
+block solve shares its pairs' front end and pricing rounds and gives
+each pair the bits of a `w1` call on it alone. Every constant a
+component is compared against comes from `bounds`, through the guards it
+applies there (a compact domain, eps(G) > 0).
 
 Also here: direct numerical checks of the three auxiliary lemmas: the
 ratio cap sqrt(ln n + 1/2e), against which the ratio's proven supremum
@@ -30,11 +35,11 @@ import numpy as np
 
 from .bounds import ratio_lemma_bound, ratio_lemma_sup
 from .errors import InvalidInput
-from .kernels import Layer, Lookup, apply_lookup, layer_map, softmatch_measure
+from .kernels import Layer, Lookup, _softmatch_weights_rows, apply_lookup, layer_map
 from .measures import DomainBox, EmpiricalMeasure, PointCloud, _l1_norms, barycenter, empirical
 from .potentials import Potential, regularity_stats
 from .streams import stream
-from .transport import w1, w1_product
+from .transport import _solve_block, _w1_block, w1_product
 from . import bounds as bounds_mod
 
 DEGENERATE_W1 = 1e-12
@@ -143,8 +148,11 @@ def violation_threshold(bound: float) -> float:
 
 def _sample_cloud(rng: np.random.Generator, n: int, probe: ProbeConfig) -> np.ndarray:
     if probe.domain.is_bounded:
+        # rng.uniform(lo, hi, size) bit for bit, from the same draws: numpy
+        # forms low + (high - low) * u, and per-axis array bounds cost it
+        # three times this expression; `DomainBox` keeps hi - lo finite
         lo, hi = probe.domain.lower, probe.domain.upper
-        return rng.uniform(lo, hi, size=(n, probe.d))
+        return lo + (hi - lo) * rng.random((n, probe.d))
     r = probe.sampling_radius
     return rng.uniform(-r, r, size=(n, probe.d))
 
@@ -228,23 +236,40 @@ _TRIAL_BLOCK = 64
 def _run_trials(
     probe: ProbeConfig, bound: float | None, draw, push, ratio_first: bool = False
 ) -> ProbeResult:
-    """The one trial loop, over blocks of _TRIAL_BLOCK trials in three
-    phases: draw(rng) gives each trial's input distance and named inputs,
-    push(kept) the output distances of the block's kept trials in order,
-    and the ratios are then taken in trial order. A draw that raises does
-    so after the trials before it are pushed. The argmax instance is the
-    first trial of the largest ratio: "trial", the inputs (measures by
-    to_dict(), points as lists) and "ratio", second when ratio_first."""
+    """The one trial loop, over blocks of _TRIAL_BLOCK trials in four
+    phases: draw(rng) gives each trial's input distance, or the pair of
+    measures whose W1 it is, and its named inputs; the block's input W1s
+    are solved in one block (`transport._solve_block`); push(kept) gives
+    the output distances of the block's kept trials in order; and the
+    ratios are then taken in trial order. A draw that raises, or an input
+    W1, does so after the trials before it are pushed, and an input W1's
+    error replaces a later draw's, as in a trial-by-trial loop. The argmax
+    instance is the first trial of the largest ratio: "trial", the inputs
+    (measures by to_dict(), points as lists) and "ratio", second when
+    ratio_first."""
     ratios, skipped, best = [], 0, None
     for start in range(0, probe.trials, _TRIAL_BLOCK):
         kept = []
         try:
-            for t in range(start, min(start + _TRIAL_BLOCK, probe.trials)):
-                d_in, inputs = draw(stream(probe.seed, t))
-                if d_in < DEGENERATE_W1:
-                    skipped += 1
-                else:
-                    kept.append((t, d_in, inputs))
+            drawn = []
+            try:
+                for t in range(start, min(start + _TRIAL_BLOCK, probe.trials)):
+                    drawn.append((t, *draw(stream(probe.seed, t))))
+            finally:
+                solved, error = _solve_block([d for _, d, _ in drawn if isinstance(d, tuple)])
+                solved = iter(solved)
+                for t, d_in, inputs in drawn:
+                    if isinstance(d_in, tuple):
+                        res = next(solved, None)
+                        if res is None:  # this trial's input W1 raised
+                            break
+                        d_in = res.value
+                    if d_in < DEGENERATE_W1:
+                        skipped += 1
+                    else:
+                        kept.append((t, d_in, inputs))
+                if error is not None:
+                    raise error
         finally:
             # after a draw error too: an error of the earlier trials' push
             # replaces it, as in a trial-by-trial loop
@@ -292,6 +317,28 @@ def _map_by_size(layer: Layer, clouds: list) -> list:
     return out
 
 
+def _softmatch_by_size(potential: Potential, items: list) -> list:
+    """softmatch_measure(potential, q, mu) for each (query point q,
+    measure mu) in items, in order, with one `_softmatch_weights_rows`
+    call per support size and count of positive weights, which gives each
+    measure the bits of a call on it alone."""
+    by_size = {}
+    for i, (_, mu) in enumerate(items):
+        by_size.setdefault((mu.n, np.count_nonzero(mu.weights)), []).append(i)
+    out = [None] * len(items)
+    for idx in by_size.values():
+        group = [items[i][1] for i in idx]
+        weights = _softmatch_weights_rows(
+            potential,
+            np.stack([np.asarray(items[i][0], dtype=np.float64).reshape(-1) for i in idx]),
+            np.stack([mu.support.points for mu in group]),
+            np.stack([mu.weights for mu in group]),
+        )
+        for i, mu, w in zip(idx, group, weights):
+            out[i] = EmpiricalMeasure(mu.support, w)
+    return out
+
+
 def probe_contraction(
     cfg: Layer, probe: ProbeConfig, bound: float | None = None
 ) -> ProbeResult:
@@ -300,11 +347,12 @@ def probe_contraction(
     carries the input's weights), and compare W1 ratios to the supplied
     bound. Sampled clouds are empirical, with the uniform weights
     `layer_map` attends over, so a block's clouds of one size are mapped
-    in one call with the bits of a call per cloud."""
+    in one call with the bits of a call per cloud, and the block's output
+    W1s are solved in one `transport._w1_block` call."""
 
     def draw(rng):
         mu, nu = _sample_pair(rng, probe)
-        return w1(mu, nu).value, {"mu": mu, "nu": nu}
+        return (mu, nu), {"mu": mu, "nu": nu}
 
     def push(kept):
         ins = [m for inputs in kept for m in (inputs["mu"], inputs["nu"])]
@@ -312,7 +360,7 @@ def probe_contraction(
             EmpiricalMeasure(PointCloud(pts), m.weights)
             for m, pts in zip(ins, _map_by_size(cfg, [m.support.points for m in ins]))
         ]
-        return [w1(a, b).value for a, b in zip(outs[::2], outs[1::2])]
+        return [r.value for r in _w1_block(list(zip(outs[::2], outs[1::2])))]
 
     return _run_trials(probe, bound, draw, push, ratio_first=True)
 
@@ -332,6 +380,9 @@ def probe_component(
                            bound 2 lip_right diam_l1(E) / eps(G);
     projection:            mu -> delta at barycenter, bound d;
     lookup:                mu -> pushforward, bound the lookup constant.
+
+    A block's softmatch outputs take one `_softmatch_weights_rows` call
+    per support size, and its output W1s one `transport._w1_block` call.
     """
     if kind not in COMPONENT_KINDS:
         raise InvalidInput(f"unknown component kind {kind!r}")
@@ -358,22 +409,22 @@ def probe_component(
             y = _sample_cloud(rng, 1, probe)[0]
             return float(_l1_norms(x, y)), {"x": x, "y": y, "mu": mu}
         mu, nu = _sample_pair(rng, probe)
-        d_in = w1(mu, nu).value
         if kind == "softmatch_in_measure":
-            return d_in, {"x": _sample_cloud(rng, 1, probe)[0], "mu": mu, "nu": nu}
-        return d_in, {"mu": mu, "nu": nu}
+            return (mu, nu), {"x": _sample_cloud(rng, 1, probe)[0], "mu": mu, "nu": nu}
+        return (mu, nu), {"mu": mu, "nu": nu}
 
-    one = {
-        "softmatch_in_x": lambda x, y, mu: w1(
-            softmatch_measure(potential, x, mu), softmatch_measure(potential, y, mu)
-        ).value,
-        "softmatch_in_measure": lambda x, mu, nu: w1(
-            softmatch_measure(potential, x, mu), softmatch_measure(potential, x, nu)
-        ).value,
-        "projection": lambda mu, nu: float(_l1_norms(barycenter(mu), barycenter(nu))),
-        "lookup": lambda mu, nu: w1(apply_lookup(lookup, mu), apply_lookup(lookup, nu)).value,
-    }[kind]
-    return _run_trials(probe, bound, draw, lambda kept: [one(**inputs) for inputs in kept])
+    def push(kept):
+        if kind == "projection":
+            return [float(_l1_norms(barycenter(t["mu"]), barycenter(t["nu"]))) for t in kept]
+        if kind == "lookup":
+            outs = [apply_lookup(lookup, t[k]) for t in kept for k in ("mu", "nu")]
+        else:
+            # the (query, measure) of each side: x and y on mu, or x on mu and nu
+            sides = (("x", "mu"), ("y", "mu") if kind == "softmatch_in_x" else ("x", "nu"))
+            outs = _softmatch_by_size(potential, [(t[q], t[m]) for t in kept for q, m in sides])
+        return [r.value for r in _w1_block(list(zip(outs[::2], outs[1::2])))]
+
+    return _run_trials(probe, bound, draw, push)
 
 
 # ---------------------------------------------------------------------------

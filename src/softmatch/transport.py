@@ -15,7 +15,7 @@ the value is W1 with the exact costs |x - y|, and the dual potentials come
 from the same walk, exactly feasible with strong duality by construction.
 
 For d >= 2 every solve is one exact transportation network simplex
-(`_network_simplex`) on the float l1 cost matrix: "exact" means the exact
+(`_simplex`) on the float l1 cost matrix: "exact" means the exact
 optimum of the LP over those float costs, each c_ij = fl(sum_k |x_ik -
 y_jk|) read exactly as a dyadic integer. Flows and potentials are exact
 integers; numpy prices every arc from float copies of the potentials, and
@@ -28,18 +28,32 @@ exactly feasible for the float cost matrix.
 `w1` is the one entry point, and it picks the path from its input: d = 1
 takes the sorted-supports path; uniform equal-size measures start the
 simplex from scipy's Hungarian matching, hung along its shortest-path
-tree (`_w1_assignment`); every other pair starts from the matrix-minimum
-allocation (`_matrix_minimum_basis`). scipy serves only for that
-matching, and only its compiled kernel is loaded
+tree (`_assignment_solve`); every other pair starts from the
+matrix-minimum allocation (`_matrix_minimum_basis`). scipy serves only
+for that matching, and only its compiled kernel is loaded
 (`_linear_sum_assignment`): importing softmatch loads no scipy, and every
 other path runs on numpy alone.
+
+Every solve is a block solve (`_w1_block`): `w1` is a block of one, and
+the probes solve a trial block's input W1s in one block and its output
+W1s in another. A block's small pairs of one dim d >= 2, five or more,
+share their front end (one padded numpy pass builds every cost matrix,
+with its non-finite check, dyadic shift and c_max: `_block_costs`) and
+their pricing rounds: the simplex is a generator that yields at each
+pricing round, and one numpy pass (`_Pass.price`) rounds the
+potentials, prices the arcs and picks the candidates of every live
+simplex of the block. Every value,
+plan atom, potential, entering sequence and DEBUG event is the one a
+solve of the pair alone gives, and the first failing pair's error is
+the one raised.
 
 Before `w1` returns, every solve checks its optimal basis in exact
 integers with O(n + m) work (`_check_basis`): every flow is >= 0, each
 node's flows sum to its integer mass, and sum flow * cost over the exact
-arc costs (the integers the simplex priced, |x - y| on the line) equals
-the exact total. A result keeps the at most n + m - 1 atoms (row, column,
-mass) of that basis and its exact potentials: O(n + m) memory. Its
+arc costs (the integers the simplex priced, |x - y| on the line, read for
+the whole block in one pass) equals the exact total. A result keeps the
+at most n + m - 1 atoms (row, column, mass) of that basis and its exact
+potentials: O(n + m) memory. Its
 `TransportPlan` is built from them, with its float checks, at the first
 read of `W1Result.plan`, so a caller that reads only the value pays for
 the exact checks alone; the dense N x M `gamma` is built only when read.
@@ -371,13 +385,15 @@ class _Basis:
     potentials u, v (costs scaled by 2**shift) with c_ij - u_i - v_j >= 0
     on every arc and = 0 on every basic arc, and the exact objective
     sum flow * c. The simplex's arcs span a tree; the line path keeps only
-    the arcs that carry flow."""
+    the arcs that carry flow. `event` holds the arguments of the solve's
+    DEBUG event: (path, n, m, pivots, degenerate, tie_checks)."""
 
     arcs: list
     u: list
     v: list
     total: int
     shift: int
+    event: tuple
 
 
 def _matrix_minimum_basis(c: np.ndarray, supply: list, demand: list) -> list:
@@ -521,8 +537,29 @@ def _smallest(vals: np.ndarray, k: int) -> np.ndarray:
     return order
 
 
-def _network_simplex(c: np.ndarray, arcs: list, shift: int, path: str) -> _Basis:
-    """Exact network simplex for the transportation problem on cost c.
+@dataclass(eq=False, slots=True)
+class _Pricing:
+    """What a pricing pass reads of one live simplex: its n x m cost
+    matrix c, its exact potentials pot (u_i at i and -v_j at n + j, the
+    list its pivots update in place), c_max, the shift of its exact costs
+    whether `scaled` holds for it (see `_simplex`), how many candidates
+    an ordinary round of it takes, and its start arcs until it has read
+    their costs."""
+
+    c: np.ndarray
+    pot: list
+    c_max: float
+    shift: int
+    scaled: bool
+    block: int
+    arcs: list
+
+
+def _simplex(c: np.ndarray, arcs: list, shift: int, path: str, c_max: float | None = None):
+    """Exact network simplex for the transportation problem on cost c, as
+    a generator that yields at each pricing round and returns the optimal
+    `_Basis`; `_side_by_side` runs such solves, one alone or several
+    together. c_max, when given, is float(c.max(initial=0.0)).
 
     `arcs` is a strongly feasible spanning-tree basis (i, j, flow) rooted
     at sink m - 1: every zero-flow arc has its source as the child. Flows
@@ -531,12 +568,23 @@ def _network_simplex(c: np.ndarray, arcs: list, shift: int, path: str) -> _Basis
     that need it (the start tree and each round's candidates). Node i
     stores u_i and node n + j stores -v_j, so the reduced cost is
     r_ij = c_ij - pot[i] + pot[n + j], and a pivot adds one amount to
-    every stored potential of the subtree it re-hangs. Pricing runs in
-    numpy on correctly rounded float copies of the potentials, refreshed
-    from the exact ones once at the top of each pricing round (pivots
-    shift only the exact potentials, and nothing reads the floats until
-    the next pass); rounding to nearest is odd-symmetric, so
-    (c - u~) + (-v)~ has the bits of (c - u~) - v~.
+    every stored potential of the subtree it re-hangs.
+
+    The first yield hands the runner (`_side_by_side` or `_alone`) the
+    solve's `_Pricing` and takes its layout (cflat, width, basic, start):
+    c's cells in row order at cflat[i * width + j], every other cell
+    +inf; the flags of the basic cells on that layout; and the exact
+    costs of the start arcs. Each later yield takes one pricing round
+    (red, err, picks): the float reduced costs red on that layout, priced
+    by numpy from correctly rounded float copies of the potentials taken
+    at the top of the round (pivots shift only the exact potentials, and
+    nothing reads the floats until the next round; rounding to nearest is
+    odd-symmetric, so (c - u~) + (-v)~ has the bits of (c - u~) - v~), the
+    bound err on their rounding error, and the round's candidates as lists
+    of their rows, columns and exact costs, or None when no arc is
+    certainly negative (a tie round, which the solve prices itself).
+    `_Pass.price` forms all three for every live simplex of a block in
+    one numpy pass, and `_alone` for a simplex priced alone.
 
     At every size each conversion is one int64 cast where that is exact,
     and goes through Python lists where it is not. Where `scaled` holds,
@@ -545,7 +593,7 @@ def _network_simplex(c: np.ndarray, arcs: list, shift: int, path: str) -> _Basis
     int -> float does: the potentials are rounded by one cast when all of
     them have |p| < 2**63 (an OverflowError otherwise). The exact costs
     come from `_exact_ints`, by one cast while c_max * 2**shift < 2**62;
-    `_result` reads the final basis's arc costs by the same function.
+    `_result`'s checks read the final basis's arc costs the same way.
 
     Pricing compares against a rigorous bound `err` on the rounding error
     of the float reduced cost r~:
@@ -561,8 +609,9 @@ def _network_simplex(c: np.ndarray, arcs: list, shift: int, path: str) -> _Basis
     - r~ > err: certainly nonnegative.
 
     Candidates are taken most negative first, ties in arc order, by the
-    engine's one stable order `_smallest`: the `block` most negative in an
-    ordinary round, all of them in a tie round. Each is re-priced in exact
+    engine's one stable order `_smallest` (or, for simplexes run side by
+    side, one stable lexsort that gives each the same order): the `block`
+    most negative in an ordinary round, all of them in a tie round. Each is re-priced in exact
     integers before it enters, so no arc enters on a stale or rounded
     value. The leaving arc is the last blocking arc met when walking the
     cycle from its apex along the entering arc (strongly feasible rule:
@@ -575,10 +624,9 @@ def _network_simplex(c: np.ndarray, arcs: list, shift: int, path: str) -> _Basis
     n, m = c.shape
     size = n + m
     root = size - 1
-    scale = 1 << shift
     grain = math.ldexp(1.0, -shift)
-    cflat = np.ascontiguousarray(c).reshape(-1)
-    c_max = float(cflat.max(initial=0.0))
+    if c_max is None:
+        c_max = float(c.max(initial=0.0))
     # a potential sums at most n + m - 1 costs: every float stays below 4 (n + m) c_max
     if not c_max * (4 * size) < math.inf:
         raise InvalidInput(f"transport cost {c_max!r} is too large to price over {size} nodes")
@@ -589,7 +637,6 @@ def _network_simplex(c: np.ndarray, arcs: list, shift: int, path: str) -> _Basis
     children = [[] for _ in range(size)]
     # u_i at node i and -v_j at node n + j: r_ij = c_ij - pot[i] + pot[n + j]
     pot = [0] * size
-    basic = np.zeros(n * m, dtype=bool)
 
     # where `scaled` holds, scaling by 2**shift or 2**-shift is exact:
     # every c_ij * 2**shift is a finite float and an integer, and a tree
@@ -597,26 +644,15 @@ def _network_simplex(c: np.ndarray, arcs: list, shift: int, path: str) -> _Basis
     # scales back with no overflow and no subnormal, so float(p) *
     # 2**-shift is p / 2**shift correctly rounded
     scaled = shift <= 1022 and math.frexp(c_max)[1] + shift + size.bit_length() <= 1023
-    down = math.ldexp(1.0, -shift)
 
-    def rounded(pot):
-        if scaled:
-            try:
-                potf = np.array(pot, dtype=np.int64) * down
-                return potf, float(np.abs(potf).max())
-            except OverflowError:
-                floats = [p * down for p in pot]
-        else:
-            floats = [p / scale for p in pot]
-        return np.array(floats), max(map(abs, floats))
-
+    job = _Pricing(c, pot, c_max, shift, scaled, max(8, size // 2), arcs)
+    cflat, width, basic, start = yield job
+    job.arcs = None
     adj = [[] for _ in range(size)]
-    ks = np.array([i * m + j for i, j, _ in arcs])
-    for (i, j, f), ck in zip(arcs, _exact_ints(cflat[ks], shift, c_max)):
+    for (i, j, f), ck in zip(arcs, start):
         # a tight arc has pot[i] - pot[n + j] = c_ij
         adj[i].append((n + j, f, -ck))
         adj[n + j].append((i, f, ck))
-    basic[ks] = True
     stack = [root]
     while stack:
         x = stack.pop()
@@ -628,12 +664,8 @@ def _network_simplex(c: np.ndarray, arcs: list, shift: int, path: str) -> _Basis
                 children[x].append(y)
                 pot[y] = pot[x] + ck
                 stack.append(y)
-    # the tree now holds all the pivots need of the start arcs; free the
-    # rest before the (n, m) pricing buffer is made
-    del adj, arcs
-    red = np.empty((n, m))
-    flat_red = red.reshape(-1)
-    block = max(8, size // 2)
+    # the tree now holds all the pivots need of the start arcs
+    del adj, arcs, start
     guard = 4 * n * m + 64
     pivots = degenerate = tie_checks = 0
 
@@ -676,8 +708,8 @@ def _network_simplex(c: np.ndarray, arcs: list, shift: int, path: str) -> _Basis
             e_in, e_out, cut = a, b, path_a[: leave + 1]
         q = cut[-1]
         p = parent[q]
-        basic[(q * m + p - n) if q < n else (p * m + q - n)] = False
-        basic[i * m + j] = True
+        basic[(q * width + p - n) if q < n else (p * width + q - n)] = False
+        basic[i * width + j] = True
         # hang the cut-off subtree from e_out, re-rooted at e_in
         new_par, carry = e_out, delta
         for x in cut:
@@ -695,17 +727,8 @@ def _network_simplex(c: np.ndarray, arcs: list, shift: int, path: str) -> _Basis
             sub += children[x]
 
     while True:
-        # pivots shift only the exact potentials; round them once per pass
-        potf, pot_max = rounded(pot)
-        np.subtract(c, potf[:n, None], out=red)
-        red += potf[n:]
-        # |r~ - r| <= 2^-53 (2|c| + 3|u~| + 2|v~|) to first order (rounded
-        # potentials, two rounded subtractions); 2^-50 (max c + 2 max|pot~|)
-        # covers it with room, 2^-1070 covers subnormal potentials
-        err = math.ldexp(c_max + 2.0 * pot_max, -50)
-        err += math.ldexp(1.0, -1070)
-        cand = (flat_red < -err).nonzero()[0]
-        ties = cand.size == 0
+        flat_red, err, picks = yield job
+        ties = picks is None
         if ties:
             if 2.0 * err < grain:
                 break
@@ -714,22 +737,22 @@ def _network_simplex(c: np.ndarray, arcs: list, shift: int, path: str) -> _Basis
             if cand.size > 2 * size + 128:
                 # double-double settles most ties, at about the cost of
                 # exactly checking 2 (n + m) + 128 of them
-                i, j = np.divmod(cand, m)
+                i, j = np.divmod(cand, width)
                 uv = pot[:n] + [-w for w in pot[n:]]
                 zero, positive = _tie_signs(cflat[cand], i, j + n, uv, shift)
                 cand = cand[~(zero | positive)]
             if cand.size == 0:
                 break
-        cand = cand[_smallest(flat_red[cand], cand.size if ties else block)]
+            cand = cand[_smallest(flat_red[cand], cand.size)]
+            rows, cols = np.divmod(cand, width)
+            picks = rows.tolist(), cols.tolist(), _exact_ints(cflat[cand], shift, c_max)
+            tie_checks += cand.size
         entered = 0
-        rows, cols = np.divmod(cand, m)
-        for i, j, ck in zip(rows.tolist(), cols.tolist(), _exact_ints(cflat[cand], shift, c_max)):
+        for i, j, ck in zip(*picks):
             r = ck - pot[i] + pot[n + j]
             if r < 0:
                 pivot(i, j, r)
                 entered += 1
-        if ties:
-            tie_checks += cand.size
         pivots += entered
         if not entered:
             if ties:
@@ -738,10 +761,6 @@ def _network_simplex(c: np.ndarray, arcs: list, shift: int, path: str) -> _Basis
         if pivots > guard:
             raise RuntimeError("network simplex exceeded its iteration guard")
 
-    log.debug(
-        "w1 %s: n=%d m=%d pivots=%d degenerate=%d tie_checks=%d",
-        path, n, m, pivots, degenerate, tie_checks,
-    )
     arcs = []
     total = 0
     for x in range(root):
@@ -749,7 +768,224 @@ def _network_simplex(c: np.ndarray, arcs: list, shift: int, path: str) -> _Basis
         arcs.append((i, j - n, flow[x]))
         # every tree arc is tight: its exact cost is pot[i] - pot[j]
         total += flow[x] * (pot[i] - pot[j])
-    return _Basis(arcs, pot[:n], [-w for w in pot[n:]], total, shift)
+    event = (path, n, m, pivots, degenerate, tie_checks)
+    return _Basis(arcs, pot[:n], [-w for w in pot[n:]], total, shift, event)
+
+
+def _round_one(job: _Pricing) -> np.ndarray:
+    """A simplex's exact potentials p, each correctly rounded to
+    p / 2**shift: by one int64 cast where `scaled` holds and every |p| <
+    2**63, else by Python floats (see `_simplex`)."""
+    if not job.scaled:
+        scale = 1 << job.shift
+        return np.array([p / scale for p in job.pot])
+    down = math.ldexp(1.0, -job.shift)
+    try:
+        return np.array(job.pot, dtype=np.int64) * down
+    except OverflowError:
+        return np.array([p * down for p in job.pot])
+
+
+def _alone(solve, job: _Pricing):
+    """Run one generator solve whose simplex has yielded `job` to the end,
+    alone: the pricing of `_Pass` on its own n x m matrix, with no padded
+    copy, and its candidates in `_smallest`'s order. Returns what the
+    solve returns."""
+    c = np.ascontiguousarray(job.c)
+    n, m = c.shape
+    cflat = c.reshape(-1)
+    ks = np.array([i * m + j for i, j, _ in job.arcs])
+    basic = np.zeros(n * m, dtype=bool)
+    basic[ks] = True
+    solve.send((cflat, m, basic, _exact_ints(cflat[ks], job.shift, job.c_max)))
+    # the tree is built and its start arcs freed before the (n, m) buffer
+    red = np.empty((n, m))
+    flat = red.reshape(-1)
+    tiny = math.ldexp(1.0, -1070)
+    while True:
+        potf = _round_one(job)
+        np.subtract(c, potf[:n, None], out=red)
+        red += potf[n:]
+        err = math.ldexp(job.c_max + 2.0 * float(np.abs(potf).max()), -50) + tiny
+        cand = (flat < -err).nonzero()[0]
+        picks = None
+        if cand.size:
+            cand = cand[_smallest(flat[cand], job.block)]
+            i, j = np.divmod(cand, m)
+            picks = i.tolist(), j.tolist(), _exact_ints(cflat[cand], job.shift, job.c_max)
+        try:
+            solve.send((flat, err, picks))
+        except StopIteration as stop:
+            return stop.value
+
+
+class _Pass:
+    """The pricing pass of several simplexes run side by side: their costs
+    laid out in one (L, N, M) array `cp`, each padded with +inf to the
+    largest sizes N x M, and the reduced-cost buffer `red`. `jobs[b]` is
+    simplex b's `_Pricing`, None once it finished."""
+
+    def __init__(self, jobs: list):
+        self.jobs = jobs
+        count = len(jobs)
+        rows = max(job.c.shape[0] for job in jobs)
+        cols = max(job.c.shape[1] for job in jobs)
+        self.cp = np.full((count, rows, cols), math.inf)
+        for b, job in enumerate(jobs):
+            n, m = job.c.shape
+            self.cp[b, :n, :m] = job.c
+        self.red = np.empty_like(self.cp)
+        self.down = np.array([math.ldexp(1.0, -job.shift) for job in jobs])[:, None]
+        # the start arcs' cells, flagged basic, and their exact costs
+        cells, ends = [], []
+        for b, job in enumerate(jobs):
+            at = b * rows * cols
+            cells += [at + i * cols + j for i, j, _ in job.arcs]
+            ends.append(len(cells))
+        cells = np.array(cells)
+        self.basic = np.zeros((count, rows * cols), dtype=bool)
+        self.basic.reshape(-1)[cells] = True
+        vals = self.cp.reshape(-1)[cells]
+        self.starts = _exact_ints_block(
+            [(vals[a:e], job.shift) for job, a, e in zip(jobs, [0] + ends[:-1], ends)]
+        )
+
+    def layout(self, b: int) -> tuple:
+        """Simplex b's layout: (cflat, width, basic, start), see `_simplex`."""
+        start, self.starts[b] = self.starts[b], None
+        return self.cp[b].reshape(-1), self.cp.shape[2], self.basic[b], start
+
+    def _rounded(self) -> np.ndarray:
+        """Every simplex's potentials rounded as `_round_one` does: row b
+        holds simplex b's u in its first N entries and its -v from entry N
+        on, and 0 in the slots its sizes leave over and in a finished
+        simplex's row. One int64 cast of all of them where every live
+        simplex is `scaled` and no potential leaves int64."""
+        count, rows, cols = self.cp.shape
+        live = [job for job in self.jobs if job is not None]
+        if all(job.scaled for job in live):
+            flat, zero = [], [0] * (rows + cols)
+            for job in self.jobs:
+                if job is None:
+                    flat += zero
+                    continue
+                n, m = job.c.shape
+                flat += job.pot[:n]
+                flat += zero[: rows - n]
+                flat += job.pot[n:]
+                flat += zero[: cols - m]
+            try:
+                return np.array(flat, dtype=np.int64).reshape(count, rows + cols) * self.down
+            except OverflowError:
+                pass
+        potf = np.zeros((count, rows + cols))
+        for b, job in enumerate(self.jobs):
+            if job is not None:
+                n, m = job.c.shape
+                floats = _round_one(job)
+                potf[b, :n] = floats[:n]
+                potf[b, rows : rows + m] = floats[n:]
+        return potf
+
+    def price(self) -> tuple[list, list]:
+        """One pricing round of every live simplex: red[b] = cp[b] - u~ +
+        (-v)~, and per simplex its bound err and its picks (see
+        `_simplex`), as (errs, picks). A finished simplex's row prices
+        potentials of 0, and its costs are >= 0, so it has no candidate.
+
+        |r~ - r| <= 2^-53 (2|c| + 3|u~| + 2|v~|) to first order (rounded
+        potentials, two rounded subtractions); 2^-50 (c_max + 2 max|pot~|)
+        covers it with room, and 2^-1070 covers subnormal potentials. The
+        picks are the `block` most negative cells below -err, ties in cell
+        order: one stable lexsort of all the simplexes' cells by simplex,
+        then value, gives each simplex `_smallest`'s order."""
+        jobs, cp, red = self.jobs, self.cp, self.red
+        count, rows, cols = cp.shape
+        potf = self._rounded()
+        np.subtract(cp, potf[:, :rows, None], out=red)
+        red += potf[:, None, rows:]
+        tiny = math.ldexp(1.0, -1070)
+        errs = [
+            0.0 if job is None else math.ldexp(job.c_max + 2.0 * top, -50) + tiny
+            for job, top in zip(jobs, np.abs(potf).max(axis=1).tolist())
+        ]
+        flat = red.reshape(count, -1)
+        picks = [None] * count
+        below = flat < np.negative(errs)[:, None]
+        owner, cells = below.nonzero()
+        if not owner.size:
+            return errs, picks
+        # owner is sorted, so the lexsort keeps it and orders each run
+        cells = cells[np.lexsort((flat[below], owner))]
+        vals = cp.reshape(-1)[owner * (rows * cols) + cells]
+        i, j = np.divmod(cells, cols)
+        i, j = i.tolist(), j.tolist()
+        # (simplex, first, end) of each simplex's picks
+        spans, start = [], 0
+        for b, end in enumerate(np.bincount(owner, minlength=count).cumsum().tolist()):
+            if end > start:
+                spans.append((b, start, min(end, start + jobs[b].block)))
+            start = end
+        exact = _exact_ints_block([(vals[a:e], jobs[b].shift) for b, a, e in spans])
+        for (b, a, e), ints in zip(spans, exact):
+            picks[b] = i[a:e], j[a:e], ints
+        return errs, picks
+
+
+def _side_by_side(solves: list) -> list:
+    """Run generator solves (`_simplex`, or a solve that delegates to one)
+    side by side, and return what each returned or the exception it
+    raised, in order.
+
+    Each solve's setup runs to its first yield; one `_Pass` then lays out
+    the live simplexes' costs, and each pricing round is one pass over all
+    of them, whose pivots then run one after another until every simplex
+    has finished. Each simplex keeps its own pivots, ties and exact
+    re-pricing, so it enters the arcs it would enter alone."""
+    out = [None] * len(solves)
+    live, jobs = [], []
+    for k, solve in enumerate(solves):
+        try:
+            jobs.append(next(solve))
+            live.append(k)
+        except StopIteration as stop:
+            out[k] = stop.value
+        except Exception as e:
+            out[k] = e
+    if len(live) == 1:
+        try:
+            out[live[0]] = _alone(solves[live[0]], jobs[0])
+        except Exception as e:
+            out[live[0]] = e
+    if len(live) < 2:
+        return out
+    pricing = _Pass(jobs)
+    running = len(live)
+    for b, k in enumerate(live):
+        try:
+            solves[k].send(pricing.layout(b))
+            continue
+        except StopIteration as stop:
+            out[k] = stop.value
+        except Exception as e:
+            out[k] = e
+        pricing.jobs[b] = None
+        running -= 1
+    while running:
+        errs, picks = pricing.price()
+        for b, k in enumerate(live):
+            if pricing.jobs[b] is None:
+                continue
+            try:
+                solves[k].send((pricing.red[b].reshape(-1), errs[b], picks[b]))
+                continue
+            except StopIteration as stop:
+                out[k] = stop.value
+            except Exception as e:
+                out[k] = e
+            pricing.jobs[b] = None
+            running -= 1
+    return out
 
 
 # near the float range a distance can overflow: inf never improves a
@@ -836,25 +1072,24 @@ def _reduced_costs(c: np.ndarray) -> np.ndarray:
     return r
 
 
-def _solve_masses(c: np.ndarray, supply: list, demand: list, shift: int, path: str) -> _Basis:
-    """Optimal basis from the matrix-minimum start for integer masses.
+def _masses_solve(c: np.ndarray, supply: list, demand: list, shift: int, path: str,
+                  c_max: float | None = None):
+    """Optimal basis from the matrix-minimum start for integer masses, as
+    a generator solve (see `_simplex`; c_max is c's, when given).
 
     Zero-mass nodes would leave zero-flow leaves that no rooting makes
     strongly feasible, so they sit out of the simplex; each then gets the
     largest potential keeping all of its arcs dual feasible.
     """
     if all(supply) and all(demand):
-        return _network_simplex(c, _matrix_minimum_basis(c, supply, demand), shift, path)
+        start = _matrix_minimum_basis(c, supply, demand)
+        return (yield from _simplex(c, start, shift, path, c_max))
     n, m = c.shape
     rows = [i for i in range(n) if supply[i]]
     cols = [j for j in range(m) if demand[j]]
     sub = c[np.ix_(rows, cols)]
-    basis = _network_simplex(
-        sub,
-        _matrix_minimum_basis(sub, [supply[i] for i in rows], [demand[j] for j in cols]),
-        shift,
-        path,
-    )
+    start = _matrix_minimum_basis(sub, [supply[i] for i in rows], [demand[j] for j in cols])
+    basis = yield from _simplex(sub, start, shift, path)
     u = [None] * n
     v = [None] * m
     for i, x in zip(rows, basis.u):
@@ -870,7 +1105,7 @@ def _solve_masses(c: np.ndarray, supply: list, demand: list, shift: int, path: s
             v_row = _dyadic_ints(c[i], shift)[0]
             u[i] = min(ck - vj for ck, vj in zip(v_row, v))
     arcs = [(rows[i], cols[j], f) for i, j, f in basis.arcs]
-    return _Basis(arcs, u, v, basis.total, shift)
+    return _Basis(arcs, u, v, basis.total, shift, basis.event)
 
 
 def _float_duals(u: list, v: list, shift: int) -> tuple[np.ndarray, np.ndarray]:
@@ -943,10 +1178,7 @@ def _line_basis(mu: EmpiricalMeasure, nu: EmpiricalMeasure, supply: list, demand
             if j == m:
                 break
             right = demand[ys[j]]
-    log.debug(
-        "w1 %s: n=%d m=%d pivots=%d degenerate=%d tie_checks=%d", "line", n, m, 0, 0, 0
-    )
-    return _Basis(arcs, phi[:n], [-p for p in phi[n:]], total, shift)
+    return _Basis(arcs, phi[:n], [-p for p in phi[n:]], total, shift, ("line", n, m, 0, 0, 0))
 
 
 def _line_duals(u: list, v: list, shift: int, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -994,38 +1226,227 @@ def w1(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> W1Result:
     uniform measures of one size take the assignment path, the simplex
     warm-started from a Hungarian matching, and every other pair starts
     from the matrix-minimum allocation. The dual gap is 0.0 on every path.
+    The solve is a block of one (`_w1_block`).
     """
-    _check_pair(mu, nu)
-    if mu.dim == 1:
-        supply, demand, den = _integer_masses(mu, nu)
-        return _result(mu, nu, _line_basis(mu, nu, supply, demand), supply, demand, den)
-    c = cost_matrix_l1(mu.support.points, nu.support.points)
-    if mu.n == nu.n and _is_uniform(mu.weights) and _is_uniform(nu.weights):
-        return _w1_assignment(mu, nu, c)
-    supply, demand, den = _integer_masses(mu, nu)
-    basis = _solve_masses(c, supply, demand, _dyadic_shift(c), "flow")
-    return _result(mu, nu, basis, supply, demand, den, c)
+    return _w1_block([(mu, nu)])[0]
 
 
-def _result(mu, nu, basis: _Basis, supply: list, demand: list, den: int, c=None) -> W1Result:
-    """Value and plan atoms of an optimal basis for the integer masses
-    supply and demand, the normalized weights times den, once
-    `_check_basis` has passed it: on the exact costs c_ij * 2**shift of
-    the cost matrix c, or without one (the line) |x_i - y_j| * 2**shift.
+def _w1_block(pairs: list) -> list:
+    """[w1(mu, nu) for mu, nu in pairs], bit for bit in every value, plan
+    atom, potential and DEBUG event, solved as one block by
+    `_solve_block`; the first failing pair's error is raised."""
+    results, error = _solve_block(pairs)
+    if error is not None:
+        raise error
+    return results
+
+
+def _solve_block(pairs: list) -> tuple[list, Exception | None]:
+    """The `W1Result`s of the pairs before the first one whose solve
+    fails, and that pair's error, or every result and None: what a loop
+    of `w1` calls returns before it raises.
+
+    Every pair is checked first, in order. Each line pair (d = 1) merges
+    its sorted supports (`_line_basis`). The pairs of each dim d >= 2 run
+    in chunks (`_chunks`): one padded pass builds a chunk's cost matrices
+    (`_block_costs`), and its simplexes run side by side
+    (`_side_by_side`), one numpy pass pricing all of them in each round.
+    A chunk of one (a large pair, or a pair of a short run) builds its
+    matrix by `cost_matrix_l1` and prices it alone, with no padded copy.
+    The arc costs every basis check reads are then converted in one pass
+    (`_exact_ints_block`), each basis is checked (`_check_basis`), and
+    the solves' DEBUG events are logged in pair order."""
+    failed = {}
+    for k, (mu, nu) in enumerate(pairs):
+        try:
+            _check_pair(mu, nu)
+        except Exception as e:
+            failed[k] = e
+            break
+    # pair k's (basis, supply, demand, den, rows, cols, flows, arc values)
+    solved = {}
+    line, dims = [], {}
+    for k in range(min(failed, default=len(pairs))):
+        if pairs[k][0].dim == 1:
+            line.append(k)
+        else:
+            dims.setdefault(pairs[k][0].dim, []).append(k)
+    for k in line:
+        mu, nu = pairs[k]
+        try:
+            supply, demand, den = _integer_masses(mu, nu)
+            basis = _line_basis(mu, nu, supply, demand)
+        except Exception as e:
+            failed[k] = e
+            break
+        rows, cols, flows = _atoms(basis)
+        ends = np.concatenate([mu.support.points[rows, 0], nu.support.points[cols, 0]])
+        solved[k] = basis, supply, demand, den, rows, cols, flows, ends
+    for d, ks in dims.items():
+        for chunk in _chunks(pairs, ks, max(d, 1)):
+            limit = min(failed, default=len(pairs))
+            chunk = [k for k in chunk if k < limit]
+            if not chunk:
+                continue
+            solves, owners = [], []
+            for k, cost in zip(chunk, _block_costs([pairs[k] for k in chunk])):
+                if isinstance(cost, Exception):
+                    failed[k] = cost
+                    continue
+                mu, nu = pairs[k]
+                c, shift, c_max = cost
+                if mu.n == nu.n and _is_uniform(mu.weights) and _is_uniform(nu.weights):
+                    supply = demand = [1] * mu.n
+                    den = mu.n
+                    solves.append(_assignment_solve(c, shift, c_max))
+                else:
+                    supply, demand, den = _integer_masses(mu, nu)
+                    solves.append(_masses_solve(c, supply, demand, shift, "flow", c_max))
+                owners.append((k, c, supply, demand, den))
+            for (k, c, supply, demand, den), basis in zip(owners, _side_by_side(solves)):
+                if isinstance(basis, Exception):
+                    failed[k] = basis
+                    continue
+                rows, cols, flows = _atoms(basis)
+                solved[k] = basis, supply, demand, den, rows, cols, flows, c[rows, cols]
+    limit = min(failed, default=len(pairs))
+    results = []
+    parts = [(solved[k][7], solved[k][0].shift) for k in range(limit)]
+    for k, ints in enumerate(_exact_ints_block(parts)):
+        mu, nu = pairs[k]
+        basis, supply, demand, den, rows, cols, flows, _ = solved[k]
+        if mu.dim == 1:
+            # exact |x - y| from the exact coordinates of each arc's ends
+            ints = [abs(a - b) for a, b in zip(ints[: rows.size], ints[rows.size :])]
+        try:
+            results.append(_result(mu, nu, basis, supply, demand, den, rows, cols, flows, ints))
+        except Exception as e:
+            failed[k] = e
+            limit = k
+            break
+    for k in sorted(solved):
+        if k <= limit:
+            log.debug("w1 %s: n=%d m=%d pivots=%d degenerate=%d tie_checks=%d", *solved[k][0].event)
+    return results, failed.get(limit)
+
+
+# the most cells of a pair that runs side by side with others: the shared
+# passes save per-call numpy overhead, which weighs on small pairs only,
+# and up to 512 entries `_smallest` is the stable merge sort whose order
+# the pass's one lexsort reproduces
+_SIDE_BY_SIDE = 512
+# entries of the (B, N, M, d) differences one padded cost pass may form:
+# B pairs of one dim d, padded to the largest sizes N x M (1 MB of floats)
+_BLOCK_CELLS = 1 << 17
+# the fewest pairs that run side by side: the padded layout costs more
+# than it saves below about five probe-sized pairs (two to four tiny
+# pairs ran 5-30% slower side by side than one by one)
+_SIDE_BY_SIDE_MIN = 5
+
+
+def _chunks(pairs: list, ks: list, d: int):
+    """Runs of the pair indices ks, all of dim d, to be solved side by
+    side: pairs of at most _SIDE_BY_SIDE cells in order, as many as a
+    padded cost pass of at most _BLOCK_CELLS entries holds. A larger pair
+    runs alone, as it comes, and so does each pair of a run shorter than
+    _SIDE_BY_SIDE_MIN."""
+    run, rows, cols = [], 0, 0
+    for k in ks:
+        n, m = pairs[k][0].n, pairs[k][1].n
+        if n * m > _SIDE_BY_SIDE:
+            yield [k]
+            continue
+        if run and (len(run) + 1) * max(rows, n) * max(cols, m) * d > _BLOCK_CELLS:
+            yield from _as_chunks(run)
+            run, rows, cols = [], 0, 0
+        run.append(k)
+        rows, cols = max(rows, n), max(cols, m)
+    yield from _as_chunks(run)
+
+
+def _as_chunks(run: list) -> list:
+    """run as one chunk, or as chunks of one when it is too short to
+    share its passes."""
+    return [run] if len(run) >= _SIDE_BY_SIDE_MIN else [[k] for k in run]
+
+
+def _atoms(basis: _Basis) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """(rows, cols, flows) of a basis's arcs."""
+    i, j, f = zip(*basis.arcs)
+    return np.array(i), np.array(j), f
+
+
+def _padded(clouds: list, sizes: np.ndarray) -> np.ndarray:
+    """(B, max size, d): cloud b's points, then its last point repeated."""
+    ends = sizes.cumsum()
+    at = np.minimum(np.arange(sizes.max()), sizes[:, None] - 1)
+    return np.concatenate(clouds)[at + (ends - sizes)[:, None]]
+
+
+def _block_costs(pairs: list) -> list:
+    """(c, shift, c_max) of each pair of one dim d >= 2, or the error
+    `cost_matrix_l1` raises on it: c has the bits of its `cost_matrix_l1`,
+    shift = `_dyadic_shift(c)`, and c_max is float(c.max()) (None for a
+    pair alone, which builds its c by `cost_matrix_l1`). More pairs are
+    padded to the largest sizes N x M by repeating each cloud's last
+    point, so that a pair's padded matrix holds its own costs and no
+    other: one `_l1_norms` pass gives every (N, M) matrix, entry by entry
+    the sum `cost_matrix_l1` forms, and one max and one frexp over each
+    give its c_max, its non-finite check and its shift."""
+    if len(pairs) == 1:
+        mu, nu = pairs[0]
+        try:
+            c = cost_matrix_l1(mu.support.points, nu.support.points)
+        except Exception as e:
+            return [e]
+        return [(c, _dyadic_shift(c), None)]
+    n = np.array([mu.n for mu, _ in pairs])
+    m = np.array([nu.n for _, nu in pairs])
+    x = _padded([mu.support.points for mu, _ in pairs], n)
+    y = _padded([nu.support.points for _, nu in pairs], m)
+    # finite coordinates may still overflow; the check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = _l1_norms(x[:, :, None, :], y[:, None, :, :])
+        flat = c.reshape(len(pairs), -1)
+        tops = flat.max(axis=1).tolist()
+        exps = np.frexp(flat)[1].min(axis=1).tolist()
+    out = []
+    for b, (nb, mb, top, e) in enumerate(zip(n.tolist(), m.tolist(), tops, exps)):
+        # every entry is >= 0 or NaN, and max propagates NaN
+        if not top < math.inf:
+            out.append(InvalidInput("non-finite transport costs"))
+        else:
+            out.append((c[b, :nb, :mb], max(0, 53 - e), top))
+    return out
+
+
+def _exact_ints_block(parts: list) -> list:
+    """[`_exact_ints`(vals, shift, max |vals|) for vals, shift in parts],
+    in one pass: every vals * 2**shift is exact while it is finite, so
+    while all of them stay below 2**62 one int64 cast reads them all.
+    Otherwise, and for one part, each goes through `_exact_ints`."""
+    if len(parts) > 1 and max(shift for _, shift in parts) <= 1023:
+        sizes = [vals.size for vals, _ in parts]
+        ups = np.repeat([math.ldexp(1.0, shift) for _, shift in parts], sizes)
+        with np.errstate(over="ignore"):
+            scaled = np.concatenate([vals for vals, _ in parts]) * ups
+        if np.abs(scaled).max() < 2.0**62:
+            flat = scaled.astype(np.int64).tolist()
+            ends = np.cumsum(sizes).tolist()
+            return [flat[a:b] for a, b in zip([0] + ends, ends)]
+    return [_exact_ints(vals, shift, float(np.abs(vals).max())) for vals, shift in parts]
+
+
+def _result(mu, nu, basis: _Basis, supply, demand, den, rows, cols, flows, costs) -> W1Result:
+    """Value and plan atoms (rows, cols, flows / den) of an optimal basis
+    for the integer masses supply and demand, the normalized weights times
+    den, once `_check_basis` has passed it on its exact arc costs: c_ij *
+    2**shift for the cost matrix c, or on the line |x_i - y_j| * 2**shift.
     The value is the exact optimum rounded once (int true division is
     correctly rounded), and the dual gap is 0."""
-    i, j, f = zip(*basis.arcs)
-    rows, cols = np.array(i), np.array(j)
-    if c is None:
-        ends = np.concatenate([mu.support.points[rows, 0], nu.support.points[cols, 0]])
-        pos = _exact_ints(ends, basis.shift, float(np.abs(ends).max()))
-        costs = [abs(a - b) for a, b in zip(pos[: rows.size], pos[rows.size :])]
-    else:
-        vals = c[rows, cols]
-        costs = _exact_ints(vals, basis.shift, float(vals.max()))
-    _check_basis(basis.arcs, f, costs, basis.total, supply, demand)
+    _check_basis(basis.arcs, flows, costs, basis.total, supply, demand)
     value = basis.total / (den << basis.shift)
-    mass = np.array([x / den for x in f])
+    mass = np.array([x / den for x in flows])
     exact = basis.u, basis.v, basis.shift
     return W1Result(value, 0.0, rows, cols, mass, mu, nu, exact)
 
@@ -1048,8 +1469,9 @@ def _check_basis(arcs: list, flows: tuple, costs: list, total: int, supply: list
         raise RuntimeError("transport basis flows do not cost its exact total")
 
 
-def _w1_assignment(mu: EmpiricalMeasure, nu: EmpiricalMeasure, c: np.ndarray) -> W1Result:
-    """W1 of two uniform measures of one size and dim via optimal assignment.
+def _assignment_solve(c: np.ndarray, shift: int, c_max: float | None):
+    """The generator solve (see `_simplex`) of two uniform measures of one
+    size with cost matrix c, via optimal assignment.
 
     For equal sizes and uniform weights the transportation LP optimum is
     attained at a permutation. scipy's Hungarian matching (float
@@ -1068,13 +1490,11 @@ def _w1_assignment(mu: EmpiricalMeasure, nu: EmpiricalMeasure, c: np.ndarray) ->
     it improves the matching. Either way it supplies exact duals. The value
     is the exact optimum rounded once, so it is exactly symmetric in the
     two inputs; the masses are exact, so the dual gap is 0. The plan
-    refers to mu and nu themselves.
+    refers to the caller's measures themselves.
     """
     r = _reduced_costs(c)
-    cols = [0] if mu.n == 1 else _linear_sum_assignment()(r)[1].tolist()
-    basis = _network_simplex(c, _assignment_basis(r, cols), _dyadic_shift(c), "assignment")
-    unit = [1] * mu.n
-    return _result(mu, nu, basis, unit, unit, mu.n, c)
+    cols = [0] if len(c) == 1 else _linear_sum_assignment()(r)[1].tolist()
+    return (yield from _simplex(c, _assignment_basis(r, cols), shift, "assignment", c_max))
 
 
 @functools.cache
@@ -1129,11 +1549,10 @@ def w1_product(
     """(W1 of the product measures, W1(mu1, nu1), W1(mu2, nu2)).
 
     Callers assert subadditivity: the first entry never exceeds the sum of
-    the other two (up to solver tolerance).
+    the other two (up to solver tolerance). The three solves are one
+    block (`_w1_block`).
     """
     prod_mu = product_measure(mu1, mu2)
     prod_nu = product_measure(nu1, nu2)
-    w_prod = w1(prod_mu, prod_nu).value
-    w_1 = w1(mu1, nu1).value
-    w_2 = w1(mu2, nu2).value
-    return w_prod, w_1, w_2
+    w_prod, w_1, w_2 = _w1_block([(prod_mu, prod_nu), (mu1, nu1), (mu2, nu2)])
+    return w_prod.value, w_1.value, w_2.value

@@ -52,6 +52,12 @@ def test_cloud_distance_needs_two_clouds_of_one_shape(a, b):
         cloud_distance(a, b)
 
 
+@pytest.mark.parametrize("a, b", [([[1e308]], [[-1e308]]), ([[1e308, 1e308]], [[0.0, 0.0]])])
+def test_cloud_distance_overflow_is_inf_without_a_warning(a, b):
+    # RuntimeWarnings are errors under the test settings
+    assert cloud_distance(a, b) == math.inf
+
+
 class TestRunParticles:
     def test_zero_steps(self):
         x0 = PointCloud([[1.0], [2.0]])

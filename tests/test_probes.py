@@ -22,7 +22,7 @@ from softmatch.bounds import (
     ratio_lemma_sup,
     tau_pi,
 )
-from softmatch.errors import DegeneratePotential, InvalidInput
+from softmatch.errors import DegeneratePotential, DimMismatch, InvalidInput
 from softmatch.kernels import (
     AttentionConfig,
     FfnConfig,
@@ -434,14 +434,13 @@ class TestBatchedTrials:
             seed=21, trials=10, d=d, n_range=(1, 5), domain=box,
             sampling_radius=2.0, perturbation=mode, jitter_sigma=0.3,
         )
+        kinds = ("softmatch_in_x", "softmatch_in_measure") if bounded else ()
         runs = {}
         for block in (64, 3):
             monkeypatch.setattr(probes, "_TRIAL_BLOCK", block)
-            runs[block] = (
-                report_digest(probe_contraction(cfg, pc, bound=1.0)),
-                report_digest(probe_component("softmatch_in_measure", pc, potential=Gaussian(d)))
-                if bounded else None,
-            )
+            runs[block] = [report_digest(probe_contraction(cfg, pc, bound=1.0))] + [
+                report_digest(probe_component(kind, pc, potential=Gaussian(d))) for kind in kinds
+            ]
         assert runs[3] == runs[64]
 
     @pytest.mark.parametrize("name", ("multi-head", "transformer", "wide-lookup"))
@@ -465,32 +464,46 @@ class TestBatchedTrials:
         assert (res.bound, res.violations, res.skipped) == (None, 0, 16 - len(ref))
         assert res.max_ratio == max(ref) > 0
 
-    def test_a_draw_error_is_raised_after_the_earlier_trials_are_pushed(self, monkeypatch):
-        # trial 2's draw raises; a push that fails on trials 0 and 1 raises
-        # first, as in a trial-by-trial loop, and one that succeeds does not
+    @pytest.mark.parametrize("fault", ("draw", "input_w1"))
+    def test_a_draw_error_is_raised_after_the_earlier_trials_are_pushed(self, monkeypatch, fault):
+        # trial 2's draw raises, or its input W1 does (its measures differ
+        # in dim); a push that fails on trials 0 and 1 raises first, as in
+        # a trial-by-trial loop, and one that succeeds does not. The
+        # block's input W1s are one solve after its draws, so the draws of
+        # trials 3 and 4 run first and are dropped
         real = probes._sample_pair
-        drawn = []
+        drawn, mapped = [], []
 
         class DrawError(Exception):
             pass
 
         def sample_pair(rng, probe):
-            if len(drawn) == 2:
+            if len(drawn) == 2 and fault == "draw":
                 raise DrawError
             drawn.append(rng)
-            return real(rng, probe)
+            mu, nu = real(rng, probe)
+            if len(drawn) == 3:
+                return mu, EmpiricalMeasure(PointCloud(np.zeros((2, 3))), np.full(2, 0.5))
+            return mu, nu
 
         def failing_map(layer, clouds):
             raise InvalidInput("layer output must be finite")
 
+        def counting_map(layer, clouds):
+            mapped.append(len(clouds))
+            return layer_map(layer, clouds)
+
         monkeypatch.setattr(probes, "_sample_pair", sample_pair)
         cfg = AttentionConfig(Gaussian(2), IdentityLookup(2))
-        for mapper, error in ((failing_map, InvalidInput), (layer_map, DrawError)):
+        raised = DrawError if fault == "draw" else DimMismatch
+        for mapper, error in ((failing_map, InvalidInput), (counting_map, raised)):
             drawn.clear()
             monkeypatch.setattr(probes, "layer_map", mapper)
             with pytest.raises(error):
                 probe_contraction(cfg, box_probe(seed=1, trials=5, d=2))
-            assert len(drawn) == 2
+            assert len(drawn) == (2 if fault == "draw" else 5)
+        # trials 0 and 1 alone were pushed: two clouds each
+        assert sum(mapped) == 4
 
     def test_memory_grows_with_the_ratios_only(self):
         # a block's clouds are alive at a time: holding every trial's inputs
@@ -504,6 +517,32 @@ class TestBatchedTrials:
             assert len(res.ratios) > 0.9 * trials
             peaks.append(peak * 2**20)
         assert peaks[1] - peaks[0] <= 600 * 512
+
+
+class TestSampleCloud:
+    """A bounded cloud is lo + (hi - lo) * u over one draw of uniforms:
+    the bits of rng.uniform(lo, hi, size) with per-axis bounds, and the
+    stream left at the same position."""
+
+    BOXES = {
+        "unequal": [DomainBox([-1.0, 0.0, 2.0, -3.5], [0.5, 1e-3, 7.0, 3.5])],
+        "zero_width": [DomainBox([-1.0, 0.25], [1.0, 0.25]), DomainBox([0.0], [0.0])],
+        "radius_0": [DomainBox.cube(0.0, d) for d in (1, 2, 4)],
+    }
+
+    @pytest.mark.parametrize("kind", BOXES)
+    def test_bounded_draws_match_numpy_uniform(self, kind):
+        for box in self.BOXES[kind]:
+            for d in range(1, box.dim + 1):
+                sub = DomainBox(box.lower[:d], box.upper[:d])
+                probe = ProbeConfig(d=d, domain=sub)
+                for seed in range(60):
+                    n = 1 + seed % 7
+                    ours, ref = stream(seed, 0), stream(seed, 0)
+                    got = probes._sample_cloud(ours, n, probe)
+                    want = ref.uniform(sub.lower, sub.upper, size=(n, d))
+                    assert got.tobytes() == want.tobytes()
+                    assert ours.random(3).tobytes() == ref.random(3).tobytes()
 
 
 class TestRatioLemma:

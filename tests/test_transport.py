@@ -7,6 +7,7 @@ import importlib.machinery
 import json
 import logging
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -31,16 +32,36 @@ from softmatch.transport import (
     _integer_masses,
     _assignment_basis,
     _line_basis,
-    _network_simplex,
+    _masses_solve,
     _reduced_costs,
+    _side_by_side,
+    _simplex,
     _smallest,
-    _solve_masses,
     _tie_signs,
     cost_matrix_l1,
     product_measure,
     w1,
     w1_product,
 )
+
+
+def _drive(solve):
+    """What one generator solve (`_simplex`, or a solve that delegates to
+    it) returns, run alone as a block solve runs it; its error is raised."""
+    [out] = _side_by_side([solve])
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+def _network_simplex(c, arcs, shift, path):
+    """The optimal basis the simplex reaches from the start `arcs`."""
+    return _drive(_simplex(c, arcs, shift, path))
+
+
+def _solve_masses(c, supply, demand, shift, path):
+    """The optimal basis from the matrix-minimum start for integer masses."""
+    return _drive(_masses_solve(c, supply, demand, shift, path))
 
 
 def random_measure(rng, n, d, uniform=False, span=2.0):
@@ -823,7 +844,7 @@ print(json.dumps({
 
 
 def _lsap_corpus(rng):
-    """Reduced cost matrices, as `_w1_assignment` matches them, of uniform
+    """Reduced cost matrices, as `_assignment_solve` matches them, of uniform
     pairs of 2 to 256 points at d = 2 and 4: generic clouds, draws from a
     pool of a few duplicate points, quarter-grid ties and clouds contracted
     to 1e-3 around 0.5."""
@@ -847,7 +868,7 @@ def fresh_loader():
 
 
 class TestKernelLoader:
-    """`_w1_assignment` takes scipy's Hungarian matching from its compiled
+    """`_assignment_solve` takes scipy's Hungarian matching from its compiled
     module alone: the very function `scipy.optimize` exports, loaded once."""
 
     def test_same_function_after_scipy_optimize(self, fresh_loader, monkeypatch):
@@ -1683,19 +1704,44 @@ class TestExactBasisChecks:
         "total_off_by_one": (_total_off_by_one, "exact total"),
     }
 
+    @staticmethod
+    def spoil_solves(monkeypatch, path, spoil, which=lambda count: True):
+        """Spoil the bases of the solves `which` picks by their count, in
+        the order they start (the line basis, or the generator simplex
+        the block drives); returns the spoiled bases."""
+        seen, count = [], []
+        if path.endswith("line"):
+            solve = transport._line_basis
+
+            def faulty(*args):
+                basis = solve(*args)
+                count.append(1)
+                if which(len(count)):
+                    basis = spoil(basis)
+                    seen.append(basis)
+                return basis
+
+            monkeypatch.setattr(transport, "_line_basis", faulty)
+        else:
+            simplex = transport._simplex
+
+            def faulty(*args):
+                count.append(1)
+                mine = which(len(count))
+                basis = yield from simplex(*args)
+                if mine:
+                    basis = spoil(basis)
+                    seen.append(basis)
+                return basis
+
+            monkeypatch.setattr(transport, "_simplex", faulty)
+        return seen
+
     @pytest.mark.parametrize("fault", FAULTS)
     @pytest.mark.parametrize("path", TestSparsePlan.PATHS)
     def test_faulty_basis_raises(self, monkeypatch, path, fault):
         spoil, message = self.FAULTS[fault]
-        solver = "_line_basis" if path.endswith("line") else "_network_simplex"
-        solve = getattr(transport, solver)
-        seen = []
-
-        def faulty(*args):
-            seen.append(spoil(solve(*args)))
-            return seen[-1]
-
-        monkeypatch.setattr(transport, solver, faulty)
+        seen = self.spoil_solves(monkeypatch, path, spoil)
         rng = np.random.default_rng(44 + TestSparsePlan.PATHS.index(path))
         for _ in range(5):
             mu, nu = _fault_pair(path, rng)
@@ -1715,6 +1761,153 @@ class TestExactBasisChecks:
                 np.array(i), np.array(j), np.array([x / den for x in f]), mu, nu,
                 seen[0].total / (den << seen[0].shift),
             )
+
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("path", TestSparsePlan.PATHS)
+    def test_faulty_basis_inside_a_block_raises(self, monkeypatch, path, fault):
+        # the second pair of six, enough to run side by side, is spoiled;
+        # the block checks each pair of its solves, returns the first
+        # pair's result and raises the second's error
+        spoil, message = self.FAULTS[fault]
+        seen = self.spoil_solves(monkeypatch, path, spoil, which=lambda count: count % 6 == 2)
+        rng = np.random.default_rng(54 + TestSparsePlan.PATHS.index(path))
+        pairs = [_fault_pair(path, rng) for _ in range(6)]
+        results, error = transport._solve_block(pairs)
+        assert len(seen) == 1
+        assert isinstance(error, RuntimeError) and re.search(message, str(error))
+        assert len(results) == 1 and results[0].source is pairs[0][0]
+        with pytest.raises(RuntimeError, match=message):
+            transport._w1_block(pairs)
+        assert len(seen) == 2
+
+
+def _block_events(solve):
+    """solve() and the arguments of the DEBUG events it logs."""
+    events = []
+    handler = logging.Handler(logging.DEBUG)
+    handler.emit = lambda record: events.append(record.args)
+    logger = logging.getLogger("softmatch")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        out = solve()
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    return out, events
+
+
+def _result_bits(res):
+    return res.value, res.dual_gap, res.to_dict(include_plan=True), res._potentials
+
+
+_block_coords = st.one_of(
+    st.integers(-8, 8).map(lambda k: k / 4.0),
+    st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def block_pairs(draw):
+    """1-8 pairs of d = 1, 2 or 4, all of one d or each of its own, each
+    side drawn from the pair's pool of points (so points repeat within
+    and across the sides, on a quarter grid or anywhere), uniform or with
+    small integer weights (zeros included), of equal or unequal sizes."""
+    pairs = []
+    dims = st.sampled_from((1, 2, 4))
+    if draw(st.booleans()):
+        dims = st.just(draw(dims))
+    for _ in range(draw(st.integers(1, 8))):
+        d = draw(dims)
+        pool = draw(st.lists(st.lists(_block_coords, min_size=d, max_size=d), min_size=1, max_size=8))
+        n = draw(st.integers(1, 9))
+        m = n if draw(st.booleans()) else draw(st.integers(1, 9))
+
+        def side(k):
+            pts = np.array(draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k)))
+            if draw(st.booleans()):
+                return empirical(pts)
+            w = np.array(draw(st.lists(st.integers(0, 4), min_size=k, max_size=k)), dtype=float)
+            w[0] += not w.any()
+            return EmpiricalMeasure(PointCloud(pts), w / w.sum())
+
+        pairs.append((side(n), side(m)))
+    return pairs
+
+
+class TestBlockSolve:
+    """`_w1_block` solves a block of pairs together, each with the bits of
+    `w1` on it alone: the pairs of one dim d >= 2 share one padded cost
+    pass and their pricing rounds."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(block_pairs())
+    def test_equals_one_w1_per_pair(self, pairs):
+        block, events = _block_events(lambda: transport._w1_block(pairs))
+        alone, want = _block_events(lambda: [w1(mu, nu) for mu, nu in pairs])
+        assert [_result_bits(r) for r in block] == [_result_bits(r) for r in alone]
+        assert events == want
+        assert all(r.source is mu and r.target is nu for r, (mu, nu) in zip(block, pairs))
+
+    def test_pairs_share_their_pricing_rounds(self, monkeypatch):
+        # ten probe-sized weighted pairs at d = 2 take one padded cost pass
+        # and as many pricing passes as the longest solve has rounds; a
+        # 24 x 24 pair (576 cells) is solved alone
+        rng = np.random.default_rng(61)
+        pairs = [(random_measure(rng, 9, 2), random_measure(rng, 12, 2)) for _ in range(10)]
+        pairs.insert(4, (random_measure(rng, 24, 2), random_measure(rng, 24, 2)))
+        rounds, passes, built = [], [], []
+        round_one, price, build = transport._round_one, transport._Pass.price, transport.cost_matrix_l1
+        monkeypatch.setattr(transport, "_round_one", lambda job: rounds.append(1) or round_one(job))
+        monkeypatch.setattr(transport._Pass, "price", lambda self: passes.append(1) or price(self))
+        monkeypatch.setattr(transport, "cost_matrix_l1", lambda x, y: built.append(len(x)) or build(x, y))
+        each = []
+        for mu, nu in pairs:
+            rounds.clear()
+            w1(mu, nu)
+            each.append(len(rounds))
+        built.clear()
+        rounds.clear()
+        transport._w1_block(pairs)
+        assert built == [24]
+        assert len(rounds) == each[4]
+        small = each[:4] + each[5:]
+        assert len(passes) == max(small) < sum(small)
+
+    def test_the_first_failing_pairs_error_is_raised(self):
+        rng = np.random.default_rng(62)
+        good = [
+            (random_measure(rng, 5, 2), random_measure(rng, 7, 2)),
+            (random_measure(rng, 6, 2, uniform=True), random_measure(rng, 6, 2, uniform=True)),
+            (random_measure(rng, 4, 1), random_measure(rng, 3, 1)),
+        ]
+        huge = np.array([[1e308, 1e308]])
+        overflow = empirical(huge), empirical(-huge)
+        line_overflow = empirical(huge[:, :1]), empirical(-huge[:, :1])
+        unpriceable = (
+            EmpiricalMeasure(PointCloud(np.array([[0.0, 1e308], [0.0, 0.0]])), [0.25, 0.75]),
+        ) * 2
+        dims = random_measure(rng, 3, 2), random_measure(rng, 3, 4)
+        big = random_measure(rng, 513, 2), random_measure(rng, 2, 2)
+        alone = random_measure(rng, 24, 2), random_measure(rng, 24, 2)
+        cases = [
+            # the line pass fails before the 576-cell pair's chunk is reached
+            ([good[0], line_overflow, alone], 1, InvalidInput, "non-finite"),
+            ([good[0], overflow, good[1], dims], 1, InvalidInput, "non-finite"),
+            ([good[0], good[1], dims, overflow], 2, DimMismatch, "dims"),
+            ([good[2], good[0], line_overflow, overflow, big], 2, InvalidInput, "non-finite"),
+            ([good[0], unpriceable, good[1], overflow], 1, InvalidInput, "too large to price"),
+            ([good[1], good[2], good[0], big, dims], 3, SupportTooLarge, "LP path"),
+        ]
+        for pairs, k, error, message in cases:
+            results, raised = transport._solve_block(pairs)
+            assert type(raised) is error and message in str(raised)
+            assert [_result_bits(r) for r in results] == [_result_bits(w1(*p)) for p in pairs[:k]]
+            with pytest.raises(error, match=message):
+                transport._w1_block(pairs)
+        assert transport._solve_block([]) == ([], None)
 
 
 class TestSolveEvents:
