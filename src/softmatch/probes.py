@@ -14,8 +14,8 @@ one block solve (`transport._solve_block`), `probe_contraction` maps a
 block's clouds with one `layer_map` call per support size, the softmatch
 components reweight them with one `kernels._softmatch_weights_rows`
 call per support size, and the output W1s are one more block solve. A
-block solve shares its pairs' front end and pricing rounds and gives
-each pair the bits of a `w1` call on it alone. Every constant a
+block solve builds its pairs' cost matrices in a shared padded pass and
+gives each pair the bits of a `w1` call on it alone. Every constant a
 component is compared against comes from `bounds`, through the guards it
 applies there (a compact domain, eps(G) > 0).
 

@@ -34,7 +34,6 @@ from softmatch.transport import (
     _line_basis,
     _masses_solve,
     _reduced_costs,
-    _side_by_side,
     _simplex,
     _smallest,
     _tie_signs,
@@ -43,25 +42,6 @@ from softmatch.transport import (
     w1,
     w1_product,
 )
-
-
-def _drive(solve):
-    """What one generator solve (`_simplex`, or a solve that delegates to
-    it) returns, run alone as a block solve runs it; its error is raised."""
-    [out] = _side_by_side([solve])
-    if isinstance(out, Exception):
-        raise out
-    return out
-
-
-def _network_simplex(c, arcs, shift, path):
-    """The optimal basis the simplex reaches from the start `arcs`."""
-    return _drive(_simplex(c, arcs, shift, path))
-
-
-def _solve_masses(c, supply, demand, shift, path):
-    """The optimal basis from the matrix-minimum start for integer masses."""
-    return _drive(_masses_solve(c, supply, demand, shift, path))
 
 
 def random_measure(rng, n, d, uniform=False, span=2.0):
@@ -102,7 +82,7 @@ def matrix_minimum_w1(mu, nu):
     c = cost_matrix_l1(mu.support.points, nu.support.points)
     a, b, den = _integer_masses(mu, nu)
     shift = _dyadic_shift(c)
-    basis = _solve_masses(c, a, b, shift, "flow")
+    basis = _masses_solve(c, a, b, shift, "flow")
     return float(Fraction(basis.total, den << shift))
 
 
@@ -328,6 +308,21 @@ class TestCertificates:
         np.testing.assert_allclose(
             (u[:, None] + v[None, :])[support], c[support], atol=1e-9
         )
+
+    @pytest.mark.parametrize(
+        "x, y",
+        (
+            ([[1.7e308], [0.0]], [[0.0], [1.7e308], [1.0]]),
+            ([[-1.7e308], [0.0], [1.0]], [[0.0], [-1.7e308]]),
+        ),
+    )
+    def test_line_certificate_near_the_float_range_does_not_warn(self, x, y):
+        # u + v - c overflows to -inf on some entries, which never sets the
+        # largest violation; pyproject turns a RuntimeWarning into an error
+        cert = w1(empirical(x), empirical(y)).plan.certificate()
+        assert cert["max_feasibility_violation"] <= 0.0
+        # tight to an ulp of the largest cost
+        assert cert["max_support_slack"] <= np.spacing(1.7e308)
 
     def test_plan_invariants(self):
         rng = np.random.default_rng(11)
@@ -583,13 +578,13 @@ class TestEngineParity:
             if unit:
                 # the assignment path's start: many zero-flow tree arcs
                 _, cols = linear_sum_assignment(c)
-                basis = _network_simplex(c, _assignment_basis(c, cols.tolist()), shift, "assignment")
+                basis = _simplex(c, _assignment_basis(c, cols.tolist()), shift, "assignment")
                 assert_exact_basis(basis, cost, a, b, total)
                 assert_strongly_feasible(basis.arcs, mu.n, nu.n)
             # the flow path on the weights' masses
             c, cost, shift, a, b, den = exact_lp(mu, nu, False)
             total = oracle_total(cost, a, b)
-            basis = _solve_masses(c, a, b, shift, "flow")
+            basis = _masses_solve(c, a, b, shift, "flow")
             assert_exact_basis(basis, cost, a, b, total)
             if min(a) and min(b):
                 # zero-mass points sit out of the simplex
@@ -618,7 +613,7 @@ class TestEngineParity:
             total = oracle_total(cost, a, b)
             assert res.value == float(Fraction(total, den << shift))
             assert_float_duals_exactly_feasible(res, c)
-            assert_exact_basis(_solve_masses(c, a, b, shift, "flow"), cost, a, b, total)
+            assert_exact_basis(_masses_solve(c, a, b, shift, "flow"), cost, a, b, total)
         assert unscaled >= 15
 
     def test_repairs_a_suboptimal_hungarian_matching(self):
@@ -639,7 +634,7 @@ class TestEngineParity:
         total = oracle_total(cost, a, b)
         rows, cols = linear_sum_assignment(c)
         assert sum(cost[i][j] for i, j in zip(rows, cols)) > total
-        basis = _network_simplex(c, _assignment_basis(c, cols.tolist()), shift, "assignment")
+        basis = _simplex(c, _assignment_basis(c, cols.tolist()), shift, "assignment")
         assert float(Fraction(basis.total, den << shift)) == float(Fraction(total, den << shift))
         assert sum(f > 0 for _, _, f in basis.arcs) == mu.n
         assert w1(mu, nu).value == float(line_oracle(mu, nu))
@@ -730,7 +725,7 @@ class TestAssignmentStart:
                         assert sorted((i, j) for i, j, f in arcs if f) == list(enumerate(cols))
                         assert all(f in (0, 1) for _, _, f in arcs)
                         assert_strongly_feasible(arcs, n, n)
-                        basis = _network_simplex(c, arcs, shift, "assignment")
+                        basis = _simplex(c, arcs, shift, "assignment")
                         assert_exact_basis(basis, cost, a, b, total)
                         assert_strongly_feasible(basis.arcs, n, n)
 
@@ -773,7 +768,7 @@ class TestAssignmentStart:
         assert [j for i, j, f in arcs if not f] == [n - 1] * (n - 1)
         ints, shift = _dyadic_ints(c)
         cost = [ints[i * n : (i + 1) * n] for i in range(n)]
-        basis = _network_simplex(c, arcs, shift, "assignment")
+        basis = _simplex(c, arcs, shift, "assignment")
         assert_exact_basis(basis, cost, [1] * n, [1] * n, oracle_total(cost, [1] * n, [1] * n))
 
     @pytest.mark.parametrize("n, d, seed", ((128, 2, 0), (256, 4, 1)))
@@ -813,7 +808,7 @@ class TestAssignmentStart:
             cols = linear_sum_assignment(_reduced_costs(c))[1]
             # the optimum from the matrix-minimum start, a start the
             # reduced matrix plays no part in
-            optimum = _solve_masses(c, a, b, shift, "flow").total
+            optimum = _masses_solve(c, a, b, shift, "flow").total
             assert sum(cost[i][j] for i, j in enumerate(cols)) == optimum
 
 
@@ -844,7 +839,7 @@ print(json.dumps({
 
 
 def _lsap_corpus(rng):
-    """Reduced cost matrices, as `_assignment_solve` matches them, of uniform
+    """Reduced cost matrices, as `_assignment_start` matches them, of uniform
     pairs of 2 to 256 points at d = 2 and 4: generic clouds, draws from a
     pool of a few duplicate points, quarter-grid ties and clouds contracted
     to 1e-3 around 0.5."""
@@ -868,7 +863,7 @@ def fresh_loader():
 
 
 class TestKernelLoader:
-    """`_assignment_solve` takes scipy's Hungarian matching from its compiled
+    """`_assignment_start` takes scipy's Hungarian matching from its compiled
     module alone: the very function `scipy.optimize` exports, loaded once."""
 
     def test_same_function_after_scipy_optimize(self, fresh_loader, monkeypatch):
@@ -958,7 +953,7 @@ class TestTieSigns:
                     else:
                         mu, nu = empirical(x), empirical(y)
                     c, cost, shift, a, b, den = exact_lp(mu, nu, not weighted)
-                    basis = _solve_masses(c, a, b, shift, "flow")
+                    basis = _masses_solve(c, a, b, shift, "flow")
                     # the optimal potentials, and the same moved by a few
                     # grains, which makes exactly negative arcs
                     u = list(basis.u)
@@ -980,7 +975,7 @@ class TestTieSigns:
         y = np.array([[1e-300, 0.0], [1.0, 3e-300], [0.25, 1.0], [0.5, 0.5 + 2.0**-30], [0.3, 1 / 7]])
         c, cost, shift, a, b, den = exact_lp(empirical(x), empirical(y), True)
         assert shift > 1000
-        basis = _solve_masses(c, a, b, shift, "flow")
+        basis = _masses_solve(c, a, b, shift, "flow")
         exact = _exact_signs(c, basis.u, basis.v, shift)
         zero, positive = _tie_classes(c, basis.u, basis.v, shift)
         assert np.all(exact[zero] == 0) and np.all(exact[positive] > 0)
@@ -1003,7 +998,7 @@ class TestTieSigns:
                 return z
 
             c, cost, shift, a, b, den = exact_lp(empirical(coords()), empirical(coords()), True)
-            basis = _solve_masses(c, a, b, shift, "flow")
+            basis = _masses_solve(c, a, b, shift, "flow")
             for bump in (0, 2, 2):
                 u = [p + int(k) for p, k in zip(basis.u, rng.integers(-bump, bump + 1, n))]
                 exact = _exact_signs(c, u, basis.v, shift)
@@ -1202,7 +1197,7 @@ class TestNetworkxOracle:
                 for j in range(m):
                     g.add_edge(("s", i), ("t", j), weight=cost[i][j])
             want, _ = nx.network_simplex(g)
-            assert _solve_masses(c, a, b, shift, "flow").total == want
+            assert _masses_solve(c, a, b, shift, "flow").total == want
 
     @pytest.mark.parametrize("n, m", ((8, 9), (33, 34)))
     def test_costs_and_potentials_past_int64(self, n, m):
@@ -1230,7 +1225,7 @@ class TestNetworkxOracle:
             for i in range(n):
                 g.add_edge(("s", i), ("t", j), weight=cost[i][j])
         want, _ = nx.network_simplex(g)
-        basis = _solve_masses(c, a, b, shift, "flow")
+        basis = _masses_solve(c, a, b, shift, "flow")
         assert max(map(abs, basis.u + basis.v)) >= 2**63
         assert_exact_basis(basis, cost, a, b, want)
         assert w1(mu, nu).value == float(Fraction(want, den << shift))
@@ -1707,8 +1702,8 @@ class TestExactBasisChecks:
     @staticmethod
     def spoil_solves(monkeypatch, path, spoil, which=lambda count: True):
         """Spoil the bases of the solves `which` picks by their count, in
-        the order they start (the line basis, or the generator simplex
-        the block drives); returns the spoiled bases."""
+        the order they run (the line basis, or the simplex); returns the
+        spoiled bases."""
         seen, count = [], []
         if path.endswith("line"):
             solve = transport._line_basis
@@ -1726,10 +1721,9 @@ class TestExactBasisChecks:
             simplex = transport._simplex
 
             def faulty(*args):
+                basis = simplex(*args)
                 count.append(1)
-                mine = which(len(count))
-                basis = yield from simplex(*args)
-                if mine:
+                if which(len(count)):
                     basis = spoil(basis)
                     seen.append(basis)
                 return basis
@@ -1766,8 +1760,8 @@ class TestExactBasisChecks:
     @pytest.mark.parametrize("fault", FAULTS)
     @pytest.mark.parametrize("path", TestSparsePlan.PATHS)
     def test_faulty_basis_inside_a_block_raises(self, monkeypatch, path, fault):
-        # the second pair of six, enough to run side by side, is spoiled;
-        # the block checks each pair of its solves, returns the first
+        # the second pair of six, enough for one padded cost pass, is
+        # spoiled; the block checks each pair's basis, returns the first
         # pair's result and raises the second's error
         spoil, message = self.FAULTS[fault]
         seen = self.spoil_solves(monkeypatch, path, spoil, which=lambda count: count % 6 == 2)
@@ -1840,7 +1834,7 @@ def block_pairs(draw):
 class TestBlockSolve:
     """`_w1_block` solves a block of pairs together, each with the bits of
     `w1` on it alone: the pairs of one dim d >= 2 share one padded cost
-    pass and their pricing rounds."""
+    pass, and each simplex prices its own rounds."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(block_pairs())
@@ -1851,30 +1845,30 @@ class TestBlockSolve:
         assert events == want
         assert all(r.source is mu and r.target is nu for r, (mu, nu) in zip(block, pairs))
 
-    def test_pairs_share_their_pricing_rounds(self, monkeypatch):
-        # ten probe-sized weighted pairs at d = 2 take one padded cost pass
-        # and as many pricing passes as the longest solve has rounds; a
-        # 24 x 24 pair (576 cells) is solved alone
+    def test_pairs_share_padded_cost_passes(self, monkeypatch):
+        # ten probe-sized weighted pairs at d = 2 in runs of two, three and
+        # five, split by 160 x 256 pairs that each fill a pass alone and
+        # build their own matrices: the runs of three and five take one
+        # padded cost pass each, the run of two builds its matrices one by
+        # one; each simplex prices as many rounds as it does alone
         rng = np.random.default_rng(61)
         pairs = [(random_measure(rng, 9, 2), random_measure(rng, 12, 2)) for _ in range(10)]
-        pairs.insert(4, (random_measure(rng, 24, 2), random_measure(rng, 24, 2)))
-        rounds, passes, built = [], [], []
-        round_one, price, build = transport._round_one, transport._Pass.price, transport.cost_matrix_l1
-        monkeypatch.setattr(transport, "_round_one", lambda job: rounds.append(1) or round_one(job))
-        monkeypatch.setattr(transport._Pass, "price", lambda self: passes.append(1) or price(self))
+        for at in (2, 6):
+            pairs.insert(at, (random_measure(rng, 160, 2), random_measure(rng, 256, 2)))
+        rounds, built = [], []
+        round_one, build = transport._round_one, transport.cost_matrix_l1
+        monkeypatch.setattr(transport, "_round_one", lambda *a: rounds.append(1) or round_one(*a))
         monkeypatch.setattr(transport, "cost_matrix_l1", lambda x, y: built.append(len(x)) or build(x, y))
-        each = []
+        alone = 0
         for mu, nu in pairs:
-            rounds.clear()
             w1(mu, nu)
-            each.append(len(rounds))
+            alone = len(rounds)
         built.clear()
-        rounds.clear()
+        padded = transport._padded
+        monkeypatch.setattr(transport, "_padded", lambda *a: built.append("padded") or padded(*a))
         transport._w1_block(pairs)
-        assert built == [24]
-        assert len(rounds) == each[4]
-        small = each[:4] + each[5:]
-        assert len(passes) == max(small) < sum(small)
+        assert built == [9, 9, 160] + ["padded"] * 2 + [160] + ["padded"] * 2
+        assert len(rounds) == 2 * alone
 
     def test_the_first_failing_pairs_error_is_raised(self):
         rng = np.random.default_rng(62)
