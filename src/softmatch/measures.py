@@ -178,9 +178,7 @@ class EmpiricalMeasure:
             raise InvalidInput("weights must be finite")
         if min(ws) < 0:
             raise InvalidInput("weights must be nonnegative")
-        total = math.fsum(ws)
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise InvalidInput(f"weights sum to {total!r}, expected 1 within 1e-12")
+        _check_sums([ws])
         w.setflags(write=False)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "weights", w)
@@ -211,6 +209,27 @@ class EmpiricalMeasure:
         if weights is None:
             return empirical(cloud)
         return EmpiricalMeasure(cloud, weights)
+
+
+def _check_sums(rows) -> None:
+    """`EmpiricalMeasure`'s weight-sum check on each row of weights (lists
+    of floats): the exact sum, by fsum, must be within 1e-12 of 1."""
+    for total in map(math.fsum, rows):
+        if abs(total - 1.0) > WEIGHT_SUM_TOL:
+            raise InvalidInput(f"weights sum to {total!r}, expected 1 within 1e-12")
+
+
+def _measure(points: np.ndarray, weights: np.ndarray) -> EmpiricalMeasure:
+    """The measure of weights on (n, d) points, from arrays the library
+    made and checked itself: no copy and no check, both marked read-only.
+    What a caller passes goes through the constructors."""
+    points.setflags(write=False)
+    weights.setflags(write=False)
+    mu = object.__new__(EmpiricalMeasure)
+    object.__setattr__(mu, "support", object.__new__(PointCloud))
+    object.__setattr__(mu.support, "points", points)
+    object.__setattr__(mu, "weights", weights)
+    return mu
 
 
 def empirical(points: PointCloud | np.ndarray) -> EmpiricalMeasure:

@@ -36,7 +36,7 @@ import numpy as np
 from .bounds import ratio_lemma_bound, ratio_lemma_sup
 from .errors import InvalidInput
 from .kernels import Layer, Lookup, _softmatch_weights_rows, apply_lookup, layer_map
-from .measures import DomainBox, EmpiricalMeasure, PointCloud, _l1_norms, barycenter, empirical
+from .measures import DomainBox, EmpiricalMeasure, PointCloud, _check_sums, _l1_norms, _measure, barycenter
 from .potentials import Potential, regularity_stats
 from .streams import stream
 from .transport import _solve_block, _w1_block, w1_product
@@ -157,30 +157,37 @@ def _sample_cloud(rng: np.random.Generator, n: int, probe: ProbeConfig) -> np.nd
     return rng.uniform(-r, r, size=(n, probe.d))
 
 
+def _uniform(points: np.ndarray) -> EmpiricalMeasure:
+    """m(X) of a cloud the probe drew: finite by construction, so it is
+    built unchecked (`measures._measure`)."""
+    return _measure(points, np.full(len(points), 1.0 / len(points)))
+
+
 def _sample_pair(rng: np.random.Generator, probe: ProbeConfig):
     lo, hi = probe.n_range
     mode = probe.perturbation
     if mode == "resample":
         n = int(rng.integers(lo, hi + 1))
         m = int(rng.integers(lo, hi + 1))
-        return empirical(_sample_cloud(rng, n, probe)), empirical(
-            _sample_cloud(rng, m, probe)
-        )
+        return _uniform(_sample_cloud(rng, n, probe)), _uniform(_sample_cloud(rng, m, probe))
     if mode == "drop_point" and hi < 2:
         raise InvalidInput("drop_point needs clouds of at least 2 points")
     n = int(rng.integers(max(lo, 2) if mode == "drop_point" else lo, hi + 1))
     base = _sample_cloud(rng, n, probe)
     if mode == "jitter":
-        # an overflow to inf is clipped into a box, refused on the unbounded domain
+        # the one draw that can overflow: inf is clipped into a box, and
+        # refused on the unbounded domain as `PointCloud` refuses it
         with np.errstate(over="ignore"):
             other = base + probe.jitter_sigma * rng.standard_normal(base.shape)
         other = probe.domain.clip(other)
+        if not np.isfinite(other).all():
+            raise InvalidInput("point coordinates must be finite (no NaN/Inf)")
     elif mode == "drop_point":
         keep = np.delete(np.arange(n), int(rng.integers(n)))
         other = base[keep]
     else:  # duplicate_point
         other = np.vstack([base, base[int(rng.integers(n))]])
-    return empirical(base), empirical(other)
+    return _uniform(base), _uniform(other)
 
 
 def _order_stats(values, qs=None):
@@ -321,7 +328,9 @@ def _softmatch_by_size(potential: Potential, items: list) -> list:
     """softmatch_measure(potential, q, mu) for each (query point q,
     measure mu) in items, in order, with one `_softmatch_weights_rows`
     call per support size and count of positive weights, which gives each
-    measure the bits of a call on it alone."""
+    measure the bits of a call on it alone. The reweighting gives finite,
+    nonnegative weights, so of `EmpiricalMeasure`'s checks only the exact
+    weight sums run, once per call."""
     by_size = {}
     for i, (_, mu) in enumerate(items):
         by_size.setdefault((mu.n, np.count_nonzero(mu.weights)), []).append(i)
@@ -334,8 +343,9 @@ def _softmatch_by_size(potential: Potential, items: list) -> list:
             np.stack([mu.support.points for mu in group]),
             np.stack([mu.weights for mu in group]),
         )
+        _check_sums(weights.tolist())
         for i, mu, w in zip(idx, group, weights):
-            out[i] = EmpiricalMeasure(mu.support, w)
+            out[i] = _measure(mu.support.points, w)
     return out
 
 
@@ -348,7 +358,8 @@ def probe_contraction(
     bound. Sampled clouds are empirical, with the uniform weights
     `layer_map` attends over, so a block's clouds of one size are mapped
     in one call with the bits of a call per cloud, and the block's output
-    W1s are solved in one `transport._w1_block` call."""
+    W1s are solved in one `transport._w1_block` call. `layer_map` refuses
+    non-finite output, so the output measures are built unchecked."""
 
     def draw(rng):
         mu, nu = _sample_pair(rng, probe)
@@ -356,10 +367,8 @@ def probe_contraction(
 
     def push(kept):
         ins = [m for inputs in kept for m in (inputs["mu"], inputs["nu"])]
-        outs = [
-            EmpiricalMeasure(PointCloud(pts), m.weights)
-            for m, pts in zip(ins, _map_by_size(cfg, [m.support.points for m in ins]))
-        ]
+        mapped = _map_by_size(cfg, [m.support.points for m in ins])
+        outs = [_measure(pts, m.weights) for m, pts in zip(ins, mapped)]
         return [r.value for r in _w1_block(list(zip(outs[::2], outs[1::2])))]
 
     return _run_trials(probe, bound, draw, push, ratio_first=True)
@@ -404,7 +413,7 @@ def probe_component(
     def draw(rng):
         if kind == "softmatch_in_x":
             n = int(rng.integers(probe.n_range[0], probe.n_range[1] + 1))
-            mu = empirical(_sample_cloud(rng, n, probe))
+            mu = _uniform(_sample_cloud(rng, n, probe))
             x = _sample_cloud(rng, 1, probe)[0]
             y = _sample_cloud(rng, 1, probe)[0]
             return float(_l1_norms(x, y)), {"x": x, "y": y, "mu": mu}

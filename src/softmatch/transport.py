@@ -904,27 +904,31 @@ def _line_basis(mu: EmpiricalMeasure, nu: EmpiricalMeasure, supply: list, demand
     """Optimal basis for the exact costs |x - y| on R, by merging the
     sorted supports.
 
-    Coordinates are read exactly as integers over 2**shift. The
-    north-west-corner coupling of the stably sorted supports is monotone,
-    hence optimal, and has at most n + m - 1 arcs with positive flow. The
-    duals come from one walk over the merged supports: u_i = phi(x_i) and
+    Coordinates are read exactly as integers over 2**shift, by one int64
+    cast where that is exact (`_exact_ints`). The north-west-corner
+    coupling of the stably sorted supports is monotone, hence optimal, and
+    has at most n + m - 1 arcs with positive flow. The duals come from one
+    walk over the merged supports: u_i = phi(x_i) and
     v_j = -phi(y_j), where phi(t) = -int sign(F - G) for the cumulative
     masses F and G. phi is 1-Lipschitz, so u_i + v_j <= |x_i - y_j|, with
     equality on every arc (F - G keeps one sign between the ends of an arc
     that moves mass), and summing by parts gives
     sum a u + sum b v = int |F - G| = total.
     Overflowing costs are refused in O(n + m): rounding is monotone, so
-    the larger of fl(max x - min y) and fl(max y - min x) is the largest
-    fl(|x_i - y_j|).
+    the larger of fl(max x - min y) and fl(max y - min x), read off the
+    sorted supports, is the largest fl(|x_i - y_j|).
     """
     n, m = mu.n, nu.n
-    x, y = mu.support.points[:, 0], nu.support.points[:, 0]
-    # Python floats overflow to inf without a warning
-    if not max(float(x.max()) - float(y.min()), float(y.max()) - float(x.min())) < math.inf:
-        raise InvalidInput("non-finite transport costs")
-    coords = np.concatenate([x, y])
-    pos, shift = _dyadic_ints(coords)
+    coords = np.concatenate([mu.support.points[:, 0], nu.support.points[:, 0]])
     order = np.argsort(coords, kind="stable").tolist()
+    xs = [k for k in order if k < n]
+    ys = [k - n for k in order if k >= n]
+    c = coords.tolist()
+    # Python floats overflow to inf without a warning
+    if not max(c[xs[-1]] - c[n + ys[0]], c[n + ys[-1]] - c[xs[0]]) < math.inf:
+        raise InvalidInput("non-finite transport costs")
+    shift = _dyadic_shift(coords)
+    pos = _exact_ints(coords, shift, max(-c[order[0]], c[order[-1]]))
     phi = [0] * (n + m)
     level = excess = 0
     at = pos[order[0]]
@@ -933,8 +937,6 @@ def _line_basis(mu: EmpiricalMeasure, nu: EmpiricalMeasure, supply: list, demand
         at = pos[k]
         phi[k] = level
         excess += supply[k] if k < n else -demand[k - n]
-    xs = [k for k in order if k < n]
-    ys = [k - n for k in order if k >= n]
     arcs = []
     total = i = j = 0
     left, right = supply[xs[0]], demand[ys[0]]

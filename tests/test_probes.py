@@ -519,6 +519,84 @@ class TestBatchedTrials:
         assert peaks[1] - peaks[0] <= 600 * 512
 
 
+class TestRefusals:
+    """The probes build their measures unchecked where they made them
+    finite themselves, and check the rest once per draw or block: every
+    refusal keeps the exception class, message and trial of a measure
+    built and checked per trial, and is raised after the earlier trials
+    are pushed."""
+
+    # one-point clouds, so that the huge finite points map and solve; the
+    # jitter overflows on the unbounded domain at trial 10 of seed 0
+    JITTER = dict(
+        seed=0, trials=20, d=1, n_range=(1, 1), domain=DomainBox.unbounded(1),
+        perturbation="jitter", jitter_sigma=1e308,
+    )
+
+    @staticmethod
+    def first_overflow(pc):
+        for t in range(pc.trials):
+            try:
+                probes._sample_pair(stream(pc.seed, t), pc)
+            except InvalidInput as e:
+                return t, e
+        raise AssertionError("no draw overflows")
+
+    @pytest.mark.parametrize("block", (64, 4))
+    @pytest.mark.parametrize("kind", ("contraction", "lookup"))
+    def test_jitter_overflow_on_the_unbounded_domain(self, monkeypatch, kind, block):
+        pc = ProbeConfig(**self.JITTER)
+        t0, want = self.first_overflow(pc)
+        assert t0 == 10 and str(want) == "point coordinates must be finite (no NaN/Inf)"
+        pushed = []
+        if kind == "contraction":
+            cfg = AttentionConfig(Gaussian(1), IdentityLookup(1))
+            monkeypatch.setattr(probes, "layer_map", lambda layer, c: pushed.append(len(c)) or layer_map(layer, c))
+
+            def run(trials):
+                return probe_contraction(cfg, ProbeConfig(**{**self.JITTER, "trials": trials}))
+        else:
+            lookup, apply = IdentityLookup(1), probes.apply_lookup
+            monkeypatch.setattr(probes, "apply_lookup", lambda f, mu: pushed.append(1) or apply(f, mu))
+
+            def run(trials):
+                return probe_component("lookup", ProbeConfig(**{**self.JITTER, "trials": trials}), lookup=lookup)
+
+        monkeypatch.setattr(probes, "_TRIAL_BLOCK", block)
+        assert len(run(t0).ratios) == t0
+        for trials in (t0 + 1, 20):
+            pushed.clear()
+            with pytest.raises(InvalidInput) as raised:
+                run(trials)
+            assert type(raised.value) is type(want) and str(raised.value) == str(want)
+            # both clouds of each earlier trial were pushed, and no later one
+            assert sum(pushed) == 2 * t0
+
+    def test_softmatch_weight_sums_are_checked(self, monkeypatch):
+        # one trial a block; the first reweighted row of trial 5 is spoiled,
+        # 1e-9 too heavy: that trial's push raises EmpiricalMeasure's
+        # message with the row's exact sum, and no later trial is drawn
+        drawn, sums = [], []
+        rows, trial_stream = probes._softmatch_weights_rows, probes.stream
+
+        def spoiled(*args):
+            w = rows(*args)
+            if drawn[-1] == 5 and not sums:
+                w[0] *= 1.0 + 1e-9
+                sums.append(math.fsum(w[0].tolist()))
+            return w
+
+        monkeypatch.setattr(probes, "stream", lambda seed, t: drawn.append(t) or trial_stream(seed, t))
+        monkeypatch.setattr(probes, "_softmatch_weights_rows", spoiled)
+        monkeypatch.setattr(probes, "_TRIAL_BLOCK", 1)
+        pc = box_probe(seed=3, trials=12, d=2, n_range=(1, 4))
+        with pytest.raises(InvalidInput) as raised:
+            probe_component("softmatch_in_measure", pc, potential=Gaussian(2))
+        assert abs(sums[0] - 1.0) > 1e-12
+        assert str(raised.value) == f"weights sum to {sums[0]!r}, expected 1 within 1e-12"
+        assert drawn == list(range(6))
+
+
 class TestSampleCloud:
     """A bounded cloud is lo + (hi - lo) * u over one draw of uniforms:
     the bits of rng.uniform(lo, hi, size) with per-axis bounds, and the

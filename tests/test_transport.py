@@ -1800,7 +1800,20 @@ def _result_bits(res):
 _block_coords = st.one_of(
     st.integers(-8, 8).map(lambda k: k / 4.0),
     st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False),
+    # across 80 binades: exact positions and cost dots pass 2**63
+    st.builds(
+        lambda sign, e: sign * 2.0**e, st.sampled_from((-1.0, 1.0)), st.integers(-70, 10)
+    ),
 )
+
+
+def _heavy_weights(draw, k):
+    """One weight near 1 and k - 1 of at most 3 * 2**-46, summing to 1
+    within 1e-12: their exact masses have totals near 2**46 to 2**62, so
+    a pair's mass denominator falls on both sides of 2**53."""
+    e = draw(st.integers(46, 62))
+    tiny = [draw(st.sampled_from((0, 1, 3))) * 2.0 ** -draw(st.integers(46, e)) for _ in range(k - 1)]
+    return np.array([1.0 - 2.0**-e, *tiny])
 
 
 @st.composite
@@ -1808,7 +1821,9 @@ def block_pairs(draw):
     """1-8 pairs of d = 1, 2 or 4, all of one d or each of its own, each
     side drawn from the pair's pool of points (so points repeat within
     and across the sides, on a quarter grid or anywhere), uniform or with
-    small integer weights (zeros included), of equal or unequal sizes."""
+    small integer weights (zeros included) or dyadic ones whose mass
+    denominator passes 2**53 (`_heavy_weights`), of equal or unequal
+    sizes."""
     pairs = []
     dims = st.sampled_from((1, 2, 4))
     if draw(st.booleans()):
@@ -1821,14 +1836,109 @@ def block_pairs(draw):
 
         def side(k):
             pts = np.array(draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k)))
-            if draw(st.booleans()):
+            kind = draw(st.sampled_from(("uniform", "integer", "heavy")))
+            if kind == "uniform":
                 return empirical(pts)
+            if kind == "heavy":
+                return EmpiricalMeasure(PointCloud(pts), _heavy_weights(draw, k))
             w = np.array(draw(st.lists(st.integers(0, 4), min_size=k, max_size=k)), dtype=float)
             w[0] += not w.any()
             return EmpiricalMeasure(PointCloud(pts), w / w.sum())
 
         pairs.append((side(n), side(m)))
     return pairs
+
+
+def _line_basis_lists(mu, nu, supply, demand):
+    """`transport._line_basis` as it read its positions before they were
+    cast: every coordinate through `_dyadic_ints`, the overflow check by
+    numpy reductions."""
+    n, m = mu.n, nu.n
+    x, y = mu.support.points[:, 0], nu.support.points[:, 0]
+    if not max(float(x.max()) - float(y.min()), float(y.max()) - float(x.min())) < math.inf:
+        raise InvalidInput("non-finite transport costs")
+    coords = np.concatenate([x, y])
+    pos, shift = _dyadic_ints(coords)
+    order = np.argsort(coords, kind="stable").tolist()
+    phi = [0] * (n + m)
+    level = excess = 0
+    at = pos[order[0]]
+    for k in order:
+        level -= ((excess > 0) - (excess < 0)) * (pos[k] - at)
+        at = pos[k]
+        phi[k] = level
+        excess += supply[k] if k < n else -demand[k - n]
+    xs = [k for k in order if k < n]
+    ys = [k - n for k in order if k >= n]
+    arcs = []
+    total = i = j = 0
+    left, right = supply[xs[0]], demand[ys[0]]
+    while True:
+        f = min(left, right)
+        if f:
+            arcs.append((xs[i], ys[j], f))
+            total += f * abs(pos[xs[i]] - pos[n + ys[j]])
+            left -= f
+            right -= f
+        if not left:
+            i += 1
+            if i == n:
+                break
+            left = supply[xs[i]]
+        if not right:
+            j += 1
+            if j == m:
+                break
+            right = demand[ys[j]]
+    return transport._Basis(arcs, phi[:n], [-p for p in phi[n:]], total, shift, ("line", n, m, 0, 0, 0))
+
+
+class TestLinePositions:
+    """The line path reads its exact positions by one int64 cast where
+    that is exact, bit for bit what the list form it replaced gives."""
+
+    def test_line_positions_cast_bit_for_bit(self, monkeypatch):
+        # the line path reads its positions by one int64 cast where that is
+        # exact; against the list form it replaced (`_line_basis_lists`,
+        # every position through frexp), a block gives the same values,
+        # plan atoms, potentials, DEBUG events and errors, on both sides of
+        # the cast's bound and of 2**53 and 2**63 for the mass denominators
+        # and the exact cost dots
+        seen = set()
+        check = transport._check_basis
+        solve = transport._line_basis
+
+        def recording(arcs, flows, costs, total, supply, demand):
+            seen.add(("dot past 2**63", total >= 2**63))
+            seen.add(("den past 2**53", sum(supply) >= 2**53))
+            return check(arcs, flows, costs, total, supply, demand)
+
+        def line(mu, nu, supply, demand):
+            pos, shift = _dyadic_ints(np.concatenate([mu.support.points[:, 0], nu.support.points[:, 0]]))
+            top = max(map(abs, pos))
+            seen.add(("cast", shift <= 1023 and top < 2**62))
+            seen.add(("positions past 2**63", top >= 2**63))
+            return solve(mu, nu, supply, demand)
+
+        # positions 2**52 and +-2**63, just past the cast's 2**62 bound
+        @example([(empirical(np.array([[0.5]])), empirical(np.array([[1024.0], [-1024.0]])))])
+        @settings(max_examples=150, deadline=None, derandomize=True)
+        @given(block_pairs())
+        def compare(pairs):
+            with monkeypatch.context() as m:
+                m.setattr(transport, "_check_basis", recording)
+                m.setattr(transport, "_line_basis", line)
+                (got, error), events = _block_events(lambda: transport._solve_block(pairs))
+            with monkeypatch.context() as m:
+                m.setattr(transport, "_line_basis", _line_basis_lists)
+                (want, oracle_error), want_events = _block_events(lambda: transport._solve_block(pairs))
+            assert [_result_bits(r) for r in got] == [_result_bits(r) for r in want]
+            assert (type(error), str(error)) == (type(oracle_error), str(oracle_error))
+            assert events == want_events
+
+        compare()
+        assert seen == {(key, side) for key, _ in seen for side in (True, False)}
+        assert len(seen) == 8
 
 
 class TestBlockSolve:
