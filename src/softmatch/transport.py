@@ -36,13 +36,13 @@ other path runs on numpy alone.
 
 Every solve is a block solve (`_w1_block`): `w1` is a block of one, and
 the probes solve a trial block's input W1s in one block and its output
-W1s in another. A block's pairs of one dim d >= 2, three or more, share
-their front end: one padded numpy pass builds every cost matrix, with
-its non-finite check, dyadic shift and c_max (`_block_costs`). Each
-simplex then prices its own rounds on its own matrix. Every value, plan
-atom, potential, entering sequence and DEBUG event is the one a solve of
-the pair alone gives, and the first failing pair's error is the one
-raised.
+W1s in another. The pairs run in order, and three or more consecutive
+pairs of one dim d >= 2 share their front end: one padded numpy pass
+builds every cost matrix, with its non-finite check, dyadic shift and
+c_max (`_block_costs`). Each simplex then prices its own rounds on its
+own matrix. Every value, plan atom, potential, entering sequence and
+DEBUG event is the one a solve of the pair alone gives, and the first
+failing pair's error is the one raised.
 
 Before `w1` returns, every solve checks its optimal basis in exact
 integers with O(n + m) work (`_check_basis`): every flow is >= 0, each
@@ -144,11 +144,11 @@ def _exact_ints(vals: np.ndarray, shift: int, top: float) -> list:
     """`_dyadic_ints(vals, shift)[0]` for a 1-D array with every |vals[k]|
     <= top: vals * 2**shift, a product by a power of two, is exact while
     it is finite, so it is read by one int64 cast while top * 2**shift <
-    2**62, by one Python float product each while that is finite, and
+    2**63, by one Python float product each while that is finite, and
     through frexp past it."""
     if shift <= 1023:
         up = math.ldexp(1.0, shift)
-        if top * up < 2.0**62:
+        if top * up < 2.0**63:
             return (vals * up).astype(np.int64).tolist()
         if top * up < math.inf:
             return [int(x * up) for x in vals.tolist()]
@@ -562,7 +562,7 @@ def _simplex(c: np.ndarray, arcs: list, shift: int, path: str, c_max: float | No
     potential p, and int64 -> float64 rounds to nearest, ties to even, as
     int -> float does: the potentials are rounded by one cast when all of
     them have |p| < 2**63 (an OverflowError otherwise). The exact costs
-    come from `_exact_ints`, by one cast while c_max * 2**shift < 2**62;
+    come from `_exact_ints`, by one cast while c_max * 2**shift < 2**63;
     `_result`'s checks read the final basis's arc costs the same way.
 
     Pricing compares against a rigorous bound `err` on the rounding error
@@ -1025,54 +1025,42 @@ def _solve_block(pairs: list) -> tuple[list, Exception | None]:
     fails, and that pair's error, or every result and None: what a loop
     of `w1` calls returns before it raises.
 
-    Every pair is checked first, in order. Each line pair (d = 1) merges
-    its sorted supports (`_line_basis`). The pairs of each dim d >= 2 run
-    in chunks (`_chunks`): one padded pass builds a chunk's cost matrices
-    (`_block_costs`; a chunk of one builds its matrix by `cost_matrix_l1`,
-    with no padded copy), every pair's start is found, and then each
-    pair's simplex runs on its own matrix. Each basis is checked
-    (`_result`) as soon as it is found, and the solves' DEBUG events are
-    logged in pair order."""
-    failed = {}
+    Every pair is checked first, in order, and the block is cut at the
+    first failing check. The rest run in order, in chunks of consecutive
+    pairs of one dimension (`_chunks`). A line pair (d = 1) merges its
+    sorted supports (`_line_basis`). A chunk of dim d >= 2 builds its
+    cost matrices in one padded pass (`_block_costs`; a chunk of one
+    builds its matrix by `cost_matrix_l1`, with no padded copy), finds
+    every pair's start, and then runs each pair's simplex on its own
+    matrix. Each basis is checked (`_result`) as soon as it is found, and
+    the first error ends the block."""
+    error = None
     for k, (mu, nu) in enumerate(pairs):
         try:
             _check_pair(mu, nu)
         except Exception as e:
-            failed[k] = e
+            pairs, error = pairs[:k], e
             break
-    # pair k's result, and the arguments of its solve's DEBUG event
-    done, events = {}, {}
-    line, dims = [], {}
-    for k in range(min(failed, default=len(pairs))):
-        if pairs[k][0].dim == 1:
-            line.append(k)
-        else:
-            dims.setdefault(pairs[k][0].dim, []).append(k)
-    for k in line:
-        mu, nu = pairs[k]
-        try:
-            supply, demand, den = _integer_masses(mu, nu)
-            basis = _line_basis(mu, nu, supply, demand)
-            events[k] = basis.event
-            done[k] = _result(mu, nu, basis, supply, demand, den)
-        except Exception as e:
-            failed[k] = e
-            break
-    for d, ks in dims.items():
-        for chunk in _chunks(pairs, ks, d):
-            limit = min(failed, default=len(pairs))
-            chunk = [k for k in chunk if k < limit]
-            if not chunk:
+    results = []
+    try:
+        for chunk in _chunks(pairs):
+            if chunk[0][0].dim == 1:
+                for mu, nu in chunk:
+                    supply, demand, den = _integer_masses(mu, nu)
+                    basis = _line_basis(mu, nu, supply, demand)
+                    results.append(_result(mu, nu, basis, supply, demand, den))
                 continue
-            # every start, then every simplex. Witness: run pair by pair
-            # from start to finish, the replayed block solves of 4 `probe`
-            # rounds took 4.2% longer (slower in 20 of 20 interleaved reps)
-            starts = []
-            for k, cost in zip(chunk, _block_costs([pairs[k] for k in chunk])):
-                mu, nu = pairs[k]
-                try:
-                    if isinstance(cost, Exception):
-                        raise cost
+            # every start, then every simplex; a start's error waits for
+            # the simplexes of the pairs before it. Witness: run pair by
+            # pair from start to finish, the replayed block solves of 4
+            # `probe` rounds took 4.2% longer (slower in 20 of 20
+            # interleaved reps)
+            starts, late = [], None
+            try:
+                for (mu, nu), cost in zip(chunk, _block_costs(chunk)):
+                    # every entry is >= 0 or NaN, and max propagates NaN
+                    if not cost[2] < math.inf:
+                        raise InvalidInput("non-finite transport costs")
                     if mu.n == nu.n and _is_uniform(mu.weights) and _is_uniform(nu.weights):
                         path, arcs = "assignment", _assignment_start(cost[0])
                         supply = demand = [1] * mu.n
@@ -1083,26 +1071,20 @@ def _solve_block(pairs: list) -> tuple[list, Exception | None]:
                         # a pair with a zero mass goes through `_masses_solve` whole
                         if all(supply) and all(demand):
                             arcs = _matrix_minimum_basis(cost[0], supply, demand)
-                except Exception as e:
-                    failed[k] = e
-                    break
-                starts.append((k, cost, path, arcs, supply, demand, den))
-            for k, (c, shift, c_max), path, arcs, supply, demand, den in starts:
-                try:
-                    if arcs is None:
-                        basis = _masses_solve(c, supply, demand, shift, path)
-                    else:
-                        basis = _simplex(c, arcs, shift, path, c_max)
-                    events[k] = basis.event
-                    done[k] = _result(*pairs[k], basis, supply, demand, den, c, c_max)
-                except Exception as e:
-                    failed[k] = e
-                    break
-    limit = min(failed, default=len(pairs))
-    for k in sorted(events):
-        if k <= limit:
-            log.debug("w1 %s: n=%d m=%d pivots=%d degenerate=%d tie_checks=%d", *events[k])
-    return [done[k] for k in range(limit)], failed.get(limit)
+                    starts.append((mu, nu, cost, path, arcs, supply, demand, den))
+            except Exception as e:
+                late = e
+            for mu, nu, (c, shift, c_max), path, arcs, supply, demand, den in starts:
+                if arcs is None:
+                    basis = _masses_solve(c, supply, demand, shift, path)
+                else:
+                    basis = _simplex(c, arcs, shift, path, c_max)
+                results.append(_result(mu, nu, basis, supply, demand, den, c, c_max))
+            if late is not None:
+                raise late
+    except Exception as e:
+        return results, e
+    return results, error
 
 
 # entries of the (B, N, M, d) differences one padded cost pass may form:
@@ -1115,25 +1097,22 @@ _BLOCK_CELLS = 1 << 17
 _PADDED_MIN_PAIRS = 3
 
 
-def _chunks(pairs: list, ks: list, d: int) -> list:
-    """Runs of the pair indices ks, all of dim d, in order, each as many
-    pairs as one padded cost pass of at most _BLOCK_CELLS entries holds;
-    a run shorter than _PADDED_MIN_PAIRS becomes chunks of one."""
-    chunks, run, rows, cols = [], [], 0, 0
-    for k in ks:
-        n, m = pairs[k][0].n, pairs[k][1].n
-        if run and (len(run) + 1) * max(rows, n) * max(cols, m) * d > _BLOCK_CELLS:
-            chunks += _as_chunks(run)
-            run, rows, cols = [], 0, 0
-        run.append(k)
-        rows, cols = max(rows, n), max(cols, m)
-    return chunks + _as_chunks(run)
-
-
-def _as_chunks(run: list) -> list:
-    """run as one chunk, or as chunks of one when it is too short to
-    share a padded cost pass."""
-    return [run] if len(run) >= _PADDED_MIN_PAIRS else [[k] for k in run]
+def _chunks(pairs: list) -> list:
+    """The pairs in order, in chunks: each run of consecutive pairs of one
+    dim d, cut to as many pairs as one padded cost pass of at most
+    _BLOCK_CELLS entries holds; a run shorter than _PADDED_MIN_PAIRS
+    becomes chunks of one."""
+    runs, rows, cols = [], 0, 0
+    for mu, nu in pairs:
+        d, rows, cols = mu.dim, max(rows, mu.n), max(cols, nu.n)
+        if not runs or runs[-1][0][0].dim != d or (len(runs[-1]) + 1) * rows * cols * d > _BLOCK_CELLS:
+            runs.append([])
+            rows, cols = mu.n, nu.n
+        runs[-1].append((mu, nu))
+    chunks = []
+    for run in runs:
+        chunks += [run] if len(run) >= _PADDED_MIN_PAIRS else [[p] for p in run]
+    return chunks
 
 
 def _padded(clouds: list, sizes: np.ndarray) -> np.ndarray:
@@ -1144,40 +1123,33 @@ def _padded(clouds: list, sizes: np.ndarray) -> np.ndarray:
 
 
 def _block_costs(pairs: list) -> list:
-    """(c, shift, c_max) of each pair of one dim d >= 2, or the error
-    `cost_matrix_l1` raises on it: c has the bits of its `cost_matrix_l1`,
-    shift = `_dyadic_shift(c)`, and c_max is float(c.max()). A pair alone
-    builds its c by `cost_matrix_l1`. More pairs are padded to the
-    largest sizes N x M by repeating each cloud's last point, so that a
-    pair's padded matrix holds its own costs and no other: one `_l1_norms`
-    pass gives every (N, M) matrix, entry by entry the sum
-    `cost_matrix_l1` forms, and one max and one frexp over each give its
-    c_max, its non-finite check and its shift."""
+    """(c, shift, c_max) of each pair of one dim d >= 2: c has the bits of
+    its `cost_matrix_l1`, shift = `_dyadic_shift(c)`, and c_max is
+    float(c.max()), inf or NaN where a cost overflows. A pair alone builds
+    its c by `cost_matrix_l1`, which refuses such costs. More pairs are
+    padded to the largest sizes N x M by repeating each cloud's last
+    point, so that a pair's padded matrix holds its own costs and no
+    other: one `_l1_norms` pass gives every (N, M) matrix, entry by entry
+    the sum `cost_matrix_l1` forms, and one max and one frexp over each
+    give its c_max and its shift."""
     if len(pairs) == 1:
         mu, nu = pairs[0]
-        try:
-            c = cost_matrix_l1(mu.support.points, nu.support.points)
-        except Exception as e:
-            return [e]
+        c = cost_matrix_l1(mu.support.points, nu.support.points)
         return [(c, _dyadic_shift(c), float(c.max()))]
     n = np.array([mu.n for mu, _ in pairs])
     m = np.array([nu.n for _, nu in pairs])
     x = _padded([mu.support.points for mu, _ in pairs], n)
     y = _padded([nu.support.points for _, nu in pairs], m)
-    # finite coordinates may still overflow; the check below reports it
+    # finite coordinates may still overflow; the caller refuses it
     with np.errstate(over="ignore", invalid="ignore"):
         c = _l1_norms(x[:, :, None, :], y[:, None, :, :])
         flat = c.reshape(len(pairs), -1)
         tops = flat.max(axis=1).tolist()
         exps = np.frexp(flat)[1].min(axis=1).tolist()
-    out = []
-    for b, (nb, mb, top, e) in enumerate(zip(n.tolist(), m.tolist(), tops, exps)):
-        # every entry is >= 0 or NaN, and max propagates NaN
-        if not top < math.inf:
-            out.append(InvalidInput("non-finite transport costs"))
-        else:
-            out.append((c[b, :nb, :mb], max(0, 53 - e), top))
-    return out
+    return [
+        (c[b, :nb, :mb], max(0, 53 - e), top)
+        for b, (nb, mb, top, e) in enumerate(zip(n.tolist(), m.tolist(), tops, exps))
+    ]
 
 
 def _result(mu, nu, basis: _Basis, supply, demand, den, c=None, c_max=None) -> W1Result:
@@ -1187,7 +1159,8 @@ def _result(mu, nu, basis: _Basis, supply, demand, den, c=None, c_max=None) -> W
     for the cost matrix c (whose largest entry is c_max), or without one
     (the line) |x_i - y_j| * 2**shift. The value is the exact optimum
     rounded once (int true division is correctly rounded), and the dual
-    gap is 0."""
+    gap is 0. The solve's DEBUG event is logged first, checked or not."""
+    log.debug("w1 %s: n=%d m=%d pivots=%d degenerate=%d tie_checks=%d", *basis.event)
     i, j, flows = zip(*basis.arcs)
     rows, cols = np.array(i), np.array(j)
     if c is None:

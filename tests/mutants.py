@@ -1,4 +1,5 @@
-"""Mutation check of the exact checks in the W1 engine and the probes.
+"""Mutation check of the exact checks in the W1 engine, its block solve
+and the probes.
 
     python tests/mutants.py            # run every mutant
     python tests/mutants.py NAME ...   # run the named mutants
@@ -69,20 +70,50 @@ MUTANTS = (
         (T + "TestCostMatrix::test_line_path_refuses_overflowing_costs",),
     ),
     # the int64 cast that reads exact costs and line positions is exact
-    # below 2**63, so its 2**62 bound has one bit of room: loosened by one
-    # bit it stays exact, and by two it is not
+    # below 2**63, its bound: loosened by one bit it is not
     Mutant(
         "cast_bound_one_bit_looser", TRANSPORT,
-        "        if top * up < 2.0**62:\n",
         "        if top * up < 2.0**63:\n",
-        (T + "TestLinePositions::test_line_positions_cast_bit_for_bit", T + "TestLinePath"),
-        killed=False,
-    ),
-    Mutant(
-        "cast_bound_two_bits_looser", TRANSPORT,
-        "        if top * up < 2.0**62:\n",
         "        if top * up < 2.0**64:\n",
         (T + "TestLinePositions::test_line_positions_cast_bit_for_bit",),
+    ),
+    # the block solve: a padded cost pass, its chunks, the start loop's
+    # refusal and which pair's error wins
+    Mutant(
+        "padded_from_the_previous_cloud", TRANSPORT,
+        "    at = np.minimum(np.arange(sizes.max()), sizes[:, None] - 1)\n",
+        "    at = np.where(np.arange(sizes.max()) < sizes[:, None], np.arange(sizes.max()), -1)\n",
+        (T + "TestBlockSolve::test_the_first_failing_pairs_error_is_raised",),
+    ),
+    Mutant(
+        "padded_min_pairs_two", TRANSPORT,
+        "_PADDED_MIN_PAIRS = 3\n",
+        "_PADDED_MIN_PAIRS = 2\n",
+        (T + "TestBlockSolve::test_pairs_share_padded_cost_passes",),
+    ),
+    Mutant(
+        "padded_min_pairs_four", TRANSPORT,
+        "_PADDED_MIN_PAIRS = 3\n",
+        "_PADDED_MIN_PAIRS = 4\n",
+        (T + "TestBlockSolve::test_pairs_share_padded_cost_passes",),
+    ),
+    Mutant(
+        "chunks_mix_dims", TRANSPORT,
+        "        if not runs or runs[-1][0][0].dim != d or ",
+        "        if not runs or ",
+        (T + "TestBlockSolve::test_chunks_are_runs_of_consecutive_pairs",),
+    ),
+    Mutant(
+        "padded_non_finite_refusal_dropped", TRANSPORT,
+        "                    if not cost[2] < math.inf:\n",
+        "                    if False:\n",
+        (T + "TestBlockSolve::test_the_first_failing_pairs_error_is_raised",),
+    ),
+    Mutant(
+        "check_error_beats_earlier_solve_error", TRANSPORT,
+        "        return results, e\n",
+        "        return results, error or e\n",
+        (T + "TestBlockSolve::test_the_first_failing_pairs_error_is_raised",),
     ),
     Mutant(
         "jitter_finiteness_check_dropped", PROBES,

@@ -1916,11 +1916,11 @@ class TestLinePositions:
         def line(mu, nu, supply, demand):
             pos, shift = _dyadic_ints(np.concatenate([mu.support.points[:, 0], nu.support.points[:, 0]]))
             top = max(map(abs, pos))
-            seen.add(("cast", shift <= 1023 and top < 2**62))
+            seen.add(("cast", shift <= 1023 and top < 2**63))
             seen.add(("positions past 2**63", top >= 2**63))
             return solve(mu, nu, supply, demand)
 
-        # positions 2**52 and +-2**63, just past the cast's 2**62 bound
+        # positions 2**52 and +-2**63, the least past the cast's 2**63 bound
         @example([(empirical(np.array([[0.5]])), empirical(np.array([[1024.0], [-1024.0]])))])
         @settings(max_examples=150, deadline=None, derandomize=True)
         @given(block_pairs())
@@ -1979,6 +1979,20 @@ class TestBlockSolve:
         transport._w1_block(pairs)
         assert built == [9, 9, 160] + ["padded"] * 2 + [160] + ["padded"] * 2
         assert len(rounds) == 2 * alone
+
+    def test_chunks_are_runs_of_consecutive_pairs(self, monkeypatch):
+        # three d = 2 pairs, one d = 4 pair, three more d = 2 pairs: each
+        # run of three takes its own padded cost pass (two `_padded` calls
+        # of three clouds), the d = 4 pair builds its matrix alone, and
+        # every result has the bits of `w1` on the pair alone
+        rng = np.random.default_rng(63)
+        pairs = [(random_measure(rng, 5 + k, 2), random_measure(rng, 9 - k, 2)) for k in range(6)]
+        pairs.insert(3, (random_measure(rng, 6, 4), random_measure(rng, 7, 4)))
+        padded, built = transport._padded, []
+        monkeypatch.setattr(transport, "_padded", lambda x, sizes: built.append(len(x)) or padded(x, sizes))
+        block = transport._w1_block(pairs)
+        assert built == [3, 3, 3, 3]
+        assert [_result_bits(r) for r in block] == [_result_bits(w1(*p)) for p in pairs]
 
     def test_the_first_failing_pairs_error_is_raised(self):
         rng = np.random.default_rng(62)
