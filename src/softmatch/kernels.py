@@ -12,8 +12,9 @@ each with its own query rows, and every attention function here calls it:
 the measure functions (`softmatch_weights`, `attention_kernel`,
 `attention_pushforward`) with B = 1, and `layer_map`, the set-to-set map
 of a single-head, multi-head or transformer layer on (B, N, d) clouds,
-with any B. `self_attention`, `multi_head` and `transformer_layer` are its
-B = 1 case.
+with any B, or on a list of clouds of mixed sizes in chunks padded to
+one shape each.
+`self_attention`, `multi_head` and `transformer_layer` are its B = 1 case.
 
 Per batch, `np.lexsort` along the last axis puts each cloud's
 positive-weight keys in canonical order, and the potential builds the
@@ -56,6 +57,7 @@ from .measures import (
     PointCloud,
     _ordered_matmul,
     _ordered_sum,
+    _padded,
     canonical_order,
 )
 from .potentials import Potential
@@ -330,15 +332,18 @@ def _softmatch_rows(
     it sorts.
 
     queries has shape (B, Q, d), keys (B, N, d) and weights (B, N): cloud
-    b is the measure with weights[b] on keys[b], and every cloud has
-    equally many positive weights, n'. Returns (w, order, sorted_keys):
-    order (B, n') lists each cloud's positive-weight points in canonical
-    order, sorted_keys (n', B, d) holds them in that order, and w
-    (n', B, Q) is C-contiguous with row j of cloud b belonging to the
+    b is the measure with weights[b] on keys[b]. Returns (w, order,
+    sorted_keys): order (B, n) lists each cloud's points in canonical
+    order, sorted_keys (n, B, d) holds them in that order, and w
+    (n, B, Q) is C-contiguous with row j of cloud b belonging to the
     point order[b, j]. Every sum over points is then one `_ordered_sum`
     along axis 0, in canonical order. Exponentials are shifted by each
     query's max similarity over the positive-weight points and taken only
-    there, so nothing overflows; points of weight zero have no row.
+    there, so nothing overflows. Points of weight zero have no row when
+    every cloud has equally many positive weights, n' (n = n'). Otherwise
+    every point keeps its row (n = N); once the positive-weight rows are
+    checked finite, the others get similarity -inf, and so exact zero
+    weights, which leave the max and every sum as the cloud alone has it.
     """
     _require_finite(queries, "query must be finite")
     if queries.shape[-1] != keys.shape[-1]:
@@ -348,13 +353,21 @@ def _softmatch_rows(
     order = canonical_order(keys, weights)
     clouds = np.arange(len(order))[:, None]
     mass = weights[clouds, order]
+    live = None  # (N, B): the positive-weight rows, where every row stays
     if np.count_nonzero(mass) < mass.size:
         keep = mass > 0
-        order = order[keep].reshape(len(order), -1)
-        mass = mass[keep].reshape(order.shape)
+        if len(order) > 1 and np.ptp(np.count_nonzero(keep, axis=1)):
+            live = keep.T
+        else:
+            order = order[keep].reshape(len(order), -1)
+            mass = mass[keep].reshape(order.shape)
     sorted_keys = keys[clouds.T, order.T]
     w = potential.similarity_keys_major(queries, sorted_keys)
-    _require_finite(w, "similarity produced non-finite values")
+    # a kept zero-weight row may be non-finite: then only the others count
+    if not np.isfinite(w).all() and (live is None or not np.isfinite(w[live]).all()):
+        raise InvalidInput("similarity produced non-finite values")
+    if live is not None:
+        w[~live] = -np.inf
     w -= w.max(axis=0)
     np.exp(w, out=w)
     w *= mass.T[..., None]
@@ -383,10 +396,9 @@ def _softmatch_weights_rows(
     potential: Potential, queries: np.ndarray, points: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
     """`softmatch_weights` of B measures of one shape, each for its own
-    query: queries (B, d), points (B, N, d) and weights (B, N), every
-    measure with equally many positive weights (see `_softmatch_rows`).
-    Returns the (B, N) weights, row b with the bits of a call on measure
-    b alone."""
+    query: queries (B, d), points (B, N, d) and weights (B, N), with any
+    counts of positive weights. Returns the (B, N) weights, row b with the
+    bits, and the error, of a call on measure b alone."""
     w, order, _ = _softmatch_rows(potential, queries[:, None, :], points, weights)
     out = np.zeros(weights.shape)
     out[np.arange(len(order))[:, None], order] = w[:, :, 0].T
@@ -413,7 +425,6 @@ def apply_lookup(lookup: Lookup, mu: EmpiricalMeasure) -> EmpiricalMeasure:
 # Attention kernels
 # ---------------------------------------------------------------------------
 
-@_quiet_overflow
 def _attend(
     cfg: AttentionConfig, queries: np.ndarray, keys: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
@@ -425,8 +436,9 @@ def _attend(
     keys-major product w * values[..., c] summed along axis 0, in the
     order the weights were normalized in; one product buffer serves every
     coordinate. Each sum is added to a zero output, so a sum of only -0.0
-    terms gives +0.0, the bits of an accumulation started from zero.
-    """
+    terms gives +0.0, the bits of an accumulation started from zero, and
+    a kept zero-weight row's zero terms change no bit. The caller enters
+    `_quiet_overflow`."""
     w, _, sorted_keys = _softmatch_rows(cfg.potential, queries, keys, weights)
     if cfg.lookup.in_dim != keys.shape[-1]:
         raise DimMismatch(
@@ -442,6 +454,7 @@ def _attend(
     return out
 
 
+@_quiet_overflow
 def attention_kernel(
     cfg: AttentionConfig, q: np.ndarray, mu: EmpiricalMeasure
 ) -> np.ndarray:
@@ -452,6 +465,7 @@ def attention_kernel(
     return out
 
 
+@_quiet_overflow
 def attention_pushforward(
     cfg: AttentionConfig, mu: EmpiricalMeasure
 ) -> EmpiricalMeasure:
@@ -481,10 +495,32 @@ def _chunk_size(n: int) -> int:
     return max(1, _CHUNK_ENTRIES // (n * n))
 
 
+# Padding a cloud to its chunk's largest cloud may add at most this many
+# buffer entries: a padded entry costs what a real one does, and most of a
+# block's clouds share a size with another, so a join saves less than a
+# kernel call (256 and 512 measured faster than 1024 and 4096 on 128
+# clouds of 2 to 32-256 points). Clouds of up to 22 points always join.
+_PAD_ENTRIES = 512
+
+
+def _size_chunks(entries: list) -> list:
+    """Chunks of a list of clouds of mixed sizes, as lists of indices:
+    entries[b] is cloud b's buffer entries, and each chunk is padded to
+    its first, largest cloud. Clouds are taken largest first, and one
+    joins the open chunk while the chunk stays within `_CHUNK_ENTRIES`
+    and its padding adds at most `_PAD_ENTRIES`."""
+    chunks = []
+    for i in sorted(range(len(entries)), key=entries.__getitem__, reverse=True):
+        if chunks and (len(chunks[-1]) + 1) * top <= _CHUNK_ENTRIES and top - entries[i] <= _PAD_ENTRIES:
+            chunks[-1].append(i)
+        else:
+            chunks.append([i])
+            top = entries[i]
+    return chunks
+
+
 @_quiet_overflow
-def _layer_chunk(layer: Layer, clouds: np.ndarray) -> np.ndarray:
-    b, n = clouds.shape[:2]
-    weights = np.full((b, n), 1.0 / n)  # m(X), as `empirical` builds it
+def _layer_chunk(layer: Layer, clouds: np.ndarray, weights: np.ndarray) -> np.ndarray:
     if isinstance(layer, AttentionConfig):
         out = _attend(layer, clouds, clouds, weights)
     elif isinstance(layer, MultiHeadConfig):
@@ -497,31 +533,48 @@ def _layer_chunk(layer: Layer, clouds: np.ndarray) -> np.ndarray:
     return out
 
 
-def layer_map(layer: Layer, clouds: np.ndarray) -> np.ndarray:
-    """The set-to-set map of one layer on B clouds of one shape at once:
-    (B, N, d) -> (B, N, d_out), each cloud attending over m(X) of itself.
+def layer_map(layer: Layer, clouds: np.ndarray | list) -> np.ndarray | list:
+    """The set-to-set map of one layer on B clouds at once, each attending
+    over m(X) of itself: (B, N, d) -> (B, N, d_out), or a list of (n_b, d)
+    clouds of any sizes to the list of their (n_b, d_out) images.
 
     A single head is self-attention, a `MultiHeadConfig` sums its heads'
     W_O products in head order, and a `TransformerLayerSpec` applies its
     FFN pointwise to that sum. Every cloud gets the bits of a call on it
     alone, whatever the batch: all sums over points and heads run along
     axis 0 of keys-major buffers, vectorised across clouds and queries,
-    and the batch is split into chunks of `_CHUNK_ENTRIES` buffer entries.
+    and the batch is split into chunks of `_CHUNK_ENTRIES` buffer entries,
+    one kernel call each. A list is split by `_size_chunks`, and each
+    chunk is padded to its largest cloud with copies of each cloud's last
+    point at weight 0, whose rows are then dropped.
     Non-finite input, similarities or outputs raise InvalidInput.
     """
     if not isinstance(layer, Layer):
         raise InvalidInput(f"not a layer: {layer!r}")
+    if isinstance(clouds, list):
+        if not clouds or any(np.ndim(c) != 2 or not len(c) for c in clouds):
+            raise InvalidInput("a list of clouds must hold (n, d) arrays with n >= 1")
+        if any(np.shape(c)[1] != layer.dim for c in clouds):
+            raise DimMismatch(f"layer dim {layer.dim} vs cloud dims {[np.shape(c)[1] for c in clouds]}")
+        sizes = [len(c) for c in clouds]
+        out = [None] * len(clouds)
+        for idx in _size_chunks([n * n for n in sizes]):
+            k = np.array([sizes[i] for i in idx])
+            weights = np.where(np.arange(k[0]) < k[:, None], 1.0 / k[:, None], 0.0)
+            chunk = np.asarray(_padded([clouds[i] for i in idx], k), dtype=np.float64)
+            for i, n, mapped in zip(idx, k.tolist(), _layer_chunk(layer, chunk, weights)):
+                out[i] = mapped[:n]
+        return out
     clouds = np.asarray(clouds, dtype=np.float64)
     if clouds.ndim != 3 or 0 in clouds.shape[:2]:
         raise InvalidInput(f"clouds must have shape (B, N, d), got {clouds.shape}")
     if clouds.shape[-1] != layer.dim:
         raise DimMismatch(f"layer dim {layer.dim} vs cloud dim {clouds.shape[-1]}")
-    size = _chunk_size(clouds.shape[1])
-    if clouds.shape[0] <= size:
-        return _layer_chunk(layer, clouds)
-    return np.concatenate(
-        [_layer_chunk(layer, clouds[s : s + size]) for s in range(0, clouds.shape[0], size)]
-    )
+    b, n = clouds.shape[:2]
+    weights = np.full((b, n), 1.0 / n)  # m(X), as `empirical` builds it
+    size = _chunk_size(n)
+    outs = [_layer_chunk(layer, clouds[s : s + size], weights[s : s + size]) for s in range(0, b, size)]
+    return outs[0] if len(outs) == 1 else np.concatenate(outs)
 
 
 def self_attention(cfg: AttentionConfig, cloud: PointCloud) -> PointCloud:

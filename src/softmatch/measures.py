@@ -151,6 +151,13 @@ def _l1_norms(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
+def _padded(clouds: list, sizes: np.ndarray) -> np.ndarray:
+    """(B, max size, d): cloud b's points, then its last point repeated."""
+    ends = sizes.cumsum()
+    at = np.minimum(np.arange(sizes.max()), sizes[:, None] - 1)
+    return np.concatenate(clouds)[at + (ends - sizes)[:, None]]
+
+
 @dataclass(frozen=True, eq=False)
 class EmpiricalMeasure:
     """A finitely supported probability measure sum_i w_i * delta_{x_i}.

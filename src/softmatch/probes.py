@@ -11,14 +11,16 @@ stream(seed, t) alone, a degenerate input distance skips the trial, and
 the best instance is kept as the loop goes. The loop runs over blocks of
 trials, all of a block's draws first, so that a block's input W1s are
 one block solve (`transport._solve_block`), `probe_contraction` maps a
-block's clouds with one `layer_map` call per support size, the softmatch
-components reweight them with one `kernels._softmatch_weights_rows`
-call per support size, and the output W1s are one more block solve. A
-block solve builds the cost matrices of consecutive pairs of one
+block's clouds with one `layer_map` call, which takes them largest first
+into chunks and makes one kernel call per chunk, padded to the chunk's
+largest cloud, the softmatch components reweight them with one padded
+`kernels._softmatch_weights_rows` call per such chunk (one per block for
+measures of at most 512 points), and the output W1s are one more block
+solve. A block solve builds the cost matrices of consecutive pairs of one
 dimension in a shared padded pass and gives each pair the bits of a `w1`
-call on it alone. Every constant a
-component is compared against comes from `bounds`, through the guards it
-applies there (a compact domain, eps(G) > 0).
+call on it alone. Every constant a component is compared against comes
+from `bounds`, through the guards it applies there (a compact
+domain, eps(G) > 0).
 
 Also here: direct numerical checks of the three auxiliary lemmas: the
 ratio cap sqrt(ln n + 1/2e), against which the ratio's proven supremum
@@ -36,8 +38,8 @@ import numpy as np
 
 from .bounds import ratio_lemma_bound, ratio_lemma_sup
 from .errors import InvalidInput
-from .kernels import Layer, Lookup, _softmatch_weights_rows, apply_lookup, layer_map
-from .measures import DomainBox, EmpiricalMeasure, PointCloud, _check_sums, _l1_norms, _measure, barycenter
+from .kernels import Layer, Lookup, _size_chunks, _softmatch_weights_rows, apply_lookup, layer_map
+from .measures import DomainBox, EmpiricalMeasure, PointCloud, _check_sums, _l1_norms, _measure, _padded, barycenter
 from .potentials import Potential, regularity_stats
 from .streams import stream
 from .transport import _solve_block, _w1_block, w1_product
@@ -311,42 +313,25 @@ def _run_trials(
     )
 
 
-def _map_by_size(layer: Layer, clouds: list) -> list:
-    """layer_map of every (n, d) cloud, in order, with one call per
-    distinct n. `layer_map` gives each cloud the bits of a call on it
-    alone."""
-    by_size = {}
-    for i, c in enumerate(clouds):
-        by_size.setdefault(len(c), []).append(i)
-    out = [None] * len(clouds)
-    for idx in by_size.values():
-        for i, mapped in zip(idx, layer_map(layer, np.stack([clouds[i] for i in idx]))):
-            out[i] = mapped
-    return out
-
-
-def _softmatch_by_size(potential: Potential, items: list) -> list:
+def _softmatch_block(potential: Potential, items: list) -> list:
     """softmatch_measure(potential, q, mu) for each (query point q,
     measure mu) in items, in order, with one `_softmatch_weights_rows`
-    call per support size and count of positive weights, which gives each
-    measure the bits of a call on it alone. The reweighting gives finite,
-    nonnegative weights, so of `EmpiricalMeasure`'s checks only the exact
-    weight sums run, once per call."""
-    by_size = {}
-    for i, (_, mu) in enumerate(items):
-        by_size.setdefault((mu.n, np.count_nonzero(mu.weights)), []).append(i)
+    call per `kernels._size_chunks` chunk of the measures, each padded to
+    its largest measure with copies of the last point at weight 0, which
+    keeps each measure's bits. The reweighting gives finite, nonnegative
+    weights, so of `EmpiricalMeasure`'s checks only the exact weight sums
+    run, once per call (the pads add exact zeros)."""
     out = [None] * len(items)
-    for idx in by_size.values():
-        group = [items[i][1] for i in idx]
-        weights = _softmatch_weights_rows(
-            potential,
-            np.stack([np.asarray(items[i][0], dtype=np.float64).reshape(-1) for i in idx]),
-            np.stack([mu.support.points for mu in group]),
-            np.stack([mu.weights for mu in group]),
-        )
+    for idx in _size_chunks([mu.n for _, mu in items]):
+        mus = [items[i][1] for i in idx]
+        sizes = np.array([mu.n for mu in mus])
+        weights = np.zeros((len(mus), sizes[0]))
+        weights[np.arange(sizes[0]) < sizes[:, None]] = np.concatenate([mu.weights for mu in mus])
+        points = _padded([mu.support.points for mu in mus], sizes)
+        weights = _softmatch_weights_rows(potential, np.stack([items[i][0] for i in idx]), points, weights)
         _check_sums(weights.tolist())
-        for i, mu, w in zip(idx, group, weights):
-            out[i] = _measure(mu.support.points, w)
+        for i, mu, w in zip(idx, mus, weights):
+            out[i] = _measure(mu.support.points, w[: mu.n])
     return out
 
 
@@ -357,10 +342,11 @@ def probe_contraction(
     single-head, multi-head or transformer layer (the output cloud
     carries the input's weights), and compare W1 ratios to the supplied
     bound. Sampled clouds are empirical, with the uniform weights
-    `layer_map` attends over, so a block's clouds of one size are mapped
-    in one call with the bits of a call per cloud, and the block's output
-    W1s are solved in one `transport._w1_block` call. `layer_map` refuses
-    non-finite output, so the output measures are built unchecked."""
+    `layer_map` attends over, so a block's clouds of every size are mapped
+    in one `layer_map` call, one padded kernel call per chunk, with the
+    bits of a call per cloud, and the block's
+    output W1s are solved in one `transport._w1_block` call. `layer_map`
+    refuses non-finite output, so the output measures are built unchecked."""
 
     def draw(rng):
         mu, nu = _sample_pair(rng, probe)
@@ -368,7 +354,7 @@ def probe_contraction(
 
     def push(kept):
         ins = [m for inputs in kept for m in (inputs["mu"], inputs["nu"])]
-        mapped = _map_by_size(cfg, [m.support.points for m in ins])
+        mapped = layer_map(cfg, [m.support.points for m in ins])
         outs = [_measure(pts, m.weights) for m, pts in zip(ins, mapped)]
         return [r.value for r in _w1_block(list(zip(outs[::2], outs[1::2])))]
 
@@ -391,8 +377,9 @@ def probe_component(
     projection:            mu -> delta at barycenter, bound d;
     lookup:                mu -> pushforward, bound the lookup constant.
 
-    A block's softmatch outputs take one `_softmatch_weights_rows` call
-    per support size, and its output W1s one `transport._w1_block` call.
+    A block's softmatch outputs take one padded `_softmatch_weights_rows`
+    call per `kernels._size_chunks` chunk, and its output W1s one
+    `transport._w1_block` call.
     """
     if kind not in COMPONENT_KINDS:
         raise InvalidInput(f"unknown component kind {kind!r}")
@@ -431,7 +418,7 @@ def probe_component(
         else:
             # the (query, measure) of each side: x and y on mu, or x on mu and nu
             sides = (("x", "mu"), ("y", "mu") if kind == "softmatch_in_x" else ("x", "nu"))
-            outs = _softmatch_by_size(potential, [(t[q], t[m]) for t in kept for q, m in sides])
+            outs = _softmatch_block(potential, [(t[q], t[m]) for t in kept for q, m in sides])
         return [r.value for r in _w1_block(list(zip(outs[::2], outs[1::2])))]
 
     return _run_trials(probe, bound, draw, push)

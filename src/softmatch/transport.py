@@ -77,7 +77,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimMismatch, InvalidInput, SupportTooLarge
-from .measures import EmpiricalMeasure, PointCloud, _l1_norms
+from .measures import EmpiricalMeasure, PointCloud, _l1_norms, _padded
 
 MAX_LP_SUPPORT = 512
 MAX_PRODUCT_SUPPORT = 64
@@ -1113,13 +1113,6 @@ def _chunks(pairs: list) -> list:
     for run in runs:
         chunks += [run] if len(run) >= _PADDED_MIN_PAIRS else [[p] for p in run]
     return chunks
-
-
-def _padded(clouds: list, sizes: np.ndarray) -> np.ndarray:
-    """(B, max size, d): cloud b's points, then its last point repeated."""
-    ends = sizes.cumsum()
-    at = np.minimum(np.arange(sizes.max()), sizes[:, None] - 1)
-    return np.concatenate(clouds)[at + (ends - sizes)[:, None]]
 
 
 def _block_costs(pairs: list) -> list:

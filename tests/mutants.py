@@ -1,5 +1,5 @@
-"""Mutation check of the exact checks in the W1 engine, its block solve
-and the probes.
+"""Mutation check of the exact checks in the W1 engine, its block solve,
+the padded kernel path and the probes.
 
     python tests/mutants.py            # run every mutant
     python tests/mutants.py NAME ...   # run the named mutants
@@ -30,8 +30,11 @@ ROOT = Path(__file__).resolve().parent.parent
 
 TRANSPORT = "src/softmatch/transport.py"
 PROBES = "src/softmatch/probes.py"
+KERNELS = "src/softmatch/kernels.py"
+MEASURES = "src/softmatch/measures.py"
 T = "tests/test_transport.py::"
 P = "tests/test_probes.py::"
+K = "tests/test_kernels.py::"
 
 
 @dataclass(frozen=True)
@@ -80,7 +83,7 @@ MUTANTS = (
     # the block solve: a padded cost pass, its chunks, the start loop's
     # refusal and which pair's error wins
     Mutant(
-        "padded_from_the_previous_cloud", TRANSPORT,
+        "padded_from_the_previous_cloud", MEASURES,
         "    at = np.minimum(np.arange(sizes.max()), sizes[:, None] - 1)\n",
         "    at = np.where(np.arange(sizes.max()) < sizes[:, None], np.arange(sizes.max()), -1)\n",
         (T + "TestBlockSolve::test_the_first_failing_pairs_error_is_raised",),
@@ -114,6 +117,45 @@ MUTANTS = (
         "        return results, e\n",
         "        return results, error or e\n",
         (T + "TestBlockSolve::test_the_first_failing_pairs_error_is_raised",),
+    ),
+    # the padded kernel path: clouds of mixed sizes taken largest first
+    # into chunks and padded at weight 0, zero-weight rows kept at
+    # similarity -inf only where the positive counts differ
+    Mutant(
+        "size_chunks_pad_bound_dropped", KERNELS,
+        " and top - entries[i] <= _PAD_ENTRIES:\n",
+        ":\n",
+        (K + "TestPaddedBlocks::test_one_kernel_call_per_chunk",),
+    ),
+    Mutant(
+        "size_chunks_one_cloud_over_the_cap", KERNELS,
+        "(len(chunks[-1]) + 1) * top <= _CHUNK_ENTRIES",
+        "len(chunks[-1]) * top <= _CHUNK_ENTRIES",
+        (K + "TestPaddedBlocks::test_one_kernel_call_per_chunk",),
+    ),
+    Mutant(
+        "layer_map_pads_at_a_nonzero_weight", KERNELS,
+        "1.0 / k[:, None], 0.0)",
+        "1.0 / k[:, None], 1e-3)",
+        (K + "TestPaddedBlocks::test_single_head_equals_separate_calls[gaussian-identity-2]",),
+    ),
+    Mutant(
+        "reweighting_pads_at_a_nonzero_weight", PROBES,
+        "        weights = np.zeros((len(mus), sizes[0]))\n",
+        "        weights = np.full((len(mus), sizes[0]), 1e-3)\n",
+        (P + "TestPaddedReweighting::test_equals_softmatch_weights[gaussian-2-one_call]",),
+    ),
+    Mutant(
+        "minus_inf_mask_dropped", KERNELS,
+        "        w[~live] = -np.inf\n",
+        "        pass\n",
+        (K + "TestPaddedBlocks::test_rows_of_differing_positive_counts",),
+    ),
+    Mutant(
+        "equal_counts_keep_zero_weight_rows", KERNELS,
+        "        if len(order) > 1 and np.ptp(np.count_nonzero(keep, axis=1)):\n",
+        "        if True:\n",
+        (K + "TestPaddedBlocks::test_equal_counts_drop_zero_weight_rows",),
     ),
     Mutant(
         "jitter_finiteness_check_dropped", PROBES,

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import json
 import math
+import warnings
 
 import kernel_oracle
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from kernel_oracle import KeyValueMismatch, reference_attention
 
-from softmatch import equiv
+from softmatch import equiv, kernels
 from softmatch.equiv import (
     LOOKUP_KINDS,
     POTENTIAL_KINDS,
@@ -36,6 +37,7 @@ from softmatch.kernels import (
     _attend,
     _chunk_size,
     _softmatch_rows,
+    _softmatch_weights_rows,
     apply_lookup,
     attention_kernel,
     attention_pushforward,
@@ -711,6 +713,161 @@ class TestLayerMapBatch:
             layer_map(cfg, np.zeros((1, 4, 3)))
         with pytest.raises(InvalidInput):
             layer_map(object(), np.zeros((1, 4, 2)))
+
+
+class TestPaddedBlocks:
+    """`layer_map` on a list of clouds of mixed sizes takes them largest
+    first into chunks, pads each chunk to its largest cloud with copies of
+    each cloud's last point at weight 0 and maps it in one kernel call;
+    every cloud keeps the bits of a call on it alone. `_softmatch_rows`
+    keeps a zero-weight row only where the clouds' positive counts
+    differ."""
+
+    # a one-point cloud, two of the largest size, and (index 3) a cloud of
+    # one point repeated
+    SIZES = (5, 1, 16, 3, 9, 16, 2, 4)
+
+    def clouds(self, rng, d):
+        clouds = [rng.normal(size=(n, d)) for n in self.SIZES]
+        clouds[3] = np.repeat(clouds[3][:1], 3, axis=0)
+        clouds[4][-1] = clouds[4][0]
+        return clouds
+
+    def assert_separate_calls(self, layer, clouds):
+        got = layer_map(layer, clouds)
+        assert isinstance(got, list) and len(got) == len(clouds)
+        for cloud, out in zip(clouds, got):
+            kernel_oracle.assert_bitwise(out, layer_map(layer, cloud[None])[0])
+
+    @pytest.mark.parametrize("d", (1, 2, 3, 4))
+    @pytest.mark.parametrize("lookup_kind", LOOKUP_KINDS)
+    @pytest.mark.parametrize("potential_kind", POTENTIAL_KINDS)
+    def test_single_head_equals_separate_calls(self, potential_kind, lookup_kind, d):
+        key = [POTENTIAL_KINDS.index(potential_kind), LOOKUP_KINDS.index(lookup_kind), d]
+        rng = np.random.default_rng(key)
+        cfg = random_attention_config(rng, d, potential_kind, lookup_kind)
+        self.assert_separate_calls(cfg, self.clouds(rng, d))
+
+    @pytest.mark.parametrize("chunk_entries, pad_entries", (
+        (_CHUNK_ENTRIES, kernels._PAD_ENTRIES), (3 * 16 * 16, kernels._PAD_ENTRIES), (_CHUNK_ENTRIES, 100),
+    ))
+    @pytest.mark.parametrize("d", (1, 2, 3, 4))
+    @pytest.mark.parametrize("layer_kind", ("multi", "transformer"))
+    @pytest.mark.parametrize("potential_kind", BATCH_POTENTIALS)
+    def test_layers_equal_separate_calls(
+        self, monkeypatch, potential_kind, layer_kind, d, chunk_entries, pad_entries
+    ):
+        # one chunk; (16, 16, 9) and (5, 4, 3, 2, 1), as a chunk holds three
+        # 16-point clouds; or (16, 16) and (9, 5, 4, 3, 2, 1), as padding
+        # 9 points to 16 adds 175 entries
+        monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", chunk_entries)
+        monkeypatch.setattr(kernels, "_PAD_ENTRIES", pad_entries)
+        rng = np.random.default_rng([BATCH_POTENTIALS.index(potential_kind), LAYER_KINDS.index(layer_kind), d])
+        layer = batch_layer(rng, layer_kind, potential_kind, d)
+        self.assert_separate_calls(layer, self.clouds(rng, d))
+
+    def test_one_kernel_call_per_chunk(self, monkeypatch):
+        calls, chunk = [], kernels._layer_chunk
+
+        def counting(layer, clouds, weights):
+            calls.append((clouds.shape, weights.tolist()))
+            return chunk(layer, clouds, weights)
+
+        monkeypatch.setattr(kernels, "_layer_chunk", counting)
+        cfg = AttentionConfig(Gaussian(1), IdentityLookup(1))
+        third, half = [1 / 3] * 3, [0.5, 0.5, 0.0]
+        # a chunk of 18 entries holds two 3-point clouds, and the 1-point
+        # cloud, after the 2-point one, opens the second chunk
+        monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 2 * 3 * 3)
+        got = layer_map(cfg, [np.zeros((1, 1)), np.ones((3, 1)), np.ones((2, 1))])
+        assert [g.shape for g in got] == [(1, 1), (3, 1), (2, 1)]
+        assert calls == [((2, 3, 1), [third, half]), ((1, 1, 1), [[1.0]])]
+        # padding the 1-point cloud to 3 points adds 8 entries
+        monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", _CHUNK_ENTRIES)
+        clouds = [np.ones((3, 1)), np.zeros((1, 1)), np.ones((2, 1)), np.full((3, 1), 2.0)]
+        for pad_entries, want in (
+            (7, [((3, 3, 1), [third, third, half]), ((1, 1, 1), [[1.0]])]),
+            (8, [((4, 3, 1), [third, third, half, [1.0, 0.0, 0.0]])]),
+        ):
+            calls.clear()
+            monkeypatch.setattr(kernels, "_PAD_ENTRIES", pad_entries)
+            got = layer_map(cfg, clouds)
+            assert [g.shape for g in got] == [(3, 1), (1, 1), (2, 1), (3, 1)]
+            assert calls == want
+
+    def test_list_refusals(self):
+        cfg = AttentionConfig(Gaussian(2), IdentityLookup(2))
+        for bad in ([], [np.zeros((0, 2))], [np.zeros(2)], [np.zeros((2, 2)), np.zeros((3, 2, 1))]):
+            with pytest.raises(InvalidInput):
+                layer_map(cfg, bad)
+        with pytest.raises(DimMismatch):
+            layer_map(cfg, [np.zeros((2, 2)), np.zeros((3, 3))])
+        with pytest.raises(InvalidInput, match="query must be finite"):
+            layer_map(cfg, [np.zeros((2, 2)), np.full((1, 2), np.nan)])
+        big = AttentionConfig(DotProduct(1e300, 1), IdentityLookup(1))
+        with pytest.raises(InvalidInput, match="similarity produced non-finite values"):
+            layer_map(big, [np.ones((3, 1)), np.array([[1e10], [2e10]])])
+
+    def test_rows_of_differing_positive_counts(self):
+        # positive counts 4, 5, 6 and 1; row 0 holds a zero-weight point of
+        # the largest similarity of its measure and one whose similarity
+        # overflows to inf, row 3 one whose similarity is NaN (inf - inf)
+        d, n = 2, 6
+        rng = np.random.default_rng(5)
+        pot = DotProduct(1.0, d)
+        points = rng.normal(size=(4, n, d))
+        weights = rng.random((4, n)) + 0.1
+        weights[0, [1, 4]] = weights[1, 2] = weights[3, :5] = 0.0
+        weights /= weights.sum(axis=1, keepdims=True)
+        queries = rng.normal(size=(4, d))
+        queries[0] = queries[3] = [10.0, 10.0]
+        points[0, 1], points[0, 4], points[3, 2] = [5.0, 5.0], [1e308, 1e308], [1e308, -1e308]
+        got = _softmatch_weights_rows(pot, queries, points, weights)
+        for b in range(4):
+            alone = _softmatch_weights_rows(pot, queries[b : b + 1], points[b : b + 1], weights[b : b + 1])
+            kernel_oracle.assert_bitwise(got[b], alone[0])
+            mu = EmpiricalMeasure(PointCloud(points[b]), weights[b])
+            kernel_oracle.assert_bitwise(got[b], softmatch_weights(pot, queries[b], mu))
+        # a positive-weight point whose similarity overflows: the row's error
+        points[2, 0] = [1e308, 1e308]
+        queries[2] = [10.0, 10.0]
+        for rows in (slice(2, 3), slice(None)):
+            with pytest.raises(InvalidInput, match="similarity produced non-finite values"):
+                _softmatch_weights_rows(pot, queries[rows], points[rows], weights[rows])
+
+    def test_equal_counts_drop_zero_weight_rows(self):
+        # equally many positive weights: a zero-weight point has no row and
+        # is never looked up; counts that differ keep every row
+        seen, d = [], 2
+        lookup = FunctionLookup(fn=lambda p: seen.append(len(p)) or np.tanh(p), in_dim=d, out_dim=d)
+        cfg = AttentionConfig(Gaussian(d), lookup)
+        keys = np.random.default_rng(8).normal(size=(2, 5, d))
+        weights = np.full((2, 5), 1 / 3)
+        weights[0, [0, 3]] = weights[1, [1, 2]] = 0.0
+        w, order, _ = _softmatch_rows(cfg.potential, keys, keys, weights)
+        assert w.shape == (3, 2, 5) and order.shape == (2, 3)
+        _attend(cfg, keys, keys, weights)
+        mu = EmpiricalMeasure(PointCloud(keys[0]), weights[0])
+        attention_kernel(cfg, keys[0, 0], mu)
+        assert seen == [6, 3]
+        weights[1] = [0.25, 0.25, 0.25, 0.0, 0.25]
+        w, order, _ = _softmatch_rows(cfg.potential, keys, keys, weights)
+        assert w.shape == (5, 2, 5) and order.shape == (2, 5)
+
+    def test_one_quiet_overflow_entry_per_chunk(self):
+        # `_layer_chunk` enters `_quiet_overflow` once for its chunk, and
+        # `_attend` leaves it to its callers: the measure functions enter
+        # it themselves, so an overflow raises InvalidInput and warns nothing
+        assert hasattr(kernels._layer_chunk, "__wrapped__")
+        assert not hasattr(kernels._attend, "__wrapped__")
+        cfg = AttentionConfig(DotProduct(1e300, 1), IdentityLookup(1))
+        mu = empirical([[1e10], [2e10]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput):
+                attention_kernel(cfg, [1e10], mu)
+            with pytest.raises(InvalidInput):
+                attention_pushforward(cfg, mu)
 
 
 class TestPinnedOutputs:

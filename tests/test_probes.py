@@ -22,6 +22,7 @@ from softmatch.bounds import (
     ratio_lemma_sup,
     tau_pi,
 )
+from softmatch.equiv import POTENTIAL_KINDS, random_potential
 from softmatch.errors import DegeneratePotential, DimMismatch, InvalidInput
 from softmatch.kernels import (
     AttentionConfig,
@@ -32,8 +33,9 @@ from softmatch.kernels import (
     MultiHeadConfig,
     TransformerLayerSpec,
     layer_map,
+    softmatch_weights,
 )
-from softmatch.measures import DomainBox, EmpiricalMeasure, PointCloud
+from softmatch.measures import DomainBox, EmpiricalMeasure, PointCloud, empirical
 from softmatch.potentials import DotProduct, Gaussian
 from softmatch.probes import (
     ProbeConfig,
@@ -390,38 +392,62 @@ def _layers(d):
 
 class TestBatchedTrials:
     """`probe_contraction` draws a block of trials, maps the block's clouds
-    with one `layer_map` call per support size, then solves the output W1s
-    in trial order; the reports keep the bits of a trial-by-trial loop."""
+    of every size with one `layer_map` call, one padded kernel call per
+    chunk of clouds taken largest first, then solves the output W1s in trial order; the reports keep the
+    bits of a trial-by-trial loop."""
 
-    def test_one_layer_map_call_per_cloud_size_in_a_block(self, monkeypatch):
-        calls = []
+    def test_one_kernel_call_per_block_chunk(self, monkeypatch):
+        calls, chunk = [], kernels._layer_chunk
 
-        def counting(layer, clouds):
+        def counting(layer, clouds, weights):
             calls.append(clouds.shape)
-            return layer_map(layer, clouds)
+            return chunk(layer, clouds, weights)
 
         def refuse(*args, **kwargs):
             raise AssertionError("attention_pushforward called")
 
-        monkeypatch.setattr(probes, "layer_map", counting)
-        monkeypatch.setattr(kernels, "layer_map", counting)
+        monkeypatch.setattr(kernels, "_layer_chunk", counting)
         monkeypatch.setattr(kernels, "attention_pushforward", refuse)
         monkeypatch.setattr(probes, "_TRIAL_BLOCK", 7)
+        # five 6-point clouds a chunk, so that a block of 7 trials takes
+        # one to three chunks
+        monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 5 * 6 * 6)
         cfg = AttentionConfig(Gaussian(2), IdentityLookup(2))
         pc = box_probe(seed=11, trials=20, d=2, n_range=(1, 6))
         res = probe_contraction(cfg, pc, bound=None)
-        # per block, the kept trials' clouds grouped by size in order of appearance
+        # per block, the kept trials' clouds largest first, in chunks of
+        # `_chunk_size` clouds, each padded to its largest cloud (no pad
+        # here reaches `_PAD_ENTRIES`)
         expected = []
         for start in range(0, 20, 7):
-            sizes = {}
+            sizes = []
             for t in range(start, min(start + 7, 20)):
                 mu, nu = probes._sample_pair(stream(11, t), pc)
                 if w1(mu, nu).value >= probes.DEGENERATE_W1:
-                    for m in (mu, nu):
-                        sizes[m.n] = sizes.get(m.n, 0) + 1
-            expected += [(count, n, 2) for n, count in sizes.items()]
+                    sizes += [mu.n, nu.n]
+            sizes.sort(reverse=True)
+            while sizes:
+                size = min(len(sizes), kernels._chunk_size(sizes[0]))
+                expected.append((size, sizes[0], 2))
+                sizes = sizes[size:]
         assert calls == expected
+        assert len(calls) > 3 and len({n for _, n, _ in calls}) > 1
         assert sum(b for b, _, _ in calls) == 2 * len(res.ratios) > 0
+
+    @pytest.mark.parametrize("kind", ("softmatch_in_x", "softmatch_in_measure"))
+    def test_one_reweighting_call_per_block(self, monkeypatch, kind):
+        calls, rows = [], probes._softmatch_weights_rows
+
+        def counting(potential, queries, points, weights):
+            calls.append(points.shape)
+            return rows(potential, queries, points, weights)
+
+        monkeypatch.setattr(probes, "_softmatch_weights_rows", counting)
+        monkeypatch.setattr(probes, "_TRIAL_BLOCK", 7)
+        pc = box_probe(seed=11, trials=20, d=2, n_range=(1, 6))
+        res = probe_component(kind, pc, potential=Gaussian(2))
+        assert len(calls) == 3 and sum(b for b, _, _ in calls) == 2 * len(res.ratios) > 0
+        assert all(d == 2 and 1 <= n <= 6 for _, n, d in calls)
 
     @pytest.mark.parametrize("bounded", (True, False))
     @pytest.mark.parametrize("mode", probes.PERTURBATIONS)
@@ -517,6 +543,31 @@ class TestBatchedTrials:
             assert len(res.ratios) > 0.9 * trials
             peaks.append(peak * 2**20)
         assert peaks[1] - peaks[0] <= 600 * 512
+
+
+class TestPaddedReweighting:
+    """A block's measures, of sizes 1 to 16 and differing counts of
+    positive weights, reweighted in padded `_softmatch_weights_rows` calls
+    keep the bits of `softmatch_weights` on each measure alone."""
+
+    # one call, or the chunks (16, 16), (7, 5, 4, 3) and (2, 1)
+    @pytest.mark.parametrize("pad_entries", (kernels._PAD_ENTRIES, 4), ids=("one_call", "three_chunks"))
+    @pytest.mark.parametrize("d", (1, 2, 3, 4))
+    @pytest.mark.parametrize("potential_kind", POTENTIAL_KINDS)
+    def test_equals_softmatch_weights(self, monkeypatch, potential_kind, d, pad_entries):
+        monkeypatch.setattr(kernels, "_PAD_ENTRIES", pad_entries)
+        rng = np.random.default_rng([POTENTIAL_KINDS.index(potential_kind), d])
+        pot = random_potential(rng, d, potential_kind)
+        mus = []
+        for n in (1, 16, 3, 7, 16, 2, 5):
+            w = rng.random(n) + 0.1
+            w[1:][rng.random(n - 1) < 0.3] = 0.0
+            mus.append(EmpiricalMeasure(PointCloud(rng.normal(size=(n, d))), w / w.sum()))
+        mus.append(empirical(np.repeat(rng.normal(size=(1, d)), 4, axis=0)))
+        items = [(rng.normal(size=d), mu) for mu in mus]
+        for (q, mu), out in zip(items, probes._softmatch_block(pot, items)):
+            assert out.support.points is mu.support.points
+            assert out.weights.tobytes() == softmatch_weights(pot, q, mu).tobytes()
 
 
 class TestRefusals:
